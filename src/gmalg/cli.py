@@ -29,7 +29,6 @@ from .center import (
 from .decompose import (
     PredicateNotSatisfied,
     WitnessExtractionError,
-    build_generic_system,
     decompose_lie_triple_iso,
     decompose_trace_constructive,
     decompose_trace_generic,
@@ -343,8 +342,9 @@ def cmd_decompose_trace(args) -> int:
     lines = []
     failed = False
     generic = constructive = None
+    report = gma.report
     if args.path in ("generic", "both"):
-        generic = decompose_trace_generic(q, gma, mode=args.mode)
+        generic = decompose_trace_generic(q, gma, mode=args.mode, report=report)
         out["route"] = generic.route
         lines.append(f"generic: {generic.status} (route {generic.route})")
         if generic.status == "ok":
@@ -357,7 +357,7 @@ def cmd_decompose_trace(args) -> int:
             lines += ["  " + ln for ln in generic.report.lines()]
     if args.path in ("constructive", "both"):
         try:
-            constructive = decompose_trace_constructive(q, gma)
+            constructive = decompose_trace_constructive(q, gma, report=report)
         except WitnessExtractionError as e:
             failed = True
             out["constructive"] = {"status": "extraction-failed", "stage": e.stage}
@@ -460,6 +460,12 @@ def _suite_properties(gma: GMA, ctx, args):
     ring = gma.ring
     hyp = hypothesis_report(gma, loyalty_bound=args.loyalty_bound, seed=args.seed)
     loyal = hyp.M_loyal
+    spaces = {}  # mode -> trace_space result, shared by the two trace-space checks
+
+    def space(mode):
+        if mode not in spaces:
+            spaces[mode] = trace_space(gma, mode, max_dim=args.max_dim)
+        return spaces[mode]
 
     def p_axioms():
         rep = check_morita_axioms(ctx)
@@ -556,15 +562,12 @@ def _suite_properties(gma: GMA, ctx, args):
             return "SKIP", f"dim {gma.dim} exceeds --max-dim {args.max_dim}"
         if hyp.route == "none":
             return "SKIP", "no decomposition route"
-        space = trace_space(gma, "centralizing", max_dim=args.max_dim)
-        system = build_generic_system(gma)
-        for k, b in enumerate(space.basis):
-            dec = decompose_trace_generic(
-                b, gma, mode="centralizing", system=system, report=hyp
-            )
+        cen = space("centralizing")
+        for k, b in enumerate(cen.basis):
+            dec = decompose_trace_generic(b, gma, mode="centralizing", report=hyp)
             if dec.status != "ok" or not dec.form.matches(gma, b):
                 return "FAIL", f"basis element {k} does not decompose"
-        return "PASS", f"dim {space.dim}"
+        return "PASS", f"dim {cen.dim}"
 
     def p_trace_modes():
         if not ring.is_prime_field:
@@ -573,19 +576,15 @@ def _suite_properties(gma: GMA, ctx, args):
             return "SKIP", f"dim {gma.dim} exceeds --max-dim {args.max_dim}"
         if hyp.route == "none":
             return "SKIP", "no decomposition route"
-        cen = trace_space(gma, "centralizing", max_dim=args.max_dim)
-        com = trace_space(gma, "commuting", max_dim=args.max_dim)
+        cen, com = space("centralizing"), space("commuting")
         if not np.array_equal(cen.raw_rows, com.raw_rows):
             return "FAIL", f"centralizing dim {cen.dim} != commuting dim {com.dim}"
         return "PASS", f"shared dim {cen.dim}"
 
     def p_roundtrip_generic():
-        system = build_generic_system(gma)
         for i in range(args.count):
             q = random_proper_trace(gma, gma.center, args.seed + i)
-            dec = decompose_trace_generic(
-                q, gma, mode="commuting", system=system, report=hyp
-            )
+            dec = decompose_trace_generic(q, gma, mode="commuting", report=hyp)
             if dec.status != "ok" or not dec.form.matches(gma, q):
                 return "FAIL", f"seed {args.seed + i} does not roundtrip"
         return "PASS", f"{args.count} seeded traces"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .center import CenterData, hypothesis_report
+from .center import CenterData
 from .exact import ExactError, inverse_array, rank_array, row_span_coords, solve_array
 from .maps import (
     BilinearMapRep,
@@ -33,6 +33,7 @@ from .maps import (
     is_jordan_hom,
     is_lie_triple_hom,
     pair_index_order,
+    symmetric_from_pairs,
     vanishes_on_second_commutators,
 )
 from .rng import XorShift64Star
@@ -184,42 +185,35 @@ class ProperTraceForm:
 
     def sym_tensor(self, gma: GMA) -> np.ndarray:
         """Symmetric coefficient tensor of the reconstructed trace."""
-        ring, d = gma.ring, gma.dim
-        S = ring.zeros((d, d, d))
-        z = self.z_vec(gma)
-        half = ring.half
-        for i in range(d):
-            ei = gma.basis_vector(i)
-            mi = self.mu_vec(gma, ei)
-            for j in range(i, d):
-                ej = gma.basis_vector(j)
-                mj = self.mu_vec(gma, ej)
-                sym_prod = gma.multiply(ei, ej) + gma.multiply(ej, ei)
-                core = (
-                    gma.multiply(z, sym_prod)
-                    + gma.multiply(mi, ej)
-                    + gma.multiply(mj, ei)
-                )
-                # nu_vec is already the symmetric coefficient; core carries
-                # the polarized (doubled) z- and mu-terms
-                S[i, j] = ring.normalize(core * half + self.nu_vec(gma, ei, ej))
-                S[j, i] = S[i, j]
-        return S
+        z_g = gma.center.z_g
+        MU = gma.ring.tensordot(self.mu, z_g, axes=([0], [0]))  # rows: mu(e_i)
+        nu = gma.ring.tensordot(self.nu, z_g, axes=([2], [0]))
+        # nu is read on i <= j and mirrored, so only its symmetric use counts
+        upper = np.triu(np.ones((gma.dim, gma.dim), dtype=bool))[:, :, None]
+        nu = np.where(upper, nu, np.transpose(nu, (1, 0, 2)))
+        return _proper_tensor(gma, self.z_vec(gma), MU, nu)
 
     def matches(self, gma: GMA, q: BilinearMapRep) -> bool:
         return gma.ring.equal(self.sym_tensor(gma), q.symmetrize().tensor)
 
 
+def _proper_tensor(gma: GMA, z_vec, MU, nu) -> np.ndarray:
+    """z(xy + yx)/2 + (mu(x)y + mu(y)x)/2 + nu(x, y), the symmetric tensor of
+    x -> z x^2 + mu(x) x + nu(x, x); MU holds mu(e_i) as rows, nu is a
+    symmetric (dim, dim, dim) tensor, all in G coordinates."""
+    ring = gma.ring
+    sym = gma.mul + np.transpose(gma.mul, (1, 0, 2))
+    zxy = ring.tensordot(sym, gma.left_mult_matrix(z_vec), axes=([2], [1]))
+    P = ring.tensordot(MU, gma.mul, axes=([1], [0]))  # [i, j] = mu(e_i) e_j
+    return ring.normalize((zxy + P + np.transpose(P, (1, 0, 2))) * ring.half + nu)
+
+
 def _pair_values(gma: GMA, q: BilinearMapRep):
     """Pair coefficients v_ij of the trace of q: v_ij = coefficient of
     x_i x_j in T_q(x); a (npairs, dim) array in pair_index_order."""
-    ring, d = gma.ring, gma.dim
-    P = ring.normalize(q.tensor + np.transpose(q.tensor, (1, 0, 2)))
-    pairs = pair_index_order(d)
-    out = ring.zeros((len(pairs), d))
-    for n, (i, j) in enumerate(pairs):
-        out[n] = P[i, j] if i != j else ring.normalize(P[i, i] * ring.half)
-    return out
+    I, J = np.triu_indices(gma.dim)
+    T = q.tensor
+    return np.where((I == J)[:, None], T[I, J], gma.ring.normalize(T[I, J] + T[J, I]))
 
 
 @dataclass(eq=False)
@@ -239,53 +233,38 @@ class _GenericSystem:
 
 def build_generic_system(gma: GMA) -> _GenericSystem:
     ring, d = gma.ring, gma.dim
-    C = gma.center
-    zdim = C.zdim
-    pairs = pair_index_order(d)
-    npairs = len(pairs)
-    zg = C.z_g
+    zg = gma.center.z_g
+    zdim = zg.shape[0]
+    I, J = np.triu_indices(d)  # pair_index_order
+    npairs = len(I)
+    n = np.arange(npairs)
+    off = I != J
+    mul = gma.mul
+    sym = np.where(off[:, None], ring.normalize(mul[I, J] + mul[J, I]), mul[I, J])
     # ZB[t, j] = zeta_t * e_j  (center times basis, as vectors)
-    ZB = ring.tensordot(zg, gma.mul, axes=([1], [0]))  # (t, j, r)
-    sym = ring.zeros((npairs, d))
-    K = ring.zeros((npairs * d, zdim * (1 + d + npairs)))
-    for n, (i, j) in enumerate(pairs):
-        ei, ej = gma.basis_vector(i), gma.basis_vector(j)
-        if i == j:
-            w = gma.square(ei)
-        else:
-            w = ring.normalize(gma.multiply(ei, ej) + gma.multiply(ej, ei))
-        sym[n] = w
-        base = n * d
-        for t in range(zdim):
-            # z-term
-            K[base : base + d, t] = gma.multiply(zg[t], w)
-            # mu-terms: coefficient of mu(e_i) coord t is zeta_t * e_j
-            K[base : base + d, zdim * (1 + i) + t] += ZB[t, j]
-            if i != j:
-                K[base : base + d, zdim * (1 + j) + t] += ZB[t, i]
-            # nu-term
-            K[base : base + d, zdim * (1 + d + n) + t] = zg[t]
-    return _GenericSystem(gma, ring.normalize(K), sym)
+    ZB = ring.tensordot(zg, mul, axes=([1], [0]))  # (t, j, r)
+    # K[pair, r, column block, t]; blocks: z, mu(e_0..e_d-1), nu(pairs)
+    K = ring.zeros((npairs, d, 1 + d + npairs, zdim))
+    K[:, :, 0, :] = np.transpose(ring.tensordot(sym, ZB, axes=([1], [1])), (0, 2, 1))
+    # mu-terms: coefficient of mu(e_i) coord t is zeta_t * e_j
+    K[n, :, 1 + I, :] = np.transpose(ZB[:, J, :], (1, 2, 0))
+    K[n[off], :, 1 + J[off], :] = np.transpose(ZB[:, I[off], :], (1, 2, 0))
+    K[n, :, 1 + d + n, :] = zg.T
+    return _GenericSystem(gma, K.reshape(npairs * d, (1 + d + npairs) * zdim), sym)
 
 
 def _solution_to_form(gma: GMA, sol: np.ndarray) -> ProperTraceForm:
-    ring, d = gma.ring, gma.dim
     zdim = gma.center.zdim
-    pairs = pair_index_order(d)
-    z = sol[:zdim].copy()
-    mu = ring.zeros((zdim, d))
-    for i in range(d):
-        mu[:, i] = sol[zdim * (1 + i) : zdim * (2 + i)]
-    nu = ring.zeros((d, d, zdim))
-    half = ring.half
-    for n, (i, j) in enumerate(pairs):
-        v = sol[zdim * (1 + d + n) : zdim * (2 + d + n)]
-        if i == j:
-            nu[i, i] = v
-        else:
-            nu[i, j] = ring.normalize(v * half)
-            nu[j, i] = nu[i, j]
-    return ProperTraceForm(z, mu, nu)
+    return ProperTraceForm(sol[:zdim].copy(), *_unpack_mu_nu(gma, sol[zdim:]))
+
+
+def _unpack_mu_nu(gma: GMA, sol: np.ndarray):
+    """(mu, nu) from the solution blocks mu(e_0), ..., mu(e_d-1), then nu of
+    each pair in pair_index_order, zdim center coordinates each."""
+    d, zdim = gma.dim, gma.center.zdim
+    mu = sol[: zdim * d].reshape(d, zdim).T.copy()
+    nu = symmetric_from_pairs(gma.ring, d, sol[zdim * d :].reshape(-1, zdim))
+    return mu, nu
 
 
 @dataclass(eq=False)
@@ -320,9 +299,9 @@ def decompose_trace_generic(
     if not ok:
         raise PredicateNotSatisfied(f"trace is not {mode}", witness=w)
     if report is None:
-        report = hypothesis_report(gma)
+        report = gma.report
     if system is None:
-        system = build_generic_system(gma)
+        system = gma.generic_system
     rhs = _pair_values(gma, q).reshape(system.matrix.shape[0])
     sol = solve_array(ring, system.matrix, rhs)
     if sol is None:
@@ -416,7 +395,7 @@ def extract_constructive_witness(
     dA, dM, dN, dB = gma.dims
     unitA, unitB = ctx.A.unit, ctx.B.unit
     if report is None:
-        report = hypothesis_report(gma)
+        report = gma.report
 
     def need(vec, where, stage):
         coords = row_span_coords(ring, where, vec)
@@ -714,7 +693,7 @@ def decompose_trace_constructive(
     if not ok:
         raise PredicateNotSatisfied("trace is not centralizing", witness=wit)
     if report is None:
-        report = hypothesis_report(gma)
+        report = gma.report
     grid = extract_components(q, gma, centralizing=True)
     w = extract_constructive_witness(q, gma, C, grid, report)
     ctx = gma.ctx
@@ -828,9 +807,8 @@ def decompose_lie_triple_iso(l: LinearMapRep, src: GMA, dst: GMA) -> LieTripleDe
     if not ok:
         raise PredicateNotSatisfied("map does not preserve second commutators", witness=wit)
 
-    report = hypothesis_report(dst)
+    report = dst.report
     C = dst.center
-    d = dst.dim
     # q[i, j, :] = l(l^-1(e_i) l^-1(e_j))
     t = ring.tensordot(linv, dst.mul, axes=([0], [0]))
     t = ring.tensordot(linv, t, axes=([0], [1]))
@@ -846,7 +824,7 @@ def decompose_lie_triple_iso(l: LinearMapRep, src: GMA, dst: GMA) -> LieTripleDe
             "pulled-back square map is not centralizing",
         )
 
-    system = build_generic_system(dst)
+    system = dst.generic_system
     zdim = C.zdim
     fixed_cols = system.matrix[:, zdim:]
     z_cols = system.matrix[:, :zdim]
@@ -876,27 +854,13 @@ def decompose_lie_triple_iso(l: LinearMapRep, src: GMA, dst: GMA) -> LieTripleDe
             "uniqueness of the sign fails on this instance",
         )
     lam = next(iter(solutions))
-    sol = solutions[lam]
-    # unpack mu1 (center coords per basis vector of dst) and nu1
-    mu1 = ring.zeros((zdim, d))
-    for i in range(d):
-        mu1[:, i] = sol[zdim * i : zdim * (i + 1)]
-    pairs = pair_index_order(d)
-    nu1 = ring.zeros((d, d, zdim))
-    half = ring.half
-    for n_idx, (i, j) in enumerate(pairs):
-        v = sol[zdim * (d + n_idx) : zdim * (d + n_idx + 1)]
-        if i == j:
-            nu1[i, i] = v
-        else:
-            nu1[i, j] = ring.normalize(v * half)
-            nu1[j, i] = nu1[i, j]
+    mu1, nu1 = _unpack_mu_nu(dst, solutions[lam])
 
     # mu = mu1 . l   (as a map into dst coordinates), m = lam*l + mu/2
     mu_center = ring.tensordot(mu1, l.matrix, axes=([1], [0]))  # (zdim, dim src)
     mu_mat = ring.tensordot(C.z_g.T, mu_center, axes=([1], [0]))  # (dim', dim src)
     lam_c = ring.coerce(lam)
-    m_mat = ring.normalize(l.matrix * lam_c + mu_mat * half)
+    m_mat = ring.normalize(l.matrix * lam_c + mu_mat * ring.half)
     n_mat = ring.normalize(l.matrix - m_mat * lam_c)
     m = LinearMapRep(ring, m_mat)
     n = LinearMapRep(ring, n_mat)
@@ -944,19 +908,13 @@ def random_proper_trace(gma: GMA, C: CenterData | None, seed: int) -> BilinearMa
     MU = ring.zeros((d, d))  # rows: mu(e_i) in G coords
     for i in range(d):
         MU[i] = C.expand(ring.array([ring.random_scalar(stream) for _ in range(zdim)]))
-    half = ring.half
-    sym = ring.normalize(gma.mul + np.transpose(gma.mul, (1, 0, 2)))
-    Lz = gma.left_mult_matrix(z_vec)
-    q1 = ring.normalize(ring.tensordot(sym, Lz, axes=([2], [1])) * half)
-    P = ring.tensordot(MU, gma.mul, axes=([1], [0]))  # [i, j, r] = (mu(e_i) e_j)_r
-    q2 = ring.normalize((P + np.transpose(P, (1, 0, 2))) * half)
     q3 = ring.zeros((d, d, d))
     for i in range(d):
         for j in range(i, d):
             v = C.expand(ring.array([ring.random_scalar(stream) for _ in range(zdim)]))
             q3[i, j] = v
             q3[j, i] = v
-    return BilinearMapRep(ring, ring.normalize(q1 + q2 + q3))
+    return BilinearMapRep(ring, _proper_tensor(gma, z_vec, MU, q3))
 
 
 def _matrix_meta(gma: GMA):

@@ -254,9 +254,8 @@ def rank_array(ring: RingDescriptor, mat: np.ndarray) -> int:
 
 def nullspace_array(ring: RingDescriptor, mat: np.ndarray) -> np.ndarray:
     """Canonical nullspace basis, one vector per row (free columns ascending)."""
-    mat = ring.normalize(mat)
-    rows, cols = mat.shape
-    red, piv, rank = rref_array(ring, mat)
+    rows, cols = np.shape(mat)
+    red, piv, rank = rref_array(ring, mat)  # rref_array normalizes its own copy
     free = [c for c in range(cols) if c not in set(piv)]
     basis = ring.zeros((len(free), cols))
     for bi, fc in enumerate(free):

@@ -11,6 +11,7 @@ produces the same witness for the same input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -140,6 +141,32 @@ def _arrangements3(a, b, c):
     ))
 
 
+@lru_cache(maxsize=None)
+def _arrangement_table(d: int):
+    """The cubic monomials x_a x_b x_c (a <= b <= c) in order, and the
+    distinct arrangements (u, v, w) of each, grouped by monomial: returns
+    (triples, uvw, owner, starts) with uvw a (d**3, 3) array, owner[n] the
+    monomial of arrangement n and starts[t] the first arrangement of
+    monomial t.  Every ordered triple arranges exactly one monomial, so the
+    rows of uvw are a permutation of all d**3 ordered triples."""
+    triples = tuple(
+        (a, b, c) for a in range(d) for b in range(a, d) for c in range(b, d)
+    )
+    groups = [_arrangements3(*t) for t in triples]
+    sizes = np.array([len(g) for g in groups])
+    uvw = np.array([arr for g in groups for arr in g], dtype=np.intp).reshape(-1, 3)
+    owner = np.repeat(np.arange(len(triples)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    for arr in (uvw, owner, starts):
+        arr.flags.writeable = False
+    return triples, uvw, owner, starts
+
+
+def _commutator_tensor(carrier):
+    """[t, k, r] = [e_t, e_k]_r."""
+    return carrier.ring.normalize(carrier.mul - np.transpose(carrier.mul, (1, 0, 2)))
+
+
 # ---------------------------------------------------------------------------
 # linear predicates
 # ---------------------------------------------------------------------------
@@ -215,19 +242,19 @@ def is_centralizing_linear(gma, F: LinearMapRep):
 # ---------------------------------------------------------------------------
 
 
-def cubic_trace_coefficients(carrier, bil: BilinearMapRep):
-    """Coefficients of x -> [B(x, x), x] on monomials x_a x_b x_c (a<=b<=c)."""
+def cubic_trace_coefficients(carrier, bil: BilinearMapRep, as_rows: bool = False):
+    """Coefficients of x -> [B(x, x), x] on monomials x_a x_b x_c (a<=b<=c).
+
+    A dict keyed by monomial in ascending order; with ``as_rows`` the pair
+    (monomials, rows) instead, one coefficient row per monomial.  One
+    contraction D[u, v, w] = [B(e_u, e_v), e_w] gives every arrangement; each
+    monomial sums its own arrangements."""
     ring, d = carrier.ring, carrier.dim
-    B = bil.tensor
-    out = {}
-    for a in range(d):
-        for b in range(a, d):
-            for c in range(b, d):
-                acc = ring.zeros(d)
-                for (u, v, w) in _arrangements3(a, b, c):
-                    acc = acc + carrier.commutator(B[u, v], carrier.basis_vector(w))
-                out[(a, b, c)] = ring.normalize(acc)
-    return out
+    triples, uvw, _, starts = _arrangement_table(d)
+    D = ring.tensordot(bil.tensor, _commutator_tensor(carrier), axes=([2], [0]))
+    gathered = D.reshape(d**3, d)[(uvw[:, 0] * d + uvw[:, 1]) * d + uvw[:, 2]]
+    rows = ring.normalize(np.add.reduceat(gathered, starts, axis=0))
+    return (triples, rows) if as_rows else dict(zip(triples, rows))
 
 
 def _trace_witness(carrier, bil, bad_triple, offending):
@@ -255,25 +282,28 @@ def _trace_witness(carrier, bil, bad_triple, offending):
     raise MapError("nonzero cubic coefficient but witness grid found nothing")
 
 
+def _trace_verdict(carrier, bil, triples, rows, offending):
+    """(ok, witness): the witness grid starts at the first nonzero row."""
+    bad = np.flatnonzero(np.any(rows != carrier.ring.zero, axis=1))
+    if bad.size == 0:
+        return True, None
+    return False, _trace_witness(carrier, bil, triples[bad[0]], offending)
+
+
 def is_commuting_trace(carrier, bil: BilinearMapRep):
     ring = carrier.ring
-    for triple, coef in cubic_trace_coefficients(carrier, bil).items():
-        if not ring.is_zero(coef):
-            w = _trace_witness(carrier, bil, triple, lambda v: not ring.is_zero(v))
-            return False, w
-    return True, None
+    triples, rows = cubic_trace_coefficients(carrier, bil, as_rows=True)
+    return _trace_verdict(carrier, bil, triples, rows, lambda v: not ring.is_zero(v))
 
 
 def is_centralizing_trace(gma, bil: BilinearMapRep):
     ring = gma.ring
     C = gma.center
-    for triple, coef in cubic_trace_coefficients(gma, bil).items():
-        if not ring.is_zero(C.quotient(coef)):
-            w = _trace_witness(
-                gma, bil, triple, lambda v: not ring.is_zero(C.quotient(v))
-            )
-            return False, w
-    return True, None
+    triples, rows = cubic_trace_coefficients(gma, bil, as_rows=True)
+    rows = ring.tensordot(rows, C.to_coords[C.zdim :], axes=([1], [1]))
+    return _trace_verdict(
+        gma, bil, triples, rows, lambda v: not ring.is_zero(C.quotient(v))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +370,18 @@ def pair_index_order(d: int):
     return [(i, j) for i in range(d) for j in range(i, d)]
 
 
+def symmetric_from_pairs(ring, d: int, W: np.ndarray) -> np.ndarray:
+    """Pair-coefficient layout (..., npairs, k) in pair_index_order -> the
+    symmetric (..., d, d, k) tensor: a diagonal pair is copied, an
+    off-diagonal one is halved onto both of its slots."""
+    I, J = np.triu_indices(d)
+    W = ring.normalize(np.where((I == J)[:, None], W, W * ring.half))
+    S = ring.zeros(W.shape[:-2] + (d, d) + W.shape[-1:])
+    S[..., I, J, :] = W
+    S[..., J, I, :] = W
+    return S
+
+
 @dataclass
 class TraceSpaceResult:
     mode: str
@@ -369,44 +411,33 @@ def trace_space(gma, mode: str = "centralizing", max_dim: int = 12) -> TraceSpac
     if d > max_dim:
         raise MapError(f"dim {d} exceeds the trace_space guard {max_dim}")
 
-    Bk = ring.normalize(gma.mul - np.transpose(gma.mul, (1, 0, 2)))  # [t, k, r]
+    K = _trace_space_matrix(gma, mode)
+    rows = nullspace_array(ring, K)
+    npairs = d * (d + 1) // 2
+    basis = [
+        BilinearMapRep(ring, symmetric_from_pairs(ring, d, w.reshape(npairs, d)))
+        for w in rows
+    ]
+    return TraceSpaceResult(mode, K.shape[0], K.shape[1], basis, rows)
+
+
+def _trace_space_matrix(gma, mode: str) -> np.ndarray:
+    """Row (monomial x_a x_b x_c, target coordinate), column (pair, coordinate):
+    each realization (i <= j | k) of a monomial puts [v_ij, e_k], read in
+    the target coordinates, into its row block."""
+    ring, d = gma.ring, gma.dim
+    Bk = _commutator_tensor(gma)  # [t, k, r]
     if mode == "centralizing":
         Q = gma.center.to_coords[gma.center.zdim :]
         target = ring.tensordot(Bk, Q, axes=([2], [1]))  # [t, k, q]
     else:
         target = Bk
-    tdim = target.shape[2]
-
-    pairs = pair_index_order(d)
-    pair_pos = {pq: n for n, pq in enumerate(pairs)}
-    triples = [(a, b, c) for a in range(d) for b in range(a, d) for c in range(b, d)]
-    K = ring.zeros((len(triples) * tdim, len(pairs) * d))
-    for row, (a, b, c) in enumerate(triples):
-        base = row * tdim
-        # realizations (i <= j | k) of the monomial x_a x_b x_c
-        if a < b < c:
-            reals = [((a, b), c), ((a, c), b), ((b, c), a)]
-        elif a == b < c:
-            reals = [((a, a), c), ((a, c), a)]
-        elif a < b == c:
-            reals = [((a, b), b), ((b, b), a)]
-        else:
-            reals = [((a, a), a)]
-        for (pq, k) in reals:
-            col = pair_pos[pq] * d
-            K[base : base + tdim, col : col + d] += target[:, k, :].T
-    K = ring.normalize(K)
-    rows = nullspace_array(ring, K)
-
-    basis = []
-    for w in rows:
-        S = ring.zeros((d, d, d))
-        for n, (i, j) in enumerate(pairs):
-            v = w[n * d : (n + 1) * d]
-            if i == j:
-                S[i, i] = v
-            else:
-                S[i, j] = v * ring.half
-                S[j, i] = S[i, j]
-        basis.append(BilinearMapRep(ring, ring.normalize(S)))
-    return TraceSpaceResult(mode, K.shape[0], K.shape[1], basis, rows)
+    triples, uvw, owner, _ = _arrangement_table(d)
+    # the realizations of a monomial are its arrangements (u, v, w) with u <= v
+    real = uvw[:, 0] <= uvw[:, 1]
+    u, v, k = uvw[real].T
+    pair = u * d - u * (u - 1) // 2 + v - u
+    npairs = d * (d + 1) // 2
+    K = ring.zeros((len(triples), target.shape[2], npairs, d))
+    K[owner[real], :, pair, :] = np.transpose(target[:, k, :], (1, 2, 0))
+    return K.reshape(len(triples) * target.shape[2], npairs * d)

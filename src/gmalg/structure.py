@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -382,16 +383,28 @@ class GMA(_MulCarrier):
         v[i] = self.ring.one
         return v
 
-    @property
-    def center(self):
-        """CenterData for this GMA (computed once, cached)."""
-        cached = getattr(self, "_center_cache", None)
-        if cached is None:
-            from .center import compute_center_gma
+    # per-algebra results, each computed once on first use
 
-            cached = compute_center_gma(self)
-            self._center_cache = cached
-        return cached
+    @cached_property
+    def center(self):
+        """CenterData for this GMA."""
+        from .center import compute_center_gma
+
+        return compute_center_gma(self)
+
+    @cached_property
+    def report(self):
+        """The hypothesis report with default loyalty bound and seed."""
+        from .center import hypothesis_report
+
+        return hypothesis_report(self)
+
+    @cached_property
+    def generic_system(self):
+        """The generic route's coefficient system for this GMA."""
+        from .decompose import build_generic_system
+
+        return build_generic_system(self)
 
 
 def assemble_gma(ctx: MoritaContext, check: bool = True) -> GMA:
