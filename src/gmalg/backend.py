@@ -1,133 +1,60 @@
-"""Prime-field elimination kernels: numba-jitted hot path, numpy fallback.
+"""The exact elimination kernel: one Gauss-Jordan for F_p and Q.
 
-The only genuinely hot loop in this package is dense Gauss-Jordan elimination
-mod p (every nullspace / solve call lands here; the largest system in the
-test battery is 1320x405 over F_5).  Two interchangeable implementations are
-provided:
-
-* ``rref_mod_p_numba`` - scalar loops compiled with ``@njit``;
-* ``rref_mod_p_numpy`` - the same algorithm with vectorized row updates.
-
-Selection happens once at import time from the ``GMALG_BACKEND`` environment
-variable: unset or ``numba`` prefers the jitted kernel (falling back silently
-if numba is unavailable), ``numpy`` forces the fallback.  Both produce
-bit-identical output; ``benchmarks/bench_backends.py`` times them against
-each other.
+Every nullspace, solve, rank and inverse in this package lands here.  The
+kernel is generic over the ring: it needs only ``ring.normalize`` (reduce an
+array to canonical scalars) and ``ring.inv`` (invert one scalar), so the
+same code runs on ``int64`` residues mod p and on ``object`` arrays of
+``Fraction``.  A pivot step touches only the rows that are nonzero in the
+pivot column, and in them only the columns where the pivot row is nonzero;
+every other cell would be left as it is anyway.  That is what keeps the
+sparse constraint systems of this package cheap, over Q above all, where
+each skipped cell is a skipped ``Fraction`` operation.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "ACTIVE_BACKEND",
-    "rref_mod_p",
-    "rref_mod_p_numpy",
-    "rref_mod_p_numba",
-    "HAS_NUMBA",
-]
+__all__ = ["ACTIVE_BACKEND", "rref", "rref_mod_p"]
+
+# the name of the kernel that runs; there is exactly one
+ACTIVE_BACKEND = "numpy"
 
 
-def _rref_mod_p_loops(a, p):
-    """Row-reduce ``a`` in place mod p.  Returns (pivot_columns, rank).
+def rref(ring, a: np.ndarray):
+    """Reduced row echelon form of a copy of ``a``: (matrix, pivot columns, rank).
 
-    Written with scalar loops only so numba can compile it unchanged; the
-    pure-python execution of this exact function is also the reference
-    implementation the numpy fallback is tested against.
-    """
-    rows, cols = a.shape
-    pivcols = np.full(cols, -1, dtype=np.int64)
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = -1
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            for j in range(cols):
-                tmp = a[r, j]
-                a[r, j] = a[piv, j]
-                a[piv, j] = tmp
-        # modular inverse by Fermat: a^(p-2) mod p
-        inv = 1
-        base = a[r, c] % p
-        e = p - 2
-        while e > 0:
-            if e & 1:
-                inv = (inv * base) % p
-            base = (base * base) % p
-            e >>= 1
-        for j in range(cols):
-            a[r, j] = (a[r, j] * inv) % p
-        for i in range(rows):
-            if i != r and a[i, c] != 0:
-                f = a[i, c]
-                for j in range(cols):
-                    a[i, j] = (a[i, j] - f * a[r, j]) % p
-        pivcols[r] = c
-        r += 1
-    return pivcols[:r], r
-
-
-def rref_mod_p_numpy(a: np.ndarray, p: int):
-    """Vectorized fallback; same contract as the jitted kernel."""
-    a = np.array(a, dtype=np.int64) % p
+    The pivot of each column is the first nonzero entry at or below the
+    current row; the pivot row is scaled to 1 and the pivot column is
+    cleared in every other row that has a nonzero there."""
+    red = ring.normalize(a)
+    a = red.copy() if red is a else red
     rows, cols = a.shape
     pivcols = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        nz = a[:, c].nonzero()[0]
+        k = nz.searchsorted(r)
+        if k == nz.size:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        # rank-1 update clears the pivot column everywhere else
-        a -= np.outer(col, a[r])
-        a %= p
+        piv = nz[k]
+        prow = ring.normalize(a[piv] * ring.inv(a[piv, c]))
+        a[piv] = a[r]  # row r is zero in column c unless piv == r
+        a[r] = prow
+        hit = nz[nz != piv][:, None]
+        if hit.size:
+            # only the cells of hit rows under the pivot row's nonzeros change
+            support = prow.nonzero()[0]
+            a[hit, support] = ring.normalize(a[hit, support] - a[hit, c] * prow[support])
         pivcols.append(c)
         r += 1
     return a, np.array(pivcols, dtype=np.int64), r
 
 
-HAS_NUMBA = False
-_rref_jit = None
-if os.environ.get("GMALG_BACKEND", "numba").strip().lower() != "numpy":
-    try:
-        from numba import njit
-
-        _rref_jit = njit(cache=True)(_rref_mod_p_loops)
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - mirror environments without numba
-        HAS_NUMBA = False
-
-ACTIVE_BACKEND = "numba" if HAS_NUMBA else "numpy"
-
-
-def rref_mod_p_numba(a: np.ndarray, p: int):
-    """Jitted kernel wrapper (raises if numba is unavailable/disabled)."""
-    if _rref_jit is None:
-        raise RuntimeError("numba backend not active (GMALG_BACKEND=numpy or numba missing)")
-    a = np.array(a, dtype=np.int64) % p
-    pivcols, rank = _rref_jit(a, p)
-    return a, np.asarray(pivcols, dtype=np.int64), int(rank)
-
-
 def rref_mod_p(a: np.ndarray, p: int):
-    """Active-backend RREF mod p: returns (reduced matrix, pivot columns, rank)."""
-    if ACTIVE_BACKEND == "numba":
-        return rref_mod_p_numba(a, p)
-    return rref_mod_p_numpy(a, p)
+    """``rref`` over F_p for an integer matrix."""
+    from .exact import prime_field
+
+    return rref(prime_field(p), a)

@@ -19,14 +19,16 @@ import numpy as np
 
 from .exact import (
     RingDescriptor,
-    inverse_array,
+    coordinate_complement,
     nullspace_array,
     rank_array,
     row_space_contains,
     row_span_coords,
+    row_span_residual,
     rref_array,
     solve_array,
 )
+from .maps import _arrangement_table
 from .rng import XorShift64Star
 from .structure import GMA, MoritaContext, check_morita_axioms
 
@@ -40,17 +42,6 @@ def _rref_rows(ring, rows):
         return rows
     red, piv, rank = rref_array(ring, rows)
     return red[:rank].copy()
-
-
-def _basis_reduce(ring, basis_rows, v):
-    """Residual of v against a canonical RREF row basis (zero iff v in span)."""
-    if basis_rows.shape[0] == 0:
-        return ring.normalize(np.asarray(v)).copy()
-    coords = ring.zeros(basis_rows.shape[0])
-    for i, row in enumerate(basis_rows):
-        nz = np.argwhere(row != ring.zero)
-        coords[i] = v[int(nz[0][0])]
-    return ring.normalize(v - ring.tensordot(coords, basis_rows, axes=([0], [0])))
 
 
 def compute_center_algebra(alg) -> np.ndarray:
@@ -250,28 +241,7 @@ def compute_center_gma(gma: GMA) -> CenterData:
             raise CenterError("no A-partner for a projected center element")
         phi_inv[:, idx] = a
 
-    # deterministic complement: extend z_g by coordinate vectors, ascending index
-    chosen = []
-    cur = z_g
-    cur_rank = cur.shape[0]
-    for i in range(d):
-        if cur_rank == d:
-            break
-        cand = ring.zeros((1, d))
-        cand[0, i] = ring.one
-        trial = np.concatenate([cur, cand], axis=0)
-        r = rank_array(ring, trial)
-        if r > cur_rank:
-            chosen.append(i)
-            cur = trial
-            cur_rank = r
-    complement = ring.zeros((len(chosen), d))
-    for row, i in enumerate(chosen):
-        complement[row, i] = ring.one
-    full = np.concatenate([z_g, complement], axis=0) if z_g.size or complement.size else z_g
-    to_coords = inverse_array(ring, full.T)
-    if to_coords is None:
-        raise CenterError("center + complement failed to span (internal)")
+    complement, to_coords = coordinate_complement(ring, z_g)
 
     return CenterData(
         ring, d, z_g, z_a, z_b, pia, pib, phi, phi_inv, complement, to_coords
@@ -511,10 +481,7 @@ def central_jordan_radical(gma) -> np.ndarray:
     sym = ring.normalize(gma.mul + np.transpose(gma.mul, (1, 0, 2)))
     while S.shape[0]:
         T = ring.tensordot(S, sym, axes=([1], [1]))  # [s, i, r] = (S_s o e_i)_r
-        resid = ring.zeros(T.shape)
-        for s in range(S.shape[0]):
-            for i in range(d):
-                resid[s, i] = _basis_reduce(ring, S, T[s, i])
+        _, resid = row_span_residual(ring, S, T)
         K = resid.reshape(S.shape[0], d * d).T.copy()  # rows (i,r), cols s
         C = nullspace_array(ring, ring.normalize(K))
         newS = _rref_rows(ring, ring.tensordot(C, S, axes=([1], [0]))) if C.shape[0] else ring.zeros((0, d))
@@ -596,6 +563,20 @@ def center_zero_divisor_free(gma, bound: int = 5**8):
     return True
 
 
+def _cube_annihilation_matrix(gma) -> np.ndarray:
+    """Row (monomial x_a x_b x_c of B, N coordinate), column (v, w, n):
+    the coefficients of x*K(x, x) in the unknowns K[v, w, n].  Each
+    arrangement (u, v, w) of a monomial puts b_u * n_n into its row block;
+    the arrangements of one monomial differ in (v, w)."""
+    ring, N = gma.ring, gma.ctx.N
+    dB, dN = gma.ctx.B.dim, N.dim
+    triples, uvw, owner, _ = _arrangement_table(dB)
+    u, v, w = uvw.T
+    K1 = ring.zeros((len(triples), dN, dB, dB, dN))  # [monomial, m, v, w, n]
+    K1[owner, :, v, w, :] = np.transpose(N.left[u], (0, 2, 1))
+    return K1.reshape(len(triples) * dN, dB * dB * dN)
+
+
 def cube_annihilating_forms_contained(gma) -> bool:
     """Bilinear K: B x B -> N with x*K(x,x) = 0 coefficientwise satisfy
     K(x,x) = 0 coefficientwise (nullspace containment, exact)."""
@@ -605,17 +586,7 @@ def cube_annihilating_forms_contained(gma) -> bool:
     if dN == 0 or dB == 0:
         return True
     nunk = dB * dB * dN  # K[v, w, n]
-    triples = [(a, b, c) for a in range(dB) for b in range(a, dB) for c in range(b, dB)]
-    K1 = ring.zeros((len(triples) * dN, nunk))
-    for row, (a, b, c) in enumerate(triples):
-        base = row * dN
-        perms = sorted(set(
-            ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a))
-        ))
-        for (u, v, w) in perms:
-            for n in range(dN):
-                K1[base : base + dN, (v * dB + w) * dN + n] += ctx.N.left[u, n]
-    null_cubic = nullspace_array(ring, ring.normalize(K1))
+    null_cubic = nullspace_array(ring, _cube_annihilation_matrix(gma))
     pairs = [(a, b) for a in range(dB) for b in range(a, dB)]
     K2 = ring.zeros((len(pairs) * dN, nunk))
     for row, (a, b) in enumerate(pairs):

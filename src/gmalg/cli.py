@@ -342,7 +342,7 @@ def cmd_decompose_trace(args) -> int:
     lines = []
     failed = False
     generic = constructive = None
-    report = gma.report
+    report = hypothesis_report(gma, loyalty_bound=args.loyalty_bound, seed=args.seed)
     if args.path in ("generic", "both"):
         generic = decompose_trace_generic(q, gma, mode=args.mode, report=report)
         out["route"] = generic.route

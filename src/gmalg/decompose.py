@@ -23,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .center import CenterData
-from .exact import ExactError, inverse_array, rank_array, row_span_coords, solve_array
+from .exact import (
+    ExactError,
+    coordinate_complement,
+    inverse_array,
+    row_span_coords,
+    solve_array,
+)
 from .maps import (
     BilinearMapRep,
     LinearMapRep,
@@ -342,31 +348,10 @@ class ConstructiveWitness:
     side: str  # "A" | "B" | "fallback"
 
 
-def _algebra_quotient(ring, dim, z_rows):
+def _algebra_quotient(ring, z_rows):
     """Projection-to-complement coords modulo span(z_rows): (qdim, dim) rows
-    Q with Qv = 0 iff v in the span.  Deterministic greedy complement."""
-    chosen = []
-    cur = z_rows
-    cur_rank = cur.shape[0]
-    for i in range(dim):
-        if cur_rank == dim:
-            break
-        cand = ring.zeros((1, dim))
-        cand[0, i] = ring.one
-        trial = np.concatenate([cur, cand], axis=0)
-        r = rank_array(ring, trial)
-        if r > cur_rank:
-            chosen.append(i)
-            cur = trial
-            cur_rank = r
-    comp = ring.zeros((len(chosen), dim))
-    for row, i in enumerate(chosen):
-        comp[row, i] = ring.one
-    full = np.concatenate([z_rows, comp], axis=0)
-    inv = inverse_array(ring, full.T)
-    if inv is None:
-        raise ExactError("center complement failed to span (internal)")
-    return inv[z_rows.shape[0] :]
+    Q with Qv = 0 iff v in the span."""
+    return coordinate_complement(ring, z_rows)[1][z_rows.shape[0] :]
 
 
 def extract_constructive_witness(
@@ -452,7 +437,7 @@ def extract_constructive_witness(
 
     if a_noncomm or not b_noncomm:
         side = "A" if a_noncomm else "fallback"
-        QA = _algebra_quotient(ring, dA, C.z_a)
+        QA = _algebra_quotient(ring, C.z_a)
         qdim, za_dim = QA.shape[0], C.z_a.shape[0]
         # columns: Q_A(zeta_u * e_i) stacked over i
         coeff = ring.zeros((dA * qdim, za_dim))
@@ -484,7 +469,7 @@ def extract_constructive_witness(
             need(gamma_prime[:, i], C.z_b, "gamma-prime-centrality")
     else:
         side = "B"
-        QB = _algebra_quotient(ring, dB, C.z_b)
+        QB = _algebra_quotient(ring, C.z_b)
         qdim, zb_dim = QB.shape[0], C.z_b.shape[0]
         coeff = ring.zeros((dB * qdim, zb_dim))
         for u in range(zb_dim):

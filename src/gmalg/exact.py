@@ -207,33 +207,6 @@ def ring_from_json(d: dict) -> RingDescriptor:
 # ---------------------------------------------------------------------------
 
 
-def _rref_object(a: np.ndarray):
-    """Gauss-Jordan over Q (object/Fraction arrays); mirrors the mod-p kernel."""
-    a = a.copy()
-    rows, cols = a.shape
-    pivcols = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = -1
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * (Fraction(1) / a[r, c])
-        for i in range(rows):
-            if i != r and a[i, c] != 0:
-                a[i] = a[i] - a[i, c] * a[r]
-        pivcols.append(c)
-        r += 1
-    return a, np.array(pivcols, dtype=np.int64), r
-
-
 def rref_array(ring: RingDescriptor, mat: np.ndarray):
     """Reduced row echelon form: (rref, pivot column tuple, rank)."""
     mat = ring.normalize(mat)
@@ -241,10 +214,7 @@ def rref_array(ring: RingDescriptor, mat: np.ndarray):
         raise ExactError("rref expects a 2-D matrix")
     if mat.size == 0:
         return mat.copy(), (), 0
-    if ring.is_prime_field:
-        red, piv, rank = backend.rref_mod_p(mat, ring.p)
-    else:
-        red, piv, rank = _rref_object(mat)
+    red, piv, rank = backend.rref(ring, mat)
     return red, tuple(int(c) for c in piv), rank
 
 
@@ -299,29 +269,47 @@ def inverse_array(ring: RingDescriptor, mat: np.ndarray):
     return red[:, n:].copy()
 
 
-def row_span_coords(ring: RingDescriptor, basis_rows: np.ndarray, v: np.ndarray):
-    """Coordinates of v in a *canonical RREF* row basis, or None if outside.
+def row_span_residual(ring: RingDescriptor, basis_rows: np.ndarray, v: np.ndarray):
+    """(coords, residual) of v against a *canonical RREF* row basis.
 
-    For an RREF basis the coordinate vector is just v sampled at the pivot
-    columns; membership is then verified by exact reconstruction.
+    The coordinates are v sampled at the pivot columns and the residual is
+    v minus their combination of the basis rows; it is zero iff v lies in
+    the span.  v may stack vectors along its leading axes.
     """
     basis_rows = ring.normalize(basis_rows)
     v = ring.normalize(np.asarray(v))
     if basis_rows.shape[0] == 0:
-        return None if not ring.is_zero(v) else ring.zeros(0)
-    pivots = []
-    for row in basis_rows:
-        nz = [j for j in range(len(row)) if row[j] != ring.zero]
-        if not nz:
-            raise ExactError("zero row in supposed basis")
-        pivots.append(nz[0])
-    coords = ring.zeros(basis_rows.shape[0])
-    for i, pc in enumerate(pivots):
-        coords[i] = v[pc]
-    recon = ring.tensordot(coords, basis_rows, axes=([0], [0]))
-    if not ring.equal(recon, v):
-        return None
-    return coords
+        return ring.zeros(v.shape[:-1] + (0,)), v.copy()
+    nonzero = basis_rows != ring.zero
+    if not nonzero.any(axis=1).all():
+        raise ExactError("zero row in supposed basis")
+    coords = v[..., nonzero.argmax(axis=1)]
+    return coords, ring.normalize(v - ring.tensordot(coords, basis_rows, axes=([-1], [0])))
+
+
+def row_span_coords(ring: RingDescriptor, basis_rows: np.ndarray, v: np.ndarray):
+    """Coordinates of v in a *canonical RREF* row basis, or None if outside."""
+    coords, resid = row_span_residual(ring, basis_rows, v)
+    return coords if ring.is_zero(resid) else None
+
+
+def coordinate_complement(ring: RingDescriptor, rows: np.ndarray):
+    """Extend independent rows by unit vectors: (complement, to_coords).
+
+    The unit vectors e_i are taken greedily in ascending i, each one that
+    is outside the span so far; ``to_coords`` is the inverse of
+    [rows; complement]^T, mapping a vector to its coefficients over those
+    rows.  Both come from one reduction of [rows^T | I]: its pivot columns
+    are the greedy choice and its right block is the inverse.
+    """
+    k, dim = rows.shape
+    red, piv, _ = rref_array(ring, np.concatenate([rows.T, ring.eye(dim)], axis=1))
+    if piv[:k] != tuple(range(k)):
+        raise ExactError("complement of dependent rows")
+    chosen = [c - k for c in piv[k:]]
+    complement = ring.zeros((len(chosen), dim))
+    complement[np.arange(len(chosen)), chosen] = ring.one
+    return complement, red[:, k:].copy()
 
 
 def row_space_equal(ring: RingDescriptor, rows_a: np.ndarray, rows_b: np.ndarray) -> bool:

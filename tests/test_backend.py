@@ -1,15 +1,15 @@
-"""The mod-p reduction kernel exists twice (numba-jitted loops and a
-vectorized numpy fallback); they must be indistinguishable output-wise,
-and the GMALG_BACKEND flag must actually select between them."""
+"""The one elimination kernel, on both rings.
 
-import os
-import subprocess
-import sys
+Bit-identity against the retained slow kernels is in test_oracles.py; here
+are the kernel's own contracts: a known reduction, idempotence, the input
+left untouched, and the canonical scalar types of each ring."""
+
+from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from gmalg import backend
+from gmalg.exact import RATIONAL, prime_field
 from gmalg.rng import XorShift64Star
 
 
@@ -27,68 +27,28 @@ def test_known_reduction():
     assert rank == 1
 
 
-@pytest.mark.skipif(not backend.HAS_NUMBA, reason="numba backend not active in this run")
-def test_backends_agree_on_random_matrices():
-    stream = XorShift64Star(2024)
-    for p in (5, 7, 11):
-        for _ in range(25):
-            rows = 1 + stream.below(8)
-            cols = 1 + stream.below(8)
-            a = random_matrix(stream, rows, cols, p)
-            rn, pn, kn = backend.rref_mod_p_numpy(a.copy(), p)
-            rj, pj, kj = backend.rref_mod_p_numba(a.copy(), p)
-            assert kn == kj
-            assert pn.tolist() == pj.tolist()
-            assert np.array_equal(rn, rj)
+def test_known_reduction_over_q():
+    a = RATIONAL.array([[2, 1, 0], [4, 2, 3], [0, 0, 6]])
+    red, piv, rank = backend.rref(RATIONAL, a)
+    assert red.tolist() == [[1, Fraction(1, 2), 0], [0, 0, 1], [0, 0, 0]]
+    assert all(type(v) is Fraction for v in red.flat)
+    assert piv.tolist() == [0, 2]
+    assert rank == 2
 
 
-def test_numpy_fallback_is_idempotent():
+def test_rref_is_idempotent():
     stream = XorShift64Star(99)
     a = random_matrix(stream, 6, 9, 5)
-    red, piv, rank = backend.rref_mod_p_numpy(a, 5)
-    red2, piv2, rank2 = backend.rref_mod_p_numpy(red, 5)
+    red, piv, rank = backend.rref_mod_p(a, 5)
+    red2, piv2, rank2 = backend.rref_mod_p(red, 5)
     assert rank == rank2 and piv.tolist() == piv2.tolist()
     assert np.array_equal(red, red2)
 
 
-def _active_backend_under(env_value):
-    env = dict(os.environ)
-    if env_value is None:
-        env.pop("GMALG_BACKEND", None)
-    else:
-        env["GMALG_BACKEND"] = env_value
-    out = subprocess.run(
-        [sys.executable, "-c", "from gmalg import backend; print(backend.ACTIVE_BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    return out.stdout.strip()
-
-
-def test_env_flag_selects_backend():
-    assert _active_backend_under("numpy") == "numpy"
-    if backend.HAS_NUMBA or _active_backend_under(None) == "numba":
-        assert _active_backend_under("numba") == "numba"
-
-
-def test_numba_wrapper_raises_when_disabled():
-    # run in a forced-numpy subprocess so the guard is exercised even when
-    # numba is importable here
-    env = dict(os.environ, GMALG_BACKEND="numpy")
-    code = (
-        "import numpy as np\n"
-        "from gmalg import backend\n"
-        "assert not backend.HAS_NUMBA\n"
-        "try:\n"
-        "    backend.rref_mod_p_numba(np.eye(2, dtype=np.int64), 5)\n"
-        "except RuntimeError:\n"
-        "    print('guarded')\n"
-        "else:\n"
-        "    raise SystemExit('no RuntimeError raised')\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert out.stdout.strip() == "guarded"
+def test_input_is_left_untouched():
+    stream = XorShift64Star(3)
+    for ring in (prime_field(7), RATIONAL):
+        a = ring.array(random_matrix(stream, 5, 5, 7).tolist())
+        before = a.copy()
+        backend.rref(ring, a)
+        assert np.array_equal(a, before)

@@ -203,6 +203,23 @@ def test_decompose_trace_rejects_non_centralizing(m3_file, tmp_path, capsys):
     assert "witness" in out
 
 
+def test_decompose_trace_honours_loyalty_bound(tmp_path, capsys):
+    # a bound of 1 leaves loyalty unknown, which moves M4 off the main route
+    ctx = build_full_matrix(4, 2, F5)
+    ctx_path = tmp_path / "m4.json"
+    save_context(ctx_path, ctx)
+    gma = assemble_gma(ctx)
+    qpath = tmp_path / "q.json"
+    save_map(qpath, MapDocument("bilinear", random_proper_trace(gma, gma.center, seed=1), seed=1))
+    assert main(["check", str(ctx_path), "--loyalty-bound", "1"]) == 0
+    assert "decomposition-route: corner" in capsys.readouterr().out
+    argv = ["decompose-trace", str(ctx_path), str(qpath), "--path", "generic"]
+    assert main(argv + ["--loyalty-bound", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "generic: ok (route corner)"
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "generic: ok (route main)"
+
+
 # ---------------------------------------------------------------------------
 # decompose-lti
 # ---------------------------------------------------------------------------

@@ -1,20 +1,32 @@
-"""The contraction paths against their slow reference loops.
+"""The contraction paths and the elimination kernel against slow references.
 
 The loops below are the straightforward per-monomial and per-pair
 formulations: basis commutators summed over the arrangements of each cubic
-monomial, one product call per basis pair.  They are kept here only as
-oracles.  Every comparison is literal: same keys in the same order, same
-dtype, same scalar type, same values, same witnesses.
+monomial, one product call per basis pair.  The elimination references are
+the three kernels the ring-generic one replaced: scalar loops mod p, a dense
+rank-1 update over every row mod p, and row-by-row Fraction elimination.
+They are kept here only as oracles.  Every comparison is literal: same keys
+in the same order, same dtype, same scalar type, same values, same
+witnesses.
 
 The instances cover a center of dimension one (M3, M4), a triangular split
 (T3), a center of dimension two (the diagonal pair), the rationals, and
 p = 1048573, the largest prime the int64 kernels accept.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from gmalg.decompose import ProperTraceForm, build_generic_system, random_proper_trace
+from gmalg import backend
+from gmalg.center import _cube_annihilation_matrix
+from gmalg.decompose import (
+    ProperTraceForm,
+    _pair_values,
+    build_generic_system,
+    random_proper_trace,
+)
 from gmalg.exact import RATIONAL, nullspace_array, prime_field
 from gmalg.maps import (
     BilinearMapRep,
@@ -162,6 +174,113 @@ def slow_basis_tensors(ring, d, rows):
     return out
 
 
+def slow_cube_annihilation_matrix(gma):
+    ring, N = gma.ring, gma.ctx.N
+    dB, dN = gma.ctx.B.dim, N.dim
+    triples = [(a, b, c) for a in range(dB) for b in range(a, dB) for c in range(b, dB)]
+    K1 = ring.zeros((len(triples) * dN, dB * dB * dN))
+    for row, (a, b, c) in enumerate(triples):
+        base = row * dN
+        for (u, v, w) in _arrangements3(a, b, c):
+            for n in range(dN):
+                K1[base : base + dN, (v * dB + w) * dN + n] += N.left[u, n]
+    return K1
+
+
+def rref_mod_p_loops(a, p):
+    """Row-reduce the int64 matrix ``a`` in place mod p with scalar loops."""
+    rows, cols = a.shape
+    pivcols = np.full(cols, -1, dtype=np.int64)
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        piv = -1
+        for i in range(r, rows):
+            if a[i, c] != 0:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        if piv != r:
+            for j in range(cols):
+                tmp = a[r, j]
+                a[r, j] = a[piv, j]
+                a[piv, j] = tmp
+        # modular inverse by Fermat: a^(p-2) mod p
+        inv = 1
+        base = a[r, c] % p
+        e = p - 2
+        while e > 0:
+            if e & 1:
+                inv = (inv * base) % p
+            base = (base * base) % p
+            e >>= 1
+        for j in range(cols):
+            a[r, j] = (a[r, j] * inv) % p
+        for i in range(rows):
+            if i != r and a[i, c] != 0:
+                f = a[i, c]
+                for j in range(cols):
+                    a[i, j] = (a[i, j] - f * a[r, j]) % p
+        pivcols[r] = c
+        r += 1
+    return pivcols[:r], r
+
+
+def dense_rref_mod_p(a, p):
+    """Rank-1 update of every row per pivot, mod p."""
+    a = np.array(a, dtype=np.int64) % p
+    rows, cols = a.shape
+    pivcols = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r] = (a[r] * inv) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a -= np.outer(col, a[r])
+        a %= p
+        pivcols.append(c)
+        r += 1
+    return a, np.array(pivcols, dtype=np.int64), r
+
+
+def rref_object(a):
+    """Gauss-Jordan over Q on an object array of Fractions, row by row."""
+    a = a.copy()
+    rows, cols = a.shape
+    pivcols = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        piv = -1
+        for i in range(r, rows):
+            if a[i, c] != 0:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r] = a[r] * (Fraction(1) / a[r, c])
+        for i in range(rows):
+            if i != r and a[i, c] != 0:
+                a[i] = a[i] - a[i, c] * a[r]
+        pivcols.append(c)
+        r += 1
+    return a, np.array(pivcols, dtype=np.int64), r
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 # ---------------------------------------------------------------------------
@@ -276,3 +395,87 @@ def test_trace_space_matches_loop(gma, mode):
     assert len(space.basis) == len(slow_basis)
     for b, s in zip(space.basis, slow_basis):
         assert_identical(b.tensor, s)
+
+
+@pytest.mark.parametrize("name", ["t3-f5", "m4-f5", "m3-q"])
+def test_cube_annihilation_matrix_matches_loop(name):
+    g = assemble_gma(INSTANCES[name]())
+    assert_identical(_cube_annihilation_matrix(g), slow_cube_annihilation_matrix(g))
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel
+# ---------------------------------------------------------------------------
+
+
+def assert_same_rref(got, want):
+    assert_identical(got[0], want[0])
+    assert_identical(got[1], want[1])
+    assert got[2] == want[2]
+
+
+def augmented_generic_system(name):
+    """The generic system of an instance with the pair values of a proper
+    trace appended, as the generic route solves it."""
+    g = assemble_gma(INSTANCES[name]())
+    K = g.generic_system.matrix
+    rhs = _pair_values(g, random_proper_trace(g, None, seed=3)).reshape(K.shape[0])
+    return np.concatenate([K, rhs[:, None]], axis=1)
+
+
+def m3_f5_trace_space_matrix(mode):
+    return _trace_space_matrix(assemble_gma(build_full_matrix(3, 1, F5)), mode)
+
+
+WORKLOAD_SHAPES = {
+    "m3-f5-centralizing": (lambda: m3_f5_trace_space_matrix("centralizing"), (1320, 405)),
+    "m3-f5-commuting": (lambda: m3_f5_trace_space_matrix("commuting"), (1485, 405)),
+    "m4-f5-generic": (lambda: augmented_generic_system("m4-f5"), (2176, 154)),
+    "m3-q-generic": (lambda: augmented_generic_system("m3-q"), (405, 56)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_SHAPES))
+def test_kernel_matches_retained_kernel_on_workload_shapes(name):
+    build, shape = WORKLOAD_SHAPES[name]
+    a = build()
+    assert a.shape == shape
+    ring = RATIONAL if a.dtype == object else F5
+    want = rref_object(a) if a.dtype == object else dense_rref_mod_p(a, 5)
+    assert_same_rref(backend.rref(ring, a), want)
+    assert 0 < want[2] < min(shape)
+
+
+def random_sparse_matrix(stream, rows, cols, draw):
+    """About a third of the entries zero, so pivots get skipped and rows swapped."""
+    return [[draw() if stream.below(3) else 0 for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 1048573])
+def test_kernel_matches_loops_on_random_matrices(p):
+    ring = prime_field(p)
+    stream = XorShift64Star(p)
+    for _ in range(40):
+        rows, cols = 1 + stream.below(9), 1 + stream.below(9)
+        a = np.array(
+            random_sparse_matrix(stream, rows, cols, lambda: stream.below(p)), dtype=np.int64
+        )
+        ref = a.copy()
+        piv, rank = rref_mod_p_loops(ref, p)
+        assert_same_rref(backend.rref(ring, a), (ref, piv, rank))
+
+
+def test_kernel_matches_object_kernel_over_q():
+    stream = XorShift64Star(2024)
+
+    def draw():
+        return Fraction(stream.below(9) - 4, 1 + stream.below(4))
+
+    deficient = set()
+    for _ in range(40):
+        rows, cols = 1 + stream.below(8), 1 + stream.below(8)
+        a = RATIONAL.array(random_sparse_matrix(stream, rows, cols, draw))
+        want = rref_object(a)
+        assert_same_rref(backend.rref(RATIONAL, a), want)
+        deficient.add(want[2] < min(rows, cols))
+    assert deficient == {True, False}
