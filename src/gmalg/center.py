@@ -28,7 +28,7 @@ from .exact import (
     rref_array,
     solve_array,
 )
-from .maps import _arrangement_table
+from .maps import _arrangement_table, _jordan_tensor
 from .rng import XorShift64Star
 from .structure import GMA, MoritaContext, check_morita_axioms
 
@@ -298,7 +298,9 @@ def check_loyal(ctx: MoritaContext, bound: int = 5**8) -> LoyaltyResult:
     total = p**width - 1
     if total > bound:
         return LoyaltyResult("unknown", None, f"{total} candidates exceed bound {bound}")
-    for nidx in range(1, total + 1):
+    # a vector and its nonzero multiples share one kernel, so scan only the
+    # multiple whose last nonzero digit is 1: it is the first of its class
+    for nidx in (p**h + low for h in range(width) for low in range(p**h)):
         vec = ring.array(_digits_le(nidx, p, width))
         if side_a:
             # kernel in b of b |-> a*M*b
@@ -403,51 +405,46 @@ def _integer_mul_tensor(gma):
     return lifted, None
 
 
+# cells of int64 per intermediate array of the identity scan: whole
+# monomials go through at once, so the d**6 contraction stays bounded
+_IDENTITY_42_CELLS = 1 << 20
+
+
 def check_identity_42(gma, seed: int = 1729):
     """Decide whether [[x^2, y], [x, y]] vanishes identically; witness if not.
 
     Exact monomial-coefficient extraction (degree 3 in x, 2 in y; both below
-    every supported characteristic).  The returned witness pair is re-verified
-    by direct evaluation.
+    every supported characteristic).  The arrangement (u, v, w) of x_a x_b x_c
+    contributes [[e_u e_v, e_s], [e_w, e_t]] to y_s y_t; the first monomial,
+    then (s <= t), with a nonzero coefficient seeds the witness search.  The
+    returned witness pair is re-verified by direct evaluation.
     """
     ring, d = gma.ring, gma.dim
     mul, p = _integer_mul_tensor(gma)
-    Bk = mul - np.transpose(mul, (1, 0, 2))
-    if p is not None:
-        Bk %= p
-    W = np.tensordot(mul, Bk, axes=([2], [0]))  # [u, v, s, r] = [e_u e_v, f_s]_r
-    if p is not None:
-        W %= p
 
     def reduce(arr):
         return arr % p if p is not None else arr
 
+    Bk = reduce(mul - np.transpose(mul, (1, 0, 2)))
+    W = reduce(np.tensordot(mul, Bk, axes=([2], [0])))  # [u, v, s, l] = [e_u e_v, e_s]_l
+    Y = reduce(np.tensordot(W, Bk, axes=([3], [0])))  # [[e_u e_v, e_s], e_m]_r
+    Y = Y.reshape(d * d, d, d, d)  # [u * d + v, s, m, r]
+    triples, uvw, _, starts = _arrangement_table(d)
+    bounds = np.append(starts, len(uvw))
+    upper = np.triu(np.ones((d, d), dtype=bool))
+    per = max(1, _IDENTITY_42_CELLS // (6 * d**3))  # a monomial has <= 6 arrangements
     bad = None
-    for a in range(d):
-        for b in range(a, d):
-            for c in range(b, d):
-                perms = sorted(set(
-                    ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a))
-                ))
-                contrib = np.zeros((d, d, d), dtype=np.int64)
-                for (u, v, w) in perms:
-                    Z1 = np.tensordot(W[u, v], Bk, axes=([1], [0]))  # (s, l, r)
-                    T = np.tensordot(Bk[w], Z1, axes=([1], [1]))  # (t, s, r)
-                    contrib += np.transpose(T, (1, 0, 2))
-                contrib = reduce(contrib)
-                for s in range(d):
-                    for t in range(s, d):
-                        coef = contrib[s, t] if s == t else reduce(contrib[s, t] + contrib[t, s])
-                        if np.any(coef != 0):
-                            bad = (a, b, c, s, t)
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
+    for t0 in range(0, len(triples), per):
+        t1 = min(t0 + per, len(triples))
+        u, v, w = uvw[bounds[t0] : bounds[t1]].T
+        contrib = np.matmul(Bk[w][:, None], Y[u * d + v])  # (n, s, t, r)
+        sums = np.add.reduceat(contrib, starts[t0:t1] - starts[t0], axis=0)
+        # this doubles the (s, s) coefficient, which stays nonzero iff it was
+        coef = reduce(sums + np.transpose(sums, (0, 2, 1, 3)))
+        hits = np.argwhere(np.any(coef != 0, axis=-1) & upper)
+        if hits.size:
+            n, s, t = (int(i) for i in hits[0])
+            bad = triples[t0 + n] + (s, t)
             break
 
     if bad is None:
@@ -478,7 +475,7 @@ def check_identity_42(gma, seed: int = 1729):
 def central_jordan_radical(gma) -> np.ndarray:
     ring, d = gma.ring, gma.dim
     S = gma.center.z_g.copy()
-    sym = ring.normalize(gma.mul + np.transpose(gma.mul, (1, 0, 2)))
+    sym = _jordan_tensor(gma)
     while S.shape[0]:
         T = ring.tensordot(S, sym, axes=([1], [1]))  # [s, i, r] = (S_s o e_i)_r
         _, resid = row_span_residual(ring, S, T)

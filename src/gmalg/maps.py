@@ -167,27 +167,30 @@ def _commutator_tensor(carrier):
     return carrier.ring.normalize(carrier.mul - np.transpose(carrier.mul, (1, 0, 2)))
 
 
+def _jordan_tensor(carrier):
+    """[t, k, r] = (e_t o e_k)_r = (e_t e_k + e_k e_t)_r."""
+    return carrier.ring.normalize(carrier.mul + np.transpose(carrier.mul, (1, 0, 2)))
+
+
 # ---------------------------------------------------------------------------
 # linear predicates
 # ---------------------------------------------------------------------------
 
 
+def _require_shape(F: LinearMapRep, dim_out: int, dim_in: int):
+    if F.matrix.shape != (dim_out, dim_in):
+        raise MapError(f"map has shape {F.matrix.shape}, the algebras want {(dim_out, dim_in)}")
+
+
 def _linear_defect_coefficients(carrier, F: LinearMapRep):
-    """Quadratic coefficients of x -> [F(x), x] over pairs i <= j."""
+    """Quadratic coefficients of x -> [F(x), x] over pairs i <= j: one
+    contraction G[i, j] = [F(e_i), e_j], symmetrized off the diagonal."""
     ring, d = carrier.ring, carrier.dim
-    out = {}
-    img = [F.apply(carrier.basis_vector(i)) for i in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            if i == j:
-                c = carrier.commutator(img[i], carrier.basis_vector(i))
-            else:
-                c = ring.normalize(
-                    carrier.commutator(img[i], carrier.basis_vector(j))
-                    + carrier.commutator(img[j], carrier.basis_vector(i))
-                )
-            out[(i, j)] = c
-    return out
+    _require_shape(F, d, d)
+    G = ring.tensordot(F.matrix, _commutator_tensor(carrier), axes=([0], [0]))
+    I, J = np.triu_indices(d)
+    rows = np.where((I == J)[:, None], G[I, J], G[I, J] + G[J, I])
+    return dict(zip(pair_index_order(d), ring.normalize(rows)))
 
 
 def _linear_witness(carrier, F, bad_pair, offending):
@@ -212,29 +215,24 @@ def _linear_witness(carrier, F, bad_pair, offending):
     raise MapError("nonzero defect coefficient but witness grid found nothing")
 
 
+def _linear_verdict(carrier, F, offending):
+    """(ok, witness): the witness grid starts at the first offending pair."""
+    for pair, c in _linear_defect_coefficients(carrier, F).items():
+        if offending(c):
+            return False, _linear_witness(carrier, F, pair, offending)
+    return True, None
+
+
 def is_commuting_linear(carrier, F: LinearMapRep):
     """Does [F(x), x] = 0 hold identically?  (ok, witness)."""
     ring = carrier.ring
-    coeffs = _linear_defect_coefficients(carrier, F)
-    for pair, c in coeffs.items():
-        if not ring.is_zero(c):
-            w = _linear_witness(carrier, F, pair, lambda v: not ring.is_zero(v))
-            return False, w
-    return True, None
+    return _linear_verdict(carrier, F, lambda v: not ring.is_zero(v))
 
 
 def is_centralizing_linear(gma, F: LinearMapRep):
     """Does [F(x), x] land in Z(G) for every x?  (ok, witness)."""
-    ring = gma.ring
-    C = gma.center
-    coeffs = _linear_defect_coefficients(gma, F)
-    for pair, c in coeffs.items():
-        if not ring.is_zero(C.quotient(c)):
-            w = _linear_witness(
-                gma, F, pair, lambda v: not ring.is_zero(C.quotient(v))
-            )
-            return False, w
-    return True, None
+    ring, C = gma.ring, gma.center
+    return _linear_verdict(gma, F, lambda v: not ring.is_zero(C.quotient(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,54 +309,57 @@ def is_centralizing_trace(gma, bil: BilinearMapRep):
 # ---------------------------------------------------------------------------
 
 
+def _second_commutator_tensor(carrier):
+    """[i, j, k, r] = [[e_i, e_j], e_k]_r."""
+    Bk = _commutator_tensor(carrier)
+    return carrier.ring.tensordot(Bk, Bk, axes=([2], [0]))
+
+
+def _image_products(ring, P, F: np.ndarray):
+    """[i, j, r] = P(F e_i, F e_j)_r for a bilinear P given as an (a, b, r) tensor."""
+    t = ring.tensordot(F, P, axes=([0], [0]))  # (i, b, r)
+    return np.transpose(ring.tensordot(t, F, axes=([1], [0])), (0, 2, 1))
+
+
+def _first_failure(src, lhs, rhs, offset: int):
+    """(ok, witness) for lhs == rhs over index tuples (i, j, ...) with
+    j >= i + offset: the witness is the basis vectors of the first failing
+    tuple in C order, the tuple a loop over i, then j, then k stops at."""
+    d = src.dim
+    mask = np.triu(np.ones((d, d), dtype=bool), offset)
+    mask = mask.reshape(mask.shape + (1,) * (lhs.ndim - 3))
+    bad = np.argwhere(np.any(lhs != rhs, axis=-1) & mask)
+    if bad.size == 0:
+        return True, None
+    return False, tuple(src.basis_vector(int(i)) for i in bad[0])
+
+
 def is_jordan_hom(src, dst, F: LinearMapRep):
     """F(x*y + y*x) = F(x)F(y) + F(y)F(x) on all basis pairs.  (ok, witness)."""
     ring = dst.ring
-    img = [F.apply(src.basis_vector(i)) for i in range(src.dim)]
-    for i in range(src.dim):
-        for j in range(i, src.dim):
-            lhs = F.apply(src.jordan(src.basis_vector(i), src.basis_vector(j)))
-            rhs = dst.jordan(img[i], img[j])
-            if not ring.equal(lhs, rhs):
-                return False, (src.basis_vector(i), src.basis_vector(j))
-    return True, None
+    _require_shape(F, dst.dim, src.dim)
+    lhs = ring.tensordot(_jordan_tensor(src), F.matrix, axes=([2], [1]))
+    rhs = _image_products(ring, _jordan_tensor(dst), F.matrix)
+    return _first_failure(src, lhs, rhs, 0)
 
 
 def is_lie_triple_hom(src, dst, F: LinearMapRep):
     """F([[x, y], z]) = [[F(x), F(y)], F(z)] on all basis triples.  (ok, witness)."""
     ring = dst.ring
-    img = [F.apply(src.basis_vector(i)) for i in range(src.dim)]
-    for i in range(src.dim):
-        for j in range(i + 1, src.dim):
-            inner = src.commutator(src.basis_vector(i), src.basis_vector(j))
-            inner_img = dst.commutator(img[i], img[j])
-            for k in range(src.dim):
-                lhs = F.apply(src.commutator(inner, src.basis_vector(k)))
-                rhs = dst.commutator(inner_img, img[k])
-                if not ring.equal(lhs, rhs):
-                    return False, (
-                        src.basis_vector(i),
-                        src.basis_vector(j),
-                        src.basis_vector(k),
-                    )
-    return True, None
+    _require_shape(F, dst.dim, src.dim)
+    lhs = ring.tensordot(_second_commutator_tensor(src), F.matrix, axes=([3], [1]))
+    Bd = _commutator_tensor(dst)
+    inner = _image_products(ring, Bd, F.matrix)  # (i, j, m) = [F e_i, F e_j]_m
+    outer = ring.tensordot(Bd, F.matrix, axes=([1], [0]))  # (m, r, k) = [e_m, F e_k]_r
+    rhs = np.transpose(ring.tensordot(inner, outer, axes=([2], [0])), (0, 1, 3, 2))
+    return _first_failure(src, lhs, rhs, 1)
 
 
 def vanishes_on_second_commutators(src, F: LinearMapRep):
     """F([[x, y], z]) = 0 on all basis triples.  (ok, witness)."""
-    ring = F.ring
-    for i in range(src.dim):
-        for j in range(i + 1, src.dim):
-            inner = src.commutator(src.basis_vector(i), src.basis_vector(j))
-            for k in range(src.dim):
-                val = F.apply(src.commutator(inner, src.basis_vector(k)))
-                if not ring.is_zero(val):
-                    return False, (
-                        src.basis_vector(i),
-                        src.basis_vector(j),
-                        src.basis_vector(k),
-                    )
-    return True, None
+    _require_shape(F, F.dim_out, src.dim)
+    lhs = F.ring.tensordot(_second_commutator_tensor(src), F.matrix, axes=([3], [1]))
+    return _first_failure(src, lhs, F.ring.zero, 1)
 
 
 # ---------------------------------------------------------------------------

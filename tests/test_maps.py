@@ -186,6 +186,27 @@ def test_second_commutator_killers(m3):
     assert not F5.is_zero(m3.commutator(m3.commutator(e00, e01), e10))
 
 
+MALFORMED = [
+    (name, pred, shape)
+    for name, pred in (
+        ("jordan-hom", lambda g, F: is_jordan_hom(g, g, F)),
+        ("lie-triple-hom", lambda g, F: is_lie_triple_hom(g, g, F)),
+        ("commuting-linear", is_commuting_linear),
+        ("centralizing-linear", is_centralizing_linear),
+    )
+    for shape in ((4, 9), (9, 4))
+] + [("kills-second-commutators", vanishes_on_second_commutators, (9, 4))]
+
+
+@pytest.mark.parametrize(
+    "pred, shape", [m[1:] for m in MALFORMED], ids=[f"{m[0]}-{m[2]}" for m in MALFORMED]
+)
+def test_malformed_map_is_a_map_error(m3, pred, shape):
+    F = LinearMapRep(F5, F5.zeros(shape))
+    with pytest.raises(MapError, match="shape"):
+        pred(m3, F)
+
+
 # ---------------------------------------------------------------------------
 # the trace-space enumeration
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The loops below are the straightforward per-monomial and per-pair
 formulations: basis commutators summed over the arrangements of each cubic
-monomial, one product call per basis pair.  The elimination references are
+monomial, one product call per basis pair or triple, and the loyalty scan
+over every nonzero candidate vector.  The elimination references are
 the three kernels the ring-generic one replaced: scalar loops mod p, a dense
 rank-1 update over every row mod p, and row-by-row Fraction elimination.
 They are kept here only as oracles.  Every comparison is literal: same keys
@@ -20,31 +21,50 @@ import numpy as np
 import pytest
 
 from gmalg import backend
-from gmalg.center import _cube_annihilation_matrix
+from gmalg.center import (
+    CenterError,
+    _cube_annihilation_matrix,
+    _digits_le,
+    _integer_mul_tensor,
+    check_identity_42,
+    check_loyal,
+)
 from gmalg.decompose import (
     ProperTraceForm,
     _pair_values,
     build_generic_system,
+    random_lie_triple_iso,
     random_proper_trace,
 )
 from gmalg.exact import RATIONAL, nullspace_array, prime_field
 from gmalg.maps import (
     BilinearMapRep,
+    LinearMapRep,
     _arrangements3,
+    _linear_defect_coefficients,
+    _linear_witness,
     _trace_space_matrix,
     _trace_witness,
     cubic_trace_coefficients,
+    is_centralizing_linear,
     is_centralizing_trace,
+    is_commuting_linear,
     is_commuting_trace,
+    is_jordan_hom,
+    is_lie_triple_hom,
     pair_index_order,
     trace_space,
+    vanishes_on_second_commutators,
 )
 from gmalg.rng import XorShift64Star
 from gmalg.structure import (
+    BimoduleSpec,
+    MoritaContext,
     assemble_gma,
     build_diagonal_pair,
     build_full_matrix,
     build_upper_triangular,
+    check_morita_axioms,
 )
 
 F5 = prime_field(5)
@@ -185,6 +205,146 @@ def slow_cube_annihilation_matrix(gma):
             for n in range(dN):
                 K1[base : base + dN, (v * dB + w) * dN + n] += N.left[u, n]
     return K1
+
+
+def slow_linear_defect_coefficients(carrier, F):
+    ring, d = carrier.ring, carrier.dim
+    out = {}
+    img = [F.apply(carrier.basis_vector(i)) for i in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            if i == j:
+                c = carrier.commutator(img[i], carrier.basis_vector(i))
+            else:
+                c = ring.normalize(
+                    carrier.commutator(img[i], carrier.basis_vector(j))
+                    + carrier.commutator(img[j], carrier.basis_vector(i))
+                )
+            out[(i, j)] = c
+    return out
+
+
+def slow_linear_predicate(carrier, F, coeffs, offending):
+    """The first pair whose coefficient offends starts the witness grid."""
+    for pair, coef in coeffs.items():
+        if offending(coef):
+            return False, _linear_witness(carrier, F, pair, offending)
+    return True, None
+
+
+def slow_is_jordan_hom(src, dst, F):
+    ring = dst.ring
+    img = [F.apply(src.basis_vector(i)) for i in range(src.dim)]
+    for i in range(src.dim):
+        for j in range(i, src.dim):
+            lhs = F.apply(src.jordan(src.basis_vector(i), src.basis_vector(j)))
+            rhs = dst.jordan(img[i], img[j])
+            if not ring.equal(lhs, rhs):
+                return False, (src.basis_vector(i), src.basis_vector(j))
+    return True, None
+
+
+def slow_is_lie_triple_hom(src, dst, F):
+    ring = dst.ring
+    img = [F.apply(src.basis_vector(i)) for i in range(src.dim)]
+    for i in range(src.dim):
+        for j in range(i + 1, src.dim):
+            inner = src.commutator(src.basis_vector(i), src.basis_vector(j))
+            inner_img = dst.commutator(img[i], img[j])
+            for k in range(src.dim):
+                lhs = F.apply(src.commutator(inner, src.basis_vector(k)))
+                rhs = dst.commutator(inner_img, img[k])
+                if not ring.equal(lhs, rhs):
+                    return False, tuple(src.basis_vector(t) for t in (i, j, k))
+    return True, None
+
+
+def slow_vanishes_on_second_commutators(src, F):
+    ring = F.ring
+    for i in range(src.dim):
+        for j in range(i + 1, src.dim):
+            inner = src.commutator(src.basis_vector(i), src.basis_vector(j))
+            for k in range(src.dim):
+                val = F.apply(src.commutator(inner, src.basis_vector(k)))
+                if not ring.is_zero(val):
+                    return False, tuple(src.basis_vector(t) for t in (i, j, k))
+    return True, None
+
+
+def slow_check_identity_42(gma, seed):
+    ring, d = gma.ring, gma.dim
+    mul, p = _integer_mul_tensor(gma)
+    Bk = mul - np.transpose(mul, (1, 0, 2))
+    if p is not None:
+        Bk %= p
+    W = np.tensordot(mul, Bk, axes=([2], [0]))  # [u, v, s, r] = [e_u e_v, f_s]_r
+    if p is not None:
+        W %= p
+
+    def reduce(arr):
+        return arr % p if p is not None else arr
+
+    for a in range(d):
+        for b in range(a, d):
+            for c in range(b, d):
+                contrib = np.zeros((d, d, d), dtype=np.int64)
+                for (u, v, w) in _arrangements3(a, b, c):
+                    Z1 = np.tensordot(W[u, v], Bk, axes=([1], [0]))  # (s, l, r)
+                    T = np.tensordot(Bk[w], Z1, axes=([1], [1]))  # (t, s, r)
+                    contrib += np.transpose(T, (1, 0, 2))
+                contrib = reduce(contrib)
+                for s in range(d):
+                    for t in range(s, d):
+                        coef = contrib[s, t] if s == t else reduce(contrib[s, t] + contrib[t, s])
+                        if np.any(coef != 0):
+                            return slow_identity_42_witness(gma, (a, b, c, s, t), seed)
+    return True, None
+
+
+def slow_identity_42_witness(gma, bad, seed):
+    ring, d = gma.ring, gma.dim
+
+    def defect(x, y):
+        return gma.commutator(gma.commutator(gma.square(x), y), gma.commutator(x, y))
+
+    a, b, c, s, t = bad
+    x = ring.normalize(gma.basis_vector(a) + gma.basis_vector(b) + gma.basis_vector(c))
+    y = ring.normalize(gma.basis_vector(s) + gma.basis_vector(t))
+    if not ring.is_zero(defect(x, y)):
+        return False, (x, y)
+    stream = XorShift64Star(seed)
+    for _ in range(2000):
+        x = ring.array([ring.random_scalar(stream) for _ in range(d)])
+        y = ring.array([ring.random_scalar(stream) for _ in range(d)])
+        if not ring.is_zero(defect(x, y)):
+            return False, (x, y)
+    raise CenterError("nonzero defect coefficient but no evaluable witness found")
+
+
+def slow_check_loyal(ctx):
+    """Every nonzero candidate vector of the smaller corner, over F_p:
+    (status, witness, candidate count)."""
+    ring = ctx.ring
+    dA, dB, dM = ctx.A.dim, ctx.B.dim, ctx.M.dim
+    p = ring.p
+    side_a = dA <= dB
+    width = dA if side_a else dB
+    total = p**width - 1
+    for nidx in range(1, total + 1):
+        vec = ring.array(_digits_le(nidx, p, width))
+        if side_a:
+            U = ring.tensordot(vec, ctx.M.left, axes=([0], [0]))
+            K = ring.tensordot(U, ctx.M.right, axes=([1], [0]))
+            K = np.transpose(K, (0, 2, 1)).reshape(dM * dM, dB)
+        else:
+            U = ring.tensordot(vec, ctx.M.right, axes=([0], [1]))
+            K = ring.tensordot(U, ctx.M.left, axes=([1], [1]))
+            K = np.transpose(K, (0, 2, 1)).reshape(dM * dM, dA)
+        ker = nullspace_array(ring, K)
+        if ker.shape[0]:
+            partner = ker[0].copy()
+            return "false", (vec, partner) if side_a else (partner, vec), total
+    return "true", None, total
 
 
 def rref_mod_p_loops(a, p):
@@ -401,6 +561,124 @@ def test_trace_space_matches_loop(gma, mode):
 def test_cube_annihilation_matrix_matches_loop(name):
     g = assemble_gma(INSTANCES[name]())
     assert_identical(_cube_annihilation_matrix(g), slow_cube_annihilation_matrix(g))
+
+
+def perturbed(F, at):
+    """F with one added to the matrix entry at `at`."""
+    m = F.matrix.copy()
+    m[at] = m[at] + F.ring.one
+    return LinearMapRep(F.ring, m)
+
+
+@pytest.fixture(scope="module")
+def linear_maps(gma):
+    """A passing map (a seeded conjugation on full-matrix instances, the
+    identity elsewhere), the zero map, and each perturbed at the first and
+    at the last matrix entry, so that failures fall both early and late."""
+    ring, d = gma.ring, gma.dim
+    if gma.ctx.meta.get("builder") == "full_matrix":
+        passing = random_lie_triple_iso(gma, seed=3)
+    else:
+        passing = LinearMapRep.identity(ring, d)
+    zero = LinearMapRep.zero(ring, d, d)
+    maps = {}
+    for name, F in (("passing", passing), ("zero", zero)):
+        maps[name] = F
+        maps[name + "+first"] = perturbed(F, (0, 0))
+        maps[name + "+last"] = perturbed(F, (d - 1, d - 1))
+    return maps
+
+
+def assert_same_verdict(got, want):
+    assert got[0] == want[0]
+    if want[1] is None:
+        assert got[1] is None
+    elif isinstance(want[1], tuple):
+        assert isinstance(got[1], tuple) and len(got[1]) == len(want[1])
+        for g, w in zip(got[1], want[1]):
+            assert_identical(g, w)
+    else:
+        assert_identical(got[1], want[1])
+
+
+HOM_PREDICATES = {
+    "jordan": (lambda g, F: is_jordan_hom(g, g, F), lambda g, F: slow_is_jordan_hom(g, g, F)),
+    "lie-triple": (
+        lambda g, F: is_lie_triple_hom(g, g, F),
+        lambda g, F: slow_is_lie_triple_hom(g, g, F),
+    ),
+    "vanishing": (vanishes_on_second_commutators, slow_vanishes_on_second_commutators),
+}
+
+
+@pytest.mark.parametrize("pred", sorted(HOM_PREDICATES))
+def test_hom_predicates_match_loop(gma, linear_maps, pred):
+    fast, slow = HOM_PREDICATES[pred]
+    # the zero maps run through the vanishing predicate only: the Lie-triple
+    # and Jordan loops are slow over Q
+    names = [n for n in linear_maps if pred == "vanishing" or n.startswith("passing")]
+    verdicts = {}
+    for name in names:
+        got = fast(gma, linear_maps[name])
+        assert_same_verdict(got, slow(gma, linear_maps[name]))
+        verdicts[name] = got[0]
+    if pred != "vanishing":
+        assert verdicts["passing"]
+    assert not all(verdicts.values())
+
+
+def test_linear_defect_matches_loop(gma, linear_maps):
+    ring, C = gma.ring, gma.center
+    for F in linear_maps.values():
+        fast = _linear_defect_coefficients(gma, F)
+        slow = slow_linear_defect_coefficients(gma, F)
+        assert list(fast) == list(slow)
+        for key in slow:
+            assert_identical(fast[key], slow[key])
+        for pred, offending in (
+            (is_commuting_linear, lambda v: not ring.is_zero(v)),
+            (is_centralizing_linear, lambda v: not ring.is_zero(C.quotient(v))),
+        ):
+            assert_same_verdict(pred(gma, F), slow_linear_predicate(gma, F, slow, offending))
+
+
+def test_identity_42_matches_loop(gma):
+    assert_same_verdict(check_identity_42(gma, seed=5), slow_check_identity_42(gma, 5))
+
+
+def build_late_annihilator_pair(ring):
+    """A = B = R^2 componentwise, M = R^2 with a.m = a_0 m and m.b
+    coordinatewise, N = 0.  No multiple of (1, 0) annihilates M, but (0, 1)
+    kills it: the first witness is candidate p, not candidate 1."""
+    base = build_diagonal_pair(ring)
+    left = ring.zeros((2, 2, 2))
+    left[0, 0, 0] = left[0, 1, 1] = ring.one
+    M = BimoduleSpec(ring, 2, left, base.M.right)
+    N = BimoduleSpec(ring, 0, ring.zeros((2, 0, 0)), ring.zeros((0, 2, 0)))
+    return MoritaContext(base.A, base.B, M, N, ring.zeros((2, 0, 2)), ring.zeros((0, 2, 2)))
+
+
+def test_late_annihilator_pair_is_lawful():
+    assert check_morita_axioms(build_late_annihilator_pair(F5)).ok
+
+
+LOYALTY_CONTEXTS = {
+    "late-annihilator-f5": lambda: build_late_annihilator_pair(F5),
+    "diagonal-f5": lambda: build_diagonal_pair(F5),
+    "diagonal-f7": lambda: build_diagonal_pair(prime_field(7)),
+    "t3-f5": INSTANCES["t3-f5"],
+    "m4-f5": INSTANCES["m4-f5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOYALTY_CONTEXTS))
+def test_loyalty_scan_matches_full_scan(name):
+    ctx = LOYALTY_CONTEXTS[name]()
+    res = check_loyal(ctx)
+    status, witness, total = slow_check_loyal(ctx)
+    assert_same_verdict((res.status, res.witness), (status, witness))
+    if status == "true":
+        assert res.detail == f"enumeration over {total} candidates"
 
 
 # ---------------------------------------------------------------------------
