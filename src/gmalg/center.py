@@ -19,6 +19,7 @@ import numpy as np
 
 from .exact import (
     RingDescriptor,
+    clear_denominators,
     coordinate_complement,
     nullspace_array,
     rank_array,
@@ -391,18 +392,10 @@ def _integer_mul_tensor(gma):
     ring = gma.ring
     if ring.is_prime_field:
         return np.asarray(gma.mul, dtype=np.int64), ring.p
-    from math import lcm
-
-    denoms = [int(v.denominator) for v in gma.mul.flat]
-    scale = lcm(*denoms) if denoms else 1
-    lifted = np.empty(gma.mul.shape, dtype=np.int64)
-    for idx in np.ndindex(gma.mul.shape):
-        q = gma.mul[idx] * scale
-        assert q.denominator == 1
-        lifted[idx] = int(q)
+    lifted, _ = clear_denominators(gma.mul)
     if np.abs(lifted).max(initial=0) > 1000:
         raise CenterError("structure constants too large for the int64 identity scan")
-    return lifted, None
+    return lifted.astype(np.int64), None
 
 
 # cells of int64 per intermediate array of the identity scan: whole

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -162,13 +163,25 @@ class RingDescriptor:
         return arr
 
     def tensordot(self, a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
-        """Exact tensordot; guards empty contractions (numpy would emit float zeros)."""
+        """Exact tensordot; guards empty contractions (numpy would emit float zeros).
+
+        Over Q both operands are cleared of denominators and contracted as
+        python ints, so each output cell costs one ``Fraction`` instead of a
+        ``Fraction`` product and sum per term."""
         a = np.asarray(a)
         b = np.asarray(b)
         if a.size == 0 or b.size == 0:
             shape = np.tensordot(np.zeros(a.shape), np.zeros(b.shape), axes=axes).shape
             return self.zeros(shape)
-        return self.normalize(np.tensordot(a, b, axes=axes))
+        if self.is_prime_field:
+            return self.normalize(np.tensordot(a, b, axes=axes))
+        na, la = clear_denominators(a)
+        nb, lb = clear_denominators(b)
+        out = np.tensordot(na, nb, axes=axes)
+        den = la * lb
+        return np.array([Fraction(n, den) for n in out.ravel().tolist()], dtype=object).reshape(
+            out.shape
+        )
 
     def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
         a = self.normalize(a)
@@ -180,6 +193,15 @@ class RingDescriptor:
 
 
 RATIONAL = RingDescriptor("rational")
+
+
+def clear_denominators(a: np.ndarray):
+    """(n, L) with a == n / L: L is the lcm of the denominators of a's
+    rational entries and n an ``object`` array of python ints."""
+    cells = np.asarray(a).ravel().tolist()
+    den = lcm(*[v.denominator for v in cells])
+    lifted = np.array([v.numerator * (den // v.denominator) for v in cells], dtype=object)
+    return lifted.reshape(np.shape(a)), den
 
 
 def prime_field(p: int) -> RingDescriptor:

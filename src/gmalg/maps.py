@@ -248,6 +248,8 @@ def cubic_trace_coefficients(carrier, bil: BilinearMapRep, as_rows: bool = False
     contraction D[u, v, w] = [B(e_u, e_v), e_w] gives every arrangement; each
     monomial sums its own arrangements."""
     ring, d = carrier.ring, carrier.dim
+    if bil.tensor.shape != (d, d, d):
+        raise MapError(f"bilinear map has shape {bil.tensor.shape}, the algebra wants {(d, d, d)}")
     triples, uvw, _, starts = _arrangement_table(d)
     D = ring.tensordot(bil.tensor, _commutator_tensor(carrier), axes=([2], [0]))
     gathered = D.reshape(d**3, d)[(uvw[:, 0] * d + uvw[:, 1]) * d + uvw[:, 2]]

@@ -6,11 +6,15 @@ Expected values here were worked out by hand for the small instances
 independent brute-force enumeration before being frozen.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from gmalg.exact import RATIONAL, prime_field, rank_array
 from gmalg.center import (
+    CenterError,
+    _integer_mul_tensor,
     balanced_pair_space_dim,
     center_multiplier_annihilator_ok,
     center_zero_divisor_free,
@@ -28,6 +32,7 @@ from gmalg.structure import (
     assemble_gma,
     build_diagonal_pair,
     build_full_matrix,
+    build_inflated,
     build_upper_triangular,
     make_matrix_algebra,
     make_triangular_algebra,
@@ -212,6 +217,20 @@ def test_identity_fails_on_m3_with_verified_witness(m3):
     x, y = wit
     defect = m3.commutator(m3.commutator(m3.square(x), y), m3.commutator(x, y))
     assert not F5.is_zero(defect)
+
+
+def test_identity_scan_lifts_rational_constants_over_one_denominator():
+    g = assemble_gma(build_inflated(RATIONAL, 1, [[Fraction(-7, 6)]]))
+    lifted, p = _integer_mul_tensor(g)
+    assert p is None and lifted.dtype == np.int64
+    assert [Fraction(int(n), 6) for n in lifted.flat] == list(g.mul.flat)
+    assert check_identity_42(g) == (True, None)
+
+
+def test_identity_scan_rejects_large_rational_constants():
+    g = assemble_gma(build_inflated(RATIONAL, 1, [[1001]]))
+    with pytest.raises(CenterError, match="too large for the int64 identity scan"):
+        check_identity_42(g)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ trace-space enumeration."""
 import numpy as np
 import pytest
 
+from gmalg.decompose import decompose_trace_constructive, decompose_trace_generic
 from gmalg.exact import RATIONAL, prime_field, row_space_contains
 from gmalg.maps import (
     BilinearMapRep,
@@ -205,6 +206,29 @@ def test_malformed_map_is_a_map_error(m3, pred, shape):
     F = LinearMapRep(F5, F5.zeros(shape))
     with pytest.raises(MapError, match="shape"):
         pred(m3, F)
+
+
+MALFORMED_BILINEAR = [
+    (name, entry, shape)
+    for name, entry in (
+        ("commuting-trace", is_commuting_trace),
+        ("centralizing-trace", is_centralizing_trace),
+        ("generic-route", lambda g, q: decompose_trace_generic(q, g)),
+        ("constructive-route", lambda g, q: decompose_trace_constructive(q, g)),
+    )
+    for shape in ((9, 9, 4), (4, 4, 9))
+]
+
+
+@pytest.mark.parametrize(
+    "entry, shape",
+    [m[1:] for m in MALFORMED_BILINEAR],
+    ids=[f"{m[0]}-{m[2]}" for m in MALFORMED_BILINEAR],
+)
+def test_malformed_bilinear_map_is_a_map_error(m3, entry, shape):
+    q = BilinearMapRep(F5, F5.zeros(shape))
+    with pytest.raises(MapError, match="shape"):
+        entry(m3, q)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ monomial, one product call per basis pair or triple, and the loyalty scan
 over every nonzero candidate vector.  The elimination references are
 the three kernels the ring-generic one replaced: scalar loops mod p, a dense
 rank-1 update over every row mod p, and row-by-row Fraction elimination.
-They are kept here only as oracles.  Every comparison is literal: same keys
-in the same order, same dtype, same scalar type, same values, same
-witnesses.
+The contraction over Q is checked against numpy's tensordot on the
+Fraction arrays themselves.  They are kept here only as oracles.  Every
+comparison is literal: same keys in the same order, same dtype, same
+scalar type, same values, same witnesses.
 
 The instances cover a center of dimension one (M3, M4), a triangular split
 (T3), a center of dimension two (the diagonal pair), the rationals, and
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmalg import backend
 from gmalg.center import (
@@ -41,6 +43,7 @@ from gmalg.maps import (
     BilinearMapRep,
     LinearMapRep,
     _arrangements3,
+    _commutator_tensor,
     _linear_defect_coefficients,
     _linear_witness,
     _trace_space_matrix,
@@ -757,3 +760,114 @@ def test_kernel_matches_object_kernel_over_q():
         assert_same_rref(backend.rref(RATIONAL, a), want)
         deficient.add(want[2] < min(rows, cols))
     assert deficient == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the contraction over Q
+# ---------------------------------------------------------------------------
+
+
+def fraction_tensordot(a, b, axes):
+    """numpy's tensordot on the Fraction arrays themselves, behind the same
+    empty-operand guard: the contraction over Q before denominators were
+    cleared."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.size == 0 or b.size == 0:
+        shape = np.tensordot(np.zeros(a.shape), np.zeros(b.shape), axes=axes).shape
+        return RATIONAL.zeros(shape)
+    return np.tensordot(a, b, axes=axes)
+
+
+def assert_same_contraction(a, b, axes):
+    got = RATIONAL.tensordot(a, b, axes)
+    assert_identical(got, fraction_tensordot(a, b, axes))
+    assert got.dtype == object
+    assert all(type(v) is Fraction for v in got.flat)
+    return got
+
+
+def random_rationals(stream, shape):
+    """Mixed signs, zeros and denominators up to 10**6."""
+    cells = [
+        Fraction(stream.below(2_000_001) - 1_000_000, 1 + stream.below(1_000_000))
+        if stream.below(4)
+        else Fraction(0)
+        for _ in range(int(np.prod(shape)))
+    ]
+    return np.array(cells, dtype=object).reshape(shape)
+
+
+def test_q_contraction_matches_fraction_contraction_on_call_shapes():
+    g = assemble_gma(INSTANCES["m3-q"]())
+    mul, d = g.mul, g.dim
+    stream = XorShift64Star(31)
+    x = random_rationals(stream, (d,))
+    MU = random_rationals(stream, (d, d))
+    z = g.center.z_g[0] * Fraction(-3, 7)
+    q = random_proper_trace(g, None, seed=7).tensor
+    sym = mul + np.transpose(mul, (1, 0, 2))
+    cases = [
+        (mul, mul, ([2], [0])),  # associativity, both bracketings
+        (mul, mul, ([2], [1])),
+        (q, _commutator_tensor(g), ([2], [0])),  # the cubic D
+        (q + random_rationals(stream, q.shape), _commutator_tensor(g), ([2], [0])),
+        (sym, g.left_mult_matrix(z), ([2], [1])),  # _proper_tensor
+        (MU, mul, ([1], [0])),
+        (x, mul, ([0], [0])),  # a vector times mul
+        (x, g.mul * Fraction(5, 6), ([0], [1])),
+    ]
+    for a, b, axes in cases:
+        assert_same_contraction(a, b, axes)
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b, axes",
+    [
+        ((0, 3), (3, 4), ([1], [0])),
+        ((2, 0), (0, 5), ([1], [0])),  # empty contracted axis: zeros
+        ((3,), (0,), 0),
+        ((2, 3), (2, 3), 2),  # full contractions are 0-d arrays
+        ((4,), (4,), ([0], [0])),
+        ((2, 3, 4), (4, 3, 2), ([1, 2], [1, 0])),
+        ((2, 3, 4), (3, 2), ([0, 1], [1, 0])),
+        ((3, 2), (2, 3), 0),  # outer product
+    ],
+)
+def test_q_contraction_edge_shapes(shape_a, shape_b, axes):
+    stream = XorShift64Star(sum(shape_a) + 7 * sum(shape_b))
+    a, b = random_rationals(stream, shape_a), random_rationals(stream, shape_b)
+    got = assert_same_contraction(a, b, axes)
+    want_shape = np.tensordot(np.zeros(shape_a), np.zeros(shape_b), axes=axes).shape
+    assert type(got) is np.ndarray and got.shape == want_shape
+
+
+RATIONALS = st.builds(
+    Fraction,
+    st.one_of(st.just(0), st.integers(-(10**6), 10**6)),
+    st.one_of(st.sampled_from([1, 2, 3, 10**6]), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def contraction_cases(draw):
+    """Operands of up to three axes each; the last k axes of a contract
+    with k axes of b in a drawn order."""
+    shape_a = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    k = draw(st.integers(0, len(shape_a)))
+    shape_b = shape_a[len(shape_a) - k :] + draw(st.lists(st.integers(1, 3), max_size=3 - k))
+    perm = draw(st.permutations(range(len(shape_b))))
+    axes = (list(range(len(shape_a) - k, len(shape_a))), [perm.index(i) for i in range(k)])
+
+    def operand(shape):
+        size = int(np.prod(shape))
+        cells = draw(st.lists(RATIONALS, min_size=size, max_size=size))
+        return np.array(cells, dtype=object).reshape(shape)
+
+    a = operand(shape_a)
+    return a, np.transpose(operand(shape_b), perm), axes
+
+
+@settings(deadline=None, max_examples=150)
+@given(contraction_cases())
+def test_q_contraction_matches_fraction_contraction_fuzzed(case):
+    assert_same_contraction(*case)
