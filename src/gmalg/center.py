@@ -29,7 +29,7 @@ from .exact import (
     rref_array,
     solve_array,
 )
-from .maps import _arrangement_table, _jordan_tensor
+from .maps import _arrangement_table, _commutator_tensor, _jordan_tensor
 from .rng import XorShift64Star
 from .structure import GMA, MoritaContext, check_morita_axioms
 
@@ -76,12 +76,16 @@ class CenterData:
     def zdim(self) -> int:
         return self.z_g.shape[0]
 
+    def center_rows(self, v):
+        """(coords, central) for vectors stacked along v's leading axes:
+        coefficients over the z_g basis and whether each vector is central."""
+        c = self.ring.tensordot(np.asarray(v), self.to_coords, axes=([-1], [1]))
+        return c[..., : self.zdim], ~np.any(c[..., self.zdim :] != self.ring.zero, axis=-1)
+
     def center_coords(self, v):
         """Coefficients of v over the z_g basis, or None if v is not central."""
-        c = self.ring.tensordot(self.to_coords, np.asarray(v), axes=([1], [0]))
-        if not self.ring.is_zero(c[self.zdim:]):
-            return None
-        return c[: self.zdim].copy()
+        coords, central = self.center_rows(v)
+        return coords.copy() if central else None
 
     def in_center(self, v) -> bool:
         return self.center_coords(v) is not None
@@ -95,18 +99,30 @@ class CenterData:
         c = self.ring.tensordot(self.to_coords, np.asarray(v), axes=([1], [0]))
         return c[self.zdim:].copy()
 
+    def _corner_rows(self, image, iso, v):
+        coeff, resid = row_span_residual(self.ring, image, np.asarray(v))
+        return (
+            self.ring.tensordot(coeff, iso, axes=([-1], [1])),
+            ~np.any(resid != self.ring.zero, axis=-1),
+        )
+
+    def phi_rows(self, a_rows):
+        """(phi of each A-corner vector stacked along a_rows' leading axes,
+        whether it lies in pi_A(Z)); a vector outside gets a meaningless value."""
+        return self._corner_rows(self.pia_image, self.phi, a_rows)
+
+    def phi_inv_rows(self, b_rows):
+        """phi^-1 row by row, as phi_rows, on B-corner vectors and pi_B(Z)."""
+        return self._corner_rows(self.pib_image, self.phi_inv, b_rows)
+
     def phi_apply(self, a_vec):
         """Apply the corner isomorphism to an A-corner vector; None off the span."""
-        coeff = row_span_coords(self.ring, self.pia_image, np.asarray(a_vec))
-        if coeff is None:
-            return None
-        return self.ring.tensordot(self.phi, coeff, axes=([1], [0]))
+        out, inside = self.phi_rows(a_vec)
+        return out if inside else None
 
     def phi_inv_apply(self, b_vec):
-        coeff = row_span_coords(self.ring, self.pib_image, np.asarray(b_vec))
-        if coeff is None:
-            return None
-        return self.ring.tensordot(self.phi_inv, coeff, axes=([1], [0]))
+        out, inside = self.phi_inv_rows(b_vec)
+        return out if inside else None
 
 
 def check_faithful(ctx: MoritaContext):
@@ -164,13 +180,11 @@ def compute_center_gma(gma: GMA) -> CenterData:
     z_g = _rref_rows(ring, z_rows)
 
     # raw centrality cross-check: [z, e_i] = 0 for every surviving basis vector
-    for z in z_g:
-        for i in range(d):
-            if not ring.is_zero(gma.commutator(z, gma.basis_vector(i))):
-                raise CenterError(
-                    "intertwining solution is not raw-central; "
-                    "the connecting bimodule is too degenerate for this construction"
-                )
+    if not ring.is_zero(ring.tensordot(z_g, _commutator_tensor(gma), axes=([1], [0]))):
+        raise CenterError(
+            "intertwining solution is not raw-central; "
+            "the connecting bimodule is too degenerate for this construction"
+        )
 
     z_a = compute_center_algebra(ctx.A)
     z_b = compute_center_algebra(ctx.B)

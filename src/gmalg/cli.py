@@ -95,6 +95,13 @@ def _fmt_vec(ring, v) -> str:
     return json.dumps(dense_to_json(ring, np.asarray(v)))
 
 
+def _scalars_to_json(ring, nested) -> list:
+    """Nested lists of ring scalars with each scalar written as in the
+    JSON formats (an int over F_p, an "a/b" string over Q)."""
+    arr = np.array(nested, dtype=object)
+    return np.array(dense_to_json(ring, arr), dtype=object).reshape(arr.shape).tolist()
+
+
 def _witness_lines(ring, witness) -> list:
     if witness is None:
         return []
@@ -270,6 +277,20 @@ _TRACE_PREDICATES = {
 PREDICATES = sorted(_LINEAR_PREDICATES | _PAIR_PREDICATES | _TRACE_PREDICATES)
 
 
+def _ring_name(ring: RingDescriptor) -> str:
+    return f"F_{ring.p}" if ring.is_prime_field else "Q"
+
+
+def _require_ring(doc, ring: RingDescriptor):
+    """A map is read over its own ring; one over another ring than the
+    context's would be silently reinterpreted, so it is an input error."""
+    if doc.rep.ring != ring:
+        raise IOFormatError(
+            f"map is over {_ring_name(doc.rep.ring)}, "
+            f"but the context is over {_ring_name(ring)}"
+        )
+
+
 def _load_gma_and_map(args):
     ctx = load_context(args.context)
     rep = check_morita_axioms(ctx)
@@ -277,6 +298,7 @@ def _load_gma_and_map(args):
         raise IOFormatError(str(rep))
     gma = assemble_gma(ctx, check=False)
     doc = load_map(args.map)
+    _require_ring(doc, gma.ring)
     return gma, doc
 
 
@@ -371,12 +393,14 @@ def cmd_decompose_trace(args) -> int:
                 out["constructive"]["shape_laws"] = constructive.shape_report
             else:
                 failed = True
+                v = constructive.violation
+                v = {**v, "residual": _scalars_to_json(ring, v["residual"])}
+                v["q"] = _scalars_to_json(ring, v["q"])
                 out["constructive"] = {
                     "status": constructive.status,
-                    "violation": constructive.violation,
+                    "violation": v,
                     "shape_laws": constructive.shape_report,
                 }
-                v = constructive.violation
                 lines.append(
                     f"  THEOREM-VIOLATION CANDIDATE at {v['stage']}, pair {v['pair']}"
                 )
@@ -414,6 +438,8 @@ def cmd_decompose_lti(args) -> int:
         src = assemble_gma(src_ctx, check=False)
         dst = assemble_gma(dst_ctx, check=False)
         doc = load_map(args.map)
+        _require_ring(doc, src.ring)
+        _require_ring(doc, dst.ring)
         if doc.kind != "linear":
             raise IOFormatError("decompose-lti needs a linear map file")
         if doc.rep.matrix.shape != (dst.dim, src.dim):

@@ -28,8 +28,9 @@ from .exact import (
     coordinate_complement,
     inverse_array,
     rank_array,
-    row_span_coords,
+    row_span_residual,
     solve_array,
+    solve_columns,
 )
 from .maps import (
     BilinearMapRep,
@@ -39,7 +40,6 @@ from .maps import (
     is_commuting_trace,
     is_jordan_hom,
     is_lie_triple_hom,
-    pair_index_order,
     symmetric_from_pairs,
     vanishes_on_second_commutators,
 )
@@ -106,16 +106,6 @@ class ComponentGrid:
         t = self.component(kind, i, j)
         v = ring.tensordot(np.asarray(x), t, axes=([0], [0]))
         return ring.tensordot(np.asarray(y), v, axes=([0], [0]))
-
-    def reassemble_eval(self, x):
-        """Direct reassembly of T_q(x) from the stored components."""
-        ring = self.gma.ring
-        parts = self.gma.blocks(x)
-        acc = ring.zeros(self.gma.dim)
-        for (i, j), t in self.tensors.items():
-            v = ring.tensordot(parts[i], t, axes=([0], [0]))
-            acc = acc + ring.tensordot(parts[j], v, axes=([0], [0]))
-        return ring.normalize(acc)
 
 
 def extract_components(q: BilinearMapRep, gma: GMA, centralizing: bool | None = None) -> ComponentGrid:
@@ -355,6 +345,56 @@ def _algebra_quotient(ring, z_rows):
     return coordinate_complement(ring, z_rows)[1][z_rows.shape[0] :]
 
 
+def _outside(ring, rows, v):
+    """Mask over the vectors stacked along v's leading axes: True where one
+    leaves the span of the canonical rows."""
+    return np.any(row_span_residual(ring, rows, v)[1] != ring.zero, axis=-1)
+
+
+def _diag_rows(gma: GMA, a, b):
+    """embed_diag on stacked A- and B-corner vectors."""
+    out = gma.ring.zeros(np.shape(a)[:-1] + (gma.dim,))
+    out[..., gma.block_slice(0)] = a
+    out[..., gma.block_slice(3)] = b
+    return out
+
+
+def _first_failed_check(checks):
+    """(stage, message) of the first failing check, or None.  checks are
+    (stage, message, failed) with failed masks of one shape over the items
+    a loop would visit: items count in row-major order and, on one item,
+    the checks in the order given."""
+    failed = np.stack([np.asarray(f) for _, _, f in checks])
+    any_failed = failed.any(axis=0)
+    if not any_failed.any():
+        return None
+    item = np.unravel_index(np.argmax(any_failed), any_failed.shape)
+    return checks[int(np.argmax(failed[(slice(None),) + item]))][:2]
+
+
+def _central_multiples(ring, alg, z_rows, targets):
+    """For each stack targets[k] (one vector per basis element e_i of alg),
+    the central c = sum_u c_u zeta_u with c e_i = targets[k, i] modulo the
+    span of z_rows for every i, from one shared reduction:
+    (c per k as rows, mask of the first k without one)."""
+    Q = _algebra_quotient(ring, z_rows)
+    ze = ring.tensordot(z_rows, alg.mul, axes=([1], [0]))  # [u, i] = zeta_u e_i
+    coeff = np.transpose(ring.tensordot(ze, Q, axes=([2], [1])), (1, 2, 0))
+    rhs = ring.tensordot(targets, Q, axes=([2], [1]))
+    sols, first_bad = solve_columns(
+        ring, coeff.reshape(-1, z_rows.shape[0]), rhs.reshape(rhs.shape[0], -1)
+    )
+    failed = np.zeros(rhs.shape[0], dtype=bool)
+    if first_bad is not None:
+        failed[first_bad] = True
+    return ring.tensordot(sols, z_rows, axes=([1], [0])), failed
+
+
+_ESCAPES = "value escapes the projected center"
+_OFF_PHI = "phi argument outside pi_A(Z)"
+_OFF_PHI_INV = "phi^-1 argument outside pi_B(Z)"
+
+
 def extract_constructive_witness(
     q: BilinearMapRep,
     gma: GMA,
@@ -371,6 +411,9 @@ def extract_constructive_witness(
     dual formula.  (With both corners commutative every choice is central;
     the canonical zero solution is used and the final nu-centrality check
     downstream has the last word.)
+
+    Each link runs on all basis vectors at once; where several fail, the
+    error names the first in the order of a loop over the basis.
     """
     ring = gma.ring
     if C is None:
@@ -378,54 +421,44 @@ def extract_constructive_witness(
     if grid is None:
         grid = extract_components(q, gma)
     ctx = gma.ctx
+    A, B = ctx.A, ctx.B
     dA, dM, dN, dB = gma.dims
-    unitA, unitB = ctx.A.unit, ctx.B.unit
+    td = ring.tensordot
     if report is None:
         report = gma.report
 
-    def need(vec, where, stage):
-        coords = row_span_coords(ring, where, vec)
-        if coords is None:
-            raise WitnessExtractionError(stage, "value escapes the projected center", report)
-        return coords
+    def check(*checks):
+        failure = _first_failed_check(checks)
+        if failure is not None:
+            raise WitnessExtractionError(*failure, report)
 
-    def phi(a_vec, stage):
-        out = C.phi_apply(a_vec)
-        if out is None:
-            raise WitnessExtractionError(stage, "phi argument outside pi_A(Z)", report)
+    f11_11 = grid.evaluate("f", 0, 0, A.unit, A.unit)
+    k11_11 = grid.evaluate("k", 0, 0, A.unit, A.unit)
+    fwd, inside = C.phi_rows(f11_11)
+    check(("kappa", _OFF_PHI, ~inside))
+    kappa = ring.normalize(fwd - k11_11)
+    k44_11 = grid.evaluate("k", 3, 3, B.unit, B.unit)
+    f44_11 = grid.evaluate("f", 3, 3, B.unit, B.unit)
+    back, inside = C.phi_inv_rows(k44_11)
+    check(("theta", _OFF_PHI_INV, ~inside))
+    theta = ring.normalize(back - f44_11)
+
+    def unit_column_values(block, stage):
+        """f(1_A, e_j) - phi^-1(k(1_A, e_j)) for the basis of M (1) or N (2)."""
+        f = td(A.unit, grid.component("f", 0, block), axes=([0], [0]))
+        k = td(A.unit, grid.component("k", 0, block), axes=([0], [0]))
+        back, inside = C.phi_inv_rows(k)
+        vals = ring.normalize(f - back)
+        check(
+            (stage, _OFF_PHI_INV, ~inside),
+            (stage + "-centrality", _ESCAPES, _outside(ring, C.z_a, vals)),
+        )
+        out = ring.zeros((dA, vals.shape[0]))
+        out[...] = vals.T
         return out
 
-    def phi_inv(b_vec, stage):
-        out = C.phi_inv_apply(b_vec)
-        if out is None:
-            raise WitnessExtractionError(stage, "phi^-1 argument outside pi_B(Z)", report)
-        return out
-
-    f11_11 = grid.evaluate("f", 0, 0, unitA, unitA)
-    k11_11 = grid.evaluate("k", 0, 0, unitA, unitA)
-    kappa = ring.normalize(phi(f11_11, "kappa") - k11_11)
-    k44_11 = grid.evaluate("k", 3, 3, unitB, unitB)
-    f44_11 = grid.evaluate("f", 3, 3, unitB, unitB)
-    theta = ring.normalize(phi_inv(k44_11, "theta") - f44_11)
-
-    alpha = ring.zeros((dA, dM))
-    for j in range(dM):
-        em = ring.zeros(dM)
-        em[j] = ring.one
-        val = grid.evaluate("f", 0, 1, unitA, em) - phi_inv(
-            grid.evaluate("k", 0, 1, unitA, em), "alpha"
-        )
-        alpha[:, j] = ring.normalize(val)
-        need(alpha[:, j], C.z_a, "alpha-centrality")
-    tau = ring.zeros((dA, dN))
-    for j in range(dN):
-        en = ring.zeros(dN)
-        en[j] = ring.one
-        val = grid.evaluate("f", 0, 2, unitA, en) - phi_inv(
-            grid.evaluate("k", 0, 2, unitA, en), "tau"
-        )
-        tau[:, j] = ring.normalize(val)
-        need(tau[:, j], C.z_a, "tau-centrality")
+    alpha = unit_column_values(1, "alpha")
+    tau = unit_column_values(2, "tau")
 
     a_noncomm = C.z_a.shape[0] < dA
     b_noncomm = C.z_b.shape[0] < dB
@@ -436,109 +469,60 @@ def extract_constructive_witness(
     gamma_prime = ring.zeros((dB, dA))
     delta = ring.zeros((dA, dB, dA))
 
+    def rest_a():  # [i, t] = f14(a1, a4) - gamma(a4) a1
+        return ring.normalize(f14 - np.transpose(td(gamma, A.mul, axes=([0], [0])), (1, 0, 2)))
+
+    def rest_b():  # [i, t] = k14(a1, a4) - gamma'(a1) a4
+        return ring.normalize(k14 - td(gamma_prime, B.mul, axes=([0], [0])))
+
     if a_noncomm or not b_noncomm:
         side = "A" if a_noncomm else "fallback"
-        QA = _algebra_quotient(ring, C.z_a)
-        qdim, za_dim = QA.shape[0], C.z_a.shape[0]
-        # columns: Q_A(zeta_u * e_i) stacked over i
-        coeff = ring.zeros((dA * qdim, za_dim))
-        for u in range(za_dim):
-            for i in range(dA):
-                prod = ctx.A.multiply(C.z_a[u], ctx.A.basis_vector(i))
-                coeff[i * qdim : (i + 1) * qdim, u] = ring.tensordot(
-                    QA, prod, axes=([1], [0])
-                )
-        for t in range(dB):
-            rhs = ring.zeros(dA * qdim)
-            for i in range(dA):
-                rhs[i * qdim : (i + 1) * qdim] = ring.tensordot(
-                    QA, f14[i, t], axes=([1], [0])
-                )
-            c = solve_array(ring, coeff, rhs)
-            if c is None:
-                raise WitnessExtractionError("gamma-solve", "inconsistent system", report)
-            gamma[:, t] = ring.tensordot(c, C.z_a, axes=([0], [0])) if za_dim else ring.zeros(dA)
-            for i in range(dA):
-                delta[i, t] = ring.normalize(
-                    f14[i, t] - ctx.A.multiply(gamma[:, t], ctx.A.basis_vector(i))
-                )
-        for i in range(dA):
-            dval = ring.tensordot(unitB, delta[i], axes=([0], [0]))
-            gamma_prime[:, i] = ring.normalize(
-                ring.tensordot(unitB, k14[i], axes=([0], [0])) - phi(dval, "gamma-prime")
-            )
-            need(gamma_prime[:, i], C.z_b, "gamma-prime-centrality")
+        sols, failed = _central_multiples(ring, A, C.z_a, np.transpose(f14, (1, 0, 2)))
+        check(("gamma-solve", "inconsistent system", failed))
+        gamma[...] = sols.T
+        delta[...] = rest_a()
+        fwd, inside = C.phi_rows(td(B.unit, delta, axes=([0], [1])))
+        vals = ring.normalize(td(B.unit, k14, axes=([0], [1])) - fwd)
+        check(
+            ("gamma-prime", _OFF_PHI, ~inside),
+            ("gamma-prime-centrality", _ESCAPES, _outside(ring, C.z_b, vals)),
+        )
+        gamma_prime[...] = vals.T
     else:
         side = "B"
-        QB = _algebra_quotient(ring, C.z_b)
-        qdim, zb_dim = QB.shape[0], C.z_b.shape[0]
-        coeff = ring.zeros((dB * qdim, zb_dim))
-        for u in range(zb_dim):
-            for t in range(dB):
-                prod = ctx.B.multiply(C.z_b[u], ctx.B.basis_vector(t))
-                coeff[t * qdim : (t + 1) * qdim, u] = ring.tensordot(
-                    QB, prod, axes=([1], [0])
-                )
-        for i in range(dA):
-            rhs = ring.zeros(dB * qdim)
-            for t in range(dB):
-                rhs[t * qdim : (t + 1) * qdim] = ring.tensordot(
-                    QB, k14[i, t], axes=([1], [0])
-                )
-            c = solve_array(ring, coeff, rhs)
-            if c is None:
-                raise WitnessExtractionError("gamma-prime-solve", "inconsistent system", report)
-            gamma_prime[:, i] = (
-                ring.tensordot(c, C.z_b, axes=([0], [0])) if zb_dim else ring.zeros(dB)
-            )
-            for t in range(dB):
-                rem = ring.normalize(
-                    k14[i, t] - ctx.B.multiply(gamma_prime[:, i], ctx.B.basis_vector(t))
-                )
-                delta[i, t] = phi_inv(rem, "delta")
-        for t in range(dB):
-            dval = ring.tensordot(unitA, delta[:, t], axes=([0], [0]))
-            gamma[:, t] = ring.normalize(
-                ring.tensordot(unitA, f14[:, t], axes=([0], [0])) - dval
-            )
-            need(gamma[:, t], C.z_a, "gamma-centrality")
+        sols, failed = _central_multiples(ring, B, C.z_b, k14)
+        gamma_prime[...] = sols.T
+        back, inside = C.phi_inv_rows(rest_b())
+        check(
+            ("gamma-prime-solve", "inconsistent system", failed),
+            ("delta", _OFF_PHI_INV, ~inside.all(axis=1)),
+        )
+        delta[...] = back
+        vals = ring.normalize(
+            td(A.unit, f14, axes=([0], [0])) - td(A.unit, delta, axes=([0], [0]))
+        )
+        check(("gamma-centrality", _ESCAPES, _outside(ring, C.z_a, vals)))
+        gamma[...] = vals.T
 
     # the side not fixed by construction still must satisfy its relation
-    for i in range(dA):
-        for t in range(dB):
-            resid_a = ring.normalize(
-                f14[i, t] - ctx.A.multiply(gamma[:, t], ctx.A.basis_vector(i))
-            )
-            if row_span_coords(ring, C.z_a, resid_a) is None:
-                raise WitnessExtractionError(
-                    "f14-shape", "f14 - gamma(a4)a1 escapes Z(A)", report
-                )
-            resid_b = ring.normalize(
-                k14[i, t] - ctx.B.multiply(gamma_prime[:, i], ctx.B.basis_vector(t))
-            )
-            if row_span_coords(ring, C.z_b, resid_b) is None:
-                raise WitnessExtractionError(
-                    "k14-shape", "k14 - gamma'(a1)a4 escapes Z(B)", report
-                )
-
-    epsilon = ring.normalize(theta - ring.tensordot(gamma, unitB, axes=([1], [0])))
-    epsilon_prime = ring.normalize(
-        kappa - ring.tensordot(gamma_prime, unitA, axes=([1], [0]))
+    check(
+        ("f14-shape", "f14 - gamma(a4)a1 escapes Z(A)", _outside(ring, C.z_a, rest_a())),
+        ("k14-shape", "k14 - gamma'(a1)a4 escapes Z(B)", _outside(ring, C.z_b, rest_b())),
     )
+
+    epsilon = ring.normalize(theta - td(gamma, B.unit, axes=([1], [0])))
+    epsilon_prime = ring.normalize(kappa - td(gamma_prime, A.unit, axes=([1], [0])))
     if C.center_coords(gma.embed_diag(epsilon, epsilon_prime)) is None:
         raise WitnessExtractionError(
             "epsilon-pair", "epsilon + epsilon' is not central in G", report
         )
 
     xi = alpha.copy()
-    eta = ring.zeros((dA, dM, dA))
-    f12 = grid.component("f", 0, 1)
-    for i in range(dA):
-        for j in range(dM):
-            eta[i, j] = ring.normalize(
-                f12[i, j] - ctx.A.multiply(alpha[:, j], ctx.A.basis_vector(i))
-            )
-            need(eta[i, j], C.z_a, "eta-centrality")
+    eta = ring.zeros((dA, dM, dA))  # [i, j] = f12(a1, a2) - alpha(a2) a1
+    eta[...] = ring.normalize(
+        grid.component("f", 0, 1) - np.transpose(td(alpha, A.mul, axes=([0], [0])), (1, 0, 2))
+    )
+    check(("eta-centrality", _ESCAPES, _outside(ring, C.z_a, eta)))
 
     return ConstructiveWitness(
         kappa, theta, alpha, tau, gamma, gamma_prime, delta, xi, eta,
@@ -547,105 +531,70 @@ def extract_constructive_witness(
 
 
 def witness_shape_report(grid: ComponentGrid, w: ConstructiveWitness, C: CenterData) -> dict:
-    """The component shape laws, each checked exactly on all basis pairs."""
+    """The component shape laws, each checked exactly on all basis pairs:
+    the left sides are the grid's components, the right sides one
+    contraction each."""
     gma = grid.gma
     ring = gma.ring
     ctx = gma.ctx
+    td = ring.tensordot
     dA, dM, dN, dB = gma.dims
-    out = {}
-
-    def basis(n, j):
-        v = ring.zeros(n)
-        v[j] = ring.one
-        return v
 
     # phi applications can fall outside the projected center on degenerate
     # inputs; that simply fails the law being checked
-    gp_back = [C.phi_inv_apply(w.gamma_prime[:, i]) for i in range(dA)]
-    g_fwd = [C.phi_apply(w.gamma[:, t]) for t in range(dB)]
+    gp_back, back_ok = C.phi_inv_rows(w.gamma_prime.T)  # rows a1
+    g_fwd, fwd_ok = C.phi_rows(w.gamma.T)  # rows a4
+    eps_a = td(w.epsilon, ctx.A.mul, axes=([0], [0]))  # [a1] = eps a1
+    eps_b = td(w.epsilon_prime, ctx.B.mul, axes=([0], [0]))  # [a4] = eps' a4
+    coef_a = ring.normalize(eps_a + gp_back)  # eps a1 + phi^-1(gamma'(a1))
+    coef_b = ring.normalize(eps_b + g_fwd)  # eps' a4 + phi(gamma(a4))
 
-    ok = True
-    for j in range(dM):  # g12(a1,a2) = (eps a1 + phi^-1(gamma'(a1))) a2
-        for i in range(dA):
-            if gp_back[i] is None:
-                ok = False
-                continue
-            a1 = basis(dA, i)
-            lhs = grid.evaluate("g", 0, 1, a1, basis(dM, j))
-            coef = ring.normalize(ctx.A.multiply(w.epsilon, a1) + gp_back[i])
-            rhs = ctx.M.act_left(coef, basis(dM, j))
-            ok = ok and ring.equal(lhs, rhs)
-    out["g12-shape"] = ok
-    ok = True
-    for j in range(dM):  # g24(a2,a4) = a2 (eps' a4 + phi(gamma(a4)))
-        for t in range(dB):
-            if g_fwd[t] is None:
-                ok = False
-                continue
-            a4 = basis(dB, t)
-            lhs = grid.evaluate("g", 1, 3, basis(dM, j), a4)
-            coef = ring.normalize(ctx.B.multiply(w.epsilon_prime, a4) + g_fwd[t])
-            rhs = ctx.M.act_right(basis(dM, j), coef)
-            ok = ok and ring.equal(lhs, rhs)
-    out["g24-shape"] = ok
+    def law(lhs, rhs, *phis_ok):
+        return all(bool(ok.all()) for ok in phis_ok) and ring.equal(lhs, rhs)
+
+    out = {}
+    # g12(a1,a2) = (eps a1 + phi^-1(gamma'(a1))) a2
+    out["g12-shape"] = not dM or law(
+        grid.component("g", 0, 1), td(coef_a, ctx.M.left, axes=([1], [0])), back_ok
+    )
+    # g24(a2,a4) = a2 (eps' a4 + phi(gamma(a4)))
+    out["g24-shape"] = not dM or law(
+        grid.component("g", 1, 3),
+        np.transpose(td(ctx.M.right, coef_b, axes=([1], [1])), (0, 2, 1)),
+        fwd_ok,
+    )
     if dN:
-        ok = True
-        for i in range(dA):  # h13(a1,a3) = a3 eps a1 + gamma'(a1) a3
-            a1 = basis(dA, i)
-            for j in range(dN):
-                a3 = basis(dN, j)
-                lhs = grid.evaluate("h", 0, 2, a1, a3)
-                rhs = ring.normalize(
-                    ctx.N.act_right(a3, ctx.A.multiply(w.epsilon, a1))
-                    + ctx.N.act_left(w.gamma_prime[:, i], a3)
-                )
-                ok = ok and ring.equal(lhs, rhs)
-        out["h13-shape"] = ok
-        ok = True
-        for j in range(dN):  # h34(a3,a4) = (eps' a4 + phi(gamma(a4))) a3
-            a3 = basis(dN, j)
-            for t in range(dB):
-                if g_fwd[t] is None:
-                    ok = False
-                    continue
-                a4 = basis(dB, t)
-                coef = ring.normalize(ctx.B.multiply(w.epsilon_prime, a4) + g_fwd[t])
-                lhs = grid.evaluate("h", 2, 3, a3, a4)
-                ok = ok and ring.equal(lhs, ctx.N.act_left(coef, a3))
-        out["h34-shape"] = ok
-        ok = True
-        for j in range(dM):  # k23(a2,a3) - eps' a3 a2 central in B
-            a2 = basis(dM, j)
-            for t in range(dN):
-                a3 = basis(dN, t)
-                val = grid.evaluate("k", 1, 2, a2, a3)
-                prod = ctx.pair_nm(a3, a2)
-                resid = ring.normalize(val - ctx.B.multiply(w.epsilon_prime, prod))
-                ok = ok and row_span_coords(ring, C.z_b, resid) is not None
-        out["k23-centrality"] = ok
-        ok = True
-        for j in range(dM):  # f23(a2,a3) - eps a2 a3 central in A
-            a2 = basis(dM, j)
-            for t in range(dN):
-                a3 = basis(dN, t)
-                val = grid.evaluate("f", 1, 2, a2, a3)
-                prod = ctx.pair_mn(a2, a3)
-                resid = ring.normalize(val - ctx.A.multiply(w.epsilon, prod))
-                ok = ok and row_span_coords(ring, C.z_a, resid) is not None
-        out["f23-centrality"] = ok
+        # h13(a1,a3) = a3 eps a1 + gamma'(a1) a3
+        out["h13-shape"] = law(
+            grid.component("h", 0, 2),
+            np.transpose(td(ctx.N.right, eps_a, axes=([1], [1])), (2, 0, 1))
+            + td(w.gamma_prime, ctx.N.left, axes=([0], [0])),
+        )
+        # h34(a3,a4) = (eps' a4 + phi(gamma(a4))) a3
+        out["h34-shape"] = law(
+            grid.component("h", 2, 3),
+            np.transpose(td(coef_b, ctx.N.left, axes=([1], [0])), (1, 0, 2)),
+            fwd_ok,
+        )
+        # k23(a2,a3) - eps' a3 a2 central in B
+        eps_nm = td(np.transpose(ctx.pairing_NM, (1, 0, 2)), eps_b, axes=([2], [0]))
+        out["k23-centrality"] = not _outside(
+            ring, C.z_b, ring.normalize(grid.component("k", 1, 2) - eps_nm)
+        ).any()
+        # f23(a2,a3) - eps a2 a3 central in A
+        eps_mn = td(ctx.pairing_MN, eps_a, axes=([2], [0]))
+        out["f23-centrality"] = not _outside(
+            ring, C.z_a, ring.normalize(grid.component("f", 1, 2) - eps_mn)
+        ).any()
     # f22 + k22 and f33 + k33 land in Z(G)  (checked as polarized pairs)
-    for (kind_pair, name, n) in ((1, "f22k22-central", dM), (2, "f33k33-central", dN)):
-        ok = True
-        for i in range(n):
-            for j in range(i, n):
-                ea, eb = basis(n, i), basis(n, j)
-                fa = grid.evaluate("f", kind_pair, kind_pair, ea, eb)
-                fb = grid.evaluate("f", kind_pair, kind_pair, eb, ea)
-                ka = grid.evaluate("k", kind_pair, kind_pair, ea, eb)
-                kb = grid.evaluate("k", kind_pair, kind_pair, eb, ea)
-                pair = gma.embed_diag(ring.normalize(fa + fb), ring.normalize(ka + kb))
-                ok = ok and C.center_coords(pair) is not None
-        out[name] = ok
+    for block, name in ((1, "f22k22-central"), (2, "f33k33-central")):
+        f, k = grid.component("f", block, block), grid.component("k", block, block)
+        pairs = _diag_rows(
+            gma,
+            ring.normalize(f + np.transpose(f, (1, 0, 2))),
+            ring.normalize(k + np.transpose(k, (1, 0, 2))),
+        )
+        out[name] = bool(C.center_rows(pairs)[1].all())
     out["g-pattern"] = grid.pattern_violation is None or grid.pattern_violation[0] != "g"
     out["h-pattern"] = grid.pattern_violation is None or grid.pattern_violation[0] != "h"
     return out
@@ -682,71 +631,66 @@ def decompose_trace_constructive(
         report = gma.report
     grid = extract_components(q, gma, centralizing=True)
     w = extract_constructive_witness(q, gma, C, grid, report)
-    ctx = gma.ctx
     dA, dM, dN, dB = gma.dims
     d = gma.dim
 
     z_vec = gma.embed_diag(w.epsilon, w.epsilon_prime)
     z_coords = C.center_coords(z_vec)
 
+    # mu(e_c) for every basis vector at once: the A-corner value
+    # gamma(a4) + alpha(a2) + tau(a3) and the B-corner value gamma'(a1),
+    # each completed to the other corner through phi or phi^-1
+    a_vals = ring.zeros((d, dA))
+    a_vals[gma.block_slice(1)] = w.alpha.T
+    a_vals[gma.block_slice(2)] = w.tau.T
+    a_vals[gma.block_slice(3)] = w.gamma.T
+    b_vals = ring.zeros((d, dB))
+    b_vals[gma.block_slice(0)] = w.gamma_prime.T
+    back, back_ok = C.phi_inv_rows(b_vals)
+    fwd, fwd_ok = C.phi_rows(a_vals)
+    mu_rows, central = C.center_rows(
+        _diag_rows(gma, ring.normalize(back + a_vals), ring.normalize(b_vals + fwd))
+    )
+    failure = _first_failed_check(
+        (
+            ("mu-assembly", "witness value outside the projected center", ~(back_ok & fwd_ok)),
+            ("mu-assembly", "mu value not central", ~central),
+        )
+    )
+    if failure is not None:
+        raise WitnessExtractionError(*failure, report)
     mu_mat = ring.zeros((C.zdim, d))
-    for col in range(d):
-        a1, a2, a3, a4 = gma.blocks(gma.basis_vector(col))
-        ga = ring.tensordot(w.gamma, a4, axes=([1], [0]))
-        al = ring.tensordot(w.alpha, a2, axes=([1], [0]))
-        ta = ring.tensordot(w.tau, a3, axes=([1], [0])) if dN else ring.zeros(dA)
-        gp = ring.tensordot(w.gamma_prime, a1, axes=([1], [0]))
-        gp_back = C.phi_inv_apply(gp)
-        fwd = C.phi_apply(ring.normalize(ga + al + ta))
-        if gp_back is None or fwd is None:
-            raise WitnessExtractionError(
-                "mu-assembly", "witness value outside the projected center", report
-            )
-        a_part = ring.normalize(gp_back + ga + al + ta)
-        b_part = ring.normalize(gp + fwd)
-        coords = C.center_coords(gma.embed_diag(a_part, b_part))
-        if coords is None:
-            raise WitnessExtractionError("mu-assembly", "mu value not central", report)
-        mu_mat[:, col] = coords
+    mu_mat[...] = mu_rows.T
 
-    # nu := T_q - z x^2 - mu(x) x, coefficientwise
-    pairs = pair_index_order(d)
-    vals = _pair_values(gma, q)
-    nu = ring.zeros((d, d, C.zdim))
-    half = ring.half
+    # nu := T_q - z x^2 - mu(x) x, coefficientwise on every pair at once
+    I, J = np.triu_indices(d)  # pair_index_order
+    off = (I != J)[:, None]
+    mul = gma.mul
+    sym = np.where(off, mul[I, J] + mul[J, I], mul[I, J])  # e_i e_j + e_j e_i (diag: e_i^2)
+    z_sym = ring.tensordot(sym, ring.tensordot(z_vec, mul, axes=([0], [0])), axes=([1], [0]))
+    mu_e = ring.tensordot(ring.tensordot(mu_mat, C.z_g, axes=([0], [0])), mul, axes=([1], [0]))
+    resid = ring.normalize(
+        _pair_values(gma, q) - z_sym - mu_e[I, J] - np.where(off, mu_e[J, I], ring.zero)
+    )
+    nu_rows, central = C.center_rows(resid)
     shape_report = witness_shape_report(grid, w, C)
-    for n, (i, j) in enumerate(pairs):
-        ei, ej = gma.basis_vector(i), gma.basis_vector(j)
-        if i == j:
-            w_prod = gma.square(ei)
-        else:
-            w_prod = ring.normalize(gma.multiply(ei, ej) + gma.multiply(ej, ei))
-        mui = C.expand(mu_mat[:, i])
-        resid = vals[n] - gma.multiply(z_vec, w_prod) - gma.multiply(mui, ej)
-        if i != j:
-            resid = resid - gma.multiply(C.expand(mu_mat[:, j]), ei)
-        resid = ring.normalize(resid)
-        coords = C.center_coords(resid)
-        if coords is None:
-            return ConstructiveDecomposition(
-                "violation-candidate",
-                None,
-                w,
-                shape_report,
-                {
-                    "stage": "nu-centrality",
-                    "pair": (i, j),
-                    "residual": resid.tolist(),
-                    "q": q.tensor.tolist(),
-                },
-                report.route,
-                report,
-            )
-        if i == j:
-            nu[i, i] = coords
-        else:
-            nu[i, j] = ring.normalize(coords * half)
-            nu[j, i] = nu[i, j]
+    if not central.all():
+        n = int(np.argmax(~central))
+        return ConstructiveDecomposition(
+            "violation-candidate",
+            None,
+            w,
+            shape_report,
+            {
+                "stage": "nu-centrality",
+                "pair": (int(I[n]), int(J[n])),
+                "residual": resid[n].tolist(),
+                "q": q.tensor.tolist(),
+            },
+            report.route,
+            report,
+        )
+    nu = symmetric_from_pairs(ring, d, nu_rows)
     form = ProperTraceForm(z_coords, mu_mat, nu)
     if not form.matches(gma, q):
         raise ExactError("constructive form failed reconstruction (internal)")

@@ -259,21 +259,35 @@ def nullspace_array(ring: RingDescriptor, mat: np.ndarray) -> np.ndarray:
 
 def solve_array(ring: RingDescriptor, mat: np.ndarray, rhs: np.ndarray):
     """Canonical solution of mat @ x = rhs (free variables zeroed), or None."""
-    mat = ring.normalize(mat)
     rhs = ring.normalize(np.asarray(rhs))
-    if rhs.ndim != 1 or rhs.shape[0] != mat.shape[0]:
+    if rhs.ndim != 1:
         raise ExactError("rhs shape mismatch")
+    sols, first_bad = solve_columns(ring, mat, rhs[None])
+    return None if first_bad is not None else sols[0]
+
+
+def solve_columns(ring: RingDescriptor, mat: np.ndarray, rhs_rows: np.ndarray):
+    """Canonical solutions of mat @ x = b for each row b of rhs_rows, from
+    one reduction of [mat | rhs_rows^T]: (solutions, first_bad), where
+    first_bad is the first inconsistent row (None if there is none).
+
+    Up to first_bad every right-hand side lies in the column span of mat,
+    so it gets no pivot and its read-off is that of a solve on its own;
+    the solution rows from first_bad on are meaningless.
+    """
+    mat = ring.normalize(mat)
+    rhs_rows = ring.normalize(np.asarray(rhs_rows))
     rows, cols = mat.shape
-    aug = ring.zeros((rows, cols + 1))
+    if rhs_rows.ndim != 2 or rhs_rows.shape[1] != rows:
+        raise ExactError("rhs shape mismatch")
+    aug = ring.zeros((rows, cols + rhs_rows.shape[0]))
     aug[:, :cols] = mat
-    aug[:, cols] = rhs
+    aug[:, cols:] = rhs_rows.T
     red, piv, rank = rref_array(ring, aug)
-    if any(c == cols for c in piv):
-        return None
-    x = ring.zeros(cols)
-    for ri, pc in enumerate(piv):
-        x[pc] = red[ri, cols]
-    return x
+    n = sum(1 for c in piv if c < cols)
+    sols = ring.zeros((rhs_rows.shape[0], cols))
+    sols[:, list(piv[:n])] = red[:n, cols:].T
+    return sols, (piv[n] - cols if rank > n else None)
 
 
 def inverse_array(ring: RingDescriptor, mat: np.ndarray):

@@ -6,12 +6,13 @@ failed).  File outputs are canonical JSON; reruns must be bytes-equal.
 """
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gmalg.cli import main
-from gmalg.exact import prime_field
+from gmalg.exact import RATIONAL, prime_field
 from gmalg.io import (
     MapDocument,
     load_context,
@@ -20,7 +21,7 @@ from gmalg.io import (
     save_context,
     save_map,
 )
-from gmalg.maps import BilinearMapRep, LinearMapRep
+from gmalg.maps import BilinearMapRep, LinearMapRep, trace_space
 from gmalg.structure import (
     assemble_gma,
     build_diagonal_pair,
@@ -158,6 +159,17 @@ def test_verify_map_pass_and_fail(t3_file, tmp_path, capsys):
     assert sum(1 for line in out.splitlines() if "witness[" in line) == 1
 
 
+def test_verify_map_rejects_a_map_over_another_ring(t3_file, tmp_path, capsys):
+    # over F5, 1/2 is 3; reading the rational entry as a residue would give 0
+    gma = assemble_gma(build_upper_triangular(3, 1, RATIONAL))
+    path = tmp_path / "half.json"
+    save_map(path, MapDocument("bilinear", BilinearMapRep(RATIONAL, gma.mul * Fraction(1, 2))))
+    assert main(["verify-map", t3_file, str(path), "--predicate", "centralizing-trace"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "map is over Q, but the context is over F_5" in captured.err
+
+
 def test_verify_map_kind_mismatch(t3_file, tmp_path):
     gma = assemble_gma(build_upper_triangular(3, 1, F5))
     path = tmp_path / "mul.json"
@@ -220,6 +232,39 @@ def test_decompose_trace_honours_loyalty_bound(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "generic: ok (route main)"
 
 
+def test_decompose_trace_saves_a_rational_violation_candidate(tmp_path, capsys):
+    # a centralizing trace of the diagonal pair over F5, lifted to Q with
+    # representatives in [-2, 2], is centralizing over Q but not proper
+    basis = trace_space(assemble_gma(build_diagonal_pair(F5)), "centralizing").basis[81]
+    lift = [
+        [[v if v <= 2 else v - 5 for v in row] for row in plane] for plane in basis.tensor.tolist()
+    ]
+    ctx_path, qpath, out = tmp_path / "dq.json", tmp_path / "q.json", tmp_path / "dec.json"
+    save_context(ctx_path, build_diagonal_pair(RATIONAL))
+    save_map(qpath, MapDocument("bilinear", BilinearMapRep(RATIONAL, RATIONAL.array(lift))))
+    argv = ["decompose-trace", str(ctx_path), str(qpath), "--path", "constructive"]
+    assert main(argv + ["-o", str(out)]) == 1
+    stdout = capsys.readouterr().out
+    assert "THEOREM-VIOLATION CANDIDATE at nu-centrality, pair (0, 6)" in stdout
+    assert "Fraction" not in stdout
+    violation = load_json(out)["constructive"]["violation"]
+    assert violation["pair"] == [0, 6]
+    assert all(isinstance(v, str) for v in violation["residual"])
+    assert np.array(violation["q"]).shape == (8, 8, 8)
+    assert Fraction(violation["q"][0][0][0]) == Fraction(lift[0][0][0])
+
+
+def test_decompose_trace_rejects_a_map_over_another_ring(tmp_path, capsys):
+    ctx_path, qpath = tmp_path / "t3q.json", tmp_path / "q.json"
+    save_context(ctx_path, build_upper_triangular(3, 1, RATIONAL))
+    gma = assemble_gma(build_upper_triangular(3, 1, F5))
+    save_map(qpath, MapDocument("bilinear", BilinearMapRep(F5, gma.mul)))
+    assert main(["decompose-trace", str(ctx_path), str(qpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "map is over F_5, but the context is over Q" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # decompose-lti
 # ---------------------------------------------------------------------------
@@ -253,6 +298,15 @@ def test_decompose_lti_singular_is_exit_two(m3_file, tmp_path, capsys):
     lpath = tmp_path / "zero.json"
     save_map(lpath, MapDocument("linear", LinearMapRep.zero(F5, 9, 9)))
     assert main(["decompose-lti", m3_file, m3_file, str(lpath)]) == 2
+
+
+def test_decompose_lti_rejects_a_map_over_another_ring(m3_file, tmp_path, capsys):
+    ident = RATIONAL.eye(9)
+    ident[0, 0] = Fraction(1, 2)
+    lpath = tmp_path / "half.json"
+    save_map(lpath, MapDocument("linear", LinearMapRep(RATIONAL, ident)))
+    assert main(["decompose-lti", m3_file, m3_file, str(lpath)]) == 2
+    assert "map is over Q, but the context is over F_5" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

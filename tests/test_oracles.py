@@ -7,7 +7,9 @@ over every nonzero candidate vector.  The elimination references are
 the three kernels the ring-generic one replaced: scalar loops mod p, a dense
 rank-1 update over every row mod p, and row-by-row Fraction elimination.
 The contraction over Q is checked against numpy's tensordot on the
-Fraction arrays themselves.  They are kept here only as oracles.  Every
+Fraction arrays themselves.  The constructive chain is checked against
+its per-basis-vector loops: the witness extraction, the shape laws and
+the mu/nu assembly.  They are kept here only as oracles.  Every
 comparison is literal: same keys in the same order, same dtype, same
 scalar type, same values, same witnesses.
 
@@ -16,13 +18,16 @@ The instances cover a center of dimension one (M3, M4), a triangular split
 p = 1048573, the largest prime the int64 kernels accept.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmalg import backend
+import pickle
+
+from gmalg import backend, decompose
 from gmalg.center import (
     CenterError,
     _cube_annihilation_matrix,
@@ -32,13 +37,29 @@ from gmalg.center import (
     check_loyal,
 )
 from gmalg.decompose import (
+    ComponentPatternError,
+    ConstructiveDecomposition,
+    ConstructiveWitness,
     ProperTraceForm,
+    WitnessExtractionError,
+    _algebra_quotient,
     _pair_values,
     build_generic_system,
+    decompose_trace_constructive,
+    extract_components,
+    extract_constructive_witness,
     random_lie_triple_iso,
     random_proper_trace,
+    witness_shape_report,
 )
-from gmalg.exact import RATIONAL, nullspace_array, prime_field
+from gmalg.exact import (
+    RATIONAL,
+    nullspace_array,
+    prime_field,
+    row_span_coords,
+    solve_array,
+    solve_columns,
+)
 from gmalg.maps import (
     BilinearMapRep,
     LinearMapRep,
@@ -61,6 +82,7 @@ from gmalg.maps import (
 )
 from gmalg.rng import XorShift64Star
 from gmalg.structure import (
+    AlgebraSpec,
     BimoduleSpec,
     MoritaContext,
     assemble_gma,
@@ -685,6 +707,557 @@ def test_loyalty_scan_matches_full_scan(name):
 
 
 # ---------------------------------------------------------------------------
+# the constructive chain
+# ---------------------------------------------------------------------------
+
+
+def slow_corner_map(ring, image, iso, v):
+    coeff = row_span_coords(ring, image, np.asarray(v))
+    return None if coeff is None else ring.tensordot(iso, coeff, axes=([1], [0]))
+
+
+def slow_center_coords(C, v):
+    c = C.ring.tensordot(C.to_coords, np.asarray(v), axes=([1], [0]))
+    return None if not C.ring.is_zero(c[C.zdim :]) else c[: C.zdim].copy()
+
+
+def slow_extract_constructive_witness(gma, grid, report):
+    ring, C, ctx = gma.ring, gma.center, gma.ctx
+    dA, dM, dN, dB = gma.dims
+    unitA, unitB = ctx.A.unit, ctx.B.unit
+
+    def need(vec, where, stage):
+        coords = row_span_coords(ring, where, vec)
+        if coords is None:
+            raise WitnessExtractionError(stage, "value escapes the projected center", report)
+        return coords
+
+    def phi(a_vec, stage):
+        out = slow_corner_map(ring, C.pia_image, C.phi, a_vec)
+        if out is None:
+            raise WitnessExtractionError(stage, "phi argument outside pi_A(Z)", report)
+        return out
+
+    def phi_inv(b_vec, stage):
+        out = slow_corner_map(ring, C.pib_image, C.phi_inv, b_vec)
+        if out is None:
+            raise WitnessExtractionError(stage, "phi^-1 argument outside pi_B(Z)", report)
+        return out
+
+    f11_11 = grid.evaluate("f", 0, 0, unitA, unitA)
+    k11_11 = grid.evaluate("k", 0, 0, unitA, unitA)
+    kappa = ring.normalize(phi(f11_11, "kappa") - k11_11)
+    k44_11 = grid.evaluate("k", 3, 3, unitB, unitB)
+    f44_11 = grid.evaluate("f", 3, 3, unitB, unitB)
+    theta = ring.normalize(phi_inv(k44_11, "theta") - f44_11)
+
+    alpha = ring.zeros((dA, dM))
+    for j in range(dM):
+        em = ring.zeros(dM)
+        em[j] = ring.one
+        val = grid.evaluate("f", 0, 1, unitA, em) - phi_inv(
+            grid.evaluate("k", 0, 1, unitA, em), "alpha"
+        )
+        alpha[:, j] = ring.normalize(val)
+        need(alpha[:, j], C.z_a, "alpha-centrality")
+    tau = ring.zeros((dA, dN))
+    for j in range(dN):
+        en = ring.zeros(dN)
+        en[j] = ring.one
+        val = grid.evaluate("f", 0, 2, unitA, en) - phi_inv(
+            grid.evaluate("k", 0, 2, unitA, en), "tau"
+        )
+        tau[:, j] = ring.normalize(val)
+        need(tau[:, j], C.z_a, "tau-centrality")
+
+    a_noncomm = C.z_a.shape[0] < dA
+    b_noncomm = C.z_b.shape[0] < dB
+    f14 = grid.component("f", 0, 3)
+    k14 = grid.component("k", 0, 3)
+    gamma = ring.zeros((dA, dB))
+    gamma_prime = ring.zeros((dB, dA))
+    delta = ring.zeros((dA, dB, dA))
+
+    if a_noncomm or not b_noncomm:
+        side = "A" if a_noncomm else "fallback"
+        QA = _algebra_quotient(ring, C.z_a)
+        qdim, za_dim = QA.shape[0], C.z_a.shape[0]
+        coeff = ring.zeros((dA * qdim, za_dim))
+        for u in range(za_dim):
+            for i in range(dA):
+                prod = ctx.A.multiply(C.z_a[u], ctx.A.basis_vector(i))
+                coeff[i * qdim : (i + 1) * qdim, u] = ring.tensordot(QA, prod, axes=([1], [0]))
+        for t in range(dB):
+            rhs = ring.zeros(dA * qdim)
+            for i in range(dA):
+                rhs[i * qdim : (i + 1) * qdim] = ring.tensordot(QA, f14[i, t], axes=([1], [0]))
+            c = solve_array(ring, coeff, rhs)
+            if c is None:
+                raise WitnessExtractionError("gamma-solve", "inconsistent system", report)
+            gamma[:, t] = ring.tensordot(c, C.z_a, axes=([0], [0])) if za_dim else ring.zeros(dA)
+            for i in range(dA):
+                delta[i, t] = ring.normalize(
+                    f14[i, t] - ctx.A.multiply(gamma[:, t], ctx.A.basis_vector(i))
+                )
+        for i in range(dA):
+            dval = ring.tensordot(unitB, delta[i], axes=([0], [0]))
+            gamma_prime[:, i] = ring.normalize(
+                ring.tensordot(unitB, k14[i], axes=([0], [0])) - phi(dval, "gamma-prime")
+            )
+            need(gamma_prime[:, i], C.z_b, "gamma-prime-centrality")
+    else:
+        side = "B"
+        QB = _algebra_quotient(ring, C.z_b)
+        qdim, zb_dim = QB.shape[0], C.z_b.shape[0]
+        coeff = ring.zeros((dB * qdim, zb_dim))
+        for u in range(zb_dim):
+            for t in range(dB):
+                prod = ctx.B.multiply(C.z_b[u], ctx.B.basis_vector(t))
+                coeff[t * qdim : (t + 1) * qdim, u] = ring.tensordot(QB, prod, axes=([1], [0]))
+        for i in range(dA):
+            rhs = ring.zeros(dB * qdim)
+            for t in range(dB):
+                rhs[t * qdim : (t + 1) * qdim] = ring.tensordot(QB, k14[i, t], axes=([1], [0]))
+            c = solve_array(ring, coeff, rhs)
+            if c is None:
+                raise WitnessExtractionError("gamma-prime-solve", "inconsistent system", report)
+            gamma_prime[:, i] = (
+                ring.tensordot(c, C.z_b, axes=([0], [0])) if zb_dim else ring.zeros(dB)
+            )
+            for t in range(dB):
+                rem = ring.normalize(
+                    k14[i, t] - ctx.B.multiply(gamma_prime[:, i], ctx.B.basis_vector(t))
+                )
+                delta[i, t] = phi_inv(rem, "delta")
+        for t in range(dB):
+            dval = ring.tensordot(unitA, delta[:, t], axes=([0], [0]))
+            gamma[:, t] = ring.normalize(ring.tensordot(unitA, f14[:, t], axes=([0], [0])) - dval)
+            need(gamma[:, t], C.z_a, "gamma-centrality")
+
+    for i in range(dA):
+        for t in range(dB):
+            resid_a = ring.normalize(f14[i, t] - ctx.A.multiply(gamma[:, t], ctx.A.basis_vector(i)))
+            if row_span_coords(ring, C.z_a, resid_a) is None:
+                raise WitnessExtractionError("f14-shape", "f14 - gamma(a4)a1 escapes Z(A)", report)
+            resid_b = ring.normalize(
+                k14[i, t] - ctx.B.multiply(gamma_prime[:, i], ctx.B.basis_vector(t))
+            )
+            if row_span_coords(ring, C.z_b, resid_b) is None:
+                raise WitnessExtractionError("k14-shape", "k14 - gamma'(a1)a4 escapes Z(B)", report)
+
+    epsilon = ring.normalize(theta - ring.tensordot(gamma, unitB, axes=([1], [0])))
+    epsilon_prime = ring.normalize(kappa - ring.tensordot(gamma_prime, unitA, axes=([1], [0])))
+    if slow_center_coords(C, gma.embed_diag(epsilon, epsilon_prime)) is None:
+        raise WitnessExtractionError(
+            "epsilon-pair", "epsilon + epsilon' is not central in G", report
+        )
+
+    xi = alpha.copy()
+    eta = ring.zeros((dA, dM, dA))
+    f12 = grid.component("f", 0, 1)
+    for i in range(dA):
+        for j in range(dM):
+            eta[i, j] = ring.normalize(
+                f12[i, j] - ctx.A.multiply(alpha[:, j], ctx.A.basis_vector(i))
+            )
+            need(eta[i, j], C.z_a, "eta-centrality")
+    return ConstructiveWitness(
+        kappa, theta, alpha, tau, gamma, gamma_prime, delta, xi, eta, epsilon, epsilon_prime, side
+    )
+
+
+def slow_witness_shape_report(grid, w):
+    gma = grid.gma
+    ring, C, ctx = gma.ring, gma.center, gma.ctx
+    dA, dM, dN, dB = gma.dims
+    out = {}
+
+    def basis(n, j):
+        v = ring.zeros(n)
+        v[j] = ring.one
+        return v
+
+    gp_back = [
+        slow_corner_map(ring, C.pib_image, C.phi_inv, w.gamma_prime[:, i]) for i in range(dA)
+    ]
+    g_fwd = [slow_corner_map(ring, C.pia_image, C.phi, w.gamma[:, t]) for t in range(dB)]
+
+    ok = True
+    for j in range(dM):
+        for i in range(dA):
+            if gp_back[i] is None:
+                ok = False
+                continue
+            a1 = basis(dA, i)
+            lhs = grid.evaluate("g", 0, 1, a1, basis(dM, j))
+            coef = ring.normalize(ctx.A.multiply(w.epsilon, a1) + gp_back[i])
+            ok = ok and ring.equal(lhs, ctx.M.act_left(coef, basis(dM, j)))
+    out["g12-shape"] = ok
+    ok = True
+    for j in range(dM):
+        for t in range(dB):
+            if g_fwd[t] is None:
+                ok = False
+                continue
+            a4 = basis(dB, t)
+            lhs = grid.evaluate("g", 1, 3, basis(dM, j), a4)
+            coef = ring.normalize(ctx.B.multiply(w.epsilon_prime, a4) + g_fwd[t])
+            ok = ok and ring.equal(lhs, ctx.M.act_right(basis(dM, j), coef))
+    out["g24-shape"] = ok
+    if dN:
+        ok = True
+        for i in range(dA):
+            a1 = basis(dA, i)
+            for j in range(dN):
+                a3 = basis(dN, j)
+                lhs = grid.evaluate("h", 0, 2, a1, a3)
+                rhs = ring.normalize(
+                    ctx.N.act_right(a3, ctx.A.multiply(w.epsilon, a1))
+                    + ctx.N.act_left(w.gamma_prime[:, i], a3)
+                )
+                ok = ok and ring.equal(lhs, rhs)
+        out["h13-shape"] = ok
+        ok = True
+        for j in range(dN):
+            a3 = basis(dN, j)
+            for t in range(dB):
+                if g_fwd[t] is None:
+                    ok = False
+                    continue
+                a4 = basis(dB, t)
+                coef = ring.normalize(ctx.B.multiply(w.epsilon_prime, a4) + g_fwd[t])
+                lhs = grid.evaluate("h", 2, 3, a3, a4)
+                ok = ok and ring.equal(lhs, ctx.N.act_left(coef, a3))
+        out["h34-shape"] = ok
+        ok = True
+        for j in range(dM):
+            a2 = basis(dM, j)
+            for t in range(dN):
+                a3 = basis(dN, t)
+                val = grid.evaluate("k", 1, 2, a2, a3)
+                resid = ring.normalize(val - ctx.B.multiply(w.epsilon_prime, ctx.pair_nm(a3, a2)))
+                ok = ok and row_span_coords(ring, C.z_b, resid) is not None
+        out["k23-centrality"] = ok
+        ok = True
+        for j in range(dM):
+            a2 = basis(dM, j)
+            for t in range(dN):
+                a3 = basis(dN, t)
+                val = grid.evaluate("f", 1, 2, a2, a3)
+                resid = ring.normalize(val - ctx.A.multiply(w.epsilon, ctx.pair_mn(a2, a3)))
+                ok = ok and row_span_coords(ring, C.z_a, resid) is not None
+        out["f23-centrality"] = ok
+    for (kind_pair, name, n) in ((1, "f22k22-central", dM), (2, "f33k33-central", dN)):
+        ok = True
+        for i in range(n):
+            for j in range(i, n):
+                ea, eb = basis(n, i), basis(n, j)
+                fa = grid.evaluate("f", kind_pair, kind_pair, ea, eb)
+                fb = grid.evaluate("f", kind_pair, kind_pair, eb, ea)
+                ka = grid.evaluate("k", kind_pair, kind_pair, ea, eb)
+                kb = grid.evaluate("k", kind_pair, kind_pair, eb, ea)
+                pair = gma.embed_diag(ring.normalize(fa + fb), ring.normalize(ka + kb))
+                ok = ok and slow_center_coords(C, pair) is not None
+        out[name] = ok
+    out["g-pattern"] = grid.pattern_violation is None or grid.pattern_violation[0] != "g"
+    out["h-pattern"] = grid.pattern_violation is None or grid.pattern_violation[0] != "h"
+    return out
+
+
+def slow_decompose_trace_constructive(q, gma):
+    """The chain with one product per basis vector or pair; the entry
+    predicate is left to the caller."""
+    ring, C, report = gma.ring, gma.center, gma.report
+    grid = extract_components(q, gma, centralizing=True)
+    w = slow_extract_constructive_witness(gma, grid, report)
+    dA, dM, dN, dB = gma.dims
+    d = gma.dim
+    z_vec = gma.embed_diag(w.epsilon, w.epsilon_prime)
+    z_coords = slow_center_coords(C, z_vec)
+
+    mu_mat = ring.zeros((C.zdim, d))
+    for col in range(d):
+        a1, a2, a3, a4 = gma.blocks(gma.basis_vector(col))
+        ga = ring.tensordot(w.gamma, a4, axes=([1], [0]))
+        al = ring.tensordot(w.alpha, a2, axes=([1], [0]))
+        ta = ring.tensordot(w.tau, a3, axes=([1], [0])) if dN else ring.zeros(dA)
+        gp = ring.tensordot(w.gamma_prime, a1, axes=([1], [0]))
+        gp_back = slow_corner_map(ring, C.pib_image, C.phi_inv, gp)
+        fwd = slow_corner_map(ring, C.pia_image, C.phi, ring.normalize(ga + al + ta))
+        if gp_back is None or fwd is None:
+            raise WitnessExtractionError(
+                "mu-assembly", "witness value outside the projected center", report
+            )
+        a_part = ring.normalize(gp_back + ga + al + ta)
+        b_part = ring.normalize(gp + fwd)
+        coords = slow_center_coords(C, gma.embed_diag(a_part, b_part))
+        if coords is None:
+            raise WitnessExtractionError("mu-assembly", "mu value not central", report)
+        mu_mat[:, col] = coords
+
+    vals = _pair_values(gma, q)
+    nu = ring.zeros((d, d, C.zdim))
+    shape_report = slow_witness_shape_report(grid, w)
+    for n, (i, j) in enumerate(pair_index_order(d)):
+        ei, ej = gma.basis_vector(i), gma.basis_vector(j)
+        if i == j:
+            w_prod = gma.square(ei)
+        else:
+            w_prod = ring.normalize(gma.multiply(ei, ej) + gma.multiply(ej, ei))
+        mui = C.expand(mu_mat[:, i])
+        resid = vals[n] - gma.multiply(z_vec, w_prod) - gma.multiply(mui, ej)
+        if i != j:
+            resid = resid - gma.multiply(C.expand(mu_mat[:, j]), ei)
+        resid = ring.normalize(resid)
+        coords = slow_center_coords(C, resid)
+        if coords is None:
+            violation = {
+                "stage": "nu-centrality",
+                "pair": (i, j),
+                "residual": resid.tolist(),
+                "q": q.tensor.tolist(),
+            }
+            return ConstructiveDecomposition(
+                "violation-candidate", None, w, shape_report, violation, report.route, report
+            )
+        if i == j:
+            nu[i, i] = coords
+        else:
+            nu[i, j] = ring.normalize(coords * ring.half)
+            nu[j, i] = nu[i, j]
+    form = ProperTraceForm(z_coords, mu_mat, nu)
+    assert form.matches(gma, q)
+    return ConstructiveDecomposition("ok", form, w, shape_report, None, report.route, report)
+
+
+def build_scalar_gap_a(ring):
+    """A = R^2 componentwise, B = R, M = R^2, N = 0: the center of A is all
+    of A, its part in the projected center only the scalars, so phi can
+    fail on A-corner values that are central in A."""
+    A = AlgebraSpec(ring, 2, ring.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]]), ring.array([1, 1]))
+    B = AlgebraSpec(ring, 1, ring.array([[[1]]]), ring.array([1]))
+    M = BimoduleSpec(ring, 2, A.mul.copy(), ring.array([[[1, 0]], [[0, 1]]]))
+    N = BimoduleSpec(ring, 0, ring.zeros((1, 0, 0)), ring.zeros((0, 2, 0)))
+    return MoritaContext(A, B, M, N, ring.zeros((2, 0, 2)), ring.zeros((0, 2, 1)))
+
+
+def build_scalar_gap_b(ring):
+    """A = R, B = T2 x R (E11, E12, E22, f), M = R^3 (row vectors of T2,
+    then R), N = 0: B is noncommutative and its center, scalars plus f, is
+    wider than the projected center, so phi^-1 can fail on B-corner values
+    that are central in B."""
+    A = AlgebraSpec(ring, 1, ring.array([[[1]]]), ring.array([1]))
+    mul = ring.zeros((4, 4, 4))
+    for i, j, r in [(0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2), (3, 3, 3)]:
+        mul[i, j, r] = ring.one
+    B = AlgebraSpec(ring, 4, mul, ring.array([1, 0, 1, 1]))
+    right = ring.zeros((3, 4, 3))
+    for m, b, r in [(0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 3, 2)]:
+        right[m, b, r] = ring.one
+    M = BimoduleSpec(ring, 3, ring.eye(3)[None], right)
+    N = BimoduleSpec(ring, 0, ring.zeros((4, 0, 0)), ring.zeros((0, 1, 0)))
+    return MoritaContext(A, B, M, N, ring.zeros((3, 0, 1)), ring.zeros((0, 3, 4)))
+
+
+CHAIN_INSTANCES = {
+    "m4-f5": INSTANCES["m4-f5"],
+    "t3-f5": INSTANCES["t3-f5"],
+    "diagonal-f5": INSTANCES["diagonal-f5"],
+    "m3-q": INSTANCES["m3-q"],
+    "m3-p1048573": INSTANCES["m3-p1048573"],
+    "scalar-gap-a-f5": lambda: build_scalar_gap_a(F5),
+    "scalar-gap-b-f5": lambda: build_scalar_gap_b(F5),
+}
+
+
+def run_chain(route, q, gma):
+    try:
+        return route(q, gma)
+    except (WitnessExtractionError, ComponentPatternError) as e:
+        return e
+
+
+def assert_same_chain_result(got, want):
+    """Same outcome: witness fields, side, shape laws, form and violation,
+    or the same error."""
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+        assert getattr(got, "stage", None) == getattr(want, "stage", None)
+        return
+    assert (got.status, got.route, got.report) == (want.status, want.route, want.report)
+    for field in ConstructiveWitness.__dataclass_fields__:
+        g, w = getattr(got.witness, field), getattr(want.witness, field)
+        if field == "side":
+            assert g == w
+        else:
+            assert_identical(g, w)
+    assert list(got.shape_report.items()) == list(want.shape_report.items())
+    assert all(type(v) is bool for v in got.shape_report.values())
+    assert got.violation == want.violation
+    if want.violation is not None:
+        assert [type(v) for v in got.violation["residual"]] == [
+            type(v) for v in want.violation["residual"]
+        ]
+        assert type(got.violation["pair"][0]) is int
+    if want.form is None:
+        assert got.form is None
+    else:
+        for part in ("z", "mu", "nu"):
+            assert_identical(getattr(got.form, part), getattr(want.form, part))
+    # object sharing included: the results pickle to the same bytes
+    assert pickle.dumps(got) == pickle.dumps(want)
+
+
+@pytest.fixture(scope="module", params=sorted(CHAIN_INSTANCES))
+def chain_instance(request):
+    g = assemble_gma(CHAIN_INSTANCES[request.param]())
+    g.report
+    return request.param, g
+
+
+def outcome(result):
+    """The stage of an error, else the status."""
+    if isinstance(result, ComponentPatternError):
+        return "pattern"
+    return getattr(result, "stage", None) or result.status
+
+
+# what the centralizing inputs below come to, per instance
+CENTRALIZING_OUTCOMES = {
+    "diagonal-f5": {"ok", "violation-candidate"},
+    "m3-p1048573": {"ok"},
+    "m3-q": {"ok"},
+    "m4-f5": {"ok"},
+    "scalar-gap-a-f5": {"ok", "gamma-prime", "kappa", "mu-assembly"},
+    "scalar-gap-b-f5": {"ok", "alpha", "delta", "mu-assembly", "theta"},
+    "t3-f5": {"ok"},
+}
+
+
+def centralizing_traces(gma):
+    """The multiplication itself and proper traces, then, where the
+    centralizing trace space is enumerable (F5, dim <= 12), its basis."""
+    ring = gma.ring
+    qs = [BilinearMapRep(ring, gma.mul)]
+    qs += [random_proper_trace(gma, None, seed) for seed in ((1, 2) if ring.p == 5 else (1,))]
+    basis = trace_space(gma, "centralizing").basis if ring.p == 5 and gma.dim <= 12 else []
+    return qs, basis
+
+
+def test_constructive_chain_matches_loops(chain_instance):
+    name, gma = chain_instance
+    qs, basis = centralizing_traces(gma)
+    results = []
+    for q in qs + basis:
+        got = run_chain(decompose_trace_constructive, q, gma)
+        assert_same_chain_result(got, run_chain(slow_decompose_trace_constructive, q, gma))
+        results.append(got)
+    assert {outcome(r) for r in results} == CENTRALIZING_OUTCOMES[name]
+    if name == "diagonal-f5":
+        # the fallback side: of the 88 basis traces four are violation
+        # candidates, and the g24 and h34 laws fail on some
+        on_basis = results[len(qs) :]
+        assert len(on_basis) == 88
+        assert {dec.witness.side for dec in on_basis} == {"fallback"}
+        assert sum(dec.status == "violation-candidate" for dec in on_basis) == 4
+        for law in ("g24-shape", "h34-shape"):
+            assert not all(dec.shape_report[law] for dec in on_basis)
+
+
+def chain_perturbations(gma):
+    """A proper trace changed symmetrically at (i, j, r): j at the start and
+    one past the start of each block, r at the start of each block, i at 0,
+    at 1 and at j.  Then changed at (0, j, r) and (0, j + 1, r') with r != r',
+    so that neighbouring basis vectors can fail different checks."""
+    ring, d = gma.ring, gma.dim
+    base = random_proper_trace(gma, None, 7).tensor
+    starts = sorted({o + k for o in gma.offsets for k in (0, 1) if o + k < d})
+    rs = sorted(set(gma.offsets) - {d})
+
+    def changed(*at):
+        t = base.copy()
+        for i, j, r in at:
+            t[i, j, r] = t[i, j, r] + ring.one
+            t[j, i, r] = t[i, j, r]
+        return BilinearMapRep(ring, t)
+
+    for j in starts:
+        for r in rs:
+            for i in sorted({0, 1, j} & set(range(j + 1))):
+                yield changed((i, j, r))
+    for j in starts:
+        if j + 1 in starts:
+            for r, r1 in itertools.permutations(rs, 2):
+                yield changed((0, j, r), (0, j + 1, r1))
+
+
+# what the perturbed inputs come to, per instance; "pattern" is a grid whose
+# forced vanishing pattern fails, checked on the chain without it below
+PERTURBED_OUTCOMES = {
+    "diagonal-f5": {"epsilon-pair", "pattern", "violation-candidate"},
+    "m3-p1048573": {
+        "alpha", "epsilon-pair", "gamma-prime-solve", "pattern", "tau", "theta",
+        "violation-candidate",
+    },
+    "m3-q": {
+        "alpha", "epsilon-pair", "gamma-prime-solve", "pattern", "tau", "theta",
+        "violation-candidate",
+    },
+    "m4-f5": {
+        "alpha", "alpha-centrality", "epsilon-pair", "eta-centrality",
+        "gamma-prime-centrality", "gamma-solve", "k14-shape", "kappa", "pattern", "tau",
+        "tau-centrality", "theta", "violation-candidate",
+    },
+    "scalar-gap-a-f5": {"gamma-prime", "kappa", "pattern"},
+    "scalar-gap-b-f5": {"alpha", "delta", "gamma-prime-solve", "pattern", "theta"},
+    "t3-f5": {
+        "alpha", "epsilon-pair", "gamma-prime-solve", "pattern", "theta", "violation-candidate",
+    },
+}
+
+
+def test_constructive_chain_matches_loops_off_the_predicate(chain_instance, monkeypatch):
+    """Non-centralizing grids, let past the entry predicate, reach the raised
+    stages; the first failure in loop order decides which one."""
+    name, gma = chain_instance
+    monkeypatch.setattr(decompose, "is_centralizing_trace", lambda gma, q: (True, None))
+    outcomes = set()
+    for q in chain_perturbations(gma):
+        got = run_chain(decompose_trace_constructive, q, gma)
+        assert_same_chain_result(got, run_chain(slow_decompose_trace_constructive, q, gma))
+        outcomes.add(outcome(got))
+        if isinstance(got, ComponentPatternError):
+            grid = extract_components(q, gma, centralizing=False)
+            fast = run_chain(lambda q, g: extract_constructive_witness(q, g, grid=grid), q, gma)
+            slow = run_chain(
+                lambda q, g: slow_extract_constructive_witness(g, grid, g.report), q, gma
+            )
+            assert type(fast) is type(slow)
+            if isinstance(slow, Exception):
+                assert (fast.stage, str(fast)) == (slow.stage, str(slow))
+                continue
+            for field in ConstructiveWitness.__dataclass_fields__:
+                if field != "side":
+                    assert_identical(getattr(fast, field), getattr(slow, field))
+            assert fast.side == slow.side
+            laws = witness_shape_report(grid, fast, gma.center)
+            assert list(laws.items()) == list(slow_witness_shape_report(grid, slow).items())
+    assert outcomes == PERTURBED_OUTCOMES[name]
+
+
+def test_chain_instances_reach_every_raised_stage():
+    """f14-shape, gamma-centrality and a non-central mu cannot fail once the
+    steps before them passed, so no input reaches them."""
+    reached = set().union(*CENTRALIZING_OUTCOMES.values(), *PERTURBED_OUTCOMES.values())
+    assert reached - {"ok", "violation-candidate", "pattern"} == {
+        "kappa", "theta", "alpha", "alpha-centrality", "tau", "tau-centrality",
+        "gamma-solve", "gamma-prime", "gamma-prime-centrality", "gamma-prime-solve",
+        "delta", "k14-shape", "epsilon-pair", "eta-centrality", "mu-assembly",
+    }
+
+
+# ---------------------------------------------------------------------------
 # the elimination kernel
 # ---------------------------------------------------------------------------
 
@@ -760,6 +1333,54 @@ def test_kernel_matches_object_kernel_over_q():
         assert_same_rref(backend.rref(RATIONAL, a), want)
         deficient.add(want[2] < min(rows, cols))
     assert deficient == {True, False}
+
+
+def slow_solve(ring, mat, rhs):
+    """One reduction of [mat | rhs] per right-hand side."""
+    rows, cols = mat.shape
+    aug = ring.zeros((rows, cols + 1))
+    aug[:, :cols] = ring.normalize(mat)
+    aug[:, cols] = ring.normalize(rhs)
+    red, piv, rank = backend.rref(ring, aug)
+    if any(c == cols for c in piv):
+        return None
+    x = ring.zeros(cols)
+    for ri, pc in enumerate(piv):
+        x[pc] = red[ri, cols]
+    return x
+
+
+@pytest.mark.parametrize("ring", [F5, BIG_P, RATIONAL], ids=["f5", "p1048573", "q"])
+def test_shared_solve_matches_one_solve_per_column(ring):
+    """Up to the first inconsistent right-hand side the shared reduction
+    gives each column's own solution, and it finds that column."""
+    stream = XorShift64Star(17 if ring.is_prime_field else 19)
+
+    def draw():
+        return ring.coerce(stream.below(5) - 2)
+
+    firsts = set()
+    for _ in range(60):
+        rows, cols, k = 1 + stream.below(6), 1 + stream.below(5), 1 + stream.below(5)
+        mat = ring.array(random_sparse_matrix(stream, rows, cols, draw))
+        # consistent columns are images of mat, the others are drawn
+        rhs = ring.array(random_sparse_matrix(stream, k, rows, draw))
+        for n in range(k):
+            if stream.below(3):
+                x = ring.array([draw() for _ in range(cols)])
+                rhs[n] = ring.tensordot(mat, x, axes=([1], [0]))
+        sols, first_bad = solve_columns(ring, mat, rhs)
+        want = [slow_solve(ring, mat, b) for b in rhs]
+        bad = [n for n, x in enumerate(want) if x is None]
+        assert first_bad == (bad[0] if bad else None)
+        for n in range(bad[0] if bad else k):
+            assert_identical(sols[n], want[n])
+        if want[0] is not None:
+            assert_identical(solve_array(ring, mat, rhs[0]), want[0])
+        else:
+            assert solve_array(ring, mat, rhs[0]) is None
+        firsts.add(first_bad is None or first_bad > 0)
+    assert firsts == {True, False}
 
 
 # ---------------------------------------------------------------------------
