@@ -19,17 +19,18 @@ the offending data, never as a crash.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .center import CenterData
 from .exact import (
     ExactError,
+    FactoredMatrix,
     coordinate_complement,
     inverse_array,
     rank_array,
     row_span_residual,
-    solve_array,
     solve_columns,
 )
 from .maps import (
@@ -217,7 +218,10 @@ def _pair_values(gma: GMA, q: BilinearMapRep):
 class _GenericSystem:
     """The (pairs*dim) x (zdim*(1 + dim + npairs)) coefficient matrix of
     v_ij = z*(e_i e_j + e_j e_i) + mu(e_i)e_j + mu(e_j)e_i + nu_ij, built
-    once per algebra and reused for every decomposition on it."""
+    once per algebra and reused for every decomposition on it.
+
+    Each solve goes through a factorization made on the first solve that
+    needs it, not when the system is built."""
 
     gma: GMA
     matrix: np.ndarray
@@ -226,6 +230,17 @@ class _GenericSystem:
     @property
     def zdim(self):
         return self.gma.center.zdim
+
+    @cached_property
+    def factor(self) -> FactoredMatrix:
+        """``matrix`` factored for the generic route's solves in (z, mu, nu)."""
+        return FactoredMatrix(self.gma.ring, self.matrix)
+
+    @cached_property
+    def mu_nu_factor(self) -> FactoredMatrix:
+        """The (mu, nu) columns of ``matrix`` factored for the sign solves of
+        a Lie triple split, where lam = +-1 stands in for z."""
+        return FactoredMatrix(self.gma.ring, self.matrix[:, self.zdim :])
 
 
 def build_generic_system(gma: GMA) -> _GenericSystem:
@@ -286,7 +301,8 @@ def decompose_trace_generic(
     attached).  A `not-proper` outcome is legitimate only off-hypothesis;
     the attached hypothesis report says which route, if any, applied.
     """
-    ring = gma.ring
+    if system is not None and system.gma is not gma:
+        raise MapError("the generic system was built for another algebra")
     if mode == "centralizing":
         ok, w = is_centralizing_trace(gma, q)
     elif mode == "commuting":
@@ -300,7 +316,7 @@ def decompose_trace_generic(
     if system is None:
         system = gma.generic_system
     rhs = _pair_values(gma, q).reshape(system.matrix.shape[0])
-    sol = solve_array(ring, system.matrix, rhs)
+    sol = system.factor.solve(rhs)
     if sol is None:
         return GenericDecomposition("not-proper", None, mode, report.route, report)
     form = _solution_to_form(gma, sol)
@@ -755,9 +771,7 @@ def decompose_lie_triple_iso(l: LinearMapRep, src: GMA, dst: GMA) -> LieTripleDe
         )
 
     system = dst.generic_system
-    zdim = C.zdim
-    fixed_cols = system.matrix[:, zdim:]
-    z_cols = system.matrix[:, :zdim]
+    z_cols = system.matrix[:, : C.zdim]
     vals = _pair_values(dst, q).reshape(system.matrix.shape[0])
     unit_coords = C.center_coords(dst.unit)
     solutions = {}
@@ -767,7 +781,7 @@ def decompose_lie_triple_iso(l: LinearMapRep, src: GMA, dst: GMA) -> LieTripleDe
         rhs = ring.normalize(
             vals - ring.tensordot(z_cols, unit_coords * ring.coerce(lam), axes=([1], [0]))
         )
-        sol = solve_array(ring, fixed_cols, rhs)
+        sol = system.mu_nu_factor.solve(rhs)
         if sol is not None:
             solutions[lam] = sol
     checks["plus-consistent"] = 1 in solutions

@@ -9,7 +9,8 @@ epsilon anywhere in this package: every comparison is exact equality.
 
 RREF is canonical (unique reduced row echelon form); ``solve`` returns the
 canonical solution with every free variable set to zero, or None when the
-system is inconsistent.
+system is inconsistent.  ``FactoredMatrix`` returns the same solutions for a
+matrix solved many times, from reductions made once.
 """
 
 from __future__ import annotations
@@ -288,6 +289,69 @@ def solve_columns(ring: RingDescriptor, mat: np.ndarray, rhs_rows: np.ndarray):
     sols = ring.zeros((rhs_rows.shape[0], cols))
     sols[:, list(piv[:n])] = red[:n, cols:].T
     return sols, (piv[n] - cols if rank > n else None)
+
+
+class FactoredMatrix:
+    """A matrix reduced once for many exact solves ``mat @ x = b``.
+
+    ``solve_array`` reduces ``[mat | b]`` for every b; this pays two
+    reductions once.  Reducing the transpose of mat's distinct nonzero rows
+    picks r = rank independent rows S of mat, and reducing ``[mat_S | I_r]``
+    gives the pivot columns P of mat (mat_S has mat's row space, hence its
+    column dependencies) and the transform E with E mat_S = RREF(mat).  For
+    each b, x_P = E b_S and x = 0 elsewhere: if b is consistent this is its
+    unique canonical solution, the one ``solve_array`` returns, so
+    ``mat @ x == b`` decides consistency.  E and mat are kept as their
+    nonzero entries, so both products cost one operation per nonzero.
+
+    ``mat`` must hold canonical scalars of ``ring``, as ``ring.normalize``
+    returns them.
+    """
+
+    def __init__(self, ring: RingDescriptor, mat: np.ndarray):
+        if np.ndim(mat) != 2:
+            raise ExactError("FactoredMatrix expects a 2-D matrix")
+        rows, cols = mat.shape
+        self._matrix = _nonzero_entries(mat)
+        # zero and repeated rows add nothing to the row space, so only the
+        # first copy of each distinct nonzero row goes into mat^T
+        nonzero = np.flatnonzero(np.bincount(self._matrix[1], minlength=rows))
+        first = {}
+        for i, row in zip(nonzero.tolist(), mat[nonzero].tolist()):
+            first.setdefault(tuple(row), i)
+        candidates = list(first.values())
+        self.ring = ring
+        self.shape = (rows, cols)
+        self.rows = [candidates[c] for c in rref_array(ring, mat[candidates].T)[1]]
+        red, piv, _ = rref_array(
+            ring, np.concatenate([mat[self.rows], ring.eye(len(self.rows))], axis=1)
+        )
+        self.pivots = list(piv)
+        self._transform = _nonzero_entries(red[:, cols:])
+
+    def solve(self, rhs: np.ndarray):
+        """The canonical solution of mat @ x = rhs, as ``solve_array`` gives it, or None."""
+        ring = self.ring
+        rhs = ring.normalize(np.asarray(rhs))
+        if rhs.shape != self.shape[:1]:
+            raise ExactError("rhs shape mismatch")
+        x = ring.zeros(self.shape[1])
+        x[self.pivots] = _sparse_times(ring, self._transform, rhs[self.rows])
+        return x if bool(np.all(_sparse_times(ring, self._matrix, x) == rhs)) else None
+
+
+def _nonzero_entries(mat: np.ndarray):
+    """(row count, rows, columns, values) of the nonzero entries of mat, by row."""
+    r, c = np.nonzero(mat != 0)  # a Fraction compares with the int 0 faster than with Fraction(0)
+    return mat.shape[0], r, c, mat[r, c]
+
+
+def _sparse_times(ring: RingDescriptor, entries, v: np.ndarray) -> np.ndarray:
+    """mat @ v for mat given by ``_nonzero_entries``."""
+    n, r, c, values = entries
+    out = ring.zeros(n)
+    np.add.at(out, r, values * v[c])
+    return ring.normalize(out)
 
 
 def inverse_array(ring: RingDescriptor, mat: np.ndarray):

@@ -7,20 +7,25 @@ The seeded roundtrips then cross-validate the generic solver against the
 constructive extraction on traces that exercise every term.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from gmalg import backend
 from gmalg.exact import RATIONAL, prime_field
-from gmalg.maps import BilinearMapRep, is_commuting_trace, trace_space
+from gmalg.maps import BilinearMapRep, MapError, is_commuting_trace, trace_space
 from gmalg.structure import assemble_gma, build_full_matrix, build_upper_triangular
 from gmalg.decompose import (
     ComponentPatternError,
     PredicateNotSatisfied,
     build_generic_system,
     decompose_trace_constructive,
+    decompose_lie_triple_iso,
     decompose_trace_generic,
     extract_components,
     extract_constructive_witness,
+    random_lie_triple_iso,
     random_proper_trace,
     witness_shape_report,
 )
@@ -204,9 +209,73 @@ def test_shared_system_matches_fresh_solves(t3):
         assert F5.equal(a.form.sym_tensor(t3), b.form.sym_tensor(t3))
 
 
+def count_reductions(monkeypatch):
+    """Record the shape of every matrix the elimination kernel reduces."""
+    shapes = []
+    rref = backend.rref
+
+    def counting(ring, a):
+        shapes.append(np.shape(a))
+        return rref(ring, a)
+
+    monkeypatch.setattr(backend, "rref", counting)
+    return shapes
+
+
+def fresh_m3(split=1):
+    gma = assemble_gma(build_full_matrix(3, split, F5))
+    gma.report
+    return gma
+
+
+def test_generic_system_is_factored_once_on_first_solve(monkeypatch):
+    gma = fresh_m3()
+    traces = [random_proper_trace(gma, gma.center, seed) for seed in range(10)]
+    shapes = count_reductions(monkeypatch)
+    system = build_generic_system(gma)
+    assert shapes == [] and "factor" not in vars(system)
+    for q in traces:
+        assert decompose_trace_generic(q, gma, system=system, report=gma.report).status == "ok"
+    # the transpose of K's distinct nonzero rows, then [K_S | I]
+    cols = system.matrix.shape[1]
+    assert len(shapes) == 2 and shapes[0][0] == cols and shapes[1] == (cols, 2 * cols)
+
+
+def test_lie_triple_splits_factor_the_mu_nu_columns_once(monkeypatch):
+    gma = fresh_m3()
+    maps = [random_lie_triple_iso(gma, seed) for seed in (1, 2, 3)]
+    shapes = count_reductions(monkeypatch)
+    for l in maps:
+        assert decompose_lie_triple_iso(l, gma, gma).status == "ok"
+    d, r = gma.dim, gma.generic_system.matrix.shape[1] - 1
+    # per split: the inverse of l and the rank of m
+    per_split = Counter(shapes)
+    assert per_split.pop((d, 2 * d)) == 3 and per_split.pop((d, d)) == 3
+    # once: the factorization of the (mu, nu) columns
+    factored = [s for s in shapes if s[0] == r]
+    assert len(per_split) == len(factored) == 2 and factored[1] == (r, 2 * r)
+    assert "factor" not in vars(gma.generic_system)
+
+
 # ---------------------------------------------------------------------------
 # failure paths
 # ---------------------------------------------------------------------------
+
+
+def test_generic_system_of_a_larger_algebra_is_rejected(m4):
+    gma = fresh_m3()
+    q = random_proper_trace(gma, gma.center, 4)
+    with pytest.raises(MapError, match="another algebra"):
+        decompose_trace_generic(q, gma, system=m4.generic_system)
+
+
+def test_generic_system_of_another_split_is_rejected():
+    # same dimension, so the solve would run and wrongly say not-proper
+    gma, other = fresh_m3(split=1), fresh_m3(split=2)
+    q = random_proper_trace(gma, gma.center, 4)
+    with pytest.raises(MapError, match="another algebra"):
+        decompose_trace_generic(q, gma, system=build_generic_system(other))
+    assert decompose_trace_generic(q, gma, system=build_generic_system(gma)).status == "ok"
 
 
 def test_non_centralizing_trace_is_rejected_with_witness(m3):

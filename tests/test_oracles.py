@@ -54,6 +54,8 @@ from gmalg.decompose import (
 )
 from gmalg.exact import (
     RATIONAL,
+    ExactError,
+    FactoredMatrix,
     nullspace_array,
     prime_field,
     row_span_coords,
@@ -1270,34 +1272,55 @@ def assert_same_rref(got, want):
 
 def augmented_generic_system(name):
     """The generic system of an instance with the pair values of a proper
-    trace appended, as the generic route solves it."""
+    trace appended, as one solve of the generic route reduces it."""
     g = assemble_gma(INSTANCES[name]())
     K = g.generic_system.matrix
     rhs = _pair_values(g, random_proper_trace(g, None, seed=3)).reshape(K.shape[0])
     return np.concatenate([K, rhs[:, None]], axis=1)
 
 
+def factor_reductions(name):
+    """The two matrices the kernel reduces to factor the generic system of
+    an instance: the transpose of its distinct nonzero rows, then its
+    independent rows S beside an identity."""
+    g = assemble_gma(INSTANCES[name]())
+    K = g.generic_system.matrix
+    seen = []
+    rref = backend.rref
+    backend.rref = lambda ring, a: seen.append(a.copy()) or rref(ring, a)
+    try:
+        FactoredMatrix(g.ring, K)
+    finally:
+        backend.rref = rref
+    return seen
+
+
 def m3_f5_trace_space_matrix(mode):
     return _trace_space_matrix(assemble_gma(build_full_matrix(3, 1, F5)), mode)
 
 
+# name: (build, shape, rank)
 WORKLOAD_SHAPES = {
-    "m3-f5-centralizing": (lambda: m3_f5_trace_space_matrix("centralizing"), (1320, 405)),
-    "m3-f5-commuting": (lambda: m3_f5_trace_space_matrix("commuting"), (1485, 405)),
-    "m4-f5-generic": (lambda: augmented_generic_system("m4-f5"), (2176, 154)),
-    "m3-q-generic": (lambda: augmented_generic_system("m3-q"), (405, 56)),
+    "m3-f5-centralizing": (lambda: m3_f5_trace_space_matrix("centralizing"), (1320, 405), 350),
+    "m3-f5-commuting": (lambda: m3_f5_trace_space_matrix("commuting"), (1485, 405), 350),
+    "m4-f5-generic": (lambda: augmented_generic_system("m4-f5"), (2176, 154), 153),
+    "m3-q-generic": (lambda: augmented_generic_system("m3-q"), (405, 56), 55),
+    "m4-f5-generic-transposed": (lambda: factor_reductions("m4-f5")[0], (153, 227), 153),
+    "m4-f5-generic-selected": (lambda: factor_reductions("m4-f5")[1], (153, 306), 153),
+    "m3-q-generic-transposed": (lambda: factor_reductions("m3-q")[0], (55, 88), 55),
+    "m3-q-generic-selected": (lambda: factor_reductions("m3-q")[1], (55, 110), 55),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_SHAPES))
 def test_kernel_matches_retained_kernel_on_workload_shapes(name):
-    build, shape = WORKLOAD_SHAPES[name]
+    build, shape, rank = WORKLOAD_SHAPES[name]
     a = build()
     assert a.shape == shape
     ring = RATIONAL if a.dtype == object else F5
     want = rref_object(a) if a.dtype == object else dense_rref_mod_p(a, 5)
     assert_same_rref(backend.rref(ring, a), want)
-    assert 0 < want[2] < min(shape)
+    assert want[2] == rank
 
 
 def random_sparse_matrix(stream, rows, cols, draw):
@@ -1350,25 +1373,32 @@ def slow_solve(ring, mat, rhs):
     return x
 
 
-@pytest.mark.parametrize("ring", [F5, BIG_P, RATIONAL], ids=["f5", "p1048573", "q"])
-def test_shared_solve_matches_one_solve_per_column(ring):
-    """Up to the first inconsistent right-hand side the shared reduction
-    gives each column's own solution, and it finds that column."""
+def seeded_solve_cases(ring):
+    """Sparse matrices with a few right-hand sides each: about two in three
+    are images of the matrix, the others are drawn."""
     stream = XorShift64Star(17 if ring.is_prime_field else 19)
 
     def draw():
         return ring.coerce(stream.below(5) - 2)
 
-    firsts = set()
     for _ in range(60):
         rows, cols, k = 1 + stream.below(6), 1 + stream.below(5), 1 + stream.below(5)
         mat = ring.array(random_sparse_matrix(stream, rows, cols, draw))
-        # consistent columns are images of mat, the others are drawn
         rhs = ring.array(random_sparse_matrix(stream, k, rows, draw))
         for n in range(k):
             if stream.below(3):
                 x = ring.array([draw() for _ in range(cols)])
                 rhs[n] = ring.tensordot(mat, x, axes=([1], [0]))
+        yield mat, rhs
+
+
+@pytest.mark.parametrize("ring", [F5, BIG_P, RATIONAL], ids=["f5", "p1048573", "q"])
+def test_shared_solve_matches_one_solve_per_column(ring):
+    """Up to the first inconsistent right-hand side the shared reduction
+    gives each column's own solution, and it finds that column."""
+    firsts = set()
+    for mat, rhs in seeded_solve_cases(ring):
+        k = rhs.shape[0]
         sols, first_bad = solve_columns(ring, mat, rhs)
         want = [slow_solve(ring, mat, b) for b in rhs]
         bad = [n for n, x in enumerate(want) if x is None]
@@ -1381,6 +1411,103 @@ def test_shared_solve_matches_one_solve_per_column(ring):
             assert solve_array(ring, mat, rhs[0]) is None
         firsts.add(first_bad is None or first_bad > 0)
     assert firsts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the factored solve
+# ---------------------------------------------------------------------------
+
+
+def assert_same_solution(got, want):
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert_identical(got, want)
+
+
+def check_factored_solves(ring, mat, rhs_rows):
+    """Each right-hand side through one factorization, against one reduction
+    of [mat | b] per b and against solve_array; the set of "inconsistent"
+    outcomes seen."""
+    factored = FactoredMatrix(ring, mat)
+    outcomes = set()
+    for b in rhs_rows:
+        want = slow_solve(ring, mat, b)
+        assert_same_solution(factored.solve(b), want)
+        assert_same_solution(solve_array(ring, mat, b), want)
+        outcomes.add(want is None)
+    return outcomes
+
+
+FACTORED_INSTANCES = dict(INSTANCES, **{"m2-f5": lambda: build_full_matrix(2, 1, F5)})
+
+# name: (instance, columns dropped, rank, columns); the z columns are
+# dropped as in a Lie triple split.  M2 and the diagonal pair leave free
+# columns.
+FACTORED_SYSTEMS = {
+    "m4-f5": ("m4-f5", 0, 153, 153),
+    "m4-f5-mu-nu": ("m4-f5", 1, 152, 152),
+    "m3-q": ("m3-q", 0, 55, 55),
+    "m3-q-mu-nu": ("m3-q", 1, 54, 54),
+    "m3-p1048573": ("m3-p1048573", 0, 55, 55),
+    "t3-f5": ("t3-f5", 0, 28, 28),
+    "m2-f5": ("m2-f5", 0, 14, 15),
+    "diagonal-f5": ("diagonal-f5", 0, 88, 90),
+}
+
+
+def factored_system_rhs(g, mat, stream):
+    """Images of mat, the pair values of proper traces, those with one cell
+    shifted, and drawn vectors."""
+    ring = g.ring
+
+    def draw(n):
+        if ring.is_prime_field:
+            return ring.array([stream.below(ring.p) for _ in range(n)])
+        return ring.array([Fraction(stream.below(9) - 4, 1 + stream.below(4)) for _ in range(n)])
+
+    rows, cols = mat.shape
+    rhs = [ring.tensordot(mat, draw(cols), axes=([1], [0])) for _ in range(3)]
+    for seed in (3, 5):
+        rhs.append(_pair_values(g, random_proper_trace(g, None, seed=seed)).reshape(rows))
+    shifted = rhs[-1].copy()
+    shifted[stream.below(rows)] += ring.one
+    rhs += [ring.normalize(shifted), draw(rows), ring.zeros(rows)]
+    return rhs
+
+
+@pytest.mark.parametrize("name", sorted(FACTORED_SYSTEMS))
+def test_factored_solve_matches_one_solve_per_rhs_on_generic_systems(name):
+    instance, dropped, rank, cols = FACTORED_SYSTEMS[name]
+    g = assemble_gma(FACTORED_INSTANCES[instance]())
+    mat = g.generic_system.matrix[:, dropped:]
+    assert mat.shape[1] == cols
+    assert len(FactoredMatrix(g.ring, mat).pivots) == rank
+    stream = XorShift64Star(11)
+    assert check_factored_solves(g.ring, mat, factored_system_rhs(g, mat, stream)) == {True, False}
+
+
+@pytest.mark.parametrize("ring", [F5, RATIONAL], ids=["f5", "q"])
+@pytest.mark.parametrize("shape", [(4, 3), (0, 3), (3, 0), (0, 0)])
+def test_factored_solve_on_zero_and_empty_matrices(ring, shape):
+    mat = ring.zeros(shape)
+    rhs = [ring.zeros(shape[0])]
+    if shape[0]:
+        rhs.append(ring.array([0] * (shape[0] - 1) + [2]))
+    check_factored_solves(ring, mat, rhs)
+    factored = FactoredMatrix(ring, mat)
+    assert factored.pivots == [] and factored.rows == []
+    with pytest.raises(ExactError):
+        factored.solve(ring.zeros(shape[0] + 1))
+
+
+@pytest.mark.parametrize("ring", [F5, BIG_P, RATIONAL], ids=["f5", "p1048573", "q"])
+def test_factored_solve_matches_one_solve_per_rhs_fuzzed(ring):
+    outcomes = set()
+    for mat, rhs in seeded_solve_cases(ring):
+        outcomes |= check_factored_solves(ring, mat, rhs)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
