@@ -8,7 +8,9 @@ raw centrality ([z, e_i] = 0) so a discrepancy can never pass silently.
 ``phi`` is the isomorphism between the two corner projections of the center
 (a |-> the unique b with a*m = m*b and n*a = b*n for all m, n); it exists on
 the projection by construction and is unique iff the bimodule is faithful on
-the right, which is checked first and reported rather than guessed.
+the right, which is checked and reported rather than guessed.  Each central
+(a, b) already pairs a with its partner, so phi is read off one reduction
+of the center basis, not solved for.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .exact import (
     row_span_coords,
     row_span_residual,
     rref_array,
-    solve_array,
 )
 from .maps import _arrangement_table, _commutator_tensor, _jordan_tensor
 from .rng import XorShift64Star
@@ -125,6 +126,19 @@ class CenterData:
         return out if inside else None
 
 
+def _intertwining_blocks(ctx: MoritaContext):
+    """Coefficient blocks of a*m_j - m_j*b and n_j*a - b*n_j in the unknowns
+    a and b: (M_a, M_b, N_a, N_b), rows (j, r), so that M_a @ a is a*m_j
+    read in coordinate r, M_b @ b is m_j*b, N_a @ a is n_j*a, N_b @ b is b*n_j."""
+    dA, dB, dM, dN = ctx.A.dim, ctx.B.dim, ctx.M.dim, ctx.N.dim
+    return (
+        np.transpose(ctx.M.left, (1, 2, 0)).reshape(dM * dM, dA),
+        np.transpose(ctx.M.right, (0, 2, 1)).reshape(dM * dM, dB),
+        np.transpose(ctx.N.right, (0, 2, 1)).reshape(dN * dN, dA),
+        np.transpose(ctx.N.left, (1, 2, 0)).reshape(dN * dN, dB),
+    )
+
+
 def check_faithful(ctx: MoritaContext):
     """(left_ok, right_ok, witness) for the connecting bimodule M.
 
@@ -132,9 +146,7 @@ def check_faithful(ctx: MoritaContext):
     The witness is the offending nonzero annihilator, if any.
     """
     ring = ctx.ring
-    dA, dB, dM = ctx.A.dim, ctx.B.dim, ctx.M.dim
-    KL = np.transpose(ctx.M.left, (1, 2, 0)).reshape(dM * dM, dA) if dM else ring.zeros((0, dA))
-    KR = np.transpose(ctx.M.right, (0, 2, 1)).reshape(dM * dM, dB) if dM else ring.zeros((0, dB))
+    KL, KR, _, _ = _intertwining_blocks(ctx)
     left_null = nullspace_array(ring, KL)
     right_null = nullspace_array(ring, KR)
     left_ok = left_null.shape[0] == 0
@@ -147,31 +159,28 @@ def check_faithful(ctx: MoritaContext):
     return left_ok, right_ok, witness
 
 
+def _corner_iso(ring, z_g, src: slice, dst: slice):
+    """(image, iso): the canonical rows of the src-corner projection of Z(G)
+    and, as columns, the dst corner of the central partner of each row.
+    Both come from one reduction of [z_g[:, src] | z_g[:, dst]]: its rows
+    with a pivot in the src block are exactly the image rows, each beside
+    the dst part of the central element it came from.  The rows below them
+    are central elements zero on the src corner, and faithfulness on the
+    dst side makes them zero, so each image row has exactly one partner."""
+    width = src.stop - src.start
+    red, piv, _ = rref_array(ring, np.concatenate([z_g[:, src], z_g[:, dst]], axis=1))
+    rank = sum(1 for c in piv if c < width)
+    return red[:rank, :width].copy(), red[:rank, width:].T.copy()
+
+
 def compute_center_gma(gma: GMA) -> CenterData:
     ring = gma.ring
     ctx = gma.ctx
-    dA, dM, dN, dB = gma.dims
-    d = gma.dim
+    dA, d = ctx.A.dim, gma.dim
 
-    # intertwining system over pairs (a, b)
-    rows = []
-    blocks = []
-    if dM:
-        # a*m_j - m_j*b = 0 : [(j, r), (a | b)]
-        ca = np.transpose(ctx.M.left, (1, 2, 0)).reshape(dM * dM, dA)
-        cb = -np.transpose(ctx.M.right, (0, 2, 1)).reshape(dM * dM, dB)
-        blocks.append((ca, cb))
-    if dN:
-        # n_j*a - b*n_j = 0
-        ca = np.transpose(ctx.N.right, (0, 2, 1)).reshape(dN * dN, dA)
-        cb = -np.transpose(ctx.N.left, (1, 2, 0)).reshape(dN * dN, dB)
-        blocks.append((ca, cb))
-    K = ring.zeros((sum(b[0].shape[0] for b in blocks), dA + dB))
-    at = 0
-    for ca, cb in blocks:
-        K[at : at + ca.shape[0], :dA] = ring.normalize(ca)
-        K[at : at + ca.shape[0], dA:] = ring.normalize(cb)
-        at += ca.shape[0]
+    # intertwining system over pairs (a | b): a*m_j = m_j*b and n_j*a = b*n_j
+    ma, mb, na, nb = _intertwining_blocks(ctx)
+    K = ring.normalize(np.block([[ma, -mb], [na, -nb]]))
     pairs = nullspace_array(ring, K)
 
     z_rows = ring.zeros((pairs.shape[0], d))
@@ -188,52 +197,10 @@ def compute_center_gma(gma: GMA) -> CenterData:
 
     z_a = compute_center_algebra(ctx.A)
     z_b = compute_center_algebra(ctx.B)
-    pia = _rref_rows(ring, z_g[:, gma.block_slice(0)].copy())
-    pib = _rref_rows(ring, z_g[:, gma.block_slice(3)].copy())
+    pia, phi = _corner_iso(ring, z_g, gma.block_slice(0), gma.block_slice(3))
+    pib, phi_inv = _corner_iso(ring, z_g, gma.block_slice(3), gma.block_slice(0))
 
     left_ok, right_ok, _w = check_faithful(ctx)
-
-    def solve_partner(alpha, forward: bool):
-        """forward: alpha in A, find b; else alpha in B, find a."""
-        sub_rows = []
-        rhs_parts = []
-        if forward:
-            if dM:
-                # m_j * b = alpha * m_j
-                coeff = np.transpose(ctx.M.right, (0, 2, 1)).reshape(dM * dM, dB)
-                rhs = ring.tensordot(alpha, ctx.M.left, axes=([0], [0])).reshape(dM * dM)
-                sub_rows.append(coeff)
-                rhs_parts.append(rhs)
-            if dN:
-                # b * n_j = n_j * alpha
-                coeff = np.transpose(ctx.N.left, (1, 2, 0)).reshape(dN * dN, dB)
-                rhs = ring.tensordot(alpha, ctx.N.right, axes=([0], [1])).reshape(dN * dN)
-                sub_rows.append(coeff)
-                rhs_parts.append(rhs)
-            width = dB
-        else:
-            if dM:
-                # a * m_j = m_j * alpha
-                coeff = np.transpose(ctx.M.left, (1, 2, 0)).reshape(dM * dM, dA)
-                rhs = ring.tensordot(alpha, ctx.M.right, axes=([0], [1])).reshape(dM * dM)
-                sub_rows.append(coeff)
-                rhs_parts.append(rhs)
-            if dN:
-                # n_j * a = alpha * n_j
-                coeff = np.transpose(ctx.N.right, (0, 2, 1)).reshape(dN * dN, dA)
-                rhs = ring.tensordot(alpha, ctx.N.left, axes=([0], [0])).reshape(dN * dN)
-                sub_rows.append(coeff)
-                rhs_parts.append(rhs)
-            width = dA
-        mat = ring.zeros((sum(r.shape[0] for r in sub_rows), width))
-        vec = ring.zeros(mat.shape[0])
-        at = 0
-        for coeff, rhs in zip(sub_rows, rhs_parts):
-            mat[at : at + coeff.shape[0]] = ring.normalize(coeff)
-            vec[at : at + coeff.shape[0]] = ring.normalize(rhs)
-            at += coeff.shape[0]
-        return solve_array(ring, mat, vec)
-
     if pia.shape[0] and not right_ok:
         raise CenterError(
             "corner isomorphism needs the bimodule faithful on the right; it is not"
@@ -242,19 +209,6 @@ def compute_center_gma(gma: GMA) -> CenterData:
         raise CenterError(
             "corner isomorphism inverse needs the bimodule faithful on the left; it is not"
         )
-
-    phi = ring.zeros((dB, pia.shape[0]))
-    for idx, alpha in enumerate(pia):
-        b = solve_partner(alpha, True)
-        if b is None:
-            raise CenterError("no B-partner for a projected center element")
-        phi[:, idx] = b
-    phi_inv = ring.zeros((dA, pib.shape[0]))
-    for idx, beta in enumerate(pib):
-        a = solve_partner(beta, False)
-        if a is None:
-            raise CenterError("no A-partner for a projected center element")
-        phi_inv[:, idx] = a
 
     complement, to_coords = coordinate_complement(ring, z_g)
 

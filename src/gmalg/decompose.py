@@ -41,6 +41,8 @@ from .maps import (
     is_commuting_trace,
     is_jordan_hom,
     is_lie_triple_hom,
+    pair_coefficients,
+    pair_index_order,
     symmetric_from_pairs,
     vanishes_on_second_commutators,
 )
@@ -206,14 +208,6 @@ def _proper_tensor(gma: GMA, z_vec, MU, nu) -> np.ndarray:
     return ring.normalize((zxy + P + np.transpose(P, (1, 0, 2))) * ring.half + nu)
 
 
-def _pair_values(gma: GMA, q: BilinearMapRep):
-    """Pair coefficients v_ij of the trace of q: v_ij = coefficient of
-    x_i x_j in T_q(x); a (npairs, dim) array in pair_index_order."""
-    I, J = np.triu_indices(gma.dim)
-    T = q.tensor
-    return np.where((I == J)[:, None], T[I, J], gma.ring.normalize(T[I, J] + T[J, I]))
-
-
 @dataclass(eq=False)
 class _GenericSystem:
     """The (pairs*dim) x (zdim*(1 + dim + npairs)) coefficient matrix of
@@ -252,7 +246,7 @@ def build_generic_system(gma: GMA) -> _GenericSystem:
     n = np.arange(npairs)
     off = I != J
     mul = gma.mul
-    sym = np.where(off[:, None], ring.normalize(mul[I, J] + mul[J, I]), mul[I, J])
+    sym = pair_coefficients(ring, mul)
     # ZB[t, j] = zeta_t * e_j  (center times basis, as vectors)
     ZB = ring.tensordot(zg, mul, axes=([1], [0]))  # (t, j, r)
     # K[pair, r, column block, t]; blocks: z, mu(e_0..e_d-1), nu(pairs)
@@ -315,7 +309,7 @@ def decompose_trace_generic(
         report = gma.report
     if system is None:
         system = gma.generic_system
-    rhs = _pair_values(gma, q).reshape(system.matrix.shape[0])
+    rhs = pair_coefficients(gma.ring, q.tensor).reshape(system.matrix.shape[0])
     sol = system.factor.solve(rhs)
     if sol is None:
         return GenericDecomposition("not-proper", None, mode, report.route, report)
@@ -679,14 +673,12 @@ def decompose_trace_constructive(
     mu_mat[...] = mu_rows.T
 
     # nu := T_q - z x^2 - mu(x) x, coefficientwise on every pair at once
-    I, J = np.triu_indices(d)  # pair_index_order
-    off = (I != J)[:, None]
     mul = gma.mul
-    sym = np.where(off, mul[I, J] + mul[J, I], mul[I, J])  # e_i e_j + e_j e_i (diag: e_i^2)
+    sym = pair_coefficients(ring, mul)  # e_i e_j + e_j e_i (diag: e_i^2)
     z_sym = ring.tensordot(sym, ring.tensordot(z_vec, mul, axes=([0], [0])), axes=([1], [0]))
     mu_e = ring.tensordot(ring.tensordot(mu_mat, C.z_g, axes=([0], [0])), mul, axes=([1], [0]))
     resid = ring.normalize(
-        _pair_values(gma, q) - z_sym - mu_e[I, J] - np.where(off, mu_e[J, I], ring.zero)
+        pair_coefficients(ring, q.tensor) - z_sym - pair_coefficients(ring, mu_e)
     )
     nu_rows, central = C.center_rows(resid)
     shape_report = witness_shape_report(grid, w, C)
@@ -699,7 +691,7 @@ def decompose_trace_constructive(
             shape_report,
             {
                 "stage": "nu-centrality",
-                "pair": (int(I[n]), int(J[n])),
+                "pair": pair_index_order(d)[n],
                 "residual": resid[n].tolist(),
                 "q": q.tensor.tolist(),
             },
@@ -772,7 +764,7 @@ def decompose_lie_triple_iso(l: LinearMapRep, src: GMA, dst: GMA) -> LieTripleDe
 
     system = dst.generic_system
     z_cols = system.matrix[:, : C.zdim]
-    vals = _pair_values(dst, q).reshape(system.matrix.shape[0])
+    vals = pair_coefficients(dst.ring, q.tensor).reshape(system.matrix.shape[0])
     unit_coords = C.center_coords(dst.unit)
     solutions = {}
     for lam in (1, -1):
@@ -896,7 +888,7 @@ def random_lie_triple_iso(gma: GMA, seed: int, shape: str = "conjugation") -> Li
 
     if shape == "neg-antiauto":
         cols = [to_coords(ring.normalize(-to_matrix(gma.basis_vector(i)).T)) for i in range(d)]
-        mat = np.stack(cols, axis=1) if ring.is_prime_field else _object_stack(ring, cols)
+        mat = np.stack(cols, axis=1)
     elif shape in ("conjugation", "central-shift"):
         U = None
         for _ in range(64):
@@ -921,7 +913,7 @@ def random_lie_triple_iso(gma: GMA, seed: int, shape: str = "conjugation") -> Li
                 tr = sum(X[r, r] for r in range(n))
                 Y = ring.normalize(Y + ring.eye(n) * tr)
             cols.append(to_coords(ring.normalize(Y)))
-        mat = np.stack(cols, axis=1) if ring.is_prime_field else _object_stack(ring, cols)
+        mat = np.stack(cols, axis=1)
     else:
         raise MapError(f"unknown shape {shape!r}")
     l = LinearMapRep(ring, mat)
@@ -932,9 +924,3 @@ def random_lie_triple_iso(gma: GMA, seed: int, shape: str = "conjugation") -> Li
         raise ExactError("generated map fails the second-commutator predicate (internal)")
     return l
 
-
-def _object_stack(ring, cols):
-    out = ring.zeros((cols[0].shape[0], len(cols)))
-    for i, c in enumerate(cols):
-        out[:, i] = c
-    return out

@@ -188,9 +188,7 @@ def _linear_defect_coefficients(carrier, F: LinearMapRep):
     ring, d = carrier.ring, carrier.dim
     _require_shape(F, d, d)
     G = ring.tensordot(F.matrix, _commutator_tensor(carrier), axes=([0], [0]))
-    I, J = np.triu_indices(d)
-    rows = np.where((I == J)[:, None], G[I, J], G[I, J] + G[J, I])
-    return dict(zip(pair_index_order(d), ring.normalize(rows)))
+    return dict(zip(pair_index_order(d), pair_coefficients(ring, G)))
 
 
 def _linear_witness(carrier, F, bad_pair, offending):
@@ -371,6 +369,15 @@ def vanishes_on_second_commutators(src, F: LinearMapRep):
 
 def pair_index_order(d: int):
     return [(i, j) for i in range(d) for j in range(i, d)]
+
+
+def pair_coefficients(ring, T: np.ndarray) -> np.ndarray:
+    """(d, d, k) tensor -> its pair-coefficient layout (npairs, k) in
+    pair_index_order, the coefficients of x_i x_j in T(x, x): a diagonal
+    pair is copied, an off-diagonal one sums its two slots.  The inverse of
+    symmetric_from_pairs on symmetric tensors."""
+    I, J = np.triu_indices(T.shape[0])
+    return np.where((I == J)[:, None], T[I, J], ring.normalize(T[I, J] + T[J, I]))
 
 
 def symmetric_from_pairs(ring, d: int, W: np.ndarray) -> np.ndarray:

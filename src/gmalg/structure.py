@@ -16,8 +16,7 @@ verifying associativity and unit laws on all basis triples at build time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .exact import (
     inverse_array,
     row_span_coords,
     rref_array,
-    solve_array,
 )
 
 
@@ -83,9 +81,6 @@ class _MulCarrier:
         """x o y = xy + yx (no 1/2; characteristic-free convention)."""
         return self.ring.normalize(self.multiply(x, y) + self.multiply(y, x))
 
-    def second_commutator(self, x, y, z):
-        return self.commutator(self.commutator(x, y), z)
-
     def left_mult_matrix(self, x):
         """Matrix L with L @ y = x*y."""
         x = self._check_vec(x)
@@ -95,15 +90,6 @@ class _MulCarrier:
         """Matrix R with R @ y = y*x."""
         x = self._check_vec(x)
         return self.ring.tensordot(x, self.mul, axes=([0], [1])).T.copy()
-
-    def element_inverse(self, x):
-        """Two-sided inverse of x, or None (finite-dim unital algebra)."""
-        sol = solve_array(self.ring, self.left_mult_matrix(x), self.unit)
-        if sol is None:
-            return None
-        if not self.ring.equal(self.multiply(sol, x), self.unit):
-            return None
-        return sol
 
     def _assoc_witness(self):
         ring = self.ring
@@ -467,43 +453,92 @@ def assemble_gma(ctx: MoritaContext, check: bool = True) -> GMA:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _unit_positions(rows: range, cols: range, upper: bool) -> tuple:
+    """(row, col) of the matrix units in rows x cols, row-major; with
+    `upper` only those on or above the diagonal."""
+    return tuple((r, c) for r in rows for c in cols if not upper or r <= c)
+
+
+@lru_cache(maxsize=None)
+def _unit_product_cells(P: tuple, Q: tuple, R: tuple) -> np.ndarray:
+    """Flat indices into a (len P, len Q, len R) tensor of the products
+    E_P[i] E_Q[j] = E_R[l] of the matrix units at the (row, column)
+    positions P, Q and R: E_rc E_st is E_rt if c = s, else 0, and R holds
+    every nonzero product."""
+    at = {rt: l for l, rt in enumerate(R)}
+    cells = np.array(
+        [
+            (i * len(Q) + j) * len(R) + at[r, t]
+            for i, (r, c) in enumerate(P)
+            for j, (s, t) in enumerate(Q)
+            if c == s
+        ],
+        dtype=np.intp,
+    )
+    cells.flags.writeable = False
+    return cells
+
+
+def _unit_products(ring: RingDescriptor, P: tuple, Q: tuple, R: tuple) -> np.ndarray:
+    """T[i, j, l] = 1 where E_P[i] E_Q[j] = E_R[l], zero elsewhere."""
+    T = ring.zeros((len(P), len(Q), len(R)))
+    T.reshape(-1)[_unit_product_cells(P, Q, R)] = ring.one
+    return T
+
+
+def _matrix_unit_algebra(ring: RingDescriptor, n: int, upper: bool) -> AlgebraSpec:
+    """The n x n matrix units (with `upper`, those with r <= c), row-major."""
+    pos = _unit_positions(range(n), range(n), upper)
+    unit = ring.zeros(len(pos))
+    for i, (r, c) in enumerate(pos):
+        if r == c:
+            unit[i] = ring.one
+    labels = tuple(f"E{r + 1}{c + 1}" for r, c in pos)
+    return AlgebraSpec(ring, len(pos), _unit_products(ring, pos, pos, pos), unit, labels)
+
+
 def make_matrix_algebra(n: int, ring: RingDescriptor) -> AlgebraSpec:
     """Full n x n matrix algebra on the unit basis E_rc, row-major."""
     if n < 1:
         raise ExactError("matrix algebra needs n >= 1")
-    d = n * n
-    idx = {(r, c): r * n + c for r in range(n) for c in range(n)}
-    mul = ring.zeros((d, d, d))
-    one = ring.one
-    for (r, c), i in idx.items():
-        for (s, t), j in idx.items():
-            if c == s:
-                mul[i, j, idx[(r, t)]] = one
-    unit = ring.zeros(d)
-    for r in range(n):
-        unit[idx[(r, r)]] = one
-    labels = tuple(f"E{r + 1}{c + 1}" for r in range(n) for c in range(n))
-    return AlgebraSpec(ring, d, mul, unit, labels)
+    return _matrix_unit_algebra(ring, n, upper=False)
 
 
 def make_triangular_algebra(n: int, ring: RingDescriptor) -> AlgebraSpec:
     """Upper-triangular n x n matrices on E_rc with r <= c, row-major."""
     if n < 1:
         raise ExactError("triangular algebra needs n >= 1")
-    pairs = [(r, c) for r in range(n) for c in range(r, n)]
-    idx = {rc: i for i, rc in enumerate(pairs)}
-    d = len(pairs)
-    mul = ring.zeros((d, d, d))
-    one = ring.one
-    for (r, c), i in idx.items():
-        for (s, t), j in idx.items():
-            if c == s:
-                mul[i, j, idx[(r, t)]] = one
-    unit = ring.zeros(d)
-    for r in range(n):
-        unit[idx[(r, r)]] = one
-    labels = tuple(f"E{r + 1}{c + 1}" for (r, c) in pairs)
-    return AlgebraSpec(ring, d, mul, unit, labels)
+    return _matrix_unit_algebra(ring, n, upper=True)
+
+
+def _block_positions(n: int, k: int, upper: bool):
+    """Global (row, col) of the A, M, N and B coordinates of the split at k."""
+    lo, hi = range(k), range(k, n)
+    return [_unit_positions(r, c, upper) for r, c in ((lo, lo), (lo, hi), (hi, lo), (hi, hi))]
+
+
+def _corner_split(n: int, k: int, ring: RingDescriptor, upper: bool, meta: dict):
+    """The split at k of the n x n matrix units (with `upper`, of the upper
+    triangular ones): every action and pairing is a product of matrix units."""
+    if not (1 <= k <= n - 1):
+        raise ExactError(f"need 1 <= k <= n-1, got n={n}, k={k}")
+    PA, PM, PN, PB = _block_positions(n, k, upper)
+    M = BimoduleSpec(
+        ring, len(PM), _unit_products(ring, PA, PM, PM), _unit_products(ring, PM, PB, PM)
+    )
+    N = BimoduleSpec(
+        ring, len(PN), _unit_products(ring, PB, PN, PN), _unit_products(ring, PN, PA, PN)
+    )
+    return MoritaContext(
+        _matrix_unit_algebra(ring, k, upper),
+        _matrix_unit_algebra(ring, n - k, upper),
+        M,
+        N,
+        _unit_products(ring, PM, PN, PA),
+        _unit_products(ring, PN, PM, PB),
+        meta,
+    )
 
 
 def build_full_matrix(n: int, k: int, ring: RingDescriptor) -> MoritaContext:
@@ -513,106 +548,23 @@ def build_full_matrix(n: int, k: int, ring: RingDescriptor) -> MoritaContext:
     The context is flagged prime (it is the corner split of a full matrix
     algebra over a field), which certifies bimodule loyalty over Q.
     """
-    if not (1 <= k <= n - 1):
-        raise ExactError(f"need 1 <= k <= n-1, got n={n}, k={k}")
-    A = make_matrix_algebra(k, ring)
-    B = make_matrix_algebra(n - k, ring)
-    km, kn = k, n - k
-    one = ring.one
-
-    def rect_index(rows, cols):
-        return {(r, c): r * cols + c for r in range(rows) for c in range(cols)}
-
-    mi = rect_index(km, kn)  # M: k x (n-k)
-    ni = rect_index(kn, km)  # N: (n-k) x k
-    ai = rect_index(km, km)
-    bi = rect_index(kn, kn)
-
-    left_m = ring.zeros((A.dim, len(mi), len(mi)))
-    for (r, c), a in ai.items():
-        for (s, t), m in mi.items():
-            if c == s:
-                left_m[a, m, mi[(r, t)]] = one
-    right_m = ring.zeros((len(mi), B.dim, len(mi)))
-    for (r, c), m in mi.items():
-        for (s, t), b in bi.items():
-            if c == s:
-                right_m[m, b, mi[(r, t)]] = one
-    left_n = ring.zeros((B.dim, len(ni), len(ni)))
-    for (r, c), b in bi.items():
-        for (s, t), nn in ni.items():
-            if c == s:
-                left_n[b, nn, ni[(r, t)]] = one
-    right_n = ring.zeros((len(ni), A.dim, len(ni)))
-    for (r, c), nn in ni.items():
-        for (s, t), a in ai.items():
-            if c == s:
-                right_n[nn, a, ni[(r, t)]] = one
-    pair_mn = ring.zeros((len(mi), len(ni), A.dim))
-    for (r, c), m in mi.items():
-        for (s, t), nn in ni.items():
-            if c == s:
-                pair_mn[m, nn, ai[(r, t)]] = one
-    pair_nm = ring.zeros((len(ni), len(mi), B.dim))
-    for (r, c), nn in ni.items():
-        for (s, t), m in mi.items():
-            if c == s:
-                pair_nm[nn, m, bi[(r, t)]] = one
-
-    M = BimoduleSpec(ring, len(mi), left_m, right_m)
-    N = BimoduleSpec(ring, len(ni), left_n, right_n)
     meta = {"builder": "full_matrix", "n": n, "k": k, "prime_certified": True}
-    return MoritaContext(A, B, M, N, pair_mn, pair_nm, meta)
+    return _corner_split(n, k, ring, False, meta)
 
 
 def full_matrix_positions(n: int, k: int):
     """Global (row, col) of each GMA coordinate for a full-matrix build."""
-    pos = []
-    pos += [(r, c) for r in range(k) for c in range(k)]
-    pos += [(r, k + c) for r in range(k) for c in range(n - k)]
-    pos += [(k + r, c) for r in range(n - k) for c in range(k)]
-    pos += [(k + r, k + c) for r in range(n - k) for c in range(n - k)]
-    return pos
+    return [rc for block in _block_positions(n, k, False) for rc in block]
 
 
 def build_upper_triangular(n: int, k: int, ring: RingDescriptor) -> MoritaContext:
     """Split T_n into A = T_k, B = T_{n-k}, M = full k x (n-k), N = 0."""
-    if not (1 <= k <= n - 1):
-        raise ExactError(f"need 1 <= k <= n-1, got n={n}, k={k}")
-    A = make_triangular_algebra(k, ring)
-    B = make_triangular_algebra(n - k, ring)
-    km, kn = k, n - k
-    one = ring.one
-    mi = {(r, c): r * kn + c for r in range(km) for c in range(kn)}
-    a_pairs = [(r, c) for r in range(km) for c in range(r, km)]
-    b_pairs = [(r, c) for r in range(kn) for c in range(r, kn)]
-    ai = {rc: i for i, rc in enumerate(a_pairs)}
-    bi = {rc: i for i, rc in enumerate(b_pairs)}
-
-    left_m = ring.zeros((A.dim, len(mi), len(mi)))
-    for (r, c), a in ai.items():
-        for (s, t), m in mi.items():
-            if c == s:
-                left_m[a, m, mi[(r, t)]] = one
-    right_m = ring.zeros((len(mi), B.dim, len(mi)))
-    for (r, c), m in mi.items():
-        for (s, t), b in bi.items():
-            if c == s:
-                right_m[m, b, mi[(r, t)]] = one
-    M = BimoduleSpec(ring, len(mi), left_m, right_m)
-    N = BimoduleSpec(ring, 0, ring.zeros((B.dim, 0, 0)), ring.zeros((0, A.dim, 0)))
-    pair_mn = ring.zeros((len(mi), 0, A.dim))
-    pair_nm = ring.zeros((0, len(mi), B.dim))
-    meta = {"builder": "upper_triangular", "n": n, "k": k}
-    return MoritaContext(A, B, M, N, pair_mn, pair_nm, meta)
+    return _corner_split(n, k, ring, True, {"builder": "upper_triangular", "n": n, "k": k})
 
 
 def triangular_positions(n: int, k: int):
     """Global (row, col) of each GMA coordinate for a triangular build."""
-    pos = [(r, c) for r in range(k) for c in range(r, k)]
-    pos += [(r, k + c) for r in range(k) for c in range(n - k)]
-    pos += [(k + r, k + c) for r in range(n - k) for c in range(r, n - k)]
-    return pos
+    return [rc for block in _block_positions(n, k, True) for rc in block]
 
 
 def build_inflated(ring: RingDescriptor, dim_v: int, gamma) -> MoritaContext:

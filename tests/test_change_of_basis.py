@@ -1,0 +1,167 @@
+"""The center, the corner isomorphism and the hypothesis report under a
+change of basis that keeps the blocks.
+
+Each context is transported by one seeded invertible matrix per block
+(A, M, N, B): the columns of a block's matrix are its new basis vectors in
+the old coordinates.  The transported context is isomorphic to the
+original, so its center and both corner projections have the same
+dimensions, its center and phi are the transported ones, and every
+verdict of the hypothesis report is the same.  The builders only emit
+matrix-unit bases; these are the first contexts on any other basis.
+"""
+
+import numpy as np
+import pytest
+
+from gmalg.exact import RATIONAL, inverse_array, prime_field
+from gmalg.rng import XorShift64Star
+from gmalg.structure import (
+    AlgebraSpec,
+    BimoduleSpec,
+    MoritaContext,
+    assemble_gma,
+    build_diagonal_pair,
+    build_full_matrix,
+    build_upper_triangular,
+    check_morita_axioms,
+)
+
+F5 = prime_field(5)
+
+CONTEXTS = {
+    "t3-f5": lambda: build_upper_triangular(3, 1, F5),
+    "m3-f5": lambda: build_full_matrix(3, 1, F5),
+    "m4-f5": lambda: build_full_matrix(4, 2, F5),
+    "m3-q-split-1": lambda: build_full_matrix(3, 1, RATIONAL),
+    "m3-q-split-2": lambda: build_full_matrix(3, 2, RATIONAL),
+    "diagonal-f5": lambda: build_diagonal_pair(F5),
+    "diagonal-k3-f7": lambda: build_diagonal_pair(prime_field(7), 3),
+}
+
+
+def random_invertible(ring, n, stream):
+    """(P, P^-1) for the first invertible n x n matrix the stream draws."""
+    while True:
+        P = ring.zeros((n, n))
+        for idx in np.ndindex(n, n):
+            P[idx] = ring.random_scalar(stream)
+        inv = inverse_array(ring, P)
+        if inv is not None:
+            return P, inv
+
+
+def transport(ring, T, P, Q, R_inv):
+    """The product tensor T[a, b, c] with its inputs in the bases given by
+    the columns of P and Q and its output in the basis whose inverse
+    change is R_inv."""
+    t = ring.tensordot(P, T, axes=([0], [0]))  # (i, b, c)
+    t = ring.tensordot(t, Q, axes=([1], [0]))  # (i, c, j)
+    return ring.tensordot(t, R_inv, axes=([1], [1]))  # (i, j, r)
+
+
+def transported(ctx, seed):
+    """(context, P) with P[block] = (matrix, inverse) for blocks A, M, N, B."""
+    ring = ctx.ring
+    stream = XorShift64Star(seed)
+    dims = {"A": ctx.A.dim, "M": ctx.M.dim, "N": ctx.N.dim, "B": ctx.B.dim}
+    P = {name: random_invertible(ring, d, stream) for name, d in dims.items()}
+
+    def move(T, first, second, out):
+        return transport(ring, T, P[first][0], P[second][0], P[out][1])
+
+    def algebra(alg, name):
+        unit = ring.tensordot(P[name][1], alg.unit, axes=([1], [0]))
+        return AlgebraSpec(ring, alg.dim, move(alg.mul, name, name, name), unit)
+
+    M = BimoduleSpec(
+        ring, ctx.M.dim, move(ctx.M.left, "A", "M", "M"), move(ctx.M.right, "M", "B", "M")
+    )
+    N = BimoduleSpec(
+        ring, ctx.N.dim, move(ctx.N.left, "B", "N", "N"), move(ctx.N.right, "N", "A", "N")
+    )
+    # loyalty over Q is certified by primeness, which an isomorphism keeps
+    meta = {k: v for k, v in ctx.meta.items() if k == "prime_certified"}
+    moved = MoritaContext(
+        algebra(ctx.A, "A"),
+        algebra(ctx.B, "B"),
+        M,
+        N,
+        move(ctx.pairing_MN, "M", "N", "A"),
+        move(ctx.pairing_NM, "N", "M", "B"),
+        meta,
+    )
+    return moved, P
+
+
+def intertwines(ctx, a, b):
+    """a*m = m*b and n*a = b*n for every basis vector m of M and n of N."""
+    ring = ctx.ring
+    am = ring.tensordot(a, ctx.M.left, axes=([0], [0]))  # (m, r)
+    mb = ring.tensordot(b, ctx.M.right, axes=([0], [1]))
+    na = ring.tensordot(a, ctx.N.right, axes=([0], [1]))  # (n, r)
+    bn = ring.tensordot(b, ctx.N.left, axes=([0], [0]))
+    return ring.equal(am, mb) and ring.equal(na, bn)
+
+
+def verdicts(report):
+    return (
+        report.morita_ok,
+        report.M_faithful_left,
+        report.M_faithful_right,
+        report.M_loyal.status,
+        report.zA_eq_piA,
+        report.zA_ne_A,
+        report.zB_eq_piB,
+        report.zB_ne_B,
+        report.commuting_proper_on_A,
+        report.commuting_proper_on_B,
+        report.central_over_R,
+        report.b_central_over_R,
+        report.two_torsionfree,
+        report.route,
+    )
+
+
+@pytest.fixture(scope="module", params=sorted(CONTEXTS))
+def original(request):
+    g = assemble_gma(CONTEXTS[request.param]())
+    g.report
+    return g
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_center_phi_and_report_survive_a_change_of_basis(original, seed):
+    g = original
+    ring, C = g.ring, g.center
+    moved, P = transported(g.ctx, seed)
+    assert not ring.equal(moved.M.left, g.ctx.M.left)  # a basis other than matrix units
+    assert check_morita_axioms(moved).ok
+    h = assemble_gma(moved)
+    D = h.center
+    assert (D.zdim, D.pia_image.shape[0], D.pib_image.shape[0]) == (
+        C.zdim,
+        C.pia_image.shape[0],
+        C.pib_image.shape[0],
+    )
+
+    def back(name, v):
+        return ring.tensordot(P[name][0], v, axes=([1], [0]))
+
+    # the center of the transported algebra is the transported center
+    for z in D.z_g:
+        blocks = [back(name, part) for name, part in zip("AMNB", h.blocks(z))]
+        assert C.in_center(np.concatenate(blocks))
+    # phi' links the corners of the new basis, and it is the transported
+    # phi: P_B phi'(a') = phi(P_A a'); likewise phi^-1
+    for a in D.pia_image:
+        b = D.phi_apply(a)
+        assert intertwines(moved, a, b)
+        want = C.phi_apply(back("A", a))
+        assert want is not None and ring.equal(back("B", b), want)
+    for b in D.pib_image:
+        a = D.phi_inv_apply(b)
+        assert intertwines(moved, a, b)
+        want = C.phi_inv_apply(back("B", b))
+        assert want is not None and ring.equal(back("A", a), want)
+    assert verdicts(h.report) == verdicts(g.report)
+

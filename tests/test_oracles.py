@@ -9,9 +9,11 @@ rank-1 update over every row mod p, and row-by-row Fraction elimination.
 The contraction over Q is checked against numpy's tensordot on the
 Fraction arrays themselves.  The constructive chain is checked against
 its per-basis-vector loops: the witness extraction, the shape laws and
-the mu/nu assembly.  They are kept here only as oracles.  Every
-comparison is literal: same keys in the same order, same dtype, same
-scalar type, same values, same witnesses.
+the mu/nu assembly.  The corner isomorphism phi is checked against one
+exact solve per projected center row, and the matrix-unit builders
+against one loop per product tensor.  They are kept here only as
+oracles.  Every comparison is literal: same keys in the same order, same
+dtype, same scalar type, same values, same witnesses.
 
 The instances cover a center of dimension one (M3, M4), a triangular split
 (T3), a center of dimension two (the diagonal pair), the rationals, and
@@ -19,6 +21,7 @@ p = 1048573, the largest prime the int64 kernels accept.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -43,7 +46,6 @@ from gmalg.decompose import (
     ProperTraceForm,
     WitnessExtractionError,
     _algebra_quotient,
-    _pair_values,
     build_generic_system,
     decompose_trace_constructive,
     extract_components,
@@ -59,9 +61,11 @@ from gmalg.exact import (
     nullspace_array,
     prime_field,
     row_span_coords,
+    rref_array,
     solve_array,
     solve_columns,
 )
+from gmalg.io import context_to_json
 from gmalg.maps import (
     BilinearMapRep,
     LinearMapRep,
@@ -78,6 +82,7 @@ from gmalg.maps import (
     is_commuting_trace,
     is_jordan_hom,
     is_lie_triple_hom,
+    pair_coefficients,
     pair_index_order,
     trace_space,
     vanishes_on_second_commutators,
@@ -90,8 +95,13 @@ from gmalg.structure import (
     assemble_gma,
     build_diagonal_pair,
     build_full_matrix,
+    build_peirce,
     build_upper_triangular,
     check_morita_axioms,
+    full_matrix_positions,
+    make_matrix_algebra,
+    make_triangular_algebra,
+    triangular_positions,
 )
 
 F5 = prime_field(5)
@@ -689,6 +699,33 @@ def test_late_annihilator_pair_is_lawful():
     assert check_morita_axioms(build_late_annihilator_pair(F5)).ok
 
 
+def build_right_annihilator_pair(ring):
+    """The late-annihilator pair mirrored: a.m coordinatewise and
+    m.b = m b_0, so (0, 1) in B kills M from the right."""
+    base = build_diagonal_pair(ring)
+    right = ring.zeros((2, 2, 2))
+    right[0, 0, 0] = right[1, 0, 1] = ring.one
+    M = BimoduleSpec(ring, 2, base.M.left, right)
+    N = BimoduleSpec(ring, 0, ring.zeros((2, 0, 0)), ring.zeros((0, 2, 0)))
+    return MoritaContext(base.A, base.B, M, N, ring.zeros((2, 0, 2)), ring.zeros((0, 2, 2)))
+
+
+def test_corner_isomorphism_inverse_needs_a_left_faithful_bimodule():
+    gma = assemble_gma(build_late_annihilator_pair(F5))
+    msg = "corner isomorphism inverse needs the bimodule faithful on the left; it is not"
+    with pytest.raises(CenterError, match=re.escape(msg)):
+        gma.center
+
+
+def test_corner_isomorphism_needs_a_right_faithful_bimodule():
+    ctx = build_right_annihilator_pair(F5)
+    assert check_morita_axioms(ctx).ok
+    gma = assemble_gma(ctx)
+    msg = "corner isomorphism needs the bimodule faithful on the right; it is not"
+    with pytest.raises(CenterError, match=re.escape(msg)):
+        gma.center
+
+
 LOYALTY_CONTEXTS = {
     "late-annihilator-f5": lambda: build_late_annihilator_pair(F5),
     "diagonal-f5": lambda: build_diagonal_pair(F5),
@@ -997,7 +1034,7 @@ def slow_decompose_trace_constructive(q, gma):
             raise WitnessExtractionError("mu-assembly", "mu value not central", report)
         mu_mat[:, col] = coords
 
-    vals = _pair_values(gma, q)
+    vals = pair_coefficients(ring, q.tensor)
     nu = ring.zeros((d, d, C.zdim))
     shape_report = slow_witness_shape_report(grid, w)
     for n, (i, j) in enumerate(pair_index_order(d)):
@@ -1260,6 +1297,285 @@ def test_chain_instances_reach_every_raised_stage():
 
 
 # ---------------------------------------------------------------------------
+# the corner isomorphism: one solve per projected center row
+# ---------------------------------------------------------------------------
+
+
+def slow_rref_rows(ring, rows):
+    if rows.shape[0] == 0:
+        return rows
+    red, _, rank = rref_array(ring, rows)
+    return red[:rank].copy()
+
+
+def slow_solve_partner(gma, alpha, forward):
+    """forward: alpha in A, find b with a*m = m*b, n*a = b*n; else alpha in
+    B, find a."""
+    ring, ctx = gma.ring, gma.ctx
+    dA, dM, dN, dB = gma.dims
+    sub_rows = []
+    rhs_parts = []
+    if forward:
+        if dM:
+            # m_j * b = alpha * m_j
+            sub_rows.append(np.transpose(ctx.M.right, (0, 2, 1)).reshape(dM * dM, dB))
+            rhs_parts.append(ring.tensordot(alpha, ctx.M.left, axes=([0], [0])).reshape(dM * dM))
+        if dN:
+            # b * n_j = n_j * alpha
+            sub_rows.append(np.transpose(ctx.N.left, (1, 2, 0)).reshape(dN * dN, dB))
+            rhs_parts.append(ring.tensordot(alpha, ctx.N.right, axes=([0], [1])).reshape(dN * dN))
+        width = dB
+    else:
+        if dM:
+            # a * m_j = m_j * alpha
+            sub_rows.append(np.transpose(ctx.M.left, (1, 2, 0)).reshape(dM * dM, dA))
+            rhs_parts.append(ring.tensordot(alpha, ctx.M.right, axes=([0], [1])).reshape(dM * dM))
+        if dN:
+            # n_j * a = alpha * n_j
+            sub_rows.append(np.transpose(ctx.N.right, (0, 2, 1)).reshape(dN * dN, dA))
+            rhs_parts.append(ring.tensordot(alpha, ctx.N.left, axes=([0], [0])).reshape(dN * dN))
+        width = dA
+    mat = ring.zeros((sum(r.shape[0] for r in sub_rows), width))
+    vec = ring.zeros(mat.shape[0])
+    at = 0
+    for coeff, rhs in zip(sub_rows, rhs_parts):
+        mat[at : at + coeff.shape[0]] = ring.normalize(coeff)
+        vec[at : at + coeff.shape[0]] = ring.normalize(rhs)
+        at += coeff.shape[0]
+    return solve_array(ring, mat, vec)
+
+
+def slow_corner_isomorphisms(gma):
+    """(pia_image, pib_image, phi, phi_inv): each projection reduced on its
+    own, and the partner of each of its rows solved for."""
+    ring, z_g = gma.ring, gma.center.z_g
+    dA, dB = gma.ctx.A.dim, gma.ctx.B.dim
+    pia = slow_rref_rows(ring, z_g[:, gma.block_slice(0)].copy())
+    pib = slow_rref_rows(ring, z_g[:, gma.block_slice(3)].copy())
+    phi = ring.zeros((dB, pia.shape[0]))
+    for idx, alpha in enumerate(pia):
+        b = slow_solve_partner(gma, alpha, True)
+        assert b is not None
+        phi[:, idx] = b
+    phi_inv = ring.zeros((dA, pib.shape[0]))
+    for idx, beta in enumerate(pib):
+        a = slow_solve_partner(gma, beta, False)
+        assert a is not None
+        phi_inv[:, idx] = a
+    return pia, pib, phi, phi_inv
+
+
+def peirce_context(ring, n, idempotent):
+    ctx, _ = build_peirce(make_matrix_algebra(n, ring), ring.array(idempotent))
+    return ctx
+
+
+CORNER_ISO_INSTANCES = {
+    **INSTANCES,
+    **CHAIN_INSTANCES,
+    "t3-q": lambda: build_upper_triangular(3, 1, RATIONAL),
+    "diagonal-k3-f5": lambda: build_diagonal_pair(F5, 3),
+    # e = E11 + E12 and e = E11 + E13: corners off the matrix-unit basis
+    "peirce-m2-f5": lambda: peirce_context(F5, 2, [1, 1, 0, 0]),
+    "peirce-m2-q": lambda: peirce_context(RATIONAL, 2, [1, 1, 0, 0]),
+    "peirce-m3-f5": lambda: peirce_context(F5, 3, [1, 0, 1, 0, 0, 0, 0, 0, 0]),
+    "peirce-m3-q": lambda: peirce_context(RATIONAL, 3, [1, 0, 1, 0, 0, 0, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORNER_ISO_INSTANCES))
+def test_corner_isomorphism_matches_partner_solves(name):
+    gma = assemble_gma(CORNER_ISO_INSTANCES[name]())
+    C = gma.center
+    want = slow_corner_isomorphisms(gma)
+    for got, ref in zip((C.pia_image, C.pib_image, C.phi, C.phi_inv), want):
+        assert_identical(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# the matrix-unit builders: one loop per tensor
+# ---------------------------------------------------------------------------
+
+
+def slow_make_matrix_algebra(n, ring):
+    d = n * n
+    idx = {(r, c): r * n + c for r in range(n) for c in range(n)}
+    mul = ring.zeros((d, d, d))
+    one = ring.one
+    for (r, c), i in idx.items():
+        for (s, t), j in idx.items():
+            if c == s:
+                mul[i, j, idx[(r, t)]] = one
+    unit = ring.zeros(d)
+    for r in range(n):
+        unit[idx[(r, r)]] = one
+    labels = tuple(f"E{r + 1}{c + 1}" for r in range(n) for c in range(n))
+    return AlgebraSpec(ring, d, mul, unit, labels)
+
+
+def slow_make_triangular_algebra(n, ring):
+    pairs = [(r, c) for r in range(n) for c in range(r, n)]
+    idx = {rc: i for i, rc in enumerate(pairs)}
+    d = len(pairs)
+    mul = ring.zeros((d, d, d))
+    one = ring.one
+    for (r, c), i in idx.items():
+        for (s, t), j in idx.items():
+            if c == s:
+                mul[i, j, idx[(r, t)]] = one
+    unit = ring.zeros(d)
+    for r in range(n):
+        unit[idx[(r, r)]] = one
+    labels = tuple(f"E{r + 1}{c + 1}" for (r, c) in pairs)
+    return AlgebraSpec(ring, d, mul, unit, labels)
+
+
+def slow_build_full_matrix(n, k, ring):
+    A = slow_make_matrix_algebra(k, ring)
+    B = slow_make_matrix_algebra(n - k, ring)
+    km, kn = k, n - k
+    one = ring.one
+
+    def rect_index(rows, cols):
+        return {(r, c): r * cols + c for r in range(rows) for c in range(cols)}
+
+    mi = rect_index(km, kn)  # M: k x (n-k)
+    ni = rect_index(kn, km)  # N: (n-k) x k
+    ai = rect_index(km, km)
+    bi = rect_index(kn, kn)
+
+    left_m = ring.zeros((A.dim, len(mi), len(mi)))
+    for (r, c), a in ai.items():
+        for (s, t), m in mi.items():
+            if c == s:
+                left_m[a, m, mi[(r, t)]] = one
+    right_m = ring.zeros((len(mi), B.dim, len(mi)))
+    for (r, c), m in mi.items():
+        for (s, t), b in bi.items():
+            if c == s:
+                right_m[m, b, mi[(r, t)]] = one
+    left_n = ring.zeros((B.dim, len(ni), len(ni)))
+    for (r, c), b in bi.items():
+        for (s, t), nn in ni.items():
+            if c == s:
+                left_n[b, nn, ni[(r, t)]] = one
+    right_n = ring.zeros((len(ni), A.dim, len(ni)))
+    for (r, c), nn in ni.items():
+        for (s, t), a in ai.items():
+            if c == s:
+                right_n[nn, a, ni[(r, t)]] = one
+    pair_mn = ring.zeros((len(mi), len(ni), A.dim))
+    for (r, c), m in mi.items():
+        for (s, t), nn in ni.items():
+            if c == s:
+                pair_mn[m, nn, ai[(r, t)]] = one
+    pair_nm = ring.zeros((len(ni), len(mi), B.dim))
+    for (r, c), nn in ni.items():
+        for (s, t), m in mi.items():
+            if c == s:
+                pair_nm[nn, m, bi[(r, t)]] = one
+
+    M = BimoduleSpec(ring, len(mi), left_m, right_m)
+    N = BimoduleSpec(ring, len(ni), left_n, right_n)
+    meta = {"builder": "full_matrix", "n": n, "k": k, "prime_certified": True}
+    return MoritaContext(A, B, M, N, pair_mn, pair_nm, meta)
+
+
+def slow_build_upper_triangular(n, k, ring):
+    A = slow_make_triangular_algebra(k, ring)
+    B = slow_make_triangular_algebra(n - k, ring)
+    km, kn = k, n - k
+    one = ring.one
+    mi = {(r, c): r * kn + c for r in range(km) for c in range(kn)}
+    a_pairs = [(r, c) for r in range(km) for c in range(r, km)]
+    b_pairs = [(r, c) for r in range(kn) for c in range(r, kn)]
+    ai = {rc: i for i, rc in enumerate(a_pairs)}
+    bi = {rc: i for i, rc in enumerate(b_pairs)}
+
+    left_m = ring.zeros((A.dim, len(mi), len(mi)))
+    for (r, c), a in ai.items():
+        for (s, t), m in mi.items():
+            if c == s:
+                left_m[a, m, mi[(r, t)]] = one
+    right_m = ring.zeros((len(mi), B.dim, len(mi)))
+    for (r, c), m in mi.items():
+        for (s, t), b in bi.items():
+            if c == s:
+                right_m[m, b, mi[(r, t)]] = one
+    M = BimoduleSpec(ring, len(mi), left_m, right_m)
+    N = BimoduleSpec(ring, 0, ring.zeros((B.dim, 0, 0)), ring.zeros((0, A.dim, 0)))
+    pair_mn = ring.zeros((len(mi), 0, A.dim))
+    pair_nm = ring.zeros((0, len(mi), B.dim))
+    meta = {"builder": "upper_triangular", "n": n, "k": k}
+    return MoritaContext(A, B, M, N, pair_mn, pair_nm, meta)
+
+
+def slow_full_matrix_positions(n, k):
+    pos = []
+    pos += [(r, c) for r in range(k) for c in range(k)]
+    pos += [(r, k + c) for r in range(k) for c in range(n - k)]
+    pos += [(k + r, c) for r in range(n - k) for c in range(k)]
+    pos += [(k + r, k + c) for r in range(n - k) for c in range(n - k)]
+    return pos
+
+
+def slow_triangular_positions(n, k):
+    pos = [(r, c) for r in range(k) for c in range(r, k)]
+    pos += [(r, k + c) for r in range(k) for c in range(n - k)]
+    pos += [(k + r, k + c) for r in range(n - k) for c in range(r, n - k)]
+    return pos
+
+
+def assert_same_tensor(got, want):
+    assert_identical(got, want)
+    assert got.flags.writeable == want.flags.writeable
+
+
+def assert_same_algebra(got, want):
+    assert (got.dim, got.labels) == (want.dim, want.labels)
+    assert_same_tensor(got.mul, want.mul)
+    assert_same_tensor(got.unit, want.unit)
+
+
+def assert_same_context(got, want):
+    assert context_to_json(got) == context_to_json(want)
+    assert list(got.meta.items()) == list(want.meta.items())
+    assert_same_algebra(got.A, want.A)
+    assert_same_algebra(got.B, want.B)
+    for mod in ("M", "N"):
+        g, w = getattr(got, mod), getattr(want, mod)
+        assert g.dim == w.dim
+        assert_same_tensor(g.left, w.left)
+        assert_same_tensor(g.right, w.right)
+    assert_same_tensor(got.pairing_MN, want.pairing_MN)
+    assert_same_tensor(got.pairing_NM, want.pairing_NM)
+
+
+BUILDER_RINGS = {"f5": F5, "q": RATIONAL, "p1048573": BIG_P}
+
+
+@pytest.mark.parametrize("ring", list(BUILDER_RINGS.values()), ids=list(BUILDER_RINGS))
+def test_matrix_unit_algebras_match_loops(ring):
+    for n in range(1, 6):
+        assert_same_algebra(make_matrix_algebra(n, ring), slow_make_matrix_algebra(n, ring))
+        assert_same_algebra(
+            make_triangular_algebra(n, ring), slow_make_triangular_algebra(n, ring)
+        )
+
+
+@pytest.mark.parametrize("ring", list(BUILDER_RINGS.values()), ids=list(BUILDER_RINGS))
+def test_matrix_unit_contexts_match_loops(ring):
+    for n in range(2, 6):
+        for k in range(1, n):
+            assert_same_context(build_full_matrix(n, k, ring), slow_build_full_matrix(n, k, ring))
+            assert_same_context(
+                build_upper_triangular(n, k, ring), slow_build_upper_triangular(n, k, ring)
+            )
+            assert full_matrix_positions(n, k) == slow_full_matrix_positions(n, k)
+            assert triangular_positions(n, k) == slow_triangular_positions(n, k)
+
+
+# ---------------------------------------------------------------------------
 # the elimination kernel
 # ---------------------------------------------------------------------------
 
@@ -1275,7 +1591,7 @@ def augmented_generic_system(name):
     trace appended, as one solve of the generic route reduces it."""
     g = assemble_gma(INSTANCES[name]())
     K = g.generic_system.matrix
-    rhs = _pair_values(g, random_proper_trace(g, None, seed=3)).reshape(K.shape[0])
+    rhs = pair_coefficients(g.ring, random_proper_trace(g, None, seed=3).tensor).reshape(K.shape[0])
     return np.concatenate([K, rhs[:, None]], axis=1)
 
 
@@ -1470,7 +1786,9 @@ def factored_system_rhs(g, mat, stream):
     rows, cols = mat.shape
     rhs = [ring.tensordot(mat, draw(cols), axes=([1], [0])) for _ in range(3)]
     for seed in (3, 5):
-        rhs.append(_pair_values(g, random_proper_trace(g, None, seed=seed)).reshape(rows))
+        rhs.append(
+            pair_coefficients(g.ring, random_proper_trace(g, None, seed=seed).tensor).reshape(rows)
+        )
     shifted = rhs[-1].copy()
     shifted[stream.below(rows)] += ring.one
     rhs += [ring.normalize(shifted), draw(rows), ring.zeros(rows)]
