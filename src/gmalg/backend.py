@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ACTIVE_BACKEND", "rref", "rref_mod_p"]
+__all__ = ["ACTIVE_BACKEND", "rref"]
 
 # the name of the kernel that runs; there is exactly one
 ACTIVE_BACKEND = "numpy"
@@ -52,9 +52,3 @@ def rref(ring, a: np.ndarray):
         r += 1
     return a, np.array(pivcols, dtype=np.int64), r
 
-
-def rref_mod_p(a: np.ndarray, p: int):
-    """``rref`` over F_p for an integer matrix."""
-    from .exact import prime_field
-
-    return rref(prime_field(p), a)

@@ -72,6 +72,8 @@ class CenterData:
     phi_inv: np.ndarray  # (dim A, #pib rows)
     complement: np.ndarray  # ((dim - zdim), dim): coordinate vectors extending z_g
     to_coords: np.ndarray  # (dim, dim): v -> coefficients over [z_g; complement]
+    faithful_left: bool  # check_faithful of the connecting bimodule M
+    faithful_right: bool
 
     @property
     def zdim(self) -> int:
@@ -213,7 +215,8 @@ def compute_center_gma(gma: GMA) -> CenterData:
     complement, to_coords = coordinate_complement(ring, z_g)
 
     return CenterData(
-        ring, d, z_g, z_a, z_b, pia, pib, phi, phi_inv, complement, to_coords
+        ring, d, z_g, z_a, z_b, pia, pib, phi, phi_inv, complement, to_coords,
+        left_ok, right_ok,
     )
 
 
@@ -249,9 +252,8 @@ def check_loyal(ctx: MoritaContext, bound: int = 5**8) -> LoyaltyResult:
             "false", (ctx.A.unit.copy(), ctx.B.unit.copy()),
             "M = 0: the unit pair already annihilates it",
         )
-    left_ok, right_ok, _ = check_faithful(ctx)
-
     if not ring.is_prime_field:
+        left_ok, right_ok, _ = check_faithful(ctx)
         if dA == 1 and right_ok:
             return LoyaltyResult("true", None, "dim A = 1 and M right-faithful")
         if dB == 1 and left_ok:
@@ -672,7 +674,6 @@ def hypothesis_report(gma: GMA, loyalty_bound: int = 5**8, seed: int = 0) -> Hyp
     ring = gma.ring
     ctx = gma.ctx
     C = gma.center
-    left_ok, right_ok, _ = check_faithful(ctx)
     zA, zB = C.z_a, C.z_b
 
     def spans_equal(rows_a, rows_b):
@@ -688,8 +689,8 @@ def hypothesis_report(gma: GMA, loyalty_bound: int = 5**8, seed: int = 0) -> Hyp
         b_unit_central = coeff is not None
     return HypothesisReport(
         morita_ok=check_morita_axioms(ctx).ok,
-        M_faithful_left=left_ok,
-        M_faithful_right=right_ok,
+        M_faithful_left=C.faithful_left,
+        M_faithful_right=C.faithful_right,
         M_loyal=check_loyal(ctx, loyalty_bound),
         zA_eq_piA=spans_equal(zA, C.pia_image),
         zA_ne_A=zA.shape[0] < ctx.A.dim,

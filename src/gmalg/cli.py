@@ -19,8 +19,6 @@ from .center import (
     center_multiplier_annihilator_ok,
     center_zero_divisor_free,
     central_jordan_radical,
-    check_all_commuting_proper,
-    check_faithful,
     check_identity_42,
     check_loyal,
     cube_annihilating_forms_contained,
@@ -126,40 +124,36 @@ def _print(lines, out=None):
 def cmd_gen(args) -> int:
     ring = parse_ring(args.ring)
     kind = args.kind
-    try:
-        if kind == "full-matrix":
-            _need_params(args, "n", "split")
-            ctx = build_full_matrix(args.n, args.split, ring)
-        elif kind == "triangular":
-            _need_params(args, "n", "split")
-            ctx = build_upper_triangular(args.n, args.split, ring)
-        elif kind == "inflated":
-            _need_params(args, "dimv")
-            if args.gamma_file:
-                doc = load_map(args.gamma_file)
-                if doc.kind != "linear" or doc.rep.matrix.shape != (args.dimv, args.dimv):
-                    raise IOFormatError(
-                        "gamma file must be a linear map file of shape "
-                        f"[{args.dimv}, {args.dimv}]"
-                    )
-                gamma = doc.rep.matrix
-            else:
-                gamma = ring.eye(args.dimv)
-            ctx = build_inflated(ring, args.dimv, gamma)
-        elif kind == "diagonal":
-            ctx = build_diagonal_pair(ring, args.k)
-        elif kind == "peirce":
-            if not args.algebra_file:
-                raise IOFormatError("peirce generation needs --algebra-file")
-            alg, idem = load_algebra(args.algebra_file)
-            if idem is None:
-                raise IOFormatError("algebra file has no 'idempotent' entry")
-            ctx, _cert = build_peirce(alg, idem)
-        else:  # pragma: no cover - argparse restricts choices
-            raise IOFormatError(f"unknown kind {kind!r}")
-    except (IOFormatError, ExactError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
+    if kind == "full-matrix":
+        _need_params(args, "n", "split")
+        ctx = build_full_matrix(args.n, args.split, ring)
+    elif kind == "triangular":
+        _need_params(args, "n", "split")
+        ctx = build_upper_triangular(args.n, args.split, ring)
+    elif kind == "inflated":
+        _need_params(args, "dimv")
+        if args.gamma_file:
+            doc = load_map(args.gamma_file)
+            if doc.kind != "linear" or doc.rep.matrix.shape != (args.dimv, args.dimv):
+                raise IOFormatError(
+                    "gamma file must be a linear map file of shape "
+                    f"[{args.dimv}, {args.dimv}]"
+                )
+            gamma = doc.rep.matrix
+        else:
+            gamma = ring.eye(args.dimv)
+        ctx = build_inflated(ring, args.dimv, gamma)
+    elif kind == "diagonal":
+        ctx = build_diagonal_pair(ring, args.k)
+    elif kind == "peirce":
+        if not args.algebra_file:
+            raise IOFormatError("peirce generation needs --algebra-file")
+        alg, idem = load_algebra(args.algebra_file)
+        if idem is None:
+            raise IOFormatError("algebra file has no 'idempotent' entry")
+        ctx, _cert = build_peirce(alg, idem)
+    else:  # pragma: no cover - argparse restricts choices
+        raise IOFormatError(f"unknown kind {kind!r}")
     doc = context_to_json(ctx)
     rep = check_morita_axioms(ctx)
     if args.output:
@@ -183,17 +177,13 @@ def _need_params(args, *names):
 
 
 def cmd_check(args) -> int:
-    try:
-        ctx = load_context(args.context)
-    except IOFormatError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
+    ctx = load_context(args.context)
     rep = check_morita_axioms(ctx)
     if not rep.ok:
         _print([str(rep)], args.output)
         return 1
     try:
-        gma = assemble_gma(ctx, check=False)
+        gma = assemble_gma(ctx)
         hyp = hypothesis_report(gma, loyalty_bound=args.loyalty_bound, seed=args.seed)
     except (CenterError, ExactError) as e:
         _print([str(rep), f"analysis failed: {e}"], args.output)
@@ -203,23 +193,18 @@ def cmd_check(args) -> int:
 
 
 def cmd_center(args) -> int:
-    try:
-        ctx = load_context(args.context)
-    except IOFormatError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
+    ctx = load_context(args.context)
     rep = check_morita_axioms(ctx)
     if not rep.ok:
         _print([str(rep)])
         return 1
     ring = ctx.ring
     try:
-        gma = assemble_gma(ctx, check=False)
+        gma = assemble_gma(ctx)
         C = gma.center
     except (CenterError, ExactError) as e:
         _print([f"center computation failed: {e}"])
         return 1
-    left_ok, right_ok, _ = check_faithful(ctx)
     loyal = check_loyal(ctx, bound=args.loyalty_bound)
     lines = [
         f"center-dim: {C.zdim}",
@@ -229,7 +214,7 @@ def cmd_center(args) -> int:
     lines += [
         f"corner-A-center-dim: {C.z_a.shape[0]} (projection image dim {C.pia_image.shape[0]})",
         f"corner-B-center-dim: {C.z_b.shape[0]} (projection image dim {C.pib_image.shape[0]})",
-        f"faithful: left={left_ok} right={right_ok}",
+        f"faithful: left={C.faithful_left} right={C.faithful_right}",
         f"loyal: {loyal.status} ({loyal.detail})",
     ]
     if loyal.status == "false" and loyal.witness is not None:
@@ -247,8 +232,8 @@ def cmd_center(args) -> int:
             "projection_B_image": [dense_to_json(ring, row) for row in C.pib_image],
             "phi": dense_to_json(ring, C.phi) if C.phi is not None else None,
             "phi_shape": list(C.phi.shape) if C.phi is not None else None,
-            "faithful_left": left_ok,
-            "faithful_right": right_ok,
+            "faithful_left": C.faithful_left,
+            "faithful_right": C.faithful_right,
             "loyal": loyal.status,
             "loyal_detail": loyal.detail,
         }
@@ -296,7 +281,7 @@ def _load_gma_and_map(args):
     rep = check_morita_axioms(ctx)
     if not rep.ok:
         raise IOFormatError(str(rep))
-    gma = assemble_gma(ctx, check=False)
+    gma = assemble_gma(ctx)
     doc = load_map(args.map)
     _require_ring(doc, gma.ring)
     return gma, doc
@@ -304,22 +289,18 @@ def _load_gma_and_map(args):
 
 def cmd_verify_map(args) -> int:
     pred = args.predicate
-    try:
-        gma, doc = _load_gma_and_map(args)
-        d = gma.dim
-        if pred in _TRACE_PREDICATES:
-            if doc.kind != "bilinear":
-                raise IOFormatError(f"{pred} needs a bilinear map file")
-            if doc.rep.tensor.shape != (d, d, d):
-                raise IOFormatError("bilinear map shape does not match the context")
-        else:
-            if doc.kind != "linear":
-                raise IOFormatError(f"{pred} needs a linear map file")
-            if doc.rep.matrix.shape != (d, d):
-                raise IOFormatError("linear map shape does not match the context")
-    except IOFormatError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
+    gma, doc = _load_gma_and_map(args)
+    d = gma.dim
+    if pred in _TRACE_PREDICATES:
+        if doc.kind != "bilinear":
+            raise IOFormatError(f"{pred} needs a bilinear map file")
+        if doc.rep.tensor.shape != (d, d, d):
+            raise IOFormatError("bilinear map shape does not match the context")
+    else:
+        if doc.kind != "linear":
+            raise IOFormatError(f"{pred} needs a linear map file")
+        if doc.rep.matrix.shape != (d, d):
+            raise IOFormatError("linear map shape does not match the context")
     if pred in _TRACE_PREDICATES:
         ok, witness = _TRACE_PREDICATES[pred](gma, doc.rep)
     elif pred in _PAIR_PREDICATES:
@@ -339,13 +320,9 @@ def cmd_verify_map(args) -> int:
 
 
 def cmd_decompose_trace(args) -> int:
-    try:
-        gma, doc = _load_gma_and_map(args)
-        if doc.kind != "bilinear" or doc.rep.tensor.shape != (gma.dim,) * 3:
-            raise IOFormatError("decompose-trace needs a bilinear map matching the context")
-    except IOFormatError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
+    gma, doc = _load_gma_and_map(args)
+    if doc.kind != "bilinear" or doc.rep.tensor.shape != (gma.dim,) * 3:
+        raise IOFormatError("decompose-trace needs a bilinear map matching the context")
     q = doc.rep
     ring = gma.ring
     mode_pred = _TRACE_PREDICATES[f"{args.mode}-trace"]
@@ -428,25 +405,21 @@ def cmd_decompose_trace(args) -> int:
 
 
 def cmd_decompose_lti(args) -> int:
-    try:
-        src_ctx = load_context(args.src_context)
-        dst_ctx = load_context(args.dst_context)
-        for c in (src_ctx, dst_ctx):
-            rep = check_morita_axioms(c)
-            if not rep.ok:
-                raise IOFormatError(str(rep))
-        src = assemble_gma(src_ctx, check=False)
-        dst = assemble_gma(dst_ctx, check=False)
-        doc = load_map(args.map)
-        _require_ring(doc, src.ring)
-        _require_ring(doc, dst.ring)
-        if doc.kind != "linear":
-            raise IOFormatError("decompose-lti needs a linear map file")
-        if doc.rep.matrix.shape != (dst.dim, src.dim):
-            raise IOFormatError("map shape does not match the contexts")
-    except IOFormatError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
+    src_ctx = load_context(args.src_context)
+    dst_ctx = load_context(args.dst_context)
+    for c in (src_ctx, dst_ctx):
+        rep = check_morita_axioms(c)
+        if not rep.ok:
+            raise IOFormatError(str(rep))
+    src = assemble_gma(src_ctx)
+    dst = assemble_gma(dst_ctx)
+    doc = load_map(args.map)
+    _require_ring(doc, src.ring)
+    _require_ring(doc, dst.ring)
+    if doc.kind != "linear":
+        raise IOFormatError("decompose-lti needs a linear map file")
+    if doc.rep.matrix.shape != (dst.dim, src.dim):
+        raise IOFormatError("map shape does not match the contexts")
     ring = dst.ring
     try:
         L = decompose_lie_triple_iso(doc.rep, src, dst)
@@ -633,6 +606,11 @@ def _suite_properties(gma: GMA, ctx, args):
             return "SKIP", "needs a full-matrix instance"
         n = ctx.meta["n"]
         expected = {"conjugation": 1, "neg-antiauto": -1, "central-shift": 1}
+        note = ""
+        if ring.is_prime_field and (1 + n) % ring.p == 0:
+            # x -> uxu^-1 + trace(x)I is singular when 1 + n vanishes
+            del expected["central-shift"]
+            note = f"; central-shift left out: 1 + n = {1 + n} vanishes mod {ring.p}"
         for shape, lam in sorted(expected.items()):
             l = random_lie_triple_iso(gma, args.seed + 11, shape=shape)
             L = decompose_lie_triple_iso(l, gma, gma)
@@ -643,8 +621,9 @@ def _suite_properties(gma: GMA, ctx, args):
             if L.status != "ok" or L.lam != lam:
                 return "FAIL", f"{shape}: status {L.status}, sign {L.lam}"
         if n == 2:
-            return "PASS", "n=2: both signs consistent, reported as ambiguous"
-        return "PASS", "three shapes, expected signs"
+            return "PASS", "n=2: both signs consistent, reported as ambiguous" + note
+        count = "three" if len(expected) == 3 else "two"
+        return "PASS", f"{count} shapes, expected signs{note}"
 
     return [
         ("axioms-and-file-roundtrip", p_axioms),
@@ -666,17 +645,13 @@ def _suite_properties(gma: GMA, ctx, args):
 
 
 def cmd_suite(args) -> int:
-    try:
-        ctx = load_context(args.context)
-    except IOFormatError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
+    ctx = load_context(args.context)
     rep = check_morita_axioms(ctx)
     if not rep.ok:
         _print([str(rep)], args.output)
         return 1
     try:
-        gma = assemble_gma(ctx, check=False)
+        gma = assemble_gma(ctx)
         gma.center  # force; failures here are structural
     except (CenterError, ExactError) as e:
         _print([f"analysis failed: {e}"], args.output)

@@ -221,7 +221,10 @@ def ring_from_json(d: dict) -> RingDescriptor:
     if d["kind"] == "rational":
         return RATIONAL
     if d["kind"] == "prime_field":
-        return prime_field(int(d.get("p", 0)))
+        p = d.get("p", 0)
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise ExactError(f"prime_field needs an integer p, got {p!r}")
+        return prime_field(p)
     raise ExactError(f"unknown ring kind {d['kind']!r}")
 
 
@@ -429,53 +432,3 @@ def row_space_contains(ring: RingDescriptor, span_rows: np.ndarray, cand_rows: n
         return ring.is_zero(cand_rows)
     stacked = np.concatenate([span_rows, cand_rows], axis=0)
     return rank_array(ring, span_rows) == rank_array(ring, stacked)
-
-
-# ---------------------------------------------------------------------------
-# ExactMatrix: thin wrapper used at API/file boundaries
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ExactMatrix:
-    """A ring-tagged dense matrix with exact elimination methods."""
-
-    ring: RingDescriptor
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", self.ring.normalize(self.data))
-        if self.data.ndim != 2:
-            raise ExactError("ExactMatrix is 2-D")
-
-    @classmethod
-    def from_rows(cls, ring: RingDescriptor, rows) -> "ExactMatrix":
-        return cls(ring, ring.array(rows))
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def rref(self):
-        red, piv, rank = rref_array(self.ring, self.data)
-        return ExactMatrix(self.ring, red), piv, rank
-
-    def rank(self) -> int:
-        return rank_array(self.ring, self.data)
-
-    def nullspace(self) -> "ExactMatrix":
-        return ExactMatrix(self.ring, nullspace_array(self.ring, self.data))
-
-    def solve(self, rhs):
-        return solve_array(self.ring, self.data, rhs)
-
-    def inverse(self):
-        inv = inverse_array(self.ring, self.data)
-        return None if inv is None else ExactMatrix(self.ring, inv)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and self.ring == other.ring
-            and self.ring.equal(self.data, other.data)
-        )

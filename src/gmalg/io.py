@@ -10,6 +10,7 @@ objects produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -44,7 +45,7 @@ def dense_to_json(ring: RingDescriptor, arr) -> list:
 
 
 def dense_from_json(ring: RingDescriptor, shape, data) -> np.ndarray:
-    n = int(np.prod(shape)) if shape else 1
+    n = math.prod(shape)
     if not isinstance(data, list) or len(data) != n:
         raise IOFormatError(f"dense entries: expected a list of {n} scalars")
     out = ring.zeros(n)
@@ -63,6 +64,7 @@ def sparse_to_json(ring: RingDescriptor, arr) -> list:
 
 
 def sparse_from_json(ring: RingDescriptor, shape, records) -> np.ndarray:
+    _require_cells(math.prod(shape), f"a tensor of shape {list(shape)}")
     out = ring.zeros(tuple(shape))
     if not isinstance(records, list):
         raise IOFormatError("sparse entries must be a list of index/value records")
@@ -86,9 +88,24 @@ def _require(cond, msg):
         raise IOFormatError(msg)
 
 
+# Tensors are dense: a document is read only if each tensor it describes,
+# and for a context the assembled product's d^3 cells, fit in 2^27 cells
+# (1 GiB as int64), so an absurd dimension is rejected before any allocation.
+_MAX_CELLS = 2**27
+
+
+def _require_cells(cells: int, what: str):
+    _require(cells <= _MAX_CELLS, f"{what} has {cells} cells, more than {_MAX_CELLS}")
+
+
+def _is_size(v, least: int = 0) -> bool:
+    """v is a JSON integer, not a boolean, and at least `least`."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
 def _get_dim(block, name):
     d = block.get("dim")
-    _require(isinstance(d, int) and d >= 0, f"{name}.dim must be a nonnegative int")
+    _require(_is_size(d), f"{name}.dim must be a nonnegative int")
     return d
 
 
@@ -144,6 +161,10 @@ def context_from_json(doc: dict) -> MoritaContext:
     dB = _get_dim(doc["algebra_B"], "algebra_B")
     dM = _get_dim(doc["module_M"], "module_M")
     dN = _get_dim(doc["module_N"], "module_N")
+    d = dA + dM + dN + dB
+    _require_cells(d**3, f"the product tensor of a context of dimension {d}")
+    meta = doc.get("meta", {})
+    _require(isinstance(meta, dict), "meta must be a JSON object")
     try:
         A = AlgebraSpec(
             ring,
@@ -176,7 +197,7 @@ def context_from_json(doc: dict) -> MoritaContext:
             N,
             sparse_from_json(ring, (dM, dN, dA), doc.get("pairing_MN", [])),
             sparse_from_json(ring, (dN, dM, dB), doc.get("pairing_NM", [])),
-            meta=dict(doc.get("meta", {})),
+            meta=dict(meta),
         )
     except KeyError as e:
         raise IOFormatError(f"context file is missing field {e}") from None
@@ -241,7 +262,7 @@ def algebra_from_json(doc: dict):
     try:
         ring = ring_from_json(doc["ring"])
         dim = doc["dim"]
-        _require(isinstance(dim, int) and dim >= 1, "dim must be a positive int")
+        _require(_is_size(dim, 1), "dim must be a positive int")
         alg = AlgebraSpec(
             ring,
             dim,
@@ -322,7 +343,7 @@ def map_from_json(doc: dict) -> MapDocument:
     except ExactError as e:
         raise IOFormatError(f"bad ring descriptor: {e}") from None
     _require(
-        isinstance(shape, list) and all(isinstance(s, int) and s >= 0 for s in shape),
+        isinstance(shape, list) and all(_is_size(s) for s in shape),
         "map shape must be a list of nonnegative ints",
     )
     expected = {"linear": 2, "bilinear": 3}.get(kind)

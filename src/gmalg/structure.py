@@ -9,14 +9,16 @@ Everything is finite dimensional with explicit structure-constant tensors:
   ``pairing_MN[m, n, r]`` (valued in A) and ``pairing_NM[n, m, r]`` (valued in B).
 
 ``assemble_gma`` glues the four blocks into one algebra on the coordinate
-order (A-block, M-block, N-block, B-block) with the 2x2 block-matrix product,
-verifying associativity and unit laws on all basis triples at build time.
+order (A-block, M-block, N-block, B-block) with the 2x2 block-matrix product.
+The Morita axioms are exactly the associativity and unit laws of that
+product, checked once per block triple and per block before it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -52,6 +54,27 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # multiplication helpers shared by algebras and assembled GMAs
 # ---------------------------------------------------------------------------
+
+
+def _first_nonzero(ring, arr):
+    """Index of the first nonzero cell of arr in row-major order, or None."""
+    bad = np.argwhere(arr != ring.zero)
+    return None if bad.size == 0 else tuple(int(v) for v in bad[0])
+
+
+def _associator(ring, xy, xy_z, yz, x_yz):
+    """(xy)z - x(yz) on basis triples, indexed [x, y, z, r], from the product
+    tensors of x*y, (xy)*z, y*z and x*(yz)."""
+    lhs = ring.tensordot(xy, xy_z, axes=([2], [0]))
+    rhs = ring.tensordot(yz, x_yz, axes=([2], [1]))  # [y, z, x, r]
+    return ring.normalize(lhs - np.transpose(rhs, (2, 0, 1, 3)))
+
+
+def _unit_defect(ring, unit, prod, axis):
+    """1*x - x (axis 0) or x*1 - x (axis 1) on basis vectors, indexed [x, r],
+    for a product tensor with the unit's algebra on that axis."""
+    act = ring.tensordot(unit, prod, axes=([0], [axis]))
+    return ring.normalize(act - ring.eye(prod.shape[2]))
 
 
 class _MulCarrier:
@@ -92,22 +115,14 @@ class _MulCarrier:
         return self.ring.tensordot(x, self.mul, axes=([0], [1])).T.copy()
 
     def _assoc_witness(self):
-        ring = self.ring
-        lhs = ring.tensordot(self.mul, self.mul, axes=([2], [0]))  # (i,j,k,r)
-        rhs = ring.tensordot(self.mul, self.mul, axes=([2], [1]))  # (j,k,i,r)
-        rhs = ring.normalize(np.transpose(rhs, (2, 0, 1, 3)))
-        bad = np.argwhere(ring.normalize(lhs - rhs) != ring.zero)
-        return None if bad.size == 0 else tuple(int(v) for v in bad[0][:3])
+        w = _first_nonzero(self.ring, _associator(self.ring, *(self.mul,) * 4))
+        return None if w is None else w[:3]
 
     def _unit_witness(self):
-        ring = self.ring
-        eye = ring.eye(self.dim)
-        left = ring.tensordot(self.unit, self.mul, axes=([0], [0]))  # (j, r): 1*e_j
-        if not ring.equal(left, eye):
-            return "left-unit"
-        right = ring.tensordot(self.unit, self.mul, axes=([0], [1]))  # (i, r): e_i*1
-        if not ring.equal(right, eye):
-            return "right-unit"
+        for axis, law in ((0, "left-unit"), (1, "right-unit")):
+            defect = _unit_defect(self.ring, self.unit, self.mul, axis)
+            if _first_nonzero(self.ring, defect) is not None:
+                return law
         return None
 
 
@@ -220,95 +235,98 @@ class MoritaReport:
         return f"morita axioms: FAIL [{self.failure}]{where}"
 
 
-def _first_mismatch(ring, lhs, rhs):
-    diff = ring.normalize(lhs - rhs)
-    bad = np.argwhere(diff != ring.zero)
-    if bad.size == 0:
-        return None
-    return tuple(int(v) for v in bad[0])
+# The blocks in coordinate order; block i sits at (row, col) = divmod(i, 2)
+# of the 2x2 block matrix, so x*y lands in the block at (row x, col y) and
+# vanishes by construction unless col x = row y.
+_BLOCKS = "AMNB"
+
+
+def _row(x: str) -> int:
+    return _BLOCKS.index(x) // 2
+
+
+def _col(x: str) -> int:
+    return _BLOCKS.index(x) % 2
+
+
+def _block_at(row: int, col: int) -> str:
+    return _BLOCKS[2 * row + col]
+
+
+def _block_products(ctx: MoritaContext) -> dict:
+    """The product tensor [x, y, r] of each pair of blocks xy with
+    col x = row y; r runs over the block at (row x, col y)."""
+    return {
+        "AA": ctx.A.mul,
+        "AM": ctx.M.left,
+        "MB": ctx.M.right,
+        "MN": ctx.pairing_MN,
+        "NM": ctx.pairing_NM,
+        "NA": ctx.N.right,
+        "BN": ctx.N.left,
+        "BB": ctx.B.mul,
+    }
+
+
+# The Morita axioms in report order, each a law of the block product:
+# "xyz" is (xy)z = x(yz) on blocks x, y, z with col x = row y and
+# col y = row z; "1x" and "x1" say that the unit acts trivially on block x
+# from the left and from the right.  Every other law of the assembled
+# product holds by construction, both sides being zero.
+_MORITA_LAWS = (
+    ("A.associativity", "AAA"),
+    ("A.left-unit", "1A"),
+    ("A.right-unit", "A1"),
+    ("B.associativity", "BBB"),
+    ("B.left-unit", "1B"),
+    ("B.right-unit", "B1"),
+    ("M.left-associative", "AAM"),
+    ("M.left-unit", "1M"),
+    ("M.right-associative", "MBB"),
+    ("M.right-unit", "M1"),
+    ("M.actions-commute", "AMB"),
+    ("N.left-associative", "BBN"),
+    ("N.left-unit", "1N"),
+    ("N.right-associative", "NAA"),
+    ("N.right-unit", "N1"),
+    ("N.actions-commute", "BNA"),
+    ("pairing_MN.left-A-linear", "AMN"),
+    ("pairing_MN.right-A-linear", "MNA"),
+    ("pairing_MN.B-balanced", "MBN"),
+    ("pairing_NM.left-B-linear", "BNM"),
+    ("pairing_NM.right-B-linear", "NMB"),
+    ("pairing_NM.A-balanced", "NAM"),
+    ("diagram.MN-M", "MNM"),
+    ("diagram.NM-N", "NMN"),
+)
+
+
+def _law_defect(ctx: MoritaContext, prods: dict, law: str):
+    """The two sides of one law subtracted, on basis tuples of its blocks."""
+    ring = ctx.ring
+    if law[0] == "1":
+        corner = _block_at(_row(law[1]), _row(law[1]))
+        return _unit_defect(ring, getattr(ctx, corner).unit, prods[corner + law[1]], 0)
+    if law[1] == "1":
+        corner = _block_at(_col(law[0]), _col(law[0]))
+        return _unit_defect(ring, getattr(ctx, corner).unit, prods[law[0] + corner], 1)
+    x, y, z = law
+    xy, yz = _block_at(_row(x), _col(y)), _block_at(_row(y), _col(z))
+    return _associator(ring, prods[x + y], prods[xy + z], prods[y + z], prods[x + yz])
 
 
 def check_morita_axioms(ctx: MoritaContext) -> MoritaReport:
-    """Verify every bimodule / pairing / associativity-diagram identity on basis tuples.
+    """Verify the Morita axioms, the associativity and unit laws of the block
+    product, on basis tuples.
 
     Returns a report carrying the first violated identity (by name) and the
     basis indices witnessing it.
     """
-    ring = ctx.ring
-    A, B, M, N = ctx.A, ctx.B, ctx.M, ctx.N
-    if M.dim == 0 and N.dim == 0:
+    if ctx.M.dim == 0 and ctx.N.dim == 0:
         return MoritaReport(False, "context.degenerate-both-modules-zero")
-    td = ring.tensordot
-
-    checks = []
-
-    def add(name, lhs, rhs):
-        checks.append((name, lhs, rhs))
-
-    for alg, tag in ((A, "A"), (B, "B")):
-        lhs = td(alg.mul, alg.mul, axes=([2], [0]))
-        rhs = np.transpose(td(alg.mul, alg.mul, axes=([2], [1])), (2, 0, 1, 3))
-        add(f"{tag}.associativity", lhs, ring.normalize(rhs))
-        add(f"{tag}.left-unit", td(alg.unit, alg.mul, axes=([0], [0])), ring.eye(alg.dim))
-        add(f"{tag}.right-unit", td(alg.unit, alg.mul, axes=([0], [1])), ring.eye(alg.dim))
-
-    def module_checks(mod: BimoduleSpec, left_alg: AlgebraSpec, right_alg: AlgebraSpec, tag: str):
-        if mod.dim == 0:
-            return
-        # (aa')m = a(a'm):  [a, a', m, r]
-        lhs = td(left_alg.mul, mod.left, axes=([2], [0]))
-        rhs = np.transpose(td(mod.left, mod.left, axes=([2], [1])), (2, 0, 1, 3))
-        add(f"{tag}.left-associative", lhs, ring.normalize(rhs))
-        # 1m = m
-        add(f"{tag}.left-unit", td(left_alg.unit, mod.left, axes=([0], [0])), ring.eye(mod.dim))
-        # m(bb') = (mb)b':  [m, b, b', r]
-        lhs = np.transpose(td(right_alg.mul, mod.right, axes=([2], [1])), (2, 0, 1, 3))
-        rhs = td(mod.right, mod.right, axes=([2], [0]))
-        add(f"{tag}.right-associative", ring.normalize(lhs), rhs)
-        # m1 = m
-        add(f"{tag}.right-unit", td(right_alg.unit, mod.right, axes=([0], [1])), ring.eye(mod.dim))
-        # (am)b = a(mb):  [a, m, b, r]
-        lhs = td(mod.left, mod.right, axes=([2], [0]))
-        rhs = np.transpose(td(mod.right, mod.left, axes=([2], [1])), (2, 0, 1, 3))
-        add(f"{tag}.actions-commute", lhs, ring.normalize(rhs))
-
-    module_checks(M, A, B, "M")
-    module_checks(N, B, A, "N")
-
-    if M.dim and N.dim:
-        # pairing_MN is an (A, A)-bimodule map, B-balanced
-        # (am, n) = a(m, n):  [a, m, n, r]
-        lhs = td(M.left, ctx.pairing_MN, axes=([2], [0]))
-        rhs = np.transpose(td(ctx.pairing_MN, A.mul, axes=([2], [1])), (2, 0, 1, 3))
-        add("pairing_MN.left-A-linear", lhs, ring.normalize(rhs))
-        # (m, na) = (m, n)a:  [m, n, a, r]
-        lhs = np.transpose(td(N.right, ctx.pairing_MN, axes=([2], [1])), (2, 0, 1, 3))
-        rhs = td(ctx.pairing_MN, A.mul, axes=([2], [0]))
-        add("pairing_MN.right-A-linear", ring.normalize(lhs), rhs)
-        # (mb, n) = (m, bn):  [m, b, n, r]
-        lhs = td(M.right, ctx.pairing_MN, axes=([2], [0]))
-        rhs = np.transpose(td(N.left, ctx.pairing_MN, axes=([2], [1])), (2, 0, 1, 3))
-        add("pairing_MN.B-balanced", ring.normalize(lhs), ring.normalize(rhs))
-        # pairing_NM is a (B, B)-bimodule map, A-balanced
-        lhs = td(N.left, ctx.pairing_NM, axes=([2], [0]))
-        rhs = np.transpose(td(ctx.pairing_NM, B.mul, axes=([2], [1])), (2, 0, 1, 3))
-        add("pairing_NM.left-B-linear", lhs, ring.normalize(rhs))
-        lhs = np.transpose(td(M.right, ctx.pairing_NM, axes=([2], [1])), (2, 0, 1, 3))
-        rhs = td(ctx.pairing_NM, B.mul, axes=([2], [0]))
-        add("pairing_NM.right-B-linear", ring.normalize(lhs), rhs)
-        lhs = td(N.right, ctx.pairing_NM, axes=([2], [0]))
-        rhs = np.transpose(td(M.left, ctx.pairing_NM, axes=([2], [1])), (2, 0, 1, 3))
-        add("pairing_NM.A-balanced", lhs, ring.normalize(rhs))
-        # associativity diagrams: (m,n)m' = m(n,m')  and  (n,m)n' = n(m,n')
-        lhs = td(ctx.pairing_MN, M.left, axes=([2], [0]))  # [m, n, m', r]
-        rhs = np.transpose(td(ctx.pairing_NM, M.right, axes=([2], [1])), (2, 0, 1, 3))
-        add("diagram.MN-M", lhs, ring.normalize(rhs))
-        lhs = td(ctx.pairing_NM, N.left, axes=([2], [0]))  # [n, m, n', r]
-        rhs = np.transpose(td(ctx.pairing_MN, N.right, axes=([2], [1])), (2, 0, 1, 3))
-        add("diagram.NM-N", lhs, ring.normalize(rhs))
-
-    for name, lhs, rhs in checks:
-        w = _first_mismatch(ring, lhs, rhs)
+    prods = _block_products(ctx)
+    for name, law in _MORITA_LAWS:
+        w = _first_nonzero(ctx.ring, _law_defect(ctx, prods, law))
         if w is not None:
             return MoritaReport(False, name, w)
     return MoritaReport(True)
@@ -393,59 +411,36 @@ class GMA(_MulCarrier):
         return build_generic_system(self)
 
 
-def assemble_gma(ctx: MoritaContext, check: bool = True) -> GMA:
+def assemble_gma(ctx: MoritaContext) -> GMA:
     """Glue a Morita context into its generalized matrix algebra.
 
-    Rejects contexts failing the axiom battery (witness attached); always
-    re-verifies associativity and the unit laws of the assembled product.
+    The Morita axioms are the block laws of the assembled product, so a
+    context that passes ``check_morita_axioms`` gives an associative unital
+    algebra; one that fails is rejected with the failing law and witness.
     """
-    if check:
-        rep = check_morita_axioms(ctx)
-        if not rep.ok:
-            raise AxiomError(rep.failure, rep.indices)
+    rep = check_morita_axioms(ctx)
+    if not rep.ok:
+        raise AxiomError(rep.failure, rep.indices)
     ring = ctx.ring
-    dA, dM, dN, dB = ctx.A.dim, ctx.M.dim, ctx.N.dim, ctx.B.dim
-    d = dA + dM + dN + dB
-    oA, oM, oN, oB = 0, dA, dA + dM, dA + dM + dN
+    dims = [getattr(ctx, x).dim for x in _BLOCKS]
+    offsets = (0, *accumulate(dims[:3]))
+    d = sum(dims)
+    sl = {x: slice(o, o + n) for x, o, n in zip(_BLOCKS, offsets, dims)}
     mul = ring.zeros((d, d, d))
-
-    def put(tensor, rows: slice, cols: slice, out: slice):
-        if tensor.size:
-            mul[rows, cols, out] = tensor
-
-    sA, sM, sN, sB = (
-        slice(oA, oA + dA),
-        slice(oM, oM + dM),
-        slice(oN, oN + dN),
-        slice(oB, oB + dB),
-    )
-    put(ctx.A.mul, sA, sA, sA)  # a a'
-    put(ctx.M.left, sA, sM, sM)  # a m'
-    put(ctx.M.right, sM, sB, sM)  # m b'
-    put(ctx.pairing_MN, sM, sN, sA)  # m n' lands in A
-    put(ctx.pairing_NM, sN, sM, sB)  # n m' lands in B
-    put(ctx.N.right, sN, sA, sN)  # n a'
-    put(ctx.N.left, sB, sN, sN)  # b n'
-    put(ctx.B.mul, sB, sB, sB)  # b b'
+    for (x, y), tensor in _block_products(ctx).items():
+        mul[sl[x], sl[y], sl[_block_at(_row(x), _col(y))]] = tensor
 
     unit = ring.zeros(d)
-    unit[sA] = ctx.A.unit
-    unit[sB] = ctx.B.unit
+    unit[sl["A"]] = ctx.A.unit
+    unit[sl["B"]] = ctx.B.unit
 
     labels = None
     if ctx.A.labels and ctx.B.labels:
-        mid_m = tuple(f"m{i}" for i in range(dM))
-        mid_n = tuple(f"n{i}" for i in range(dN))
+        mid_m = tuple(f"m{i}" for i in range(ctx.M.dim))
+        mid_n = tuple(f"n{i}" for i in range(ctx.N.dim))
         labels = tuple(ctx.A.labels) + mid_m + mid_n + tuple(ctx.B.labels)
 
-    g = GMA(ctx, ring, d, mul, unit, (oA, oM, oN, oB), labels)
-    w = g._assoc_witness()
-    if w is not None:
-        raise AxiomError("gma.associativity", w, "assembled product not associative")
-    u = g._unit_witness()
-    if u is not None:
-        raise AxiomError(f"gma.{u}")
-    return g
+    return GMA(ctx, ring, d, mul, unit, offsets, labels)
 
 
 # ---------------------------------------------------------------------------

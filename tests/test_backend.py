@@ -21,7 +21,7 @@ def random_matrix(stream, rows, cols, p):
 
 def test_known_reduction():
     a = np.array([[2, 1], [3, 4]], dtype=np.int64)
-    red, piv, rank = backend.rref_mod_p(a, 5)
+    red, piv, rank = backend.rref(prime_field(5), a)
     assert red.tolist() == [[1, 3], [0, 0]]
     assert piv.tolist() == [0]
     assert rank == 1
@@ -39,8 +39,8 @@ def test_known_reduction_over_q():
 def test_rref_is_idempotent():
     stream = XorShift64Star(99)
     a = random_matrix(stream, 6, 9, 5)
-    red, piv, rank = backend.rref_mod_p(a, 5)
-    red2, piv2, rank2 = backend.rref_mod_p(red, 5)
+    red, piv, rank = backend.rref(prime_field(5), a)
+    red2, piv2, rank2 = backend.rref(prime_field(5), red)
     assert rank == rank2 and piv.tolist() == piv2.tolist()
     assert np.array_equal(red, red2)
 

@@ -11,7 +11,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gmalg import center
+from gmalg.cli import main
 from gmalg.exact import RATIONAL, prime_field, rank_array
+from gmalg.io import save_context
 from gmalg.center import (
     CenterError,
     _integer_mul_tensor,
@@ -161,6 +164,28 @@ def test_quotient_and_complement(m3):
 def test_faithful_on_full_matrix(m3):
     left, right, wit = check_faithful(m3.ctx)
     assert left and right and wit is None
+
+
+def test_faithfulness_is_computed_once_per_algebra(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def counted(ctx):
+        calls.append(ctx)
+        return check_faithful(ctx)
+
+    monkeypatch.setattr(center, "check_faithful", counted)
+    gma = assemble_gma(build_full_matrix(4, 2, F5))
+    report = hypothesis_report(gma)
+    assert check_loyal(gma.ctx).status == "true"
+    assert len(calls) == 1
+    verdict = check_faithful(gma.ctx)[:2]
+    assert (gma.center.faithful_left, gma.center.faithful_right) == verdict
+    assert (report.M_faithful_left, report.M_faithful_right) == verdict
+    path = tmp_path / "m4.json"
+    save_context(path, gma.ctx)
+    assert main(["center", str(path)]) == 0
+    assert "faithful: left=True right=True" in capsys.readouterr().out.splitlines()
+    assert len(calls) == 2
 
 
 def test_loyal_statuses():

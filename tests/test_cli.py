@@ -128,6 +128,31 @@ def test_check_parse_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "block, key, value, message",
+    [
+        ("ring", "p", "x", "prime_field needs an integer p, got 'x'"),
+        ("ring", "p", [5], "prime_field needs an integer p, got [5]"),
+        (None, "meta", [1, 2], "meta must be a JSON object"),
+        # rejected from the dimensions alone: nothing of this size is allocated
+        ("module_M", "dim", 10**30, "the product tensor of a context of dimension"),
+        ("algebra_A", "dim", True, "algebra_A.dim must be a nonnegative int"),
+    ],
+    ids=["p-string", "p-list", "meta-list", "dim-10e30", "dim-true"],
+)
+def test_check_rejects_malformed_fields_with_a_message(
+    m3_file, tmp_path, capsys, block, key, value, message
+):
+    doc = json.loads(open(m3_file).read())
+    (doc[block] if block else doc)[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_center_document(m3_file, tmp_path, capsys):
     out = tmp_path / "center.json"
     assert main(["center", m3_file, "-o", str(out)]) == 0
@@ -334,6 +359,21 @@ def test_suite_skips_with_reasons_on_non_loyal_instance(tmp_path, capsys):
     assert skip_lines
     assert all("(" in l for l in skip_lines)  # every skip explains itself
     assert "0 failed" in out
+
+
+def test_suite_leaves_out_the_central_shift_when_one_plus_n_vanishes(tmp_path, capsys):
+    # over F_5 the central shift x -> uxu^-1 + trace(x)I of M_4 is singular
+    ctx_path = tmp_path / "m4.json"
+    argv = ["gen", "--kind", "full-matrix", "--ring", "fp:5", "--n", "4", "--split", "2"]
+    assert main(argv + ["-o", str(ctx_path)]) == 0
+    capsys.readouterr()
+    assert main(["suite", str(ctx_path), "--count", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert (
+        "PASS lie-triple-split-shapes (two shapes, expected signs; "
+        "central-shift left out: 1 + n = 5 vanishes mod 5)"
+    ) in lines
+    assert "0 failed" in lines[-1]
 
 
 def test_suite_reruns_are_byte_identical(t3_file, tmp_path):

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from gmalg.exact import (
     ExactError,
-    ExactMatrix,
     RATIONAL,
     RingDescriptor,
     inverse_array,
@@ -124,13 +123,14 @@ def test_inverse_examples():
     assert inverse_array(F7, F7.array(A)) is not None
 
 
-def test_exact_matrix_wrapper():
-    em = ExactMatrix.from_rows(F5, [[2, 1], [3, 4]])
-    red, piv, rank = em.rref()
-    assert red == ExactMatrix.from_rows(F5, [[1, 3], [0, 0]])
-    assert em.rank() == 1
-    assert em.inverse() is None
-    assert em.nullspace().shape == (1, 2)
+def test_singular_matrix_rref_rank_inverse_nullspace():
+    a = F5.array([[2, 1], [3, 4]])
+    red, piv, rank = rref_array(F5, a)
+    assert F5.equal(red, F5.array([[1, 3], [0, 0]]))
+    assert piv == (0,) and rank == 1
+    assert rank_array(F5, a) == 1
+    assert inverse_array(F5, a) is None
+    assert nullspace_array(F5, a).shape == (1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,13 @@ def test_map_document_rejects_mismatches():
     d["kind"] = "bilinear"
     with pytest.raises(IOFormatError):
         map_from_json(d)
+    # shapes too large to hold are rejected before anything is allocated;
+    # 2**32 x 2**32 cells once wrapped to an empty int64 product
+    huge = {"format": "gma-map", "ring": {"kind": "prime_field", "p": 5}}
+    with pytest.raises(IOFormatError, match="cells, more than"):
+        map_from_json({**huge, "kind": "bilinear", "shape": [10**10] * 3, "entries": []})
+    with pytest.raises(IOFormatError, match="expected a list of 18446744073709551616"):
+        map_from_json({**huge, "kind": "linear", "shape": [2**32] * 2, "entries_dense": []})
 
 
 # ---------------------------------------------------------------------------

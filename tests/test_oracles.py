@@ -11,8 +11,10 @@ Fraction arrays themselves.  The constructive chain is checked against
 its per-basis-vector loops: the witness extraction, the shape laws and
 the mu/nu assembly.  The corner isomorphism phi is checked against one
 exact solve per projected center row, and the matrix-unit builders
-against one loop per product tensor.  They are kept here only as
-oracles.  Every comparison is literal: same keys in the same order, same
+against one loop per product tensor.  The table of block laws that checks
+the Morita axioms is compared with one hand-written contraction per
+identity, law by law, on seeded mutations of the builder contexts.  They
+are kept here only as oracles.  Every comparison is literal: same keys in the same order, same
 dtype, same scalar type, same values, same witnesses.
 
 The instances cover a center of dimension one (M3, M4), a triangular split
@@ -90,11 +92,14 @@ from gmalg.maps import (
 from gmalg.rng import XorShift64Star
 from gmalg.structure import (
     AlgebraSpec,
+    AxiomError,
     BimoduleSpec,
     MoritaContext,
+    MoritaReport,
     assemble_gma,
     build_diagonal_pair,
     build_full_matrix,
+    build_inflated,
     build_peirce,
     build_upper_triangular,
     check_morita_axioms,
@@ -103,6 +108,7 @@ from gmalg.structure import (
     make_triangular_algebra,
     triangular_positions,
 )
+from gmalg.structure import _MORITA_LAWS, _block_products, _first_nonzero, _law_defect
 
 F5 = prime_field(5)
 BIG_P = prime_field(1048573)
@@ -1573,6 +1579,195 @@ def test_matrix_unit_contexts_match_loops(ring):
             )
             assert full_matrix_positions(n, k) == slow_full_matrix_positions(n, k)
             assert triangular_positions(n, k) == slow_triangular_positions(n, k)
+
+
+# ---------------------------------------------------------------------------
+# the Morita axioms
+# ---------------------------------------------------------------------------
+
+
+def _first_mismatch(ring, lhs, rhs):
+    diff = ring.normalize(lhs - rhs)
+    bad = np.argwhere(diff != ring.zero)
+    if bad.size == 0:
+        return None
+    return tuple(int(v) for v in bad[0])
+
+
+def slow_morita_witnesses(ctx):
+    """{identity: first mismatching basis tuple or None} in report order,
+    every bimodule / pairing / associativity-diagram identity as its own
+    contraction with its own transpose; identities on a zero module are
+    left out."""
+    ring = ctx.ring
+    A, B, M, N = ctx.A, ctx.B, ctx.M, ctx.N
+    td = ring.tensordot
+
+    checks = []
+
+    def add(name, lhs, rhs):
+        checks.append((name, lhs, rhs))
+
+    for alg, tag in ((A, "A"), (B, "B")):
+        lhs = td(alg.mul, alg.mul, axes=([2], [0]))
+        rhs = np.transpose(td(alg.mul, alg.mul, axes=([2], [1])), (2, 0, 1, 3))
+        add(f"{tag}.associativity", lhs, ring.normalize(rhs))
+        add(f"{tag}.left-unit", td(alg.unit, alg.mul, axes=([0], [0])), ring.eye(alg.dim))
+        add(f"{tag}.right-unit", td(alg.unit, alg.mul, axes=([0], [1])), ring.eye(alg.dim))
+
+    def module_checks(mod, left_alg, right_alg, tag):
+        if mod.dim == 0:
+            return
+        # (aa')m = a(a'm):  [a, a', m, r]
+        lhs = td(left_alg.mul, mod.left, axes=([2], [0]))
+        rhs = np.transpose(td(mod.left, mod.left, axes=([2], [1])), (2, 0, 1, 3))
+        add(f"{tag}.left-associative", lhs, ring.normalize(rhs))
+        # 1m = m
+        add(f"{tag}.left-unit", td(left_alg.unit, mod.left, axes=([0], [0])), ring.eye(mod.dim))
+        # m(bb') = (mb)b':  [m, b, b', r]
+        lhs = np.transpose(td(right_alg.mul, mod.right, axes=([2], [1])), (2, 0, 1, 3))
+        rhs = td(mod.right, mod.right, axes=([2], [0]))
+        add(f"{tag}.right-associative", ring.normalize(lhs), rhs)
+        # m1 = m
+        add(f"{tag}.right-unit", td(right_alg.unit, mod.right, axes=([0], [1])), ring.eye(mod.dim))
+        # (am)b = a(mb):  [a, m, b, r]
+        lhs = td(mod.left, mod.right, axes=([2], [0]))
+        rhs = np.transpose(td(mod.right, mod.left, axes=([2], [1])), (2, 0, 1, 3))
+        add(f"{tag}.actions-commute", lhs, ring.normalize(rhs))
+
+    module_checks(M, A, B, "M")
+    module_checks(N, B, A, "N")
+
+    if M.dim and N.dim:
+        # pairing_MN is an (A, A)-bimodule map, B-balanced
+        # (am, n) = a(m, n):  [a, m, n, r]
+        lhs = td(M.left, ctx.pairing_MN, axes=([2], [0]))
+        rhs = np.transpose(td(ctx.pairing_MN, A.mul, axes=([2], [1])), (2, 0, 1, 3))
+        add("pairing_MN.left-A-linear", lhs, ring.normalize(rhs))
+        # (m, na) = (m, n)a:  [m, n, a, r]
+        lhs = np.transpose(td(N.right, ctx.pairing_MN, axes=([2], [1])), (2, 0, 1, 3))
+        rhs = td(ctx.pairing_MN, A.mul, axes=([2], [0]))
+        add("pairing_MN.right-A-linear", ring.normalize(lhs), rhs)
+        # (mb, n) = (m, bn):  [m, b, n, r]
+        lhs = td(M.right, ctx.pairing_MN, axes=([2], [0]))
+        rhs = np.transpose(td(N.left, ctx.pairing_MN, axes=([2], [1])), (2, 0, 1, 3))
+        add("pairing_MN.B-balanced", ring.normalize(lhs), ring.normalize(rhs))
+        # pairing_NM is a (B, B)-bimodule map, A-balanced
+        lhs = td(N.left, ctx.pairing_NM, axes=([2], [0]))
+        rhs = np.transpose(td(ctx.pairing_NM, B.mul, axes=([2], [1])), (2, 0, 1, 3))
+        add("pairing_NM.left-B-linear", lhs, ring.normalize(rhs))
+        lhs = np.transpose(td(M.right, ctx.pairing_NM, axes=([2], [1])), (2, 0, 1, 3))
+        rhs = td(ctx.pairing_NM, B.mul, axes=([2], [0]))
+        add("pairing_NM.right-B-linear", ring.normalize(lhs), rhs)
+        lhs = td(N.right, ctx.pairing_NM, axes=([2], [0]))
+        rhs = np.transpose(td(M.left, ctx.pairing_NM, axes=([2], [1])), (2, 0, 1, 3))
+        add("pairing_NM.A-balanced", lhs, ring.normalize(rhs))
+        # associativity diagrams: (m,n)m' = m(n,m')  and  (n,m)n' = n(m,n')
+        lhs = td(ctx.pairing_MN, M.left, axes=([2], [0]))  # [m, n, m', r]
+        rhs = np.transpose(td(ctx.pairing_NM, M.right, axes=([2], [1])), (2, 0, 1, 3))
+        add("diagram.MN-M", lhs, ring.normalize(rhs))
+        lhs = td(ctx.pairing_NM, N.left, axes=([2], [0]))  # [n, m, n', r]
+        rhs = np.transpose(td(ctx.pairing_MN, N.right, axes=([2], [1])), (2, 0, 1, 3))
+        add("diagram.NM-N", lhs, ring.normalize(rhs))
+
+    return {name: _first_mismatch(ring, lhs, rhs) for name, lhs, rhs in checks}
+
+
+def slow_check_morita_axioms(ctx):
+    if ctx.M.dim == 0 and ctx.N.dim == 0:
+        return MoritaReport(False, "context.degenerate-both-modules-zero")
+    for name, w in slow_morita_witnesses(ctx).items():
+        if w is not None:
+            return MoritaReport(False, name, w)
+    return MoritaReport(True)
+
+
+MORITA_INSTANCES = {
+    "m3-f5": lambda: build_full_matrix(3, 1, F5),
+    "m4-f5": lambda: build_full_matrix(4, 2, F5),
+    "t4-f5": lambda: build_upper_triangular(4, 2, F5),
+    "m3-q": lambda: build_full_matrix(3, 1, RATIONAL),
+    "t3-q": lambda: build_upper_triangular(3, 1, RATIONAL),
+    "diagonal-f5": lambda: build_diagonal_pair(F5),
+    "inflated-f5": lambda: build_inflated(F5, 2, F5.zeros((2, 2))),
+    "inflated-half-q": lambda: build_inflated(RATIONAL, 1, [[Fraction(1, 2)]]),
+    "inflated-halves-q": lambda: build_inflated(
+        RATIONAL, 2, [[Fraction(1, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(1, 2)]]
+    ),
+}
+
+CONTEXT_TENSORS = (
+    ("A", "mul"),
+    ("A", "unit"),
+    ("B", "mul"),
+    ("B", "unit"),
+    ("M", "left"),
+    ("M", "right"),
+    ("N", "left"),
+    ("N", "right"),
+    (None, "pairing_MN"),
+    (None, "pairing_NM"),
+)
+
+
+def mutated_context(ctx, stream):
+    """ctx with 1-3 seeded cells of one of its structure tensors shifted."""
+    ring = ctx.ring
+    parts = {
+        (owner, name): (getattr(ctx, owner) if owner else ctx).__dict__[name].copy()
+        for owner, name in CONTEXT_TENSORS
+    }
+    nonempty = [key for key, t in parts.items() if t.size]
+    t = parts[nonempty[stream.below(len(nonempty))]]
+    for _ in range(1 + stream.below(3)):
+        cell = tuple(stream.below(n) for n in t.shape)
+        if ring.is_prime_field:
+            shift = 1 + stream.below(ring.p - 1)
+        else:
+            shift = Fraction(1 + stream.below(3), 1 + stream.below(2)) * (
+                1 if stream.below(2) else -1
+            )
+        t[cell] = t[cell] + ring.coerce(shift)
+    alg = {
+        x: AlgebraSpec(ring, getattr(ctx, x).dim, parts[x, "mul"], parts[x, "unit"])
+        for x in "AB"
+    }
+    mod = {
+        x: BimoduleSpec(ring, getattr(ctx, x).dim, parts[x, "left"], parts[x, "right"])
+        for x in "MN"
+    }
+    return MoritaContext(
+        alg["A"],
+        alg["B"],
+        mod["M"],
+        mod["N"],
+        parts[None, "pairing_MN"],
+        parts[None, "pairing_NM"],
+        dict(ctx.meta),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(MORITA_INSTANCES))
+def test_block_laws_match_hand_written_axioms_under_mutation(name):
+    base = MORITA_INSTANCES[name]()
+    stream = XorShift64Star(sum(map(ord, name)))
+    for ctx in [base] + [mutated_context(base, stream) for _ in range(40)]:
+        # every law, not only the first that fails, has the oracle's witness
+        slow = slow_morita_witnesses(ctx)
+        prods = _block_products(ctx)
+        for name, law in _MORITA_LAWS:
+            got = _first_nonzero(ctx.ring, _law_defect(ctx, prods, law))
+            assert got == slow.get(name)
+        want = slow_check_morita_axioms(ctx)
+        assert str(check_morita_axioms(ctx)) == str(want)
+        if not want.ok:
+            with pytest.raises(AxiomError) as err:
+                assemble_gma(ctx)
+            assert type(err.value) is AxiomError
+            assert str(err.value) == str(AxiomError(want.failure, want.indices))
+            continue
+        g = assemble_gma(ctx)
+        assert g._assoc_witness() is None and g._unit_witness() is None
 
 
 # ---------------------------------------------------------------------------
