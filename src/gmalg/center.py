@@ -22,15 +22,13 @@ import numpy as np
 from .exact import (
     RingDescriptor,
     clear_denominators,
-    coordinate_complement,
     nullspace_array,
     rank_array,
-    row_space_contains,
     row_span_coords,
     row_span_residual,
     rref_array,
 )
-from .maps import _arrangement_table, _commutator_tensor, _jordan_tensor
+from .maps import _arrangement_table, _commutator_tensor, _jordan_tensor, pair_coefficients
 from .rng import XorShift64Star
 from .structure import GMA, MoritaContext, check_morita_axioms
 
@@ -70,8 +68,7 @@ class CenterData:
     pib_image: np.ndarray
     phi: np.ndarray  # (dim B, #pia rows): piA coefficient -> B coords
     phi_inv: np.ndarray  # (dim A, #pib rows)
-    complement: np.ndarray  # ((dim - zdim), dim): coordinate vectors extending z_g
-    to_coords: np.ndarray  # (dim, dim): v -> coefficients over [z_g; complement]
+    annihilator: np.ndarray  # (dim - zdim, dim): nullspace_array(z_g), kills exactly Z(G)
     faithful_left: bool  # check_faithful of the connecting bimodule M
     faithful_right: bool
 
@@ -81,9 +78,12 @@ class CenterData:
 
     def center_rows(self, v):
         """(coords, central) for vectors stacked along v's leading axes:
-        coefficients over the z_g basis and whether each vector is central."""
-        c = self.ring.tensordot(np.asarray(v), self.to_coords, axes=([-1], [1]))
-        return c[..., : self.zdim], ~np.any(c[..., self.zdim :] != self.ring.zero, axis=-1)
+        coefficients over the z_g basis (v read at z_g's pivots, meaningless
+        for a vector that is not central) and whether each vector is central."""
+        v = self.ring.normalize(np.asarray(v))
+        rest = self.ring.tensordot(v, self.annihilator, axes=([-1], [1]))
+        pivots = (self.z_g != self.ring.zero).argmax(axis=1)
+        return v[..., pivots], ~np.any(rest != self.ring.zero, axis=-1)
 
     def center_coords(self, v):
         """Coefficients of v over the z_g basis, or None if v is not central."""
@@ -98,9 +98,8 @@ class CenterData:
         return self.ring.tensordot(np.asarray(zc), self.z_g, axes=([0], [0]))
 
     def quotient(self, v):
-        """Coordinates of v in the complement (zero iff central)."""
-        c = self.ring.tensordot(self.to_coords, np.asarray(v), axes=([1], [0]))
-        return c[self.zdim:].copy()
+        """The annihilator applied to v: zero iff v is central."""
+        return self.ring.tensordot(self.annihilator, np.asarray(v), axes=([1], [0]))
 
     def _corner_rows(self, image, iso, v):
         coeff, resid = row_span_residual(self.ring, image, np.asarray(v))
@@ -212,10 +211,8 @@ def compute_center_gma(gma: GMA) -> CenterData:
             "corner isomorphism inverse needs the bimodule faithful on the left; it is not"
         )
 
-    complement, to_coords = coordinate_complement(ring, z_g)
-
     return CenterData(
-        ring, d, z_g, z_a, z_b, pia, pib, phi, phi_inv, complement, to_coords,
+        ring, d, z_g, z_a, z_b, pia, pib, phi, phi_inv, nullspace_array(ring, z_g),
         left_ok, right_ok,
     )
 
@@ -296,18 +293,16 @@ def check_loyal(ctx: MoritaContext, bound: int = 5**8) -> LoyaltyResult:
 
 
 def commuting_linear_space(alg) -> list:
-    """Canonical basis (as matrices) of {f linear : [f(x), x] = 0 for all x}."""
-    ring, d, mul = alg.ring, alg.dim, alg.mul
-    Bk = ring.normalize(mul - np.transpose(mul, (1, 0, 2)))  # [k, j, r] = [e_k, e_j]_r
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    K = ring.zeros((len(pairs) * d, d * d))  # unknown w[i*d + k] = f(e_i)_k
-    for row, (i, j) in enumerate(pairs):
-        base = row * d
-        for k in range(d):
-            K[base : base + d, i * d + k] += Bk[k, j]
-            if i != j:
-                K[base : base + d, j * d + k] += Bk[k, i]
-    K = ring.normalize(K)
+    """Canonical basis (as matrices) of {f linear : [f(x), x] = 0 for all x}.
+
+    The unknowns are w[i*d + k] = f(e_i)_k; the rows are the coefficients
+    of x_i x_j (i <= j) in [f(x), x], read in coordinate r: the pair
+    layout of T[i, j, r, i', k] = delta_ii' [e_k, e_j]_r."""
+    ring, d = alg.ring, alg.dim
+    T = ring.zeros((d, d, d, d, d))
+    idx = np.arange(d)
+    T[idx, :, :, idx, :] = np.transpose(_commutator_tensor(alg), (1, 2, 0))
+    K = pair_coefficients(ring, T.reshape(d, d, d**3)).reshape(-1, d * d)
     sols = nullspace_array(ring, K)
     return [w.reshape(d, d).T.copy() for w in sols]
 
@@ -339,17 +334,16 @@ def check_all_commuting_proper(alg) -> ProperSpanReport:
     comm = commuting_linear_space(alg)
     z_rows = compute_center_algebra(alg)
     gens = proper_linear_generators(alg, z_rows)
-    if not gens:
-        span = ring.zeros((0, d * d))
-    else:
-        span = ring.zeros((len(gens), d * d))
-        for i, F in enumerate(gens):
-            span[i] = F.reshape(d * d)
+    span = ring.zeros((len(gens), d * d))
+    for i, F in enumerate(gens):
+        span[i] = F.reshape(d * d)
     cand = ring.zeros((len(comm), d * d))
     for i, F in enumerate(comm):
         cand[i] = F.reshape(d * d)
-    ok = row_space_contains(ring, span, cand)
-    return ProperSpanReport(ok, len(comm), rank_array(ring, span) if gens else 0)
+    # the commuting maps lie in the proper span iff its annihilator kills them
+    ann = nullspace_array(ring, span)
+    ok = ring.is_zero(ring.tensordot(cand, ann, axes=([1], [1])))
+    return ProperSpanReport(ok, len(comm), d * d - ann.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -539,23 +533,16 @@ def _cube_annihilation_matrix(gma) -> np.ndarray:
 
 def cube_annihilating_forms_contained(gma) -> bool:
     """Bilinear K: B x B -> N with x*K(x,x) = 0 coefficientwise satisfy
-    K(x,x) = 0 coefficientwise (nullspace containment, exact)."""
+    K(x,x) = 0 coefficientwise: the pair coefficients of every basis form
+    K[v, w, n] of the first space vanish."""
     ring = gma.ring
     ctx = gma.ctx
     dB, dN = ctx.B.dim, ctx.N.dim
     if dN == 0 or dB == 0:
         return True
-    nunk = dB * dB * dN  # K[v, w, n]
     null_cubic = nullspace_array(ring, _cube_annihilation_matrix(gma))
-    pairs = [(a, b) for a in range(dB) for b in range(a, dB)]
-    K2 = ring.zeros((len(pairs) * dN, nunk))
-    for row, (a, b) in enumerate(pairs):
-        base = row * dN
-        for n in range(dN):
-            K2[base + n, (a * dB + b) * dN + n] += ring.one
-            if a != b:
-                K2[base + n, (b * dB + a) * dN + n] += ring.one
-    return row_space_contains(ring, nullspace_array(ring, ring.normalize(K2)), null_cubic)
+    forms = np.moveaxis(null_cubic.reshape(-1, dB, dB, dN), 0, 2)  # [v, w, form, n]
+    return ring.is_zero(pair_coefficients(ring, forms.reshape(dB, dB, -1)))
 
 
 # ---------------------------------------------------------------------------

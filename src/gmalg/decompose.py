@@ -27,8 +27,8 @@ from .center import CenterData
 from .exact import (
     ExactError,
     FactoredMatrix,
-    coordinate_complement,
     inverse_array,
+    nullspace_array,
     rank_array,
     row_span_residual,
     solve_columns,
@@ -349,12 +349,6 @@ class ConstructiveWitness:
     side: str  # "A" | "B" | "fallback"
 
 
-def _algebra_quotient(ring, z_rows):
-    """Projection-to-complement coords modulo span(z_rows): (qdim, dim) rows
-    Q with Qv = 0 iff v in the span."""
-    return coordinate_complement(ring, z_rows)[1][z_rows.shape[0] :]
-
-
 def _outside(ring, rows, v):
     """Mask over the vectors stacked along v's leading axes: True where one
     leaves the span of the canonical rows."""
@@ -386,8 +380,9 @@ def _central_multiples(ring, alg, z_rows, targets):
     """For each stack targets[k] (one vector per basis element e_i of alg),
     the central c = sum_u c_u zeta_u with c e_i = targets[k, i] modulo the
     span of z_rows for every i, from one shared reduction:
-    (c per k as rows, mask of the first k without one)."""
-    Q = _algebra_quotient(ring, z_rows)
+    (c per k as rows, mask of the first k without one).  The annihilator Q
+    of span(z_rows) reads each equation modulo the span."""
+    Q = nullspace_array(ring, z_rows)
     ze = ring.tensordot(z_rows, alg.mul, axes=([1], [0]))  # [u, i] = zeta_u e_i
     coeff = np.transpose(ring.tensordot(ze, Q, axes=([2], [1])), (1, 2, 0))
     rhs = ring.tensordot(targets, Q, axes=([2], [1]))
@@ -806,7 +801,7 @@ def decompose_lie_triple_iso(l: LinearMapRep, src: GMA, dst: GMA) -> LieTripleDe
     m_rank = rank_array(ring, m_mat)
     checks["m-injective"] = m_rank == src.dim
     checks["n-central"] = ring.is_zero(
-        ring.tensordot(C.to_coords[C.zdim :], n_mat, axes=([1], [0]))
+        ring.tensordot(C.annihilator, n_mat, axes=([1], [0]))
     )
     nvan, _ = vanishes_on_second_commutators(src, n)
     checks["n-kills-second-commutators"] = nvan

@@ -249,15 +249,21 @@ def rank_array(ring: RingDescriptor, mat: np.ndarray) -> int:
 
 
 def nullspace_array(ring: RingDescriptor, mat: np.ndarray) -> np.ndarray:
-    """Canonical nullspace basis, one vector per row (free columns ascending)."""
+    """Canonical nullspace basis, one vector per row (free columns ascending).
+
+    Row f is e_f - sum_k red[k, f] e_{piv_k}.  It is also the annihilator of
+    the row span: ``nullspace_array(rows) @ v`` is zero iff v lies in the
+    span of rows, and for canonical RREF rows it is the residual of
+    ``row_span_residual`` read on the free columns.
+    """
     rows, cols = np.shape(mat)
     red, piv, rank = rref_array(ring, mat)  # rref_array normalizes its own copy
-    free = [c for c in range(cols) if c not in set(piv)]
+    pivots = set(piv)
+    free = [c for c in range(cols) if c not in pivots]
     basis = ring.zeros((len(free), cols))
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = ring.one
-        for ri, pc in enumerate(piv):
-            basis[bi, pc] = ring.neg(red[ri, fc]) if ring.is_prime_field else -red[ri, fc]
+    if free:
+        basis[range(len(free)), free] = ring.one
+        basis[:, list(piv)] = -red[:rank, free].T
     return ring.normalize(basis)
 
 
@@ -394,25 +400,6 @@ def row_span_coords(ring: RingDescriptor, basis_rows: np.ndarray, v: np.ndarray)
     """Coordinates of v in a *canonical RREF* row basis, or None if outside."""
     coords, resid = row_span_residual(ring, basis_rows, v)
     return coords if ring.is_zero(resid) else None
-
-
-def coordinate_complement(ring: RingDescriptor, rows: np.ndarray):
-    """Extend independent rows by unit vectors: (complement, to_coords).
-
-    The unit vectors e_i are taken greedily in ascending i, each one that
-    is outside the span so far; ``to_coords`` is the inverse of
-    [rows; complement]^T, mapping a vector to its coefficients over those
-    rows.  Both come from one reduction of [rows^T | I]: its pivot columns
-    are the greedy choice and its right block is the inverse.
-    """
-    k, dim = rows.shape
-    red, piv, _ = rref_array(ring, np.concatenate([rows.T, ring.eye(dim)], axis=1))
-    if piv[:k] != tuple(range(k)):
-        raise ExactError("complement of dependent rows")
-    chosen = [c - k for c in piv[k:]]
-    complement = ring.zeros((len(chosen), dim))
-    complement[np.arange(len(chosen)), chosen] = ring.one
-    return complement, red[:, k:].copy()
 
 
 def row_space_equal(ring: RingDescriptor, rows_a: np.ndarray, rows_b: np.ndarray) -> bool:

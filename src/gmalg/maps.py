@@ -298,7 +298,7 @@ def is_centralizing_trace(gma, bil: BilinearMapRep):
     ring = gma.ring
     C = gma.center
     triples, rows = cubic_trace_coefficients(gma, bil, as_rows=True)
-    rows = ring.tensordot(rows, C.to_coords[C.zdim :], axes=([1], [1]))
+    rows = ring.tensordot(rows, C.annihilator, axes=([1], [1]))
     return _trace_verdict(
         gma, bil, triples, rows, lambda v: not ring.is_zero(C.quotient(v))
     )
@@ -438,8 +438,7 @@ def _trace_space_matrix(gma, mode: str) -> np.ndarray:
     ring, d = gma.ring, gma.dim
     Bk = _commutator_tensor(gma)  # [t, k, r]
     if mode == "centralizing":
-        Q = gma.center.to_coords[gma.center.zdim :]
-        target = ring.tensordot(Bk, Q, axes=([2], [1]))  # [t, k, q]
+        target = ring.tensordot(Bk, gma.center.annihilator, axes=([2], [1]))  # [t, k, q]
     else:
         target = Bk
     triples, uvw, owner, _ = _arrangement_table(d)

@@ -208,6 +208,14 @@ class MoritaContext:
             raise ExactError("pairing_MN shape mismatch")
         if self.pairing_NM.shape != (self.N.dim, self.M.dim, self.B.dim):
             raise ExactError("pairing_NM shape mismatch")
+        for name, axis, alg in (
+            ("M.left", self.M.left.shape[0], self.A),
+            ("M.right", self.M.right.shape[1], self.B),
+            ("N.left", self.N.left.shape[0], self.B),
+            ("N.right", self.N.right.shape[1], self.A),
+        ):
+            if axis != alg.dim:
+                raise ExactError(f"{name} acts by an algebra of dim {axis}, not {alg.dim}")
 
     @property
     def ring(self) -> RingDescriptor:

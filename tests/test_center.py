@@ -146,11 +146,11 @@ def test_phi_apply_roundtrip(t3):
         assert t3.ctx.A.dim == 1
 
 
-def test_quotient_and_complement(m3):
+def test_quotient_and_annihilator(m3):
     C = m3.center
-    assert C.complement.shape == (m3.dim - C.zdim, m3.dim)
-    stacked = np.concatenate([C.z_g, C.complement], axis=0)
-    assert rank_array(F5, F5.normalize(stacked)) == m3.dim
+    assert C.annihilator.shape == (m3.dim - C.zdim, m3.dim)
+    assert rank_array(F5, C.annihilator) == m3.dim - C.zdim
+    assert F5.is_zero(F5.tensordot(C.annihilator, C.z_g, axes=([1], [1])))
     # quotient kills exactly the center
     assert F5.is_zero(C.quotient(m3.unit))
     assert not F5.is_zero(C.quotient(m3.basis_vector(1)))

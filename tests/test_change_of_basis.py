@@ -6,14 +6,26 @@ Each context is transported by one seeded invertible matrix per block
 the old coordinates.  The transported context is isomorphic to the
 original, so its center and both corner projections have the same
 dimensions, its center and phi are the transported ones, and every
-verdict of the hypothesis report is the same.  The builders only emit
-matrix-unit bases; these are the first contexts on any other basis.
+verdict of the hypothesis report is the same.  So are the dimensions of
+both trace spaces, the status of both decomposition routes on a trace
+moved to the new basis, and the status and sign of a Lie triple splitting
+moved likewise.  The builders only emit matrix-unit bases; these are the
+first contexts on any other basis, so the first that the annihilator of a
+center other than a span of unit vectors runs on.
 """
 
 import numpy as np
 import pytest
 
-from gmalg.exact import RATIONAL, inverse_array, prime_field
+from gmalg.decompose import (
+    decompose_lie_triple_iso,
+    decompose_trace_constructive,
+    decompose_trace_generic,
+    random_lie_triple_iso,
+    random_proper_trace,
+)
+from gmalg.exact import RATIONAL, ExactError, inverse_array, prime_field
+from gmalg.maps import BilinearMapRep, LinearMapRep, trace_space
 from gmalg.rng import XorShift64Star
 from gmalg.structure import (
     AlgebraSpec,
@@ -165,3 +177,72 @@ def test_center_phi_and_report_survive_a_change_of_basis(original, seed):
         assert want is not None and ring.equal(back("A", a), want)
     assert verdicts(h.report) == verdicts(g.report)
 
+
+
+def block_diagonal(ring, P, which):
+    """The change of basis of G: P[block][which] for A, M, N, B on the diagonal."""
+    mats = [P[name][which] for name in "AMNB"]
+    out = ring.zeros((sum(m.shape[0] for m in mats),) * 2)
+    at = 0
+    for m in mats:
+        out[at : at + m.shape[0], at : at + m.shape[0]] = m
+        at += m.shape[0]
+    return out
+
+
+# the dimension of both trace spaces, centralizing and commuting
+TRACE_SPACE_DIMS = {"t3-f5": 28, "m3-f5": 55, "diagonal-f5": 88, "diagonal-k3-f7": 270}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_SPACE_DIMS))
+def test_trace_space_dimensions_survive_a_change_of_basis(name):
+    moved, _ = transported(CONTEXTS[name](), 1)
+    h = assemble_gma(moved)
+    for mode in ("centralizing", "commuting"):
+        assert trace_space(h, mode).dim == TRACE_SPACE_DIMS[name]
+
+
+def outcome(route, q, g):
+    """The status a route returns, or the name of the error it raises."""
+    try:
+        return route(q, g).status
+    except ExactError as err:
+        return type(err).__name__
+
+
+def test_both_routes_keep_their_status_on_a_moved_trace(original):
+    g = original
+    ring = g.ring
+    moved, P = transported(g.ctx, 1)
+    h = assemble_gma(moved)
+    G, G_inv = block_diagonal(ring, P, 0), block_diagonal(ring, P, 1)
+    q = random_proper_trace(g, None, seed=5)
+    t = q.tensor.copy()
+    t[0, 1, g.dim - 1] = t[0, 1, g.dim - 1] + ring.one
+    traces = [q, BilinearMapRep(ring, t)]
+    for q in traces:
+        moved_q = BilinearMapRep(ring, transport(ring, q.tensor, G, G, G_inv))
+        for route in (decompose_trace_generic, decompose_trace_constructive):
+            assert outcome(route, moved_q, h) == outcome(route, q, g)
+    assert outcome(decompose_trace_generic, traces[0], g) == "ok"
+    assert outcome(decompose_trace_generic, traces[1], g) == "PredicateNotSatisfied"
+
+
+@pytest.mark.parametrize("name", ["m3-f5", "m4-f5", "m3-q-split-1"])
+@pytest.mark.parametrize("shape", ["conjugation", "neg-antiauto"])
+def test_lie_triple_splitting_keeps_status_and_sign(name, shape):
+    g = assemble_gma(CONTEXTS[name]())
+    ring = g.ring
+    moved, P = transported(g.ctx, 2)
+    h = assemble_gma(moved)
+    G, G_inv = block_diagonal(ring, P, 0), block_diagonal(ring, P, 1)
+    l = random_lie_triple_iso(g, 3, shape)
+    moved_l = LinearMapRep(
+        ring,
+        ring.tensordot(ring.tensordot(G_inv, l.matrix, axes=([1], [0])), G, axes=([1], [0])),
+    )
+    want = decompose_lie_triple_iso(l, g, g)
+    got = decompose_lie_triple_iso(moved_l, h, h)
+    assert want.status == "ok"
+    assert (got.status, got.lam) == (want.status, want.lam)
+    assert got.checks == want.checks

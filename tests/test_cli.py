@@ -397,3 +397,147 @@ def test_unknown_predicate_is_an_argparse_error(m3_file, tmp_path):
 
 def test_missing_file_is_exit_two(capsys):
     assert main(["check", "/nonexistent/ctx.json"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# golden output
+# ---------------------------------------------------------------------------
+
+GOLDEN_CONTEXTS = {
+    "t3-f5": lambda: build_upper_triangular(3, 1, F5),
+    "m3-f5": lambda: build_full_matrix(3, 1, F5),
+    "m3-q": lambda: build_full_matrix(3, 1, RATIONAL),
+}
+
+# the full standard output of each command, pinned byte for byte
+GOLDEN = {
+    ("t3-f5", "check"): """\
+morita axioms: pass
+morita-axioms: ok
+bimodule-faithful: left=True right=True
+bimodule-loyal: true (enumeration over 4 candidates)
+corner-A-center-matches-projection: True; A-noncommutative: False
+corner-B-center-matches-projection: True; B-noncommutative: True
+commuting-maps-proper-on-A: True (commuting dim 1, proper dim 1)
+commuting-maps-proper-on-B: True (commuting dim 4, proper dim 4)
+central-over-scalars: G=True B=True
+independent-pair-m0b0: found
+two-torsion-free: True
+decomposition-route: corner
+""",
+    ("t3-f5", "center"): """\
+center-dim: 1
+  z: [1, 0, 0, 1, 0, 1]
+corner-A-center-dim: 1 (projection image dim 1)
+corner-B-center-dim: 1 (projection image dim 1)
+faithful: left=True right=True
+loyal: true (enumeration over 4 candidates)
+""",
+    ("t3-f5", "suite"): """\
+PASS axioms-and-file-roundtrip
+PASS balanced-pairs-vanish
+PASS center-basis-commutes (dim 1)
+PASS center-multiplier-regular
+PASS center-zero-divisor-free
+PASS central-jordan-radical-zero
+PASS commuting-maps-proper-on-a-corner (A=True B=True)
+PASS cube-annihilating-forms-contained
+SKIP lie-triple-split-shapes (needs a full-matrix instance)
+PASS loyalty-certificate (enumeration over 4 candidates)
+PASS second-commutator-identity-dichotomy (fails with verified witness)
+PASS seeded-proper-roundtrip-constructive (2 seeded traces)
+PASS seeded-proper-roundtrip-generic (2 seeded traces)
+PASS trace-space-decomposes (dim 28)
+PASS trace-space-modes-agree (shared dim 28)
+suite: 14 passed, 0 failed, 1 skipped [seed 0]
+""",
+    ("m3-f5", "check"): """\
+morita axioms: pass
+morita-axioms: ok
+bimodule-faithful: left=True right=True
+bimodule-loyal: true (enumeration over 4 candidates)
+corner-A-center-matches-projection: True; A-noncommutative: False
+corner-B-center-matches-projection: True; B-noncommutative: True
+commuting-maps-proper-on-A: True (commuting dim 1, proper dim 1)
+commuting-maps-proper-on-B: True (commuting dim 5, proper dim 5)
+central-over-scalars: G=True B=True
+independent-pair-m0b0: found
+two-torsion-free: True
+decomposition-route: corner
+""",
+    ("m3-f5", "center"): """\
+center-dim: 1
+  z: [1, 0, 0, 0, 0, 1, 0, 0, 1]
+corner-A-center-dim: 1 (projection image dim 1)
+corner-B-center-dim: 1 (projection image dim 1)
+faithful: left=True right=True
+loyal: true (enumeration over 4 candidates)
+""",
+    ("m3-f5", "suite"): """\
+PASS axioms-and-file-roundtrip
+PASS balanced-pairs-vanish
+PASS center-basis-commutes (dim 1)
+PASS center-multiplier-regular
+PASS center-zero-divisor-free
+PASS central-jordan-radical-zero
+PASS commuting-maps-proper-on-a-corner (A=True B=True)
+PASS cube-annihilating-forms-contained
+PASS lie-triple-split-shapes (three shapes, expected signs)
+PASS loyalty-certificate (enumeration over 4 candidates)
+PASS second-commutator-identity-dichotomy (fails with verified witness)
+PASS seeded-proper-roundtrip-constructive (2 seeded traces)
+PASS seeded-proper-roundtrip-generic (2 seeded traces)
+PASS trace-space-decomposes (dim 55)
+PASS trace-space-modes-agree (shared dim 55)
+suite: 15 passed, 0 failed, 0 skipped [seed 0]
+""",
+    ("m3-q", "check"): """\
+morita axioms: pass
+morita-axioms: ok
+bimodule-faithful: left=True right=True
+bimodule-loyal: true (dim A = 1 and M right-faithful)
+corner-A-center-matches-projection: True; A-noncommutative: False
+corner-B-center-matches-projection: True; B-noncommutative: True
+commuting-maps-proper-on-A: True (commuting dim 1, proper dim 1)
+commuting-maps-proper-on-B: True (commuting dim 5, proper dim 5)
+central-over-scalars: G=True B=True
+independent-pair-m0b0: found
+two-torsion-free: True
+decomposition-route: corner
+""",
+    ("m3-q", "center"): """\
+center-dim: 1
+  z: ["1", "0", "0", "0", "0", "1", "0", "0", "1"]
+corner-A-center-dim: 1 (projection image dim 1)
+corner-B-center-dim: 1 (projection image dim 1)
+faithful: left=True right=True
+loyal: true (dim A = 1 and M right-faithful)
+""",
+    ("m3-q", "suite"): """\
+PASS axioms-and-file-roundtrip
+PASS balanced-pairs-vanish
+PASS center-basis-commutes (dim 1)
+SKIP center-multiplier-regular (not enumerable (rational ring or over bound))
+SKIP center-zero-divisor-free (not enumerable (rational ring or over bound))
+PASS central-jordan-radical-zero
+PASS commuting-maps-proper-on-a-corner (A=True B=True)
+PASS cube-annihilating-forms-contained
+PASS lie-triple-split-shapes (three shapes, expected signs)
+PASS loyalty-certificate (dim A = 1 and M right-faithful)
+PASS second-commutator-identity-dichotomy (fails with verified witness)
+PASS seeded-proper-roundtrip-constructive (2 seeded traces)
+PASS seeded-proper-roundtrip-generic (2 seeded traces)
+SKIP trace-space-decomposes (exhaustive nullspace needs a prime field)
+SKIP trace-space-modes-agree (exhaustive nullspace needs a prime field)
+suite: 11 passed, 0 failed, 4 skipped [seed 0]
+""",
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(GOLDEN))
+def test_command_output_is_pinned(name, command, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    save_context(path, GOLDEN_CONTEXTS[name]())
+    extra = ["--count", "2"] if command == "suite" else []
+    assert main([command, str(path)] + extra) == 0
+    assert capsys.readouterr().out == GOLDEN[name, command]

@@ -13,7 +13,10 @@ the mu/nu assembly.  The corner isomorphism phi is checked against one
 exact solve per projected center row, and the matrix-unit builders
 against one loop per product tensor.  The table of block laws that checks
 the Morita axioms is compared with one hand-written contraction per
-identity, law by law, on seeded mutations of the builder contexts.  They
+identity, law by law, on seeded mutations of the builder contexts.  Every
+test modulo a span reads the annihilator ``nullspace_array(rows)``; it is
+checked against the nullspace read-off loop, the greedy unit-vector
+complement it replaced and the rank tests of span containment.  They
 are kept here only as oracles.  Every comparison is literal: same keys in the same order, same
 dtype, same scalar type, same values, same witnesses.
 
@@ -24,6 +27,7 @@ p = 1048573, the largest prime the int64 kernels accept.
 
 import itertools
 import re
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -35,11 +39,17 @@ import pickle
 from gmalg import backend, decompose
 from gmalg.center import (
     CenterError,
+    ProperSpanReport,
     _cube_annihilation_matrix,
     _digits_le,
     _integer_mul_tensor,
+    check_all_commuting_proper,
     check_identity_42,
     check_loyal,
+    commuting_linear_space,
+    compute_center_algebra,
+    cube_annihilating_forms_contained,
+    proper_linear_generators,
 )
 from gmalg.decompose import (
     ComponentPatternError,
@@ -47,7 +57,6 @@ from gmalg.decompose import (
     ConstructiveWitness,
     ProperTraceForm,
     WitnessExtractionError,
-    _algebra_quotient,
     build_generic_system,
     decompose_trace_constructive,
     extract_components,
@@ -62,7 +71,11 @@ from gmalg.exact import (
     FactoredMatrix,
     nullspace_array,
     prime_field,
+    rank_array,
+    row_space_contains,
+    row_space_equal,
     row_span_coords,
+    row_span_residual,
     rref_array,
     solve_array,
     solve_columns,
@@ -193,12 +206,15 @@ def slow_generic_system(gma):
     return ring.normalize(K), sym
 
 
-def slow_trace_space_matrix(gma, mode):
+def slow_trace_space_matrix(gma, mode, quotient=None):
+    """quotient: the rows that read a value modulo the center (default the
+    center's annihilator), for the centralizing mode."""
     ring, d = gma.ring, gma.dim
     Bk = ring.normalize(gma.mul - np.transpose(gma.mul, (1, 0, 2)))
     if mode == "centralizing":
-        Q = gma.center.to_coords[gma.center.zdim :]
-        target = ring.tensordot(Bk, Q, axes=([2], [1]))
+        if quotient is None:
+            quotient = gma.center.annihilator
+        target = ring.tensordot(Bk, quotient, axes=([2], [1]))
     else:
         target = Bk
     tdim = target.shape[2]
@@ -762,7 +778,8 @@ def slow_corner_map(ring, image, iso, v):
 
 
 def slow_center_coords(C, v):
-    c = C.ring.tensordot(C.to_coords, np.asarray(v), axes=([1], [0]))
+    to_coords = slow_coordinate_complement(C.ring, C.z_g)[1]
+    c = C.ring.tensordot(to_coords, np.asarray(v), axes=([1], [0]))
     return None if not C.ring.is_zero(c[C.zdim :]) else c[: C.zdim].copy()
 
 
@@ -825,7 +842,7 @@ def slow_extract_constructive_witness(gma, grid, report):
 
     if a_noncomm or not b_noncomm:
         side = "A" if a_noncomm else "fallback"
-        QA = _algebra_quotient(ring, C.z_a)
+        QA = slow_algebra_quotient(ring, C.z_a)
         qdim, za_dim = QA.shape[0], C.z_a.shape[0]
         coeff = ring.zeros((dA * qdim, za_dim))
         for u in range(za_dim):
@@ -852,7 +869,7 @@ def slow_extract_constructive_witness(gma, grid, report):
             need(gamma_prime[:, i], C.z_b, "gamma-prime-centrality")
     else:
         side = "B"
-        QB = _algebra_quotient(ring, C.z_b)
+        QB = slow_algebra_quotient(ring, C.z_b)
         qdim, zb_dim = QB.shape[0], C.z_b.shape[0]
         coeff = ring.zeros((dB * qdim, zb_dim))
         for u in range(zb_dim):
@@ -2132,3 +2149,235 @@ def contraction_cases(draw):
 @given(contraction_cases())
 def test_q_contraction_matches_fraction_contraction_fuzzed(case):
     assert_same_contraction(*case)
+
+
+# ---------------------------------------------------------------------------
+# quotients modulo a span
+# ---------------------------------------------------------------------------
+
+
+def slow_nullspace_array(ring, mat):
+    """The read-off loop: one free column, then one pivot at a time."""
+    rows, cols = np.shape(mat)
+    red, piv, rank = rref_array(ring, mat)
+    free = [c for c in range(cols) if c not in set(piv)]
+    basis = ring.zeros((len(free), cols))
+    for bi, fc in enumerate(free):
+        basis[bi, fc] = ring.one
+        for ri, pc in enumerate(piv):
+            basis[bi, pc] = ring.neg(red[ri, fc]) if ring.is_prime_field else -red[ri, fc]
+    return ring.normalize(basis)
+
+
+def slow_coordinate_complement(ring, rows):
+    """Extend independent rows greedily by unit vectors e_i, ascending i:
+    (complement, to_coords), to_coords the inverse of [rows; complement]^T."""
+    k, dim = rows.shape
+    red, piv, _ = rref_array(ring, np.concatenate([rows.T, ring.eye(dim)], axis=1))
+    assert piv[:k] == tuple(range(k)), "complement of dependent rows"
+    chosen = [c - k for c in piv[k:]]
+    complement = ring.zeros((len(chosen), dim))
+    complement[np.arange(len(chosen)), chosen] = ring.one
+    return complement, red[:, k:].copy()
+
+
+def slow_algebra_quotient(ring, z_rows):
+    """(qdim, dim) rows Q with Qv = 0 iff v lies in span(z_rows)."""
+    return slow_coordinate_complement(ring, z_rows)[1][z_rows.shape[0] :]
+
+
+def slow_commuting_linear_space(alg):
+    """One row block per basis pair, one column block per basis vector."""
+    ring, d, mul = alg.ring, alg.dim, alg.mul
+    Bk = ring.normalize(mul - np.transpose(mul, (1, 0, 2)))  # [k, j, r] = [e_k, e_j]_r
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    K = ring.zeros((len(pairs) * d, d * d))  # unknown w[i*d + k] = f(e_i)_k
+    for row, (i, j) in enumerate(pairs):
+        base = row * d
+        for k in range(d):
+            K[base : base + d, i * d + k] += Bk[k, j]
+            if i != j:
+                K[base : base + d, j * d + k] += Bk[k, i]
+    return [w.reshape(d, d).T.copy() for w in nullspace_array(ring, ring.normalize(K))]
+
+
+def slow_check_all_commuting_proper(alg):
+    """Containment as a rank test: adding the commuting maps to the proper
+    span leaves its rank unchanged."""
+    ring, d = alg.ring, alg.dim
+    comm = slow_commuting_linear_space(alg)
+    gens = proper_linear_generators(alg, compute_center_algebra(alg))
+    span = ring.zeros((len(gens), d * d))
+    for i, F in enumerate(gens):
+        span[i] = F.reshape(d * d)
+    cand = ring.zeros((len(comm), d * d))
+    for i, F in enumerate(comm):
+        cand[i] = F.reshape(d * d)
+    return ProperSpanReport(row_space_contains(ring, span, cand), len(comm), rank_array(ring, span))
+
+
+def slow_cube_annihilating_forms_contained(gma):
+    """The nullspace of the hand-built K(x, x) system, then a rank test."""
+    ring, ctx = gma.ring, gma.ctx
+    dB, dN = ctx.B.dim, ctx.N.dim
+    if dN == 0 or dB == 0:
+        return True
+    null_cubic = nullspace_array(ring, _cube_annihilation_matrix(gma))
+    pairs = [(a, b) for a in range(dB) for b in range(a, dB)]
+    K2 = ring.zeros((len(pairs) * dN, dB * dB * dN))
+    for row, (a, b) in enumerate(pairs):
+        for n in range(dN):
+            K2[row * dN + n, (a * dB + b) * dN + n] += ring.one
+            if a != b:
+                K2[row * dN + n, (b * dB + a) * dN + n] += ring.one
+    return row_space_contains(ring, nullspace_array(ring, ring.normalize(K2)), null_cubic)
+
+
+def nullspace_cases(ring):
+    """Empty, zero and full-rank matrices, then seeded sparse ones."""
+    stream = XorShift64Star(23 if ring.is_prime_field else 29)
+
+    def draw():
+        if ring.is_prime_field:
+            return ring.coerce(stream.below(7) - 3)
+        return Fraction(stream.below(9) - 4, 1 + stream.below(4))
+
+    yield from (ring.zeros(shape) for shape in [(0, 0), (0, 4), (4, 0), (3, 5)])
+    yield ring.eye(4)
+    yield ring.array([[1, 2, 0, 3], [0, 1, 4, 1]])  # full row rank
+    yield ring.array([[1, 0], [2, 1], [0, 3]])  # full column rank
+    for _ in range(40):
+        rows, cols = 1 + stream.below(8), 1 + stream.below(8)
+        yield ring.array(random_sparse_matrix(stream, rows, cols, draw))
+
+
+@pytest.mark.parametrize("ring", [F5, BIG_P, RATIONAL], ids=["f5", "p1048573", "q"])
+def test_nullspace_matches_read_off_loop(ring):
+    sizes = set()
+    for mat in nullspace_cases(ring):
+        got = nullspace_array(ring, mat)
+        assert_identical(got, slow_nullspace_array(ring, mat))
+        assert got.dtype == ring.dtype
+        if ring.is_prime_field:
+            assert got.size == 0 or (got.min() >= 0 and got.max() < ring.p)
+        else:
+            assert all(type(v) is Fraction for v in got.flat)
+        sizes.add(0 < got.shape[0] < mat.shape[1])
+    # both an empty or full kernel and a proper one
+    assert sizes == {True, False}
+
+
+@st.composite
+def span_and_vectors(draw):
+    """A ring, a matrix of 0-4 rows and 1-5 columns, and 1-3 vectors."""
+    ring = draw(st.sampled_from([F5, RATIONAL]))
+    cols = draw(st.integers(1, 5))
+    cells = st.integers(-3, 3) if ring.is_prime_field else RATIONALS
+
+    def matrix(rows):
+        out = ring.zeros((rows, cols))
+        for idx in np.ndindex(out.shape):
+            out[idx] = ring.coerce(draw(cells))
+        return out
+
+    return ring, matrix(draw(st.integers(0, 4))), matrix(draw(st.integers(1, 3)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(span_and_vectors())
+def test_row_span_residual_is_the_annihilator_on_free_columns(case):
+    ring, mat, v = case
+    red, piv, rank = rref_array(ring, mat)
+    rows = red[:rank]
+    free = [c for c in range(mat.shape[1]) if c not in piv]
+    _, resid = row_span_residual(ring, rows, v)
+    assert ring.is_zero(resid[:, list(piv)])
+    ann = nullspace_array(ring, rows)
+    assert_identical(resid[:, free], ring.tensordot(v, ann, axes=([1], [1])))
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_annihilators_kill_what_the_greedy_complement_kills(name):
+    """Two quotient matrices of one span have one kernel, so one row space,
+    and the center coordinates read at the pivots are the greedy ones."""
+    g = assemble_gma(INSTANCES[name]())
+    ring, C = g.ring, g.center
+    for rows in (C.z_g, C.z_a, C.z_b):
+        want = slow_algebra_quotient(ring, rows)
+        assert row_space_equal(ring, nullspace_array(ring, rows), want)
+    assert row_space_equal(ring, C.annihilator, slow_algebra_quotient(ring, C.z_g))
+    stream = XorShift64Star(len(name))
+    vectors = [g.unit, *C.z_g, *(g.basis_vector(i) for i in range(g.dim))]
+    vectors += [C.expand(ring.array([ring.random_scalar(stream) for _ in range(C.zdim)]))]
+    for v in vectors:
+        want = slow_center_coords(C, v)
+        got = C.center_coords(v)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert_identical(got, want)
+        assert ring.is_zero(C.quotient(v)) == (want is not None)
+
+
+@pytest.mark.parametrize("name", ["t3-f5", "diagonal-f5", "m3-p1048573"])
+def test_trace_space_rows_match_greedy_complement(name):
+    g = assemble_gma(INSTANCES[name]())
+    ring = g.ring
+    K = slow_trace_space_matrix(g, "centralizing", slow_algebra_quotient(ring, g.center.z_g))
+    space = trace_space(g, "centralizing")
+    assert (space.n_rows, space.n_cols) == K.shape
+    assert_identical(space.raw_rows, nullspace_array(ring, K))
+
+
+def zeroed_cells(ring, t, stream):
+    """t with each cell zeroed with probability one half."""
+    t = t.copy()
+    for idx in np.ndindex(t.shape):
+        if stream.below(2):
+            t[idx] = ring.zero
+    return t
+
+
+def test_span_tests_match_rank_tests_under_mutation():
+    """Every builder context passes both span tests, so seeded zeroed
+    cells of a corner's product and of N's left action reach the False
+    verdicts; they agree with the rank tests either way."""
+    verdicts = {"proper": set(), "cube": set()}
+    for name in sorted(MORITA_INSTANCES):
+        ctx = MORITA_INSTANCES[name]()
+        ring = ctx.ring
+        stream = XorShift64Star(sum(map(ord, name)))
+        for _ in range(8):
+            for alg in (ctx.A, ctx.B):
+                moved = AlgebraSpec(ring, alg.dim, zeroed_cells(ring, alg.mul, stream), alg.unit)
+                got = check_all_commuting_proper(moved)
+                assert got == slow_check_all_commuting_proper(moved)
+                verdicts["proper"].add(got.ok)
+                comm = commuting_linear_space(moved)
+                slow = slow_commuting_linear_space(moved)
+                assert len(comm) == len(slow)
+                for a, b in zip(comm, slow):
+                    assert_identical(a, b)
+            N = BimoduleSpec(
+                ring, ctx.N.dim, zeroed_cells(ring, ctx.N.left, stream), ctx.N.right
+            )
+            mutated = types.SimpleNamespace(
+                ring=ring,
+                ctx=MoritaContext(
+                    ctx.A, ctx.B, ctx.M, N, ctx.pairing_MN, ctx.pairing_NM, dict(ctx.meta)
+                ),
+            )
+            got = cube_annihilating_forms_contained(mutated)
+            assert got == slow_cube_annihilating_forms_contained(mutated)
+            verdicts["cube"].add(got)
+    assert verdicts == {"proper": {True, False}, "cube": {True, False}}
+
+
+def test_commuting_linear_space_matches_loop(gma):
+    for alg in (gma.ctx.A, gma.ctx.B):
+        comm = commuting_linear_space(alg)
+        slow = slow_commuting_linear_space(alg)
+        assert len(comm) == len(slow)
+        for a, b in zip(comm, slow):
+            assert_identical(a, b)
+    assert check_all_commuting_proper(gma.ctx.A) == slow_check_all_commuting_proper(gma.ctx.A)
+    assert cube_annihilating_forms_contained(gma) is slow_cube_annihilating_forms_contained(gma)

@@ -6,10 +6,11 @@ frozen numbers."""
 import numpy as np
 import pytest
 
-from gmalg.exact import RATIONAL, inverse_array, prime_field, rank_array
+from gmalg.exact import RATIONAL, ExactError, inverse_array, prime_field, rank_array
 from gmalg.rng import XorShift64Star
 from gmalg.structure import (
     AxiomError,
+    BimoduleSpec,
     MoritaContext,
     assemble_gma,
     build_diagonal_pair,
@@ -148,6 +149,29 @@ def test_doubled_pairing_fails_with_pinned_witness():
     assert str(rep) == "morita axioms: FAIL [diagram.MN-M] at indices (0, 0, 0, 0)"
     with pytest.raises(AxiomError):
         assemble_gma(broken)
+
+
+@pytest.mark.parametrize(
+    "module, side, shape",
+    [
+        ("M", "left", (3, 2, 2)),
+        ("M", "right", (2, 3, 2)),
+        ("N", "left", (3, 2, 2)),
+        ("N", "right", (2, 3, 2)),
+    ],
+)
+def test_action_on_the_wrong_algebra_is_rejected(module, side, shape):
+    # M3 split 1: dim A = 1, dim B = 4, dim M = dim N = 2; each action
+    # below has the right module axes and an algebra axis of 3
+    ctx = build_full_matrix(3, 1, F5)
+    parts = {"M": ctx.M, "N": ctx.N}
+    old = parts[module]
+    actions = {"left": old.left, "right": old.right, side: F5.zeros(shape)}
+    parts[module] = BimoduleSpec(F5, old.dim, actions["left"], actions["right"])
+    with pytest.raises(ExactError, match=rf"^{module}\.{side} acts by an algebra of dim 3, not"):
+        MoritaContext(
+            ctx.A, ctx.B, parts["M"], parts["N"], ctx.pairing_MN, ctx.pairing_NM, dict(ctx.meta)
+        )
 
 
 def test_peirce_splitting_of_m2():
