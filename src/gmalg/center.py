@@ -28,9 +28,15 @@ from .exact import (
     row_span_residual,
     rref_array,
 )
-from .maps import _arrangement_table, _commutator_tensor, _jordan_tensor, pair_coefficients
+from .maps import (
+    _arrangement_table,
+    _bracket_action,
+    _commutator_tensor,
+    _jordan_tensor,
+    constraint_matrix,
+)
 from .rng import XorShift64Star
-from .structure import GMA, MoritaContext, check_morita_axioms
+from .structure import GMA, MoritaContext
 
 
 class CenterError(ValueError):
@@ -296,14 +302,9 @@ def commuting_linear_space(alg) -> list:
     """Canonical basis (as matrices) of {f linear : [f(x), x] = 0 for all x}.
 
     The unknowns are w[i*d + k] = f(e_i)_k; the rows are the coefficients
-    of x_i x_j (i <= j) in [f(x), x], read in coordinate r: the pair
-    layout of T[i, j, r, i', k] = delta_ii' [e_k, e_j]_r."""
+    of x_i x_j (i <= j) in [f(x), x]: the degree-2 constraint operator."""
     ring, d = alg.ring, alg.dim
-    T = ring.zeros((d, d, d, d, d))
-    idx = np.arange(d)
-    T[idx, :, :, idx, :] = np.transpose(_commutator_tensor(alg), (1, 2, 0))
-    K = pair_coefficients(ring, T.reshape(d, d, d**3)).reshape(-1, d * d)
-    sols = nullspace_array(ring, K)
+    sols = nullspace_array(ring, constraint_matrix(ring, 2, _bracket_action(alg, False)))
     return [w.reshape(d, d).T.copy() for w in sols]
 
 
@@ -517,32 +518,16 @@ def center_zero_divisor_free(gma, bound: int = 5**8):
     return True
 
 
-def _cube_annihilation_matrix(gma) -> np.ndarray:
-    """Row (monomial x_a x_b x_c of B, N coordinate), column (v, w, n):
-    the coefficients of x*K(x, x) in the unknowns K[v, w, n].  Each
-    arrangement (u, v, w) of a monomial puts b_u * n_n into its row block;
-    the arrangements of one monomial differ in (v, w)."""
-    ring, N = gma.ring, gma.ctx.N
-    dB, dN = gma.ctx.B.dim, N.dim
-    triples, uvw, owner, _ = _arrangement_table(dB)
-    u, v, w = uvw.T
-    K1 = ring.zeros((len(triples), dN, dB, dB, dN))  # [monomial, m, v, w, n]
-    K1[owner, :, v, w, :] = np.transpose(N.left[u], (0, 2, 1))
-    return K1.reshape(len(triples) * dN, dB * dB * dN)
-
-
 def cube_annihilating_forms_contained(gma) -> bool:
     """Bilinear K: B x B -> N with x*K(x,x) = 0 coefficientwise satisfy
-    K(x,x) = 0 coefficientwise: the pair coefficients of every basis form
-    K[v, w, n] of the first space vanish."""
-    ring = gma.ring
-    ctx = gma.ctx
-    dB, dN = ctx.B.dim, ctx.N.dim
-    if dN == 0 or dB == 0:
+    K(x,x) = 0 coefficientwise.  x*K(x,x) depends on K only through its
+    pair layout, so this holds iff the degree-3 constraint operator of N's
+    left action has full column rank: no nonzero pair layout is killed."""
+    ring, N = gma.ring, gma.ctx.N
+    if N.dim == 0 or gma.ctx.B.dim == 0:
         return True
-    null_cubic = nullspace_array(ring, _cube_annihilation_matrix(gma))
-    forms = np.moveaxis(null_cubic.reshape(-1, dB, dB, dN), 0, 2)  # [v, w, form, n]
-    return ring.is_zero(pair_coefficients(ring, forms.reshape(dB, dB, -1)))
+    K = constraint_matrix(ring, 3, N.left)
+    return rank_array(ring, K) == K.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +660,7 @@ def hypothesis_report(gma: GMA, loyalty_bound: int = 5**8, seed: int = 0) -> Hyp
         coeff = row_span_coords(ring, zB, ctx.B.unit)
         b_unit_central = coeff is not None
     return HypothesisReport(
-        morita_ok=check_morita_axioms(ctx).ok,
+        morita_ok=True,  # a GMA comes only from assemble_gma, which checks the laws
         M_faithful_left=C.faithful_left,
         M_faithful_right=C.faithful_right,
         M_loyal=check_loyal(ctx, loyalty_bound),

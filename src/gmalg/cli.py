@@ -61,6 +61,7 @@ from .maps import (
 from .structure import (
     AxiomError,
     GMA,
+    MoritaReport,
     assemble_gma,
     build_diagonal_pair,
     build_full_matrix,
@@ -176,14 +177,29 @@ def _need_params(args, *names):
 # ---------------------------------------------------------------------------
 
 
+def _assemble(ctx):
+    """(gma, report): assemble_gma checks the Morita laws, once; a context
+    that fails one gives no GMA and the report of the failing law."""
+    try:
+        return assemble_gma(ctx), MoritaReport(True)
+    except AxiomError as e:
+        return None, MoritaReport(False, e.identity, e.indices)
+
+
+def _lawful_gma(ctx) -> GMA:
+    """The GMA of a context, or an input error naming the failing law."""
+    gma, rep = _assemble(ctx)
+    if gma is None:
+        raise IOFormatError(str(rep))
+    return gma
+
+
 def cmd_check(args) -> int:
-    ctx = load_context(args.context)
-    rep = check_morita_axioms(ctx)
-    if not rep.ok:
+    gma, rep = _assemble(load_context(args.context))
+    if gma is None:
         _print([str(rep)], args.output)
         return 1
     try:
-        gma = assemble_gma(ctx)
         hyp = hypothesis_report(gma, loyalty_bound=args.loyalty_bound, seed=args.seed)
     except (CenterError, ExactError) as e:
         _print([str(rep), f"analysis failed: {e}"], args.output)
@@ -193,19 +209,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_center(args) -> int:
-    ctx = load_context(args.context)
-    rep = check_morita_axioms(ctx)
-    if not rep.ok:
+    gma, rep = _assemble(load_context(args.context))
+    if gma is None:
         _print([str(rep)])
         return 1
-    ring = ctx.ring
+    ring = gma.ring
     try:
-        gma = assemble_gma(ctx)
         C = gma.center
     except (CenterError, ExactError) as e:
         _print([f"center computation failed: {e}"])
         return 1
-    loyal = check_loyal(ctx, bound=args.loyalty_bound)
+    loyal = check_loyal(gma.ctx, bound=args.loyalty_bound)
     lines = [
         f"center-dim: {C.zdim}",
     ]
@@ -277,11 +291,7 @@ def _require_ring(doc, ring: RingDescriptor):
 
 
 def _load_gma_and_map(args):
-    ctx = load_context(args.context)
-    rep = check_morita_axioms(ctx)
-    if not rep.ok:
-        raise IOFormatError(str(rep))
-    gma = assemble_gma(ctx)
+    gma = _lawful_gma(load_context(args.context))
     doc = load_map(args.map)
     _require_ring(doc, gma.ring)
     return gma, doc
@@ -407,12 +417,8 @@ def cmd_decompose_trace(args) -> int:
 def cmd_decompose_lti(args) -> int:
     src_ctx = load_context(args.src_context)
     dst_ctx = load_context(args.dst_context)
-    for c in (src_ctx, dst_ctx):
-        rep = check_morita_axioms(c)
-        if not rep.ok:
-            raise IOFormatError(str(rep))
-    src = assemble_gma(src_ctx)
-    dst = assemble_gma(dst_ctx)
+    src = _lawful_gma(src_ctx)
+    dst = _lawful_gma(dst_ctx)
     doc = load_map(args.map)
     _require_ring(doc, src.ring)
     _require_ring(doc, dst.ring)
@@ -645,19 +651,17 @@ def _suite_properties(gma: GMA, ctx, args):
 
 
 def cmd_suite(args) -> int:
-    ctx = load_context(args.context)
-    rep = check_morita_axioms(ctx)
-    if not rep.ok:
+    gma, rep = _assemble(load_context(args.context))
+    if gma is None:
         _print([str(rep)], args.output)
         return 1
     try:
-        gma = assemble_gma(ctx)
         gma.center  # force; failures here are structural
     except (CenterError, ExactError) as e:
         _print([f"analysis failed: {e}"], args.output)
         return 1
     results = []
-    for name, thunk in sorted(_suite_properties(gma, ctx, args)):
+    for name, thunk in sorted(_suite_properties(gma, gma.ctx, args)):
         try:
             status, detail = thunk()
         except (CenterError, ExactError, MapError) as e:

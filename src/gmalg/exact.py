@@ -125,12 +125,6 @@ class RingDescriptor:
             return stream.below(self.p)
         return Fraction(stream.below(7) - 3)
 
-    def random_nonzero_scalar(self, stream):
-        while True:
-            v = self.random_scalar(stream)
-            if v != self.zero:
-                return v
-
     # -- array helpers --------------------------------------------------
 
     @property

@@ -11,11 +11,11 @@ produces the same witness for the same input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .exact import ExactError, RingDescriptor, nullspace_array, rank_array
+from .exact import ExactError, RingDescriptor, _sparse_times, nullspace_array, rank_array
 
 
 class MapError(ExactError):
@@ -162,6 +162,53 @@ def _arrangement_table(d: int):
     return triples, uvw, owner, starts
 
 
+@lru_cache(maxsize=None)
+def _monomial_table(d: int, degree: int):
+    """(monomials, owner): the monomials of degree 2 (in pair_index_order)
+    or 3 (as _arrangement_table lists them), and owner[slot, k], the
+    monomial that a slot times x_k makes.  A slot is a basis index at
+    degree 2 and a pair u <= v (in pair_index_order) at degree 3."""
+    I, J = np.triu_indices(d)
+    pair = np.empty((d, d), dtype=np.intp)
+    pair[I, J] = pair[J, I] = np.arange(len(I))
+    if degree == 2:
+        monomials, owner = tuple(pair_index_order(d)), pair
+    else:
+        monomials, uvw, arranges, _ = _arrangement_table(d)
+        real = uvw[:, 0] <= uvw[:, 1]  # each (u <= v, w) arranges one monomial
+        u, v, w = uvw[real].T
+        owner = np.empty((len(I), d), dtype=np.intp)
+        owner[pair[u, v], w] = arranges[real]
+    owner.flags.writeable = False
+    return monomials, owner
+
+
+def constraint_operator(ring, degree: int, act: np.ndarray):
+    """The map K from an unknown U to the monomial coefficients of [U(x), x]
+    (degree 2, U(e_s) per basis index s) or [U(x, x), x] (degree 3, U in
+    pair layout), with [e_t, e_k] read as act[k, t, :]:
+    K[(monomial, q), (slot, t)] = act[k, t, q], where the slot times x_k is
+    the monomial.  Each (monomial, slot) fixes k, so each (row, column)
+    occurs once.  Returned as the nonzero entries (row count, rows,
+    columns, values) that exact._sparse_times applies."""
+    act = ring.normalize(np.asarray(act))
+    m, n = act.shape[1:]
+    monomials, owner = _monomial_table(act.shape[0], degree)
+    k, t, q = np.nonzero(act != 0)
+    rows = owner[:, k] * n + q  # (slots, nnz)
+    cols = np.arange(owner.shape[0])[:, None] * m + t
+    values = np.broadcast_to(act[k, t, q], rows.shape)
+    return len(monomials) * n, rows.ravel(), cols.ravel(), values.ravel()
+
+
+def constraint_matrix(ring, degree: int, act: np.ndarray) -> np.ndarray:
+    """constraint_operator as a dense matrix."""
+    n, rows, cols, values = constraint_operator(ring, degree, act)
+    K = ring.zeros((n, _monomial_table(act.shape[0], degree)[1].shape[0] * act.shape[1]))
+    K[rows, cols] = values
+    return K
+
+
 def _commutator_tensor(carrier):
     """[t, k, r] = [e_t, e_k]_r."""
     return carrier.ring.normalize(carrier.mul - np.transpose(carrier.mul, (1, 0, 2)))
@@ -172,6 +219,32 @@ def _jordan_tensor(carrier):
     return carrier.ring.normalize(carrier.mul + np.transpose(carrier.mul, (1, 0, 2)))
 
 
+def _bracket_action(carrier, centralizing: bool):
+    """act[k, t, q] = [e_t, e_k] in coordinate q, or read through the
+    center's annihilator when centralizing, so that it vanishes iff the
+    bracket is central."""
+    Bk = _commutator_tensor(carrier)
+    if centralizing:
+        Bk = carrier.ring.tensordot(Bk, carrier.center.annihilator, axes=([2], [1]))
+    return np.transpose(Bk, (1, 0, 2))
+
+
+def _verdict(carrier, centralizing: bool, degree: int, unknown, witness):
+    """(ok, witness) for [U(x), x] (degree 2) or [U(x, x), x] (degree 3)
+    vanishing, or landing in the center: ok iff the constraint operator
+    kills U's unknown layout; otherwise witness(monomial, offending)
+    searches from the first monomial whose coefficient row is nonzero."""
+    ring = carrier.ring
+    K = constraint_operator(ring, degree, _bracket_action(carrier, centralizing))
+    rows = _sparse_times(ring, K, unknown.reshape(-1))
+    monomials, _ = _monomial_table(carrier.dim, degree)
+    bad = np.flatnonzero(np.any(rows.reshape(len(monomials), -1) != 0, axis=1))
+    if bad.size == 0:
+        return True, None
+    quotient = carrier.center.quotient if centralizing else (lambda v: v)
+    return False, witness(monomials[bad[0]], lambda v: not ring.is_zero(quotient(v)))
+
+
 # ---------------------------------------------------------------------------
 # linear predicates
 # ---------------------------------------------------------------------------
@@ -180,15 +253,6 @@ def _jordan_tensor(carrier):
 def _require_shape(F: LinearMapRep, dim_out: int, dim_in: int):
     if F.matrix.shape != (dim_out, dim_in):
         raise MapError(f"map has shape {F.matrix.shape}, the algebras want {(dim_out, dim_in)}")
-
-
-def _linear_defect_coefficients(carrier, F: LinearMapRep):
-    """Quadratic coefficients of x -> [F(x), x] over pairs i <= j: one
-    contraction G[i, j] = [F(e_i), e_j], symmetrized off the diagonal."""
-    ring, d = carrier.ring, carrier.dim
-    _require_shape(F, d, d)
-    G = ring.tensordot(F.matrix, _commutator_tensor(carrier), axes=([0], [0]))
-    return dict(zip(pair_index_order(d), pair_coefficients(ring, G)))
 
 
 def _linear_witness(carrier, F, bad_pair, offending):
@@ -213,46 +277,21 @@ def _linear_witness(carrier, F, bad_pair, offending):
     raise MapError("nonzero defect coefficient but witness grid found nothing")
 
 
-def _linear_verdict(carrier, F, offending):
-    """(ok, witness): the witness grid starts at the first offending pair."""
-    for pair, c in _linear_defect_coefficients(carrier, F).items():
-        if offending(c):
-            return False, _linear_witness(carrier, F, pair, offending)
-    return True, None
-
-
 def is_commuting_linear(carrier, F: LinearMapRep):
     """Does [F(x), x] = 0 hold identically?  (ok, witness)."""
-    ring = carrier.ring
-    return _linear_verdict(carrier, F, lambda v: not ring.is_zero(v))
+    _require_shape(F, carrier.dim, carrier.dim)
+    return _verdict(carrier, False, 2, F.matrix.T, partial(_linear_witness, carrier, F))
 
 
 def is_centralizing_linear(gma, F: LinearMapRep):
     """Does [F(x), x] land in Z(G) for every x?  (ok, witness)."""
-    ring, C = gma.ring, gma.center
-    return _linear_verdict(gma, F, lambda v: not ring.is_zero(C.quotient(v)))
+    _require_shape(F, gma.dim, gma.dim)
+    return _verdict(gma, True, 2, F.matrix.T, partial(_linear_witness, gma, F))
 
 
 # ---------------------------------------------------------------------------
 # trace (quadratic) predicates
 # ---------------------------------------------------------------------------
-
-
-def cubic_trace_coefficients(carrier, bil: BilinearMapRep, as_rows: bool = False):
-    """Coefficients of x -> [B(x, x), x] on monomials x_a x_b x_c (a<=b<=c).
-
-    A dict keyed by monomial in ascending order; with ``as_rows`` the pair
-    (monomials, rows) instead, one coefficient row per monomial.  One
-    contraction D[u, v, w] = [B(e_u, e_v), e_w] gives every arrangement; each
-    monomial sums its own arrangements."""
-    ring, d = carrier.ring, carrier.dim
-    if bil.tensor.shape != (d, d, d):
-        raise MapError(f"bilinear map has shape {bil.tensor.shape}, the algebra wants {(d, d, d)}")
-    triples, uvw, _, starts = _arrangement_table(d)
-    D = ring.tensordot(bil.tensor, _commutator_tensor(carrier), axes=([2], [0]))
-    gathered = D.reshape(d**3, d)[(uvw[:, 0] * d + uvw[:, 1]) * d + uvw[:, 2]]
-    rows = ring.normalize(np.add.reduceat(gathered, starts, axis=0))
-    return (triples, rows) if as_rows else dict(zip(triples, rows))
 
 
 def _trace_witness(carrier, bil, bad_triple, offending):
@@ -280,28 +319,22 @@ def _trace_witness(carrier, bil, bad_triple, offending):
     raise MapError("nonzero cubic coefficient but witness grid found nothing")
 
 
-def _trace_verdict(carrier, bil, triples, rows, offending):
-    """(ok, witness): the witness grid starts at the first nonzero row."""
-    bad = np.flatnonzero(np.any(rows != carrier.ring.zero, axis=1))
-    if bad.size == 0:
-        return True, None
-    return False, _trace_witness(carrier, bil, triples[bad[0]], offending)
+def _pair_layout(carrier, bil: BilinearMapRep):
+    """The unknown of the trace predicates: B's pair layout."""
+    d = carrier.dim
+    if bil.tensor.shape != (d, d, d):
+        raise MapError(f"bilinear map has shape {bil.tensor.shape}, the algebra wants {(d, d, d)}")
+    return pair_coefficients(carrier.ring, bil.tensor)
 
 
 def is_commuting_trace(carrier, bil: BilinearMapRep):
-    ring = carrier.ring
-    triples, rows = cubic_trace_coefficients(carrier, bil, as_rows=True)
-    return _trace_verdict(carrier, bil, triples, rows, lambda v: not ring.is_zero(v))
+    layout = _pair_layout(carrier, bil)
+    return _verdict(carrier, False, 3, layout, partial(_trace_witness, carrier, bil))
 
 
 def is_centralizing_trace(gma, bil: BilinearMapRep):
-    ring = gma.ring
-    C = gma.center
-    triples, rows = cubic_trace_coefficients(gma, bil, as_rows=True)
-    rows = ring.tensordot(rows, C.annihilator, axes=([1], [1]))
-    return _trace_verdict(
-        gma, bil, triples, rows, lambda v: not ring.is_zero(C.quotient(v))
-    )
+    layout = _pair_layout(gma, bil)
+    return _verdict(gma, True, 3, layout, partial(_trace_witness, gma, bil))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +454,7 @@ def trace_space(gma, mode: str = "centralizing", max_dim: int = 12) -> TraceSpac
     if d > max_dim:
         raise MapError(f"dim {d} exceeds the trace_space guard {max_dim}")
 
-    K = _trace_space_matrix(gma, mode)
+    K = constraint_matrix(ring, 3, _bracket_action(gma, mode == "centralizing"))
     rows = nullspace_array(ring, K)
     npairs = d * (d + 1) // 2
     basis = [
@@ -430,23 +463,3 @@ def trace_space(gma, mode: str = "centralizing", max_dim: int = 12) -> TraceSpac
     ]
     return TraceSpaceResult(mode, K.shape[0], K.shape[1], basis, rows)
 
-
-def _trace_space_matrix(gma, mode: str) -> np.ndarray:
-    """Row (monomial x_a x_b x_c, target coordinate), column (pair, coordinate):
-    each realization (i <= j | k) of a monomial puts [v_ij, e_k], read in
-    the target coordinates, into its row block."""
-    ring, d = gma.ring, gma.dim
-    Bk = _commutator_tensor(gma)  # [t, k, r]
-    if mode == "centralizing":
-        target = ring.tensordot(Bk, gma.center.annihilator, axes=([2], [1]))  # [t, k, q]
-    else:
-        target = Bk
-    triples, uvw, owner, _ = _arrangement_table(d)
-    # the realizations of a monomial are its arrangements (u, v, w) with u <= v
-    real = uvw[:, 0] <= uvw[:, 1]
-    u, v, k = uvw[real].T
-    pair = u * d - u * (u - 1) // 2 + v - u
-    npairs = d * (d + 1) // 2
-    K = ring.zeros((len(triples), target.shape[2], npairs, d))
-    K[owner[real], :, pair, :] = np.transpose(target[:, k, :], (1, 2, 0))
-    return K.reshape(len(triples) * target.shape[2], npairs * d)

@@ -121,6 +121,46 @@ def test_check_fails_on_broken_context(tmp_path, capsys):
     assert "FAIL [diagram.MN-M]" in capsys.readouterr().out
 
 
+BROKEN_LINE = "morita axioms: FAIL [diagram.MN-M] at indices (0, 0, 0, 0)\n"
+
+
+@pytest.mark.parametrize(
+    "command, rc, out, err",
+    [
+        (["check", "{broken}", "-o", "{report}"], 1, BROKEN_LINE, ""),
+        (["center", "{broken}"], 1, BROKEN_LINE, ""),
+        (["suite", "{broken}", "--count", "2", "-o", "{report}"], 1, BROKEN_LINE, ""),
+        (
+            ["verify-map", "{broken}", "{linear}", "--predicate", "commuting-linear"],
+            2,
+            "",
+            "error: " + BROKEN_LINE,
+        ),
+        (["decompose-trace", "{broken}", "{bilinear}"], 2, "", "error: " + BROKEN_LINE),
+        (["decompose-lti", "{broken}", "{good}", "{linear}"], 2, "", "error: " + BROKEN_LINE),
+        (["decompose-lti", "{good}", "{broken}", "{linear}"], 2, "", "error: " + BROKEN_LINE),
+    ],
+)
+def test_broken_context_output_is_pinned(command, rc, out, err, tmp_path, capsys):
+    """Every command that reads a context reports its first failing law
+    once, with the same text and exit code."""
+    paths = {name: tmp_path / f"{name}.json" for name in ("broken", "good", "linear", "bilinear")}
+    paths["report"] = tmp_path / "report.txt"
+    save_context(paths["broken"], build_full_matrix(2, 1, F5))
+    doc = json.loads(paths["broken"].read_text())
+    doc["pairing_MN"] = [[i, j, a, (2 * v) % 5] for i, j, a, v in doc["pairing_MN"]]
+    paths["broken"].write_text(json.dumps(doc))
+    save_context(paths["good"], build_full_matrix(2, 1, F5))
+    save_map(paths["linear"], MapDocument("linear", LinearMapRep.identity(F5, 4)))
+    save_map(paths["bilinear"], MapDocument("bilinear", BilinearMapRep.zero(F5, 4, 4, 4)))
+    argv = [a.format(**{k: str(v) for k, v in paths.items()}) for a in command]
+    assert main(argv) == rc
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+    if "-o" in command:
+        assert paths["report"].read_text() == out
+
+
 def test_check_parse_error(tmp_path, capsys):
     bad = tmp_path / "junk.json"
     bad.write_text("{not json")

@@ -2,10 +2,16 @@
 homomorphism predicates (with verified witnesses), and the exhaustive
 trace-space enumeration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gmalg.decompose import decompose_trace_constructive, decompose_trace_generic
+from gmalg.decompose import (
+    decompose_trace_constructive,
+    decompose_trace_generic,
+    random_proper_trace,
+)
 from gmalg.exact import RATIONAL, prime_field, row_space_contains
 from gmalg.maps import (
     BilinearMapRep,
@@ -281,3 +287,18 @@ def test_trace_space_guards(m3, m4):
     gq = assemble_gma(build_full_matrix(2, 1, RATIONAL))
     with pytest.raises(MapError):
         trace_space(gq)
+
+
+def test_centralizing_trace_predicate_stays_small(m4):
+    """The predicate applies the constraint operator as its nonzero entries
+    (17,136 on M4(F_5)); gathering a block per realization, or the dense
+    12240 x 2176 operator, would take megabytes."""
+    q = random_proper_trace(m4, None, seed=1)
+    assert is_centralizing_trace(m4, q)[0]  # the center and the tables, built once
+    tracemalloc.start()
+    try:
+        assert is_centralizing_trace(m4, q)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

@@ -2,7 +2,8 @@
 
 The loops below are the straightforward per-monomial and per-pair
 formulations: basis commutators summed over the arrangements of each cubic
-monomial, one product call per basis pair or triple, and the loyalty scan
+monomial (and the constraint operator against one addition per
+arrangement), one product call per basis pair or triple, and the loyalty scan
 over every nonzero candidate vector.  The elimination references are
 the three kernels the ring-generic one replaced: scalar loops mod p, a dense
 rank-1 update over every row mod p, and row-by-row Fraction elimination.
@@ -40,7 +41,6 @@ from gmalg import backend, decompose
 from gmalg.center import (
     CenterError,
     ProperSpanReport,
-    _cube_annihilation_matrix,
     _digits_le,
     _integer_mul_tensor,
     check_all_commuting_proper,
@@ -69,6 +69,7 @@ from gmalg.exact import (
     RATIONAL,
     ExactError,
     FactoredMatrix,
+    _sparse_times,
     nullspace_array,
     prime_field,
     rank_array,
@@ -85,12 +86,12 @@ from gmalg.maps import (
     BilinearMapRep,
     LinearMapRep,
     _arrangements3,
+    _bracket_action,
     _commutator_tensor,
-    _linear_defect_coefficients,
     _linear_witness,
-    _trace_space_matrix,
     _trace_witness,
-    cubic_trace_coefficients,
+    constraint_matrix,
+    constraint_operator,
     is_centralizing_linear,
     is_centralizing_trace,
     is_commuting_linear,
@@ -544,15 +545,26 @@ def test_instances_cover_a_wide_center():
 # ---------------------------------------------------------------------------
 
 
+def operator_rows(carrier, degree, act, unknown):
+    """The coefficient rows of K * unknown, one per monomial."""
+    ring = carrier.ring
+    rows = _sparse_times(ring, constraint_operator(ring, degree, act), unknown.reshape(-1))
+    return rows.reshape(-1, act.shape[2])
+
+
 def test_cubic_coefficients_match_loop(gma, traces):
+    """The degree-3 operator applied to a trace's pair layout gives the
+    coefficients of [B(x,x), x], and read through the annihilator, their
+    readings modulo the center."""
+    ring, C = gma.ring, gma.center
     for q, slow in traces.values():
-        fast = cubic_trace_coefficients(gma, q)
-        assert list(fast) == list(slow)
-        for key in slow:
-            assert_identical(fast[key], slow[key])
-        triples, rows = cubic_trace_coefficients(gma, q, as_rows=True)
-        assert list(triples) == list(slow)
-        assert_identical(rows, np.stack(list(slow.values())))
+        want = np.stack(list(slow.values()))
+        pairs = pair_coefficients(ring, q.tensor)
+        assert_identical(operator_rows(gma, 3, _bracket_action(gma, False), pairs), want)
+        assert_identical(
+            operator_rows(gma, 3, _bracket_action(gma, True), pairs),
+            ring.tensordot(want, C.annihilator, axes=([1], [1])),
+        )
 
 
 def test_trace_predicates_match_loop(gma, traces):
@@ -606,7 +618,7 @@ def test_trace_space_matches_loop(gma, mode):
     if not ring.is_prime_field or d > 12:
         pytest.skip("trace_space enumerates prime fields up to dim 12")
     K = slow_trace_space_matrix(gma, mode)
-    assert_identical(_trace_space_matrix(gma, mode), K)
+    assert_identical(constraint_matrix(ring, 3, _bracket_action(gma, mode == "centralizing")), K)
     space = trace_space(gma, mode)
     assert (space.n_rows, space.n_cols) == K.shape
     assert_identical(space.raw_rows, nullspace_array(ring, K))
@@ -616,10 +628,69 @@ def test_trace_space_matches_loop(gma, mode):
         assert_identical(b.tensor, s)
 
 
+def slow_constraint_matrix(ring, degree, act):
+    """One addition per arrangement: at degree 2 the arrangement (s, k) of
+    x_i x_j, at degree 3 each arrangement (u, v, k) of x_a x_b x_c with
+    u <= v, adds act[k, t, q] at row (monomial, q), column (slot, t)."""
+    d, m, n = act.shape
+    pairs = pair_index_order(d)
+    if degree == 2:
+        monomials, slots = pairs, list(range(d))
+    else:
+        monomials = [(a, b, c) for a in range(d) for b in range(a, d) for c in range(b, d)]
+        slots = pairs
+    K = ring.zeros((len(monomials) * n, len(slots) * m))
+    for row, mono in enumerate(monomials):
+        for arr in sorted(set(itertools.permutations(mono))):
+            slot, k = (arr[0], arr[1]) if degree == 2 else (arr[:2], arr[2])
+            if slot not in slots:
+                continue  # u > v: the same pair as (v, u)
+            col = slots.index(slot)
+            for q in range(n):
+                for t in range(m):
+                    K[row * n + q, col * m + t] += act[k, t, q]
+    return ring.normalize(K)
+
+
+@st.composite
+def constraint_actions(draw):
+    """A ring, a degree and an action of shape (d, m, n), d <= 4, with zeros."""
+    ring = draw(st.sampled_from([F5, BIG_P, RATIONAL]))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    cells = (
+        st.one_of(st.just(0), st.integers(-(10**7), 10**7)) if ring.is_prime_field else RATIONALS
+    )
+    act = ring.zeros(shape)
+    for idx in np.ndindex(shape):
+        act[idx] = ring.coerce(draw(cells))
+    return ring, draw(st.sampled_from([2, 3])), act
+
+
+@settings(deadline=None, max_examples=150)
+@given(constraint_actions())
+def test_constraint_operator_matches_arrangement_loop(case):
+    ring, degree, act = case
+    n_rows, rows, cols, values = constraint_operator(ring, degree, act)
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+    assert not np.any(values == 0)
+    want = slow_constraint_matrix(ring, degree, act)
+    assert n_rows == want.shape[0]
+    assert_identical(constraint_matrix(ring, degree, act), want)
+
+
 @pytest.mark.parametrize("name", ["t3-f5", "m4-f5", "m3-q"])
 def test_cube_annihilation_matrix_matches_loop(name):
+    """The loop's system in the unknowns K[v, w, n] has equal columns for
+    (v, w) and (w, v); its columns v <= w are the degree-3 operator of N's
+    left action."""
     g = assemble_gma(INSTANCES[name]())
-    assert_identical(_cube_annihilation_matrix(g), slow_cube_annihilation_matrix(g))
+    dB, dN = g.ctx.B.dim, g.ctx.N.dim
+    slow = slow_cube_annihilation_matrix(g)
+    slow = slow.reshape(slow.shape[0], dB, dB, dN)
+    assert_identical(slow, np.transpose(slow, (0, 2, 1, 3)))
+    v, w = np.triu_indices(dB)
+    want = slow[:, v, w, :].reshape(slow.shape[0], len(v) * dN)
+    assert_identical(constraint_matrix(g.ring, 3, g.ctx.N.left), want)
 
 
 def perturbed(F, at):
@@ -689,11 +760,10 @@ def test_hom_predicates_match_loop(gma, linear_maps, pred):
 def test_linear_defect_matches_loop(gma, linear_maps):
     ring, C = gma.ring, gma.center
     for F in linear_maps.values():
-        fast = _linear_defect_coefficients(gma, F)
         slow = slow_linear_defect_coefficients(gma, F)
-        assert list(fast) == list(slow)
-        for key in slow:
-            assert_identical(fast[key], slow[key])
+        assert list(slow) == pair_index_order(gma.dim)
+        rows = operator_rows(gma, 2, _bracket_action(gma, False), F.matrix.T)
+        assert_identical(rows, np.stack(list(slow.values())))
         for pred, offending in (
             (is_commuting_linear, lambda v: not ring.is_zero(v)),
             (is_centralizing_linear, lambda v: not ring.is_zero(C.quotient(v))),
@@ -1824,7 +1894,8 @@ def factor_reductions(name):
 
 
 def m3_f5_trace_space_matrix(mode):
-    return _trace_space_matrix(assemble_gma(build_full_matrix(3, 1, F5)), mode)
+    g = assemble_gma(build_full_matrix(3, 1, F5))
+    return constraint_matrix(F5, 3, _bracket_action(g, mode == "centralizing"))
 
 
 # name: (build, shape, rank)
@@ -2217,12 +2288,12 @@ def slow_check_all_commuting_proper(alg):
 
 
 def slow_cube_annihilating_forms_contained(gma):
-    """The nullspace of the hand-built K(x, x) system, then a rank test."""
+    """The nullspace of the hand-built x*K(x, x) and K(x, x) systems, then a rank test."""
     ring, ctx = gma.ring, gma.ctx
     dB, dN = ctx.B.dim, ctx.N.dim
     if dN == 0 or dB == 0:
         return True
-    null_cubic = nullspace_array(ring, _cube_annihilation_matrix(gma))
+    null_cubic = nullspace_array(ring, slow_cube_annihilation_matrix(gma))
     pairs = [(a, b) for a in range(dB) for b in range(a, dB)]
     K2 = ring.zeros((len(pairs) * dN, dB * dB * dN))
     for row, (a, b) in enumerate(pairs):
