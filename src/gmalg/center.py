@@ -21,6 +21,7 @@ import numpy as np
 
 from .exact import (
     RingDescriptor,
+    _unlift,
     clear_denominators,
     nullspace_array,
     rank_array,
@@ -304,7 +305,8 @@ def commuting_linear_space(alg) -> list:
     The unknowns are w[i*d + k] = f(e_i)_k; the rows are the coefficients
     of x_i x_j (i <= j) in [f(x), x]: the degree-2 constraint operator."""
     ring, d = alg.ring, alg.dim
-    sols = nullspace_array(ring, constraint_matrix(ring, 2, _bracket_action(alg, False)))
+    act = _unlift(ring, *_bracket_action(alg, False))
+    sols = nullspace_array(ring, constraint_matrix(ring, 2, act))
     return [w.reshape(d, d).T.copy() for w in sols]
 
 
@@ -353,17 +355,29 @@ def check_all_commuting_proper(alg) -> ProperSpanReport:
 
 
 def _integer_mul_tensor(gma):
-    """Integer lift of the product tensor (denominators cleared over Q)."""
+    """(mul, p): the product tensor mod p, or over Q its integer lift
+    (denominators cleared) and p = None.
+
+    Over Q the scan does not reduce, so its largest value bounds its dtype.
+    With B the largest lifted constant, [e_u, e_v] has entries of size at
+    most 2B, W = e_u e_v times a bracket at most d * B * 2B, Y, W bracketed
+    once more, at most d * 2dB^2 * 2B = 4d^2 B^3, one arrangement's
+    contribution (a bracket times Y, d terms) at most 8d^3 B^4, the sum over
+    at most six arrangements 48d^3 B^4 and the coefficient (that sum plus
+    its (s, t) transpose) 96d^3 B^4; every partial sum along the way is
+    bounded by the same sums of absolute values.  Below 2^63 the scan runs
+    on int64, otherwise on python ints."""
     ring = gma.ring
     if ring.is_prime_field:
         return np.asarray(gma.mul, dtype=np.int64), ring.p
     lifted, _ = clear_denominators(gma.mul)
-    if np.abs(lifted).max(initial=0) > 1000:
-        raise CenterError("structure constants too large for the int64 identity scan")
-    return lifted.astype(np.int64), None
+    B = int(np.abs(lifted).max(initial=0))
+    if 96 * gma.dim**3 * B**4 < 1 << 63:
+        lifted = lifted.astype(np.int64)
+    return lifted, None
 
 
-# cells of int64 per intermediate array of the identity scan: whole
+# cells per intermediate array of the identity scan: whole
 # monomials go through at once, so the d**6 contraction stays bounded
 _IDENTITY_42_CELLS = 1 << 20
 

@@ -619,7 +619,7 @@ def _suite_properties(gma: GMA, ctx, args):
             note = f"; central-shift left out: 1 + n = {1 + n} vanishes mod {ring.p}"
         for shape, lam in sorted(expected.items()):
             l = random_lie_triple_iso(gma, args.seed + 11, shape=shape)
-            L = decompose_lie_triple_iso(l, gma, gma)
+            L = decompose_lie_triple_iso(l, gma, gma, report=hyp)
             if n == 2:
                 if L.status != "ambiguous":
                     return "FAIL", f"{shape}: expected sign ambiguity at n=2, got {L.status}"

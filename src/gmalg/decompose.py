@@ -19,7 +19,8 @@ the offending data, never as a crash.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from math import lcm
 
 import numpy as np
 
@@ -27,6 +28,10 @@ from .center import CenterData
 from .exact import (
     ExactError,
     FactoredMatrix,
+    _contract,
+    _lift,
+    _scaled_equal,
+    _unlift,
     inverse_array,
     nullspace_array,
     rank_array,
@@ -185,27 +190,42 @@ class ProperTraceForm:
 
     def sym_tensor(self, gma: GMA) -> np.ndarray:
         """Symmetric coefficient tensor of the reconstructed trace."""
-        z_g = gma.center.z_g
-        MU = gma.ring.tensordot(self.mu, z_g, axes=([0], [0]))  # rows: mu(e_i)
-        nu = gma.ring.tensordot(self.nu, z_g, axes=([2], [0]))
+        doubled, L = self._doubled_tensor(gma)
+        return _unlift(gma.ring, doubled, 2 * L)
+
+    def matches(self, gma: GMA, q: BilinearMapRep) -> bool:
+        """Does the form reconstruct q's trace: is twice sym_tensor q + q^T?"""
+        ring = gma.ring
+        doubled, L = self._doubled_tensor(gma)
+        t, lq = _lift(ring, q.tensor)
+        return _scaled_equal(ring, doubled, L, ring.normalize(t + np.transpose(t, (1, 0, 2))), lq)
+
+    def _doubled_tensor(self, gma: GMA):
+        """(T, L), lifted (exact._lift): T / L = z(xy + yx) + mu(x)y + mu(y)x
+        + 2nu(x, y), twice the symmetric tensor of z x^2 + mu(x) x + nu(x, x)."""
+        ring, td = gma.ring, partial(_contract, gma.ring)
+        mul, lm = _lift(ring, gma.mul)
+        z_g, lg = _lift(ring, gma.center.z_g)
+        z, lz = _lift(ring, self.z)
+        mu, lu = _lift(ring, self.mu)
+        nu, ln = _lift(ring, self.nu)
         # nu is read on i <= j and mirrored, so only its symmetric use counts
         upper = np.triu(np.ones((gma.dim, gma.dim), dtype=bool))[:, :, None]
         nu = np.where(upper, nu, np.transpose(nu, (1, 0, 2)))
-        return _proper_tensor(gma, self.z_vec(gma), MU, nu)
-
-    def matches(self, gma: GMA, q: BilinearMapRep) -> bool:
-        return gma.ring.equal(self.sym_tensor(gma), q.symmetrize().tensor)
-
-
-def _proper_tensor(gma: GMA, z_vec, MU, nu) -> np.ndarray:
-    """z(xy + yx)/2 + (mu(x)y + mu(y)x)/2 + nu(x, y), the symmetric tensor of
-    x -> z x^2 + mu(x) x + nu(x, x); MU holds mu(e_i) as rows, nu is a
-    symmetric (dim, dim, dim) tensor, all in G coordinates."""
-    ring = gma.ring
-    sym = gma.mul + np.transpose(gma.mul, (1, 0, 2))
-    zxy = ring.tensordot(sym, gma.left_mult_matrix(z_vec), axes=([2], [1]))
-    P = ring.tensordot(MU, gma.mul, axes=([1], [0]))  # [i, j] = mu(e_i) e_j
-    return ring.normalize((zxy + P + np.transpose(P, (1, 0, 2))) * ring.half + nu)
+        sym = ring.normalize(mul + np.transpose(mul, (1, 0, 2)))
+        z_mul = td(td(z, z_g, axes=([0], [0])), mul, axes=([0], [0]))  # [k] = z e_k
+        zxy = td(sym, z_mul, axes=([2], [0]))  # over lz lg lm^2
+        P = td(td(mu, z_g, axes=([0], [0])), mul, axes=([1], [0]))  # mu(e_i) e_j, over lu lg lm
+        nu = td(nu, z_g, axes=([2], [0]))  # over ln lg
+        # every part is over lg times its own scale
+        parts = [
+            (zxy, lz * lm * lm),
+            (ring.normalize(P + np.transpose(P, (1, 0, 2))), lu * lm),
+            (ring.normalize(nu * 2), ln),
+        ]
+        L = lcm(*(l for _, l in parts))
+        total = sum(t if l == L else t * (L // l) for t, l in parts)
+        return ring.normalize(total), L * lg
 
 
 @dataclass(eq=False)
@@ -720,7 +740,9 @@ class LieTripleDecomposition:
     detail: str = ""
 
 
-def decompose_lie_triple_iso(l: LinearMapRep, src: GMA, dst: GMA) -> LieTripleDecomposition:
+def decompose_lie_triple_iso(
+    l: LinearMapRep, src: GMA, dst: GMA, report=None
+) -> LieTripleDecomposition:
     """Split an invertible second-commutator-preserving map as l = lam*m + n.
 
     Pipeline: pull the product of src through l to the bilinear map
@@ -728,7 +750,9 @@ def decompose_lie_triple_iso(l: LinearMapRep, src: GMA, dst: GMA) -> LieTripleDe
     for each sign solve T_q(y) = lam*y^2 + mu1(y)y + nu1(y) with mu1, nu1
     valued in Z(dst); exactly one consistent sign is expected (two is an
     ambiguity worth reporting, zero a failure), and m = lam*l + mu/2 must
-    then be a Jordan homomorphism with the usual side conditions.
+    then be a Jordan homomorphism with the usual side conditions.  The
+    result carries `report`, dst's hypothesis report (``dst.report`` when
+    none is given).
     """
     ring = dst.ring
     if l.matrix.shape != (dst.dim, src.dim):
@@ -740,7 +764,8 @@ def decompose_lie_triple_iso(l: LinearMapRep, src: GMA, dst: GMA) -> LieTripleDe
     if not ok:
         raise PredicateNotSatisfied("map does not preserve second commutators", witness=wit)
 
-    report = dst.report
+    if report is None:
+        report = dst.report
     C = dst.center
     # q[i, j, :] = l(l^-1(e_i) l^-1(e_j))
     t = ring.tensordot(linv, dst.mul, axes=([0], [0]))
@@ -834,18 +859,19 @@ def random_proper_trace(gma: GMA, C: CenterData | None, seed: int) -> BilinearMa
         C = gma.center
     stream = XorShift64Star(seed)
     zdim = C.zdim
-    z = ring.array([ring.random_scalar(stream) for _ in range(zdim)])
-    z_vec = C.expand(z)
-    MU = ring.zeros((d, d))  # rows: mu(e_i) in G coords
+
+    def draw():
+        return ring.array([ring.random_scalar(stream) for _ in range(zdim)])
+
+    z = draw()
+    mu = ring.zeros((zdim, d))  # column i: mu(e_i) in center coordinates
     for i in range(d):
-        MU[i] = C.expand(ring.array([ring.random_scalar(stream) for _ in range(zdim)]))
-    q3 = ring.zeros((d, d, d))
+        mu[:, i] = draw()
+    nu = ring.zeros((d, d, zdim))
     for i in range(d):
         for j in range(i, d):
-            v = C.expand(ring.array([ring.random_scalar(stream) for _ in range(zdim)]))
-            q3[i, j] = v
-            q3[j, i] = v
-    return BilinearMapRep(ring, _proper_tensor(gma, z_vec, MU, q3))
+            nu[i, j] = nu[j, i] = draw()
+    return BilinearMapRep(ring, ProperTraceForm(z, mu, nu).sym_tensor(gma))
 
 
 def _matrix_meta(gma: GMA):

@@ -7,6 +7,12 @@ all the structure-constant plumbing elsewhere can use plain numpy indexing
 and tensordot.  There is no floating point anywhere in this module and no
 epsilon anywhere in this package: every comparison is exact equality.
 
+The trace predicates, the reconstruction check and the check of each
+factored solve test for zero and equality on lifted values (``_lift``): over
+Q an array of python ints n and one denominator L for the values n / L, over
+F_p the residues themselves with L = 1.  They build ``Fraction``s
+(``_unlift``) only for the values they return.
+
 RREF is canonical (unique reduced row echelon form); ``solve`` returns the
 canonical solution with every free variable set to zero, or None when the
 system is inconsistent.  ``FactoredMatrix`` returns the same solutions for a
@@ -163,20 +169,11 @@ class RingDescriptor:
         Over Q both operands are cleared of denominators and contracted as
         python ints, so each output cell costs one ``Fraction`` instead of a
         ``Fraction`` product and sum per term."""
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if a.size == 0 or b.size == 0:
-            shape = np.tensordot(np.zeros(a.shape), np.zeros(b.shape), axes=axes).shape
-            return self.zeros(shape)
         if self.is_prime_field:
-            return self.normalize(np.tensordot(a, b, axes=axes))
-        na, la = clear_denominators(a)
-        nb, lb = clear_denominators(b)
-        out = np.tensordot(na, nb, axes=axes)
-        den = la * lb
-        return np.array([Fraction(n, den) for n in out.ravel().tolist()], dtype=object).reshape(
-            out.shape
-        )
+            return _contract(self, a, b, axes)
+        na, la = clear_denominators(np.asarray(a))
+        nb, lb = clear_denominators(np.asarray(b))
+        return _unlift(self, _contract(self, na, nb, axes), la * lb)
 
     def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
         a = self.normalize(a)
@@ -197,6 +194,42 @@ def clear_denominators(a: np.ndarray):
     den = lcm(*[v.denominator for v in cells])
     lifted = np.array([v.numerator * (den // v.denominator) for v in cells], dtype=object)
     return lifted.reshape(np.shape(a)), den
+
+
+def _lift(ring: RingDescriptor, a: np.ndarray):
+    """(n, L) with a == n / L, the form in which the package decides
+    equalities: over Q, n holds python ints (``clear_denominators``); over
+    F_p a is returned as it is, with L = 1."""
+    if ring.is_prime_field:
+        return a, 1
+    return clear_denominators(a)
+
+
+def _unlift(ring: RingDescriptor, n: np.ndarray, L: int) -> np.ndarray:
+    """The ring values n / L of lifted values n: one ``Fraction`` per cell
+    over Q, n itself over F_p when L = 1."""
+    if ring.is_prime_field:
+        return n if L == 1 else ring.normalize(n * ring.inv(L))
+    return np.array([Fraction(v, L) for v in n.ravel().tolist()], dtype=object).reshape(n.shape)
+
+
+def _contract(ring: RingDescriptor, a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
+    """tensordot of lifted values, reduced mod p over F_p; guards empty
+    contractions (numpy would emit float zeros)."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.size == 0 or b.size == 0:
+        shape = np.tensordot(np.zeros(a.shape), np.zeros(b.shape), axes=axes).shape
+        return np.zeros(shape, dtype=ring.dtype)
+    return ring.normalize(np.tensordot(a, b, axes=axes))
+
+
+def _scaled_equal(ring: RingDescriptor, a: np.ndarray, la: int, b: np.ndarray, lb: int) -> bool:
+    """Is a / la == b / lb cell by cell, for lifted a and b?  Decided as
+    a * lb == b * la, on the integers themselves over Q."""
+    if la != lb:
+        a, b = ring.normalize(a * lb), ring.normalize(b * la)
+    return a.shape == b.shape and bool(np.all(a == b))
 
 
 def prime_field(p: int) -> RingDescriptor:
@@ -305,7 +338,9 @@ class FactoredMatrix:
     each b, x_P = E b_S and x = 0 elsewhere: if b is consistent this is its
     unique canonical solution, the one ``solve_array`` returns, so
     ``mat @ x == b`` decides consistency.  E and mat are kept as their
-    nonzero entries, so both products cost one operation per nonzero.
+    nonzero entries, so both products cost one operation per nonzero, and
+    lifted (``_lift``), so over Q both run on python ints and only x is
+    built as ``Fraction``s.
 
     ``mat`` must hold canonical scalars of ``ring``, as ``ring.normalize``
     returns them.
@@ -315,7 +350,7 @@ class FactoredMatrix:
         if np.ndim(mat) != 2:
             raise ExactError("FactoredMatrix expects a 2-D matrix")
         rows, cols = mat.shape
-        self._matrix = _nonzero_entries(mat)
+        self._matrix, self._matrix_scale = _nonzero_entries(ring, mat)
         # zero and repeated rows add nothing to the row space, so only the
         # first copy of each distinct nonzero row goes into mat^T
         nonzero = np.flatnonzero(np.bincount(self._matrix[1], minlength=rows))
@@ -330,7 +365,7 @@ class FactoredMatrix:
             ring, np.concatenate([mat[self.rows], ring.eye(len(self.rows))], axis=1)
         )
         self.pivots = list(piv)
-        self._transform = _nonzero_entries(red[:, cols:])
+        self._transform, self._transform_scale = _nonzero_entries(ring, red[:, cols:])
 
     def solve(self, rhs: np.ndarray):
         """The canonical solution of mat @ x = rhs, as ``solve_array`` gives it, or None."""
@@ -338,21 +373,28 @@ class FactoredMatrix:
         rhs = ring.normalize(np.asarray(rhs))
         if rhs.shape != self.shape[:1]:
             raise ExactError("rhs shape mismatch")
-        x = ring.zeros(self.shape[1])
-        x[self.pivots] = _sparse_times(ring, self._transform, rhs[self.rows])
-        return x if bool(np.all(_sparse_times(ring, self._matrix, x) == rhs)) else None
+        b, lb = _lift(ring, rhs)
+        x = np.zeros(self.shape[1], dtype=ring.dtype)  # x / (E's scale * lb)
+        x[self.pivots] = _sparse_times(ring, self._transform, b[self.rows])
+        # mat @ x / (mat's scale * E's scale * lb) == b / lb
+        scale = self._matrix_scale * self._transform_scale
+        if not _scaled_equal(ring, _sparse_times(ring, self._matrix, x), scale, b, 1):
+            return None
+        return _unlift(ring, x, self._transform_scale * lb)
 
 
-def _nonzero_entries(mat: np.ndarray):
-    """(row count, rows, columns, values) of the nonzero entries of mat, by row."""
+def _nonzero_entries(ring: RingDescriptor, mat: np.ndarray):
+    """((row count, rows, columns, values), L): the nonzero entries of mat,
+    by row, with their values lifted (``_lift``) over L."""
     r, c = np.nonzero(mat != 0)  # a Fraction compares with the int 0 faster than with Fraction(0)
-    return mat.shape[0], r, c, mat[r, c]
+    values, L = _lift(ring, mat[r, c])
+    return (mat.shape[0], r, c, values), L
 
 
 def _sparse_times(ring: RingDescriptor, entries, v: np.ndarray) -> np.ndarray:
-    """mat @ v for mat given by ``_nonzero_entries``."""
+    """mat @ v on lifted values (``_lift``), for mat given by ``_nonzero_entries``."""
     n, r, c, values = entries
-    out = ring.zeros(n)
+    out = np.zeros(n, dtype=ring.dtype)
     np.add.at(out, r, values * v[c])
     return ring.normalize(out)
 

@@ -15,7 +15,16 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .exact import ExactError, RingDescriptor, _sparse_times, nullspace_array, rank_array
+from .exact import (
+    ExactError,
+    RingDescriptor,
+    _contract,
+    _lift,
+    _sparse_times,
+    _unlift,
+    nullspace_array,
+    rank_array,
+)
 
 
 class MapError(ExactError):
@@ -190,7 +199,8 @@ def constraint_operator(ring, degree: int, act: np.ndarray):
     K[(monomial, q), (slot, t)] = act[k, t, q], where the slot times x_k is
     the monomial.  Each (monomial, slot) fixes k, so each (row, column)
     occurs once.  Returned as the nonzero entries (row count, rows,
-    columns, values) that exact._sparse_times applies."""
+    columns, values) that exact._sparse_times applies; act may be lifted
+    (exact._lift), and then so are the values."""
     act = ring.normalize(np.asarray(act))
     m, n = act.shape[1:]
     monomials, owner = _monomial_table(act.shape[0], degree)
@@ -220,22 +230,27 @@ def _jordan_tensor(carrier):
 
 
 def _bracket_action(carrier, centralizing: bool):
-    """act[k, t, q] = [e_t, e_k] in coordinate q, or read through the
-    center's annihilator when centralizing, so that it vanishes iff the
-    bracket is central."""
-    Bk = _commutator_tensor(carrier)
+    """(act, L), lifted (exact._lift): act[k, t, q] / L = [e_t, e_k] in
+    coordinate q, or read through the center's annihilator when
+    centralizing, so that it vanishes iff the bracket is central."""
+    ring = carrier.ring
+    mul, L = _lift(ring, carrier.mul)
+    Bk = ring.normalize(mul - np.transpose(mul, (1, 0, 2)))
     if centralizing:
-        Bk = carrier.ring.tensordot(Bk, carrier.center.annihilator, axes=([2], [1]))
-    return np.transpose(Bk, (1, 0, 2))
+        ann, La = _lift(ring, carrier.center.annihilator)
+        Bk, L = _contract(ring, Bk, ann, axes=([2], [1])), L * La
+    return np.transpose(Bk, (1, 0, 2)), L
 
 
 def _verdict(carrier, centralizing: bool, degree: int, unknown, witness):
     """(ok, witness) for [U(x), x] (degree 2) or [U(x, x), x] (degree 3)
     vanishing, or landing in the center: ok iff the constraint operator
-    kills U's unknown layout; otherwise witness(monomial, offending)
-    searches from the first monomial whose coefficient row is nonzero."""
+    kills U's unknown layout, lifted (exact._lift); only whether a value
+    is zero counts, so the scales of both are left out.  Otherwise
+    witness(monomial, offending) searches from the first monomial whose
+    coefficient row is nonzero."""
     ring = carrier.ring
-    K = constraint_operator(ring, degree, _bracket_action(carrier, centralizing))
+    K = constraint_operator(ring, degree, _bracket_action(carrier, centralizing)[0])
     rows = _sparse_times(ring, K, unknown.reshape(-1))
     monomials, _ = _monomial_table(carrier.dim, degree)
     bad = np.flatnonzero(np.any(rows.reshape(len(monomials), -1) != 0, axis=1))
@@ -280,13 +295,15 @@ def _linear_witness(carrier, F, bad_pair, offending):
 def is_commuting_linear(carrier, F: LinearMapRep):
     """Does [F(x), x] = 0 hold identically?  (ok, witness)."""
     _require_shape(F, carrier.dim, carrier.dim)
-    return _verdict(carrier, False, 2, F.matrix.T, partial(_linear_witness, carrier, F))
+    unknown = _lift(carrier.ring, F.matrix)[0].T
+    return _verdict(carrier, False, 2, unknown, partial(_linear_witness, carrier, F))
 
 
 def is_centralizing_linear(gma, F: LinearMapRep):
     """Does [F(x), x] land in Z(G) for every x?  (ok, witness)."""
     _require_shape(F, gma.dim, gma.dim)
-    return _verdict(gma, True, 2, F.matrix.T, partial(_linear_witness, gma, F))
+    unknown = _lift(gma.ring, F.matrix)[0].T
+    return _verdict(gma, True, 2, unknown, partial(_linear_witness, gma, F))
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +337,11 @@ def _trace_witness(carrier, bil, bad_triple, offending):
 
 
 def _pair_layout(carrier, bil: BilinearMapRep):
-    """The unknown of the trace predicates: B's pair layout."""
+    """The unknown of the trace predicates: B's pair layout, lifted."""
     d = carrier.dim
     if bil.tensor.shape != (d, d, d):
         raise MapError(f"bilinear map has shape {bil.tensor.shape}, the algebra wants {(d, d, d)}")
-    return pair_coefficients(carrier.ring, bil.tensor)
+    return pair_coefficients(carrier.ring, _lift(carrier.ring, bil.tensor)[0])
 
 
 def is_commuting_trace(carrier, bil: BilinearMapRep):
@@ -454,12 +471,11 @@ def trace_space(gma, mode: str = "centralizing", max_dim: int = 12) -> TraceSpac
     if d > max_dim:
         raise MapError(f"dim {d} exceeds the trace_space guard {max_dim}")
 
-    K = constraint_matrix(ring, 3, _bracket_action(gma, mode == "centralizing"))
+    K = constraint_matrix(ring, 3, _unlift(ring, *_bracket_action(gma, mode == "centralizing")))
     rows = nullspace_array(ring, K)
     npairs = d * (d + 1) // 2
-    basis = [
-        BilinearMapRep(ring, symmetric_from_pairs(ring, d, w.reshape(npairs, d)))
-        for w in rows
-    ]
+    tensors = symmetric_from_pairs(ring, d, rows.reshape(len(rows), npairs, d))
+    # over a prime field BilinearMapRep reduces each slice into an array of its own
+    basis = [BilinearMapRep(ring, t) for t in tensors]
     return TraceSpaceResult(mode, K.shape[0], K.shape[1], basis, rows)
 

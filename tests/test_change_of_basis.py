@@ -17,6 +17,7 @@ center other than a span of unit vectors runs on.
 import numpy as np
 import pytest
 
+from gmalg.center import _integer_mul_tensor, check_identity_42
 from gmalg.decompose import (
     decompose_lie_triple_iso,
     decompose_trace_constructive,
@@ -71,12 +72,29 @@ def transport(ring, T, P, Q, R_inv):
     return ring.tensordot(t, R_inv, axes=([1], [1]))  # (i, j, r)
 
 
+def block_dims(ctx):
+    return {"A": ctx.A.dim, "M": ctx.M.dim, "N": ctx.N.dim, "B": ctx.B.dim}
+
+
 def transported(ctx, seed):
     """(context, P) with P[block] = (matrix, inverse) for blocks A, M, N, B."""
-    ring = ctx.ring
     stream = XorShift64Star(seed)
-    dims = {"A": ctx.A.dim, "M": ctx.M.dim, "N": ctx.N.dim, "B": ctx.B.dim}
-    P = {name: random_invertible(ring, d, stream) for name, d in dims.items()}
+    P = {name: random_invertible(ctx.ring, d, stream) for name, d in block_dims(ctx).items()}
+    return moved_context(ctx, P), P
+
+
+def rescaled(ctx, factor):
+    """(context, P): ctx with the first basis vector of M multiplied by factor."""
+    ring = ctx.ring
+    P = {name: (ring.eye(d), ring.eye(d)) for name, d in block_dims(ctx).items()}
+    P["M"][0][0, 0] = ring.coerce(factor)
+    P["M"][1][0, 0] = ring.inv(factor)
+    return moved_context(ctx, P), P
+
+
+def moved_context(ctx, P):
+    """ctx in the bases given by P[block] = (matrix, inverse)."""
+    ring = ctx.ring
 
     def move(T, first, second, out):
         return transport(ring, T, P[first][0], P[second][0], P[out][1])
@@ -93,7 +111,7 @@ def transported(ctx, seed):
     )
     # loyalty over Q is certified by primeness, which an isomorphism keeps
     meta = {k: v for k, v in ctx.meta.items() if k == "prime_certified"}
-    moved = MoritaContext(
+    return MoritaContext(
         algebra(ctx.A, "A"),
         algebra(ctx.B, "B"),
         M,
@@ -102,7 +120,6 @@ def transported(ctx, seed):
         move(ctx.pairing_NM, "N", "M", "B"),
         meta,
     )
-    return moved, P
 
 
 def intertwines(ctx, a, b):
@@ -246,3 +263,19 @@ def test_lie_triple_splitting_keeps_status_and_sign(name, shape):
     assert want.status == "ok"
     assert (got.status, got.lam) == (want.status, want.lam)
     assert got.checks == want.checks
+
+
+def test_identity_42_on_a_rescaled_rational_basis():
+    """Scaling M's first basis vector of M3(Q) by 2000 puts structure
+    constants of 2000 and 1/2000 beside 1, past the bound below which the
+    identity scan runs on int64; it decides on python ints instead, with the
+    same verdict, and the witness holds on the rescaled algebra."""
+    g = assemble_gma(CONTEXTS["m3-q-split-1"]())
+    h = assemble_gma(rescaled(g.ctx, 2000)[0])
+    assert _integer_mul_tensor(g)[0].dtype == np.int64
+    assert _integer_mul_tensor(h)[0].dtype == object
+    for gma in (g, h):
+        ok, (x, y) = check_identity_42(gma)
+        assert not ok
+        defect = gma.commutator(gma.commutator(gma.square(x), y), gma.commutator(x, y))
+        assert not gma.ring.is_zero(defect)

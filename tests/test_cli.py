@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gmalg import center, cli
 from gmalg.cli import main
 from gmalg.exact import RATIONAL, prime_field
 from gmalg.io import (
@@ -414,6 +415,22 @@ def test_suite_leaves_out_the_central_shift_when_one_plus_n_vanishes(tmp_path, c
         "central-shift left out: 1 + n = 5 vanishes mod 5)"
     ) in lines
     assert "0 failed" in lines[-1]
+
+
+def test_suite_builds_one_hypothesis_report(m3_file, monkeypatch, capsys):
+    # the round trips and the Lie triple shapes read the report the suite built
+    built = []
+    report = center.hypothesis_report
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(center, "hypothesis_report", counted)
+    monkeypatch.setattr(cli, "hypothesis_report", counted)
+    assert main(["suite", m3_file, "--count", "2"]) == 0
+    assert "0 failed" in capsys.readouterr().out
+    assert len(built) == 1
 
 
 def test_suite_reruns_are_byte_identical(t3_file, tmp_path):

@@ -250,6 +250,7 @@ def test_trace_space_on_m3_frozen_dimensions(m3):
     assert ts.dim == 55
     for rep in ts.basis:
         assert F5.equal(rep.tensor, np.transpose(rep.tensor, (1, 0, 2)))
+        assert rep.tensor.base is None  # no view into a shared array
 
 
 def test_trace_space_basis_elements_pass_the_predicate(m3):

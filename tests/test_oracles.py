@@ -8,7 +8,10 @@ over every nonzero candidate vector.  The elimination references are
 the three kernels the ring-generic one replaced: scalar loops mod p, a dense
 rank-1 update over every row mod p, and row-by-row Fraction elimination.
 The contraction over Q is checked against numpy's tensordot on the
-Fraction arrays themselves.  The constructive chain is checked against
+Fraction arrays themselves, and the trace predicates, the reconstruction
+check and the factored solve, which decide on lifted integers over Q,
+against the Fraction code they replaced, on contexts whose constants
+are not all integers.  The constructive chain is checked against
 its per-basis-vector loops: the witness extraction, the shape laws and
 the mu/nu assembly.  The corner isomorphism phi is checked against one
 exact solve per projected center row, and the matrix-unit builders
@@ -26,7 +29,9 @@ The instances cover a center of dimension one (M3, M4), a triangular split
 p = 1048573, the largest prime the int64 kernels accept.
 """
 
+import functools
 import itertools
+import math
 import re
 import types
 from fractions import Fraction
@@ -55,10 +60,13 @@ from gmalg.decompose import (
     ComponentPatternError,
     ConstructiveDecomposition,
     ConstructiveWitness,
+    PredicateNotSatisfied,
     ProperTraceForm,
     WitnessExtractionError,
     build_generic_system,
+    decompose_lie_triple_iso,
     decompose_trace_constructive,
+    decompose_trace_generic,
     extract_components,
     extract_constructive_witness,
     random_lie_triple_iso,
@@ -69,7 +77,11 @@ from gmalg.exact import (
     RATIONAL,
     ExactError,
     FactoredMatrix,
+    clear_denominators,
+    _lift,
+    _scaled_equal,
     _sparse_times,
+    _unlift,
     nullspace_array,
     prime_field,
     rank_array,
@@ -89,6 +101,7 @@ from gmalg.maps import (
     _bracket_action,
     _commutator_tensor,
     _linear_witness,
+    _monomial_table,
     _trace_witness,
     constraint_matrix,
     constraint_operator,
@@ -123,6 +136,7 @@ from gmalg.structure import (
     triangular_positions,
 )
 from gmalg.structure import _MORITA_LAWS, _block_products, _first_nonzero, _law_defect
+from test_change_of_basis import block_diagonal, rescaled, transported
 
 F5 = prime_field(5)
 BIG_P = prime_field(1048573)
@@ -332,8 +346,12 @@ def slow_vanishes_on_second_commutators(src, F):
 
 
 def slow_check_identity_42(gma, seed):
+    """Over Q on python ints, whatever the size of the constants."""
     ring, d = gma.ring, gma.dim
-    mul, p = _integer_mul_tensor(gma)
+    if ring.is_prime_field:
+        mul, p = np.asarray(gma.mul, dtype=np.int64), ring.p
+    else:
+        mul, p = clear_denominators(gma.mul)[0], None
     Bk = mul - np.transpose(mul, (1, 0, 2))
     if p is not None:
         Bk %= p
@@ -347,7 +365,7 @@ def slow_check_identity_42(gma, seed):
     for a in range(d):
         for b in range(a, d):
             for c in range(b, d):
-                contrib = np.zeros((d, d, d), dtype=np.int64)
+                contrib = np.zeros((d, d, d), dtype=mul.dtype)
                 for (u, v, w) in _arrangements3(a, b, c):
                     Z1 = np.tensordot(W[u, v], Bk, axes=([1], [0]))  # (s, l, r)
                     T = np.tensordot(Bk[w], Z1, axes=([1], [1]))  # (t, s, r)
@@ -545,11 +563,14 @@ def test_instances_cover_a_wide_center():
 # ---------------------------------------------------------------------------
 
 
-def operator_rows(carrier, degree, act, unknown):
-    """The coefficient rows of K * unknown, one per monomial."""
+def operator_rows(carrier, degree, centralizing, unknown):
+    """The coefficient rows of K * unknown, one per monomial, from the
+    lifted bracket action and unknown."""
     ring = carrier.ring
-    rows = _sparse_times(ring, constraint_operator(ring, degree, act), unknown.reshape(-1))
-    return rows.reshape(-1, act.shape[2])
+    act, la = _bracket_action(carrier, centralizing)
+    u, lu = _lift(ring, unknown)
+    rows = _sparse_times(ring, constraint_operator(ring, degree, act), u.reshape(-1))
+    return _unlift(ring, rows, la * lu).reshape(-1, act.shape[2])
 
 
 def test_cubic_coefficients_match_loop(gma, traces):
@@ -560,9 +581,9 @@ def test_cubic_coefficients_match_loop(gma, traces):
     for q, slow in traces.values():
         want = np.stack(list(slow.values()))
         pairs = pair_coefficients(ring, q.tensor)
-        assert_identical(operator_rows(gma, 3, _bracket_action(gma, False), pairs), want)
+        assert_identical(operator_rows(gma, 3, False, pairs), want)
         assert_identical(
-            operator_rows(gma, 3, _bracket_action(gma, True), pairs),
+            operator_rows(gma, 3, True, pairs),
             ring.tensordot(want, C.annihilator, axes=([1], [1])),
         )
 
@@ -618,7 +639,8 @@ def test_trace_space_matches_loop(gma, mode):
     if not ring.is_prime_field or d > 12:
         pytest.skip("trace_space enumerates prime fields up to dim 12")
     K = slow_trace_space_matrix(gma, mode)
-    assert_identical(constraint_matrix(ring, 3, _bracket_action(gma, mode == "centralizing")), K)
+    act = _unlift(ring, *_bracket_action(gma, mode == "centralizing"))
+    assert_identical(constraint_matrix(ring, 3, act), K)
     space = trace_space(gma, mode)
     assert (space.n_rows, space.n_cols) == K.shape
     assert_identical(space.raw_rows, nullspace_array(ring, K))
@@ -762,7 +784,7 @@ def test_linear_defect_matches_loop(gma, linear_maps):
     for F in linear_maps.values():
         slow = slow_linear_defect_coefficients(gma, F)
         assert list(slow) == pair_index_order(gma.dim)
-        rows = operator_rows(gma, 2, _bracket_action(gma, False), F.matrix.T)
+        rows = operator_rows(gma, 2, False, F.matrix.T)
         assert_identical(rows, np.stack(list(slow.values())))
         for pred, offending in (
             (is_commuting_linear, lambda v: not ring.is_zero(v)),
@@ -1895,7 +1917,7 @@ def factor_reductions(name):
 
 def m3_f5_trace_space_matrix(mode):
     g = assemble_gma(build_full_matrix(3, 1, F5))
-    return constraint_matrix(F5, 3, _bracket_action(g, mode == "centralizing"))
+    return constraint_matrix(F5, 3, _unlift(F5, *_bracket_action(g, mode == "centralizing")))
 
 
 # name: (build, shape, rank)
@@ -2160,7 +2182,7 @@ def test_q_contraction_matches_fraction_contraction_on_call_shapes():
         (mul, mul, ([2], [1])),
         (q, _commutator_tensor(g), ([2], [0])),  # the cubic D
         (q + random_rationals(stream, q.shape), _commutator_tensor(g), ([2], [0])),
-        (sym, g.left_mult_matrix(z), ([2], [1])),  # _proper_tensor
+        (sym, g.left_mult_matrix(z), ([2], [1])),  # fraction_sym_tensor
         (MU, mul, ([1], [0])),
         (x, mul, ([0], [0])),  # a vector times mul
         (x, g.mul * Fraction(5, 6), ([0], [1])),
@@ -2220,6 +2242,275 @@ def contraction_cases(draw):
 @given(contraction_cases())
 def test_q_contraction_matches_fraction_contraction_fuzzed(case):
     assert_same_contraction(*case)
+
+
+# ---------------------------------------------------------------------------
+# the Q lane on lifted integers
+# ---------------------------------------------------------------------------
+
+# Contexts over Q with structure constants, centers or inputs off the
+# integers: the matrix-unit bases have denominator 1 almost everywhere, so
+# they cannot show a denominator lost on the way.  The moved M3(Q) has a
+# center and an annihilator off the integers too.
+M3_Q_BASES = {
+    "m3-q-rescaled": lambda ctx: rescaled(ctx, 2000),
+    "m3-q-moved": lambda ctx: transported(ctx, 1),
+}
+Q_LANE = {
+    "m3-q": lambda: build_full_matrix(3, 1, RATIONAL),
+    "t3-q": lambda: build_upper_triangular(3, 1, RATIONAL),
+    "inflated-half-q": lambda: build_inflated(RATIONAL, 1, [[Fraction(1, 2)]]),
+    **{
+        name: lambda move=move: move(build_full_matrix(3, 1, RATIONAL))[0]
+        for name, move in M3_Q_BASES.items()
+    },
+}
+
+
+def fraction_sparse_times(ring, entries, v):
+    """exact._sparse_times on Fraction values: a Fraction product and sum per nonzero."""
+    n, r, c, values = entries
+    out = ring.zeros(n)
+    np.add.at(out, r, values * v[c])
+    return ring.normalize(out)
+
+
+def fraction_bracket_action(carrier, centralizing):
+    """maps._bracket_action on Fraction values."""
+    Bk = _commutator_tensor(carrier)
+    if centralizing:
+        Bk = carrier.ring.tensordot(Bk, carrier.center.annihilator, axes=([2], [1]))
+    return np.transpose(Bk, (1, 0, 2))
+
+
+def fraction_verdict(carrier, centralizing, degree, unknown, witness):
+    """maps._verdict on Fraction values."""
+    ring = carrier.ring
+    K = constraint_operator(ring, degree, fraction_bracket_action(carrier, centralizing))
+    rows = fraction_sparse_times(ring, K, unknown.reshape(-1))
+    monomials = _monomial_table(carrier.dim, degree)[0]
+    bad = np.flatnonzero(np.any(rows.reshape(len(monomials), -1) != 0, axis=1))
+    if bad.size == 0:
+        return True, None
+    quotient = carrier.center.quotient if centralizing else (lambda v: v)
+    return False, witness(monomials[bad[0]], lambda v: not ring.is_zero(quotient(v)))
+
+
+def fraction_trace_predicate(carrier, bil, centralizing):
+    unknown = pair_coefficients(carrier.ring, bil.tensor)
+    return fraction_verdict(
+        carrier, centralizing, 3, unknown, functools.partial(_trace_witness, carrier, bil)
+    )
+
+
+def fraction_linear_predicate(carrier, F, centralizing):
+    return fraction_verdict(
+        carrier, centralizing, 2, F.matrix.T, functools.partial(_linear_witness, carrier, F)
+    )
+
+
+def fraction_sym_tensor(form, gma):
+    """ProperTraceForm.sym_tensor on Fraction values: halved and summed cell by cell."""
+    ring, z_g = gma.ring, gma.center.z_g
+    MU = ring.tensordot(form.mu, z_g, axes=([0], [0]))  # rows: mu(e_i)
+    nu = ring.tensordot(form.nu, z_g, axes=([2], [0]))
+    upper = np.triu(np.ones((gma.dim, gma.dim), dtype=bool))[:, :, None]
+    nu = np.where(upper, nu, np.transpose(nu, (1, 0, 2)))
+    sym = gma.mul + np.transpose(gma.mul, (1, 0, 2))
+    zxy = ring.tensordot(sym, gma.left_mult_matrix(form.z_vec(gma)), axes=([2], [1]))
+    P = ring.tensordot(MU, gma.mul, axes=([1], [0]))  # [i, j] = mu(e_i) e_j
+    return ring.normalize((zxy + P + np.transpose(P, (1, 0, 2))) * ring.half + nu)
+
+
+def fraction_matches(form, gma, q):
+    return gma.ring.equal(fraction_sym_tensor(form, gma), q.symmetrize().tensor)
+
+
+class SolvedEveryTime:
+    """FactoredMatrix's interface on one solve_array per right-hand side."""
+
+    def __init__(self, ring, mat):
+        self.ring, self.mat = ring, mat
+
+    def solve(self, rhs):
+        return solve_array(self.ring, self.mat, rhs)
+
+
+def q_lane_traces(gma):
+    """Proper traces, each with one cell moved by 1/3, a drawn rational
+    trace and the product itself."""
+    d = gma.dim
+    stream = XorShift64Star(17)
+    traces = {}
+    for seed in (1, 2):
+        q = random_proper_trace(gma, None, seed=seed)
+        t = q.tensor.copy()
+        t[0, 1, d - 1] += Fraction(1, 3)
+        traces[f"proper-{seed}"] = q
+        traces[f"moved-{seed}"] = BilinearMapRep(RATIONAL, t)
+    traces["drawn"] = BilinearMapRep(RATIONAL, random_rationals(stream, (d, d, d)))
+    traces["product"] = BilinearMapRep(RATIONAL, gma.mul)
+    return traces
+
+
+@pytest.fixture(scope="module", params=sorted(Q_LANE))
+def q_gma(request):
+    g = assemble_gma(Q_LANE[request.param]())
+    g.center
+    return g
+
+
+def test_q_lane_predicates_match_the_fraction_predicates(q_gma):
+    g, d = q_gma, q_gma.dim
+    stream = XorShift64Star(19)
+    verdicts = set()
+    for q in q_lane_traces(g).values():
+        for centralizing, pred in ((False, is_commuting_trace), (True, is_centralizing_trace)):
+            got = pred(g, q)
+            assert_same_verdict(got, fraction_trace_predicate(g, q, centralizing))
+            verdicts.add(got[0])
+            # the lifted rows, scaled back, are the Fraction rows
+            act = fraction_bracket_action(g, centralizing)
+            assert_identical(_unlift(RATIONAL, *_bracket_action(g, centralizing)), act)
+            pairs = pair_coefficients(RATIONAL, q.tensor)
+            K = constraint_operator(RATIONAL, 3, act)
+            want = fraction_sparse_times(RATIONAL, K, pairs.reshape(-1))
+            assert_identical(operator_rows(g, 3, centralizing, pairs), want.reshape(-1, act.shape[2]))
+    assert verdicts == {True, False}
+    for F in (LinearMapRep.identity(RATIONAL, d), LinearMapRep(RATIONAL, random_rationals(stream, (d, d)))):
+        for centralizing, pred in ((False, is_commuting_linear), (True, is_centralizing_linear)):
+            assert_same_verdict(pred(g, F), fraction_linear_predicate(g, F, centralizing))
+
+
+def test_q_lane_reconstruction_matches_the_fraction_check(q_gma):
+    g = q_gma
+    for name, q in q_lane_traces(g).items():
+        if not name.startswith("proper"):
+            continue
+        forms = [decompose_trace_generic(q, g).form, decompose_trace_constructive(q, g).form]
+        for form in forms:
+            sym = form.sym_tensor(g)
+            assert_identical(sym, fraction_sym_tensor(form, g))
+            assert all(type(v) is Fraction for v in sym.flat)
+            assert form.matches(g, q) and fraction_matches(form, g, q)
+            for part in ("z", "mu", "nu"):
+                moved = {k: getattr(form, k).copy() for k in ("z", "mu", "nu")}
+                moved[part].flat[0] += Fraction(1, 3)
+                moved = ProperTraceForm(**moved)
+                assert_identical(moved.sym_tensor(g), fraction_sym_tensor(moved, g))
+                assert not moved.matches(g, q)
+                assert not fraction_matches(moved, g, q)
+
+
+def q_lane_outcomes(g, traces, lti_maps):
+    """Both routes on every trace and the Lie triple split of every map, as
+    comparable tuples."""
+    out = []
+    for q in traces.values():
+        for route in (decompose_trace_generic, decompose_trace_constructive):
+            try:
+                dec = route(q, g)
+            except PredicateNotSatisfied as e:
+                out.append(("reject", e.witness))
+                continue
+            form = dec.form
+            out.append((dec.status, None if form is None else (form.z, form.mu, form.nu)))
+    for l in lti_maps:
+        L = decompose_lie_triple_iso(l, g, g)
+        m, n = (None, None) if L.m is None else (L.m.matrix, L.n.matrix)
+        out.append((L.status, L.lam, m, n, L.mu1, L.nu1, L.checks))
+    return out
+
+
+def assert_same_outcomes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        if isinstance(a, tuple):
+            assert_same_outcomes(a, b)
+        elif isinstance(a, (np.ndarray, Fraction)):
+            assert_identical(a, b)
+        else:
+            assert a == b
+
+
+@pytest.mark.parametrize("name", sorted(Q_LANE))
+def test_q_lane_routes_and_splits_match_the_fraction_code(name, monkeypatch):
+    """The routes and the Lie triple split on lifted integers, and on a
+    fresh algebra again with the Fraction predicates, reconstruction check
+    and one solve_array per solve patched in."""
+    g = assemble_gma(Q_LANE[name]())
+    traces = q_lane_traces(g)
+    lti_maps = []
+    if name == "m3-q" or name in M3_Q_BASES:
+        m3 = assemble_gma(build_full_matrix(3, 1, RATIONAL))
+        lti_maps = [random_lie_triple_iso(m3, 3, shape) for shape in ("conjugation", "neg-antiauto")]
+        if name in M3_Q_BASES:
+            _, P = M3_Q_BASES[name](m3.ctx)
+            G, G_inv = block_diagonal(RATIONAL, P, 0), block_diagonal(RATIONAL, P, 1)
+            td = RATIONAL.tensordot
+            lti_maps = [
+                LinearMapRep(RATIONAL, td(td(G_inv, l.matrix, axes=([1], [0])), G, axes=([1], [0])))
+                for l in lti_maps
+            ]
+    got = q_lane_outcomes(g, traces, lti_maps)
+    for pred, centralizing in (("is_commuting_trace", False), ("is_centralizing_trace", True)):
+        monkeypatch.setattr(
+            decompose, pred, functools.partial(fraction_trace_predicate, centralizing=centralizing)
+        )
+    monkeypatch.setattr(decompose.ProperTraceForm, "matches", fraction_matches)
+    monkeypatch.setattr(decompose, "FactoredMatrix", SolvedEveryTime)
+    want = q_lane_outcomes(assemble_gma(Q_LANE[name]()), traces, lti_maps)
+    assert_same_outcomes(got, want)
+    assert {o[0] for o in got[: 2 * len(traces)]} >= {"ok", "reject"}
+
+
+@pytest.mark.parametrize("name", ["inflated-large-q", "m3-q-rescaled", "m3-q-moved"])
+def test_identity_42_matches_loop_past_the_int64_bound(name):
+    build = dict(Q_LANE, **{"inflated-large-q": lambda: build_inflated(RATIONAL, 1, [[10**12]])})
+    g = assemble_gma(build[name]())
+    assert _integer_mul_tensor(g)[0].dtype == object
+    assert_same_verdict(check_identity_42(g, seed=5), slow_check_identity_42(g, 5))
+
+
+# numerators past int64 and denominators up to the largest supported prime
+LIFT_RATIONALS = st.builds(
+    Fraction,
+    st.one_of(st.integers(-(2**80), 2**80), st.sampled_from([2**63, -(2**63) - 1, 2**64 + 7])),
+    st.one_of(st.integers(1, 1048573), st.sampled_from([1, 2, 1048573])),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(LIFT_RATIONALS, min_size=1, max_size=12), st.integers(1, 1048573), st.data())
+def test_lift_and_scaled_equality(cells, k, data):
+    a = np.array(cells, dtype=object)
+    n, L = _lift(RATIONAL, a)
+    assert L == math.lcm(*(v.denominator for v in cells))
+    assert all(type(v) is int for v in n.flat)
+    assert_identical(_unlift(RATIONAL, n, L), a)
+    # the same values over another scale are equal; moving one cell by any
+    # nonzero amount, however small against the scale, breaks equality
+    assert _scaled_equal(RATIONAL, n * k, L * k, n, L)
+    i = data.draw(st.integers(0, len(cells) - 1))
+    moved = n * k
+    moved[i] += data.draw(st.sampled_from([1, -1, 2**64]))
+    assert not _scaled_equal(RATIONAL, moved, L * k, n, L)
+    # and it decides what Fraction comparison decides
+    other = [data.draw(st.sampled_from([c, c + Fraction(1, k)])) for c in cells]
+    got = _scaled_equal(RATIONAL, *_lift(RATIONAL, np.array(other, dtype=object)), n, L)
+    assert got == (other == cells)
+
+
+@pytest.mark.parametrize("ring", [F5, BIG_P], ids=["f5", "p1048573"])
+def test_lift_is_the_identity_over_a_prime_field(ring):
+    x = ring.array([[0, 1, 2], [3, 4, ring.p - 1]])
+    n, L = _lift(ring, x)
+    assert n is x and L == 1
+    assert _unlift(ring, x, 1) is x
+    assert_identical(_unlift(ring, x, 2), ring.normalize(x * ring.half))
+    assert _scaled_equal(ring, x, 1, x.copy(), 1)
+    assert not _scaled_equal(ring, x, 1, ring.normalize(x + ring.eye(3)[:2]), 1)
 
 
 # ---------------------------------------------------------------------------
