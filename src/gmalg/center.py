@@ -15,14 +15,17 @@ of the center basis, not solved for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from .exact import (
     RingDescriptor,
+    _contract,
+    _lift,
+    _scaled,
     _unlift,
-    clear_denominators,
     nullspace_array,
     rank_array,
     row_span_coords,
@@ -37,7 +40,7 @@ from .maps import (
     constraint_matrix,
 )
 from .rng import XorShift64Star
-from .structure import GMA, MoritaContext
+from .structure import GMA, MoritaContext, _read_only
 
 
 class CenterError(ValueError):
@@ -79,18 +82,66 @@ class CenterData:
     faithful_left: bool  # check_faithful of the connecting bimodule M
     faithful_right: bool
 
+    def __post_init__(self):
+        _read_only([getattr(self, f.name) for f in fields(self)])
+
     @property
     def zdim(self) -> int:
         return self.z_g.shape[0]
+
+    @cached_property
+    def lifted(self) -> dict:
+        """The center's arrays lifted (exact._lift) and read-only, by field
+        name: (n, L) for phi, phi_inv and the annihilator, and (n, L,
+        pivots) for the canonical rows z_g, z_a, z_b, pia_image and
+        pib_image.  Over F_p each n is the array itself.  Built on first
+        use, not with the center."""
+        out = {name: _lift(self.ring, getattr(self, name)) for name in ("phi", "phi_inv")}
+        out["annihilator"] = _lift(self.ring, self.annihilator)
+        for name in ("z_g", "z_a", "z_b", "pia_image", "pib_image"):
+            rows = getattr(self, name)
+            pivots = (rows != 0).argmax(axis=1) if rows.size else np.zeros(len(rows), dtype=np.intp)
+            out[name] = (*_lift(self.ring, rows), pivots)
+        return _read_only(out)
+
+    def span_lifted(self, name: str, v):
+        """(coords, inside) for lifted vectors v = (n, L) stacked along n's
+        leading axes, against the canonical rows `name`: the coordinates,
+        lifted, are v read at the rows' pivots (meaningless for a vector
+        outside), and a vector is inside iff n * L_rows equals its
+        coordinates times the lifted rows, all pivots being 1."""
+        rows, L, pivots = self.lifted[name]
+        n, Lv = v
+        coords = n[..., pivots]
+        rest = _scaled(n, L) != _contract(self.ring, coords, rows, axes=([-1], [0]))
+        return (coords, Lv), ~np.any(rest, axis=-1)
+
+    def outside_lifted(self, name: str, v):
+        """Mask of the lifted vectors v that leave the span of the rows `name`."""
+        return ~self.span_lifted(name, v)[1]
+
+    def center_rows_lifted(self, v):
+        """center_rows on lifted v = (n, L), with the coordinates lifted."""
+        ann = self.lifted["annihilator"][0]
+        n, Lv = v
+        rest = _contract(self.ring, n, ann, axes=([-1], [1]))
+        return (n[..., self.lifted["z_g"][2]], Lv), ~np.any(rest != 0, axis=-1)
+
+    def corner_rows_lifted(self, forward: bool, v):
+        """phi (forward) or phi^-1 on lifted v = (n, L) stacked along n's
+        leading axes: (images, lifted, inside pi_A(Z) resp. pi_B(Z)); a
+        vector outside gets a meaningless image."""
+        image, iso = ("pia_image", "phi") if forward else ("pib_image", "phi_inv")
+        (coords, Lv), inside = self.span_lifted(image, v)
+        n, L = self.lifted[iso]
+        return (_contract(self.ring, coords, n, axes=([-1], [1])), Lv * L), inside
 
     def center_rows(self, v):
         """(coords, central) for vectors stacked along v's leading axes:
         coefficients over the z_g basis (v read at z_g's pivots, meaningless
         for a vector that is not central) and whether each vector is central."""
         v = self.ring.normalize(np.asarray(v))
-        rest = self.ring.tensordot(v, self.annihilator, axes=([-1], [1]))
-        pivots = (self.z_g != self.ring.zero).argmax(axis=1)
-        return v[..., pivots], ~np.any(rest != self.ring.zero, axis=-1)
+        return v[..., self.lifted["z_g"][2]], self.center_rows_lifted(_lift(self.ring, v))[1]
 
     def center_coords(self, v):
         """Coefficients of v over the z_g basis, or None if v is not central."""
@@ -108,21 +159,19 @@ class CenterData:
         """The annihilator applied to v: zero iff v is central."""
         return self.ring.tensordot(self.annihilator, np.asarray(v), axes=([1], [0]))
 
-    def _corner_rows(self, image, iso, v):
-        coeff, resid = row_span_residual(self.ring, image, np.asarray(v))
-        return (
-            self.ring.tensordot(coeff, iso, axes=([-1], [1])),
-            ~np.any(resid != self.ring.zero, axis=-1),
-        )
+    def _corner_values(self, forward: bool, v):
+        v = self.ring.normalize(np.asarray(v))
+        image, inside = self.corner_rows_lifted(forward, _lift(self.ring, v))
+        return _unlift(self.ring, *image), inside
 
     def phi_rows(self, a_rows):
         """(phi of each A-corner vector stacked along a_rows' leading axes,
         whether it lies in pi_A(Z)); a vector outside gets a meaningless value."""
-        return self._corner_rows(self.pia_image, self.phi, a_rows)
+        return self._corner_values(True, a_rows)
 
     def phi_inv_rows(self, b_rows):
         """phi^-1 row by row, as phi_rows, on B-corner vectors and pi_B(Z)."""
-        return self._corner_rows(self.pib_image, self.phi_inv, b_rows)
+        return self._corner_values(False, b_rows)
 
     def phi_apply(self, a_vec):
         """Apply the corner isomorphism to an A-corner vector; None off the span."""
@@ -370,7 +419,7 @@ def _integer_mul_tensor(gma):
     ring = gma.ring
     if ring.is_prime_field:
         return np.asarray(gma.mul, dtype=np.int64), ring.p
-    lifted, _ = clear_denominators(gma.mul)
+    lifted, _ = gma.lifted["mul"]
     B = int(np.abs(lifted).max(initial=0))
     if 96 * gma.dim**3 * B**4 < 1 << 63:
         lifted = lifted.astype(np.int64)

@@ -24,19 +24,20 @@ from math import lcm
 
 import numpy as np
 
-from .center import CenterData
+from .center import CenterData, compute_center_algebra
 from .exact import (
     ExactError,
     FactoredMatrix,
+    _add,
+    _common,
     _contract,
     _lift,
     _scaled_equal,
+    _sub,
     _unlift,
     inverse_array,
     nullspace_array,
     rank_array,
-    row_span_residual,
-    solve_columns,
 )
 from .maps import (
     BilinearMapRep,
@@ -97,17 +98,28 @@ class ComponentGrid:
     """Symmetrized block components C_ij of a trace, 0-indexed blocks
     (0=A, 1=M, 2=N, 3=B); C_ij collects q(x_i, x_j) + q(x_j, x_i) for i < j
     and the plain diagonal restriction for i = j, so that
-    T_q(x) = sum over i <= j of C_ij(x_i, x_j)."""
+    T_q(x) = sum over i <= j of C_ij(x_i, x_j).  The components are kept
+    lifted (exact._lift) for the chain; ``tensors`` and ``component`` give
+    ring values."""
 
     gma: GMA
-    tensors: dict  # (i, j) -> (dim_i, dim_j, dim G)
+    lifted: dict  # (i, j) -> (n, L): C_ij = n / L, n of shape (dim_i, dim_j, dim G)
     centralizing: bool
     pattern_violation: tuple | None = None
 
+    @cached_property
+    def tensors(self) -> dict:
+        """(i, j) -> C_ij as a (dim_i, dim_j, dim G) array of ring values."""
+        return {ij: _unlift(self.gma.ring, *t) for ij, t in self.lifted.items()}
+
+    def part(self, kind: str, i: int, j: int):
+        """component(kind, i, j), lifted."""
+        n, L = self.lifted[(i, j)]
+        return n[:, :, self.gma.block_slice("fghk".index(kind))], L
+
     def component(self, kind: str, i: int, j: int) -> np.ndarray:
         """kind in 'f'(A-part), 'g'(M), 'h'(N), 'k'(B); blocks i <= j 0-based."""
-        out_block = "fghk".index(kind)
-        return self.tensors[(i, j)][:, :, self.gma.block_slice(out_block)]
+        return _unlift(self.gma.ring, *self.part(kind, i, j))
 
     def evaluate(self, kind: str, i: int, j: int, x, y):
         ring = self.gma.ring
@@ -123,34 +135,42 @@ def extract_components(q: BilinearMapRep, gma: GMA, centralizing: bool | None = 
     asserted; a violation is an implementation (or theorem) problem and is
     raised with the offending component named.
     """
-    ring = gma.ring
     if q.tensor.shape != (gma.dim, gma.dim, gma.dim):
         raise MapError("bilinear map shape does not match the algebra")
     if centralizing is None:
         centralizing = is_centralizing_trace(gma, q)[0]
-    P = ring.normalize(q.tensor + np.transpose(q.tensor, (1, 0, 2)))
-    tensors = {}
+    return _component_grid(gma, _lift(gma.ring, q.tensor), centralizing)
+
+
+def _component_grid(gma: GMA, q, centralizing: bool) -> ComponentGrid:
+    """extract_components on the lifted tensor q = (n, L): q + q^T once,
+    its diagonal blocks halved through the scale over Q."""
+    ring = gma.ring
+    n, L = q
+    P = ring.normalize(n + np.transpose(n, (1, 0, 2)))
+    lifted = {}
     for i in range(4):
         si = gma.block_slice(i)
         for j in range(i, 4):
-            sj = gma.block_slice(j)
-            block = P[si, sj, :]
-            if i == j:
-                block = ring.normalize(block * ring.half)
-            tensors[(i, j)] = block.copy()
+            block = P[si, gma.block_slice(j), :]
+            if i != j:
+                lifted[(i, j)] = (block, L)
+            elif ring.is_prime_field:
+                lifted[(i, j)] = (ring.normalize(block * ring.half), L)
+            else:
+                lifted[(i, j)] = (block, 2 * L)
     violation = None
-    for (i, j) in tensors:
+    for (i, j), (t, _) in lifted.items():
         for kind, allowed in (("g", _G_ALLOWED), ("h", _H_ALLOWED)):
-            out_block = "fghk".index(kind)
-            sl = gma.block_slice(out_block)
+            sl = gma.block_slice("fghk".index(kind))
             if sl.stop == sl.start:
                 continue
-            if (i, j) not in allowed and not ring.is_zero(tensors[(i, j)][:, :, sl]):
+            if (i, j) not in allowed and np.any(t[:, :, sl] != 0):
                 violation = (kind, i, j)
                 break
         if violation:
             break
-    grid = ComponentGrid(gma, tensors, centralizing, violation)
+    grid = ComponentGrid(gma, lifted, centralizing, violation)
     if centralizing and violation is not None:
         raise ComponentPatternError(*violation)
     return grid
@@ -204,15 +224,15 @@ class ProperTraceForm:
         """(T, L), lifted (exact._lift): T / L = z(xy + yx) + mu(x)y + mu(y)x
         + 2nu(x, y), twice the symmetric tensor of z x^2 + mu(x) x + nu(x, x)."""
         ring, td = gma.ring, partial(_contract, gma.ring)
-        mul, lm = _lift(ring, gma.mul)
-        z_g, lg = _lift(ring, gma.center.z_g)
+        mul, lm = gma.lifted["mul"]
+        z_g, lg = gma.center.lifted["z_g"][:2]
         z, lz = _lift(ring, self.z)
         mu, lu = _lift(ring, self.mu)
         nu, ln = _lift(ring, self.nu)
         # nu is read on i <= j and mirrored, so only its symmetric use counts
         upper = np.triu(np.ones((gma.dim, gma.dim), dtype=bool))[:, :, None]
         nu = np.where(upper, nu, np.transpose(nu, (1, 0, 2)))
-        sym = ring.normalize(mul + np.transpose(mul, (1, 0, 2)))
+        sym = _products(gma)[0][0]
         z_mul = td(td(z, z_g, axes=([0], [0])), mul, axes=([0], [0]))  # [k] = z e_k
         zxy = td(sym, z_mul, axes=([2], [0]))  # over lz lg lm^2
         P = td(td(mu, z_g, axes=([0], [0])), mul, axes=([1], [0]))  # mu(e_i) e_j, over lu lg lm
@@ -329,11 +349,12 @@ def decompose_trace_generic(
         report = gma.report
     if system is None:
         system = gma.generic_system
-    rhs = pair_coefficients(gma.ring, q.tensor).reshape(system.matrix.shape[0])
-    sol = system.factor.solve(rhs)
-    if sol is None:
+    t, L = _lift(gma.ring, q.tensor)
+    rhs = pair_coefficients(gma.ring, t).reshape(system.matrix.shape[0])
+    sol, L, ok = system.factor.solve_lifted(rhs, L)
+    if not ok:
         return GenericDecomposition("not-proper", None, mode, report.route, report)
-    form = _solution_to_form(gma, sol)
+    form = _solution_to_form(gma, _unlift(gma.ring, sol, L))
     if not form.matches(gma, q):
         raise ExactError("generic solution failed reconstruction (internal)")
     return GenericDecomposition("ok", form, mode, report.route, report)
@@ -369,18 +390,51 @@ class ConstructiveWitness:
     side: str  # "A" | "B" | "fallback"
 
 
-def _outside(ring, rows, v):
-    """Mask over the vectors stacked along v's leading axes: True where one
-    leaves the span of the canonical rows."""
-    return np.any(row_span_residual(ring, rows, v)[1] != ring.zero, axis=-1)
+def _td(ring, a, b, axes):
+    """tensordot of lifted a = (n, L) and b = (m, K): (contraction, L * K)."""
+    return _contract(ring, a[0], b[0], axes), a[1] * b[1]
+
+
+def _moved(v, axes=None):
+    """np.transpose of lifted v."""
+    return np.transpose(v[0], axes), v[1]
+
+
+def _values(ring, v):
+    """The ring values of lifted v, as a C-ordered array."""
+    n = _unlift(ring, *v)
+    return n if n.flags.c_contiguous else n.copy()
 
 
 def _diag_rows(gma: GMA, a, b):
-    """embed_diag on stacked A- and B-corner vectors."""
-    out = gma.ring.zeros(np.shape(a)[:-1] + (gma.dim,))
-    out[..., gma.block_slice(0)] = a
-    out[..., gma.block_slice(3)] = b
-    return out
+    """embed_diag on lifted stacks of A- and B-corner vectors, lifted."""
+    (na, nb), L = _common(a, b)
+    out = np.zeros(na.shape[:-1] + (gma.dim,), dtype=gma.ring.dtype)
+    out[..., gma.block_slice(0)] = na
+    out[..., gma.block_slice(3)] = nb
+    return out, L
+
+
+def _rows_by_block(gma: GMA, width: int, parts: dict):
+    """A lifted (dim, width) array whose rows in block b are the lifted
+    parts[b], zero in every other block."""
+    ns, L = _common(*parts.values())
+    out = np.zeros((gma.dim, width), dtype=gma.ring.dtype)
+    for block, n in zip(parts, ns):
+        out[gma.block_slice(block)] = n
+    return out, L
+
+
+def _products(gma: GMA):
+    """(mul + mul^T, its pair layout e_i e_j + e_j e_i, diag e_i^2), each
+    lifted over mul's scale; built once per algebra."""
+
+    def build():
+        mul, L = gma.lifted["mul"]
+        jordan = gma.ring.normalize(mul + np.transpose(mul, (1, 0, 2)))
+        return (jordan, L), (pair_coefficients(gma.ring, mul), L)
+
+    return gma.cached("products", build)
 
 
 def _first_failed_check(checks):
@@ -396,23 +450,26 @@ def _first_failed_check(checks):
     return checks[int(np.argmax(failed[(slice(None),) + item]))][:2]
 
 
-def _central_multiples(ring, alg, z_rows, targets):
-    """For each stack targets[k] (one vector per basis element e_i of alg),
-    the central c = sum_u c_u zeta_u with c e_i = targets[k, i] modulo the
-    span of z_rows for every i, from one shared reduction:
-    (c per k as rows, mask of the first k without one).  The annihilator Q
-    of span(z_rows) reads each equation modulo the span."""
-    Q = nullspace_array(ring, z_rows)
-    ze = ring.tensordot(z_rows, alg.mul, axes=([1], [0]))  # [u, i] = zeta_u e_i
-    coeff = np.transpose(ring.tensordot(ze, Q, axes=([2], [1])), (1, 2, 0))
-    rhs = ring.tensordot(targets, Q, axes=([2], [1]))
-    sols, first_bad = solve_columns(
-        ring, coeff.reshape(-1, z_rows.shape[0]), rhs.reshape(rhs.shape[0], -1)
-    )
-    failed = np.zeros(rhs.shape[0], dtype=bool)
-    if first_bad is not None:
-        failed[first_bad] = True
-    return ring.tensordot(sols, z_rows, axes=([1], [0])), failed
+def _central_multiples(ring, alg, targets):
+    """For each stack targets[k] (lifted; one vector per basis element e_i
+    of alg), the central c = sum_u c_u zeta_u, zeta_u the canonical rows of
+    Z(alg), with c e_i = targets[k, i] modulo Z(alg) for every i: (c per k
+    as lifted rows, mask of the k without one).  The annihilator Q of Z(alg)
+    reads each equation modulo the span; the system in the c_u depends only
+    on alg, so it is built and factored once per algebra."""
+
+    def build():
+        z = compute_center_algebra(alg)
+        Q = nullspace_array(ring, z)
+        ze = ring.tensordot(z, alg.mul, axes=([1], [0]))  # [u, i] = zeta_u e_i
+        coeff = np.transpose(ring.tensordot(ze, Q, axes=([2], [1])), (1, 2, 0))
+        return _lift(ring, z), _lift(ring, Q), FactoredMatrix(ring, coeff.reshape(-1, z.shape[0]))
+
+    z, (Q, lQ), factor = alg.cached("central_multiples", build)
+    t, lt = targets
+    rhs = _contract(ring, t, Q, axes=([2], [1]))
+    x, L, ok = factor.solve_lifted(rhs.reshape(rhs.shape[0], -1), lt * lQ)
+    return _td(ring, (x, L), z, axes=([1], [0])), ~ok
 
 
 _ESCAPES = "value escapes the projected center"
@@ -440,186 +497,200 @@ def extract_constructive_witness(
     Each link runs on all basis vectors at once; where several fail, the
     error names the first in the order of a loop over the basis.
     """
-    ring = gma.ring
     if C is None:
         C = gma.center
     if grid is None:
         grid = extract_components(q, gma)
-    ctx = gma.ctx
-    A, B = ctx.A, ctx.B
-    dA, dM, dN, dB = gma.dims
-    td = ring.tensordot
     if report is None:
         report = gma.report
+    return _witness(gma.ring, *_witness_chain(gma, C, grid, report))
+
+
+def _witness_chain(gma: GMA, C: CenterData, grid: ComponentGrid, report):
+    """The chain of extract_constructive_witness on lifted values
+    (exact._lift): (its fields but xi and side, lifted, by name; side).
+    Every span test decides on integers."""
+    ring = gma.ring
+    T = gma.lifted
+    dA, dM, dN, dB = gma.dims
+    td = partial(_td, ring)
+    uA, uB = T["A.unit"], T["B.unit"]
 
     def check(*checks):
         failure = _first_failed_check(checks)
         if failure is not None:
             raise WitnessExtractionError(*failure, report)
 
-    f11_11 = grid.evaluate("f", 0, 0, A.unit, A.unit)
-    k11_11 = grid.evaluate("k", 0, 0, A.unit, A.unit)
-    fwd, inside = C.phi_rows(f11_11)
+    def at_units(kind, block, unit):
+        """C_bb(1, 1), the unit of corner b in both slots."""
+        return td(unit, td(unit, grid.part(kind, block, block), ([0], [0])), ([0], [0]))
+
+    fwd, inside = C.corner_rows_lifted(True, at_units("f", 0, uA))
     check(("kappa", _OFF_PHI, ~inside))
-    kappa = ring.normalize(fwd - k11_11)
-    k44_11 = grid.evaluate("k", 3, 3, B.unit, B.unit)
-    f44_11 = grid.evaluate("f", 3, 3, B.unit, B.unit)
-    back, inside = C.phi_inv_rows(k44_11)
+    kappa = _sub(ring, fwd, at_units("k", 0, uA))
+    back, inside = C.corner_rows_lifted(False, at_units("k", 3, uB))
     check(("theta", _OFF_PHI_INV, ~inside))
-    theta = ring.normalize(back - f44_11)
+    theta = _sub(ring, back, at_units("f", 3, uB))
 
     def unit_column_values(block, stage):
-        """f(1_A, e_j) - phi^-1(k(1_A, e_j)) for the basis of M (1) or N (2)."""
-        f = td(A.unit, grid.component("f", 0, block), axes=([0], [0]))
-        k = td(A.unit, grid.component("k", 0, block), axes=([0], [0]))
-        back, inside = C.phi_inv_rows(k)
-        vals = ring.normalize(f - back)
+        """f(1_A, e_j) - phi^-1(k(1_A, e_j)) for the basis of M (1) or N (2),
+        as columns."""
+        f = td(uA, grid.part("f", 0, block), ([0], [0]))
+        back, inside = C.corner_rows_lifted(False, td(uA, grid.part("k", 0, block), ([0], [0])))
+        vals = _sub(ring, f, back)
         check(
             (stage, _OFF_PHI_INV, ~inside),
-            (stage + "-centrality", _ESCAPES, _outside(ring, C.z_a, vals)),
+            (stage + "-centrality", _ESCAPES, C.outside_lifted("z_a", vals)),
         )
-        out = ring.zeros((dA, vals.shape[0]))
-        out[...] = vals.T
-        return out
+        return _moved(vals)
 
     alpha = unit_column_values(1, "alpha")
     tau = unit_column_values(2, "tau")
 
+    f14 = grid.part("f", 0, 3)  # (dA, dB, dA)
+    k14 = grid.part("k", 0, 3)  # (dA, dB, dB)
+
+    def rest_a(gamma):  # [i, t] = f14(a1, a4) - gamma(a4) a1
+        return _sub(ring, f14, _moved(td(gamma, T["A.mul"], ([0], [0])), (1, 0, 2)))
+
+    def rest_b(gamma_prime):  # [i, t] = k14(a1, a4) - gamma'(a1) a4
+        return _sub(ring, k14, td(gamma_prime, T["B.mul"], ([0], [0])))
+
     a_noncomm = C.z_a.shape[0] < dA
-    b_noncomm = C.z_b.shape[0] < dB
-    f14 = grid.component("f", 0, 3)  # (dA, dB, dA)
-    k14 = grid.component("k", 0, 3)  # (dA, dB, dB)
-
-    gamma = ring.zeros((dA, dB))
-    gamma_prime = ring.zeros((dB, dA))
-    delta = ring.zeros((dA, dB, dA))
-
-    def rest_a():  # [i, t] = f14(a1, a4) - gamma(a4) a1
-        return ring.normalize(f14 - np.transpose(td(gamma, A.mul, axes=([0], [0])), (1, 0, 2)))
-
-    def rest_b():  # [i, t] = k14(a1, a4) - gamma'(a1) a4
-        return ring.normalize(k14 - td(gamma_prime, B.mul, axes=([0], [0])))
-
-    if a_noncomm or not b_noncomm:
+    if a_noncomm or not C.z_b.shape[0] < dB:
         side = "A" if a_noncomm else "fallback"
-        sols, failed = _central_multiples(ring, A, C.z_a, np.transpose(f14, (1, 0, 2)))
+        sols, failed = _central_multiples(ring, gma.ctx.A, _moved(f14, (1, 0, 2)))
         check(("gamma-solve", "inconsistent system", failed))
-        gamma[...] = sols.T
-        delta[...] = rest_a()
-        fwd, inside = C.phi_rows(td(B.unit, delta, axes=([0], [1])))
-        vals = ring.normalize(td(B.unit, k14, axes=([0], [1])) - fwd)
+        gamma = _moved(sols)
+        delta = ra = rest_a(gamma)
+        fwd, inside = C.corner_rows_lifted(True, td(uB, delta, ([0], [1])))
+        vals = _sub(ring, td(uB, k14, ([0], [1])), fwd)
         check(
             ("gamma-prime", _OFF_PHI, ~inside),
-            ("gamma-prime-centrality", _ESCAPES, _outside(ring, C.z_b, vals)),
+            ("gamma-prime-centrality", _ESCAPES, C.outside_lifted("z_b", vals)),
         )
-        gamma_prime[...] = vals.T
+        gamma_prime = _moved(vals)
+        rb = rest_b(gamma_prime)
     else:
         side = "B"
-        sols, failed = _central_multiples(ring, B, C.z_b, k14)
-        gamma_prime[...] = sols.T
-        back, inside = C.phi_inv_rows(rest_b())
+        sols, failed = _central_multiples(ring, gma.ctx.B, k14)
+        gamma_prime = _moved(sols)
+        rb = rest_b(gamma_prime)
+        delta, inside = C.corner_rows_lifted(False, rb)
         check(
             ("gamma-prime-solve", "inconsistent system", failed),
             ("delta", _OFF_PHI_INV, ~inside.all(axis=1)),
         )
-        delta[...] = back
-        vals = ring.normalize(
-            td(A.unit, f14, axes=([0], [0])) - td(A.unit, delta, axes=([0], [0]))
-        )
-        check(("gamma-centrality", _ESCAPES, _outside(ring, C.z_a, vals)))
-        gamma[...] = vals.T
+        vals = _sub(ring, td(uA, f14, ([0], [0])), td(uA, delta, ([0], [0])))
+        check(("gamma-centrality", _ESCAPES, C.outside_lifted("z_a", vals)))
+        gamma = _moved(vals)
+        ra = rest_a(gamma)
 
     # the side not fixed by construction still must satisfy its relation
     check(
-        ("f14-shape", "f14 - gamma(a4)a1 escapes Z(A)", _outside(ring, C.z_a, rest_a())),
-        ("k14-shape", "k14 - gamma'(a1)a4 escapes Z(B)", _outside(ring, C.z_b, rest_b())),
+        ("f14-shape", "f14 - gamma(a4)a1 escapes Z(A)", C.outside_lifted("z_a", ra)),
+        ("k14-shape", "k14 - gamma'(a1)a4 escapes Z(B)", C.outside_lifted("z_b", rb)),
     )
 
-    epsilon = ring.normalize(theta - td(gamma, B.unit, axes=([1], [0])))
-    epsilon_prime = ring.normalize(kappa - td(gamma_prime, A.unit, axes=([1], [0])))
-    if C.center_coords(gma.embed_diag(epsilon, epsilon_prime)) is None:
+    epsilon = _sub(ring, theta, td(gamma, uB, ([1], [0])))
+    epsilon_prime = _sub(ring, kappa, td(gamma_prime, uA, ([1], [0])))
+    if not C.center_rows_lifted(_diag_rows(gma, epsilon, epsilon_prime))[1]:
         raise WitnessExtractionError(
             "epsilon-pair", "epsilon + epsilon' is not central in G", report
         )
 
-    xi = alpha.copy()
-    eta = ring.zeros((dA, dM, dA))  # [i, j] = f12(a1, a2) - alpha(a2) a1
-    eta[...] = ring.normalize(
-        grid.component("f", 0, 1) - np.transpose(td(alpha, A.mul, axes=([0], [0])), (1, 0, 2))
-    )
-    check(("eta-centrality", _ESCAPES, _outside(ring, C.z_a, eta)))
+    # [i, j] = f12(a1, a2) - alpha(a2) a1
+    eta = _sub(ring, grid.part("f", 0, 1), _moved(td(alpha, T["A.mul"], ([0], [0])), (1, 0, 2)))
+    check(("eta-centrality", _ESCAPES, C.outside_lifted("z_a", eta)))
 
-    return ConstructiveWitness(
-        kappa, theta, alpha, tau, gamma, gamma_prime, delta, xi, eta,
-        epsilon, epsilon_prime, side,
+    fields = dict(
+        kappa=kappa, theta=theta, alpha=alpha, tau=tau, gamma=gamma,
+        gamma_prime=gamma_prime, delta=delta, eta=eta, epsilon=epsilon,
+        epsilon_prime=epsilon_prime,
     )
+    return fields, side
+
+
+def _witness(ring, lifted: dict, side: str) -> ConstructiveWitness:
+    """The ConstructiveWitness of the chain's lifted fields; xi is alpha."""
+    f = {name: _values(ring, v) for name, v in lifted.items()}
+    return ConstructiveWitness(xi=f["alpha"].copy(), side=side, **f)
 
 
 def witness_shape_report(grid: ComponentGrid, w: ConstructiveWitness, C: CenterData) -> dict:
     """The component shape laws, each checked exactly on all basis pairs:
     the left sides are the grid's components, the right sides one
     contraction each."""
+    ring = grid.gma.ring
+    names = ("gamma", "gamma_prime", "epsilon", "epsilon_prime")
+    return _shape_laws(grid, {name: _lift(ring, getattr(w, name)) for name in names}, C)
+
+
+def _shape_laws(grid: ComponentGrid, w: dict, C: CenterData) -> dict:
+    """witness_shape_report on the lifted witness fields w, by name; each
+    law decides on integers."""
     gma = grid.gma
     ring = gma.ring
-    ctx = gma.ctx
-    td = ring.tensordot
+    T = gma.lifted
+    td = partial(_td, ring)
     dA, dM, dN, dB = gma.dims
 
     # phi applications can fall outside the projected center on degenerate
     # inputs; that simply fails the law being checked
-    gp_back, back_ok = C.phi_inv_rows(w.gamma_prime.T)  # rows a1
-    g_fwd, fwd_ok = C.phi_rows(w.gamma.T)  # rows a4
-    eps_a = td(w.epsilon, ctx.A.mul, axes=([0], [0]))  # [a1] = eps a1
-    eps_b = td(w.epsilon_prime, ctx.B.mul, axes=([0], [0]))  # [a4] = eps' a4
-    coef_a = ring.normalize(eps_a + gp_back)  # eps a1 + phi^-1(gamma'(a1))
-    coef_b = ring.normalize(eps_b + g_fwd)  # eps' a4 + phi(gamma(a4))
+    gp_back, back_ok = C.corner_rows_lifted(False, _moved(w["gamma_prime"]))  # rows a1
+    g_fwd, fwd_ok = C.corner_rows_lifted(True, _moved(w["gamma"]))  # rows a4
+    eps_a = td(w["epsilon"], T["A.mul"], ([0], [0]))  # [a1] = eps a1
+    eps_b = td(w["epsilon_prime"], T["B.mul"], ([0], [0]))  # [a4] = eps' a4
+    coef_a = _add(ring, eps_a, gp_back)  # eps a1 + phi^-1(gamma'(a1))
+    coef_b = _add(ring, eps_b, g_fwd)  # eps' a4 + phi(gamma(a4))
 
     def law(lhs, rhs, *phis_ok):
-        return all(bool(ok.all()) for ok in phis_ok) and ring.equal(lhs, rhs)
+        return all(bool(ok.all()) for ok in phis_ok) and _scaled_equal(ring, *lhs, *rhs)
 
     out = {}
     # g12(a1,a2) = (eps a1 + phi^-1(gamma'(a1))) a2
     out["g12-shape"] = not dM or law(
-        grid.component("g", 0, 1), td(coef_a, ctx.M.left, axes=([1], [0])), back_ok
+        grid.part("g", 0, 1), td(coef_a, T["M.left"], ([1], [0])), back_ok
     )
     # g24(a2,a4) = a2 (eps' a4 + phi(gamma(a4)))
     out["g24-shape"] = not dM or law(
-        grid.component("g", 1, 3),
-        np.transpose(td(ctx.M.right, coef_b, axes=([1], [1])), (0, 2, 1)),
+        grid.part("g", 1, 3),
+        _moved(td(T["M.right"], coef_b, ([1], [1])), (0, 2, 1)),
         fwd_ok,
     )
     if dN:
         # h13(a1,a3) = a3 eps a1 + gamma'(a1) a3
         out["h13-shape"] = law(
-            grid.component("h", 0, 2),
-            np.transpose(td(ctx.N.right, eps_a, axes=([1], [1])), (2, 0, 1))
-            + td(w.gamma_prime, ctx.N.left, axes=([0], [0])),
+            grid.part("h", 0, 2),
+            _add(
+                ring,
+                _moved(td(T["N.right"], eps_a, ([1], [1])), (2, 0, 1)),
+                td(w["gamma_prime"], T["N.left"], ([0], [0])),
+            ),
         )
         # h34(a3,a4) = (eps' a4 + phi(gamma(a4))) a3
         out["h34-shape"] = law(
-            grid.component("h", 2, 3),
-            np.transpose(td(coef_b, ctx.N.left, axes=([1], [0])), (1, 0, 2)),
+            grid.part("h", 2, 3),
+            _moved(td(coef_b, T["N.left"], ([1], [0])), (1, 0, 2)),
             fwd_ok,
         )
         # k23(a2,a3) - eps' a3 a2 central in B
-        eps_nm = td(np.transpose(ctx.pairing_NM, (1, 0, 2)), eps_b, axes=([2], [0]))
-        out["k23-centrality"] = not _outside(
-            ring, C.z_b, ring.normalize(grid.component("k", 1, 2) - eps_nm)
-        ).any()
+        eps_nm = td(_moved(T["pairing_NM"], (1, 0, 2)), eps_b, ([2], [0]))
+        k23 = _sub(ring, grid.part("k", 1, 2), eps_nm)
+        out["k23-centrality"] = not C.outside_lifted("z_b", k23).any()
         # f23(a2,a3) - eps a2 a3 central in A
-        eps_mn = td(ctx.pairing_MN, eps_a, axes=([2], [0]))
-        out["f23-centrality"] = not _outside(
-            ring, C.z_a, ring.normalize(grid.component("f", 1, 2) - eps_mn)
-        ).any()
+        eps_mn = td(T["pairing_MN"], eps_a, ([2], [0]))
+        f23 = _sub(ring, grid.part("f", 1, 2), eps_mn)
+        out["f23-centrality"] = not C.outside_lifted("z_a", f23).any()
     # f22 + k22 and f33 + k33 land in Z(G)  (checked as polarized pairs)
     for block, name in ((1, "f22k22-central"), (2, "f33k33-central")):
-        f, k = grid.component("f", block, block), grid.component("k", block, block)
+        f, k = grid.part("f", block, block), grid.part("k", block, block)
         pairs = _diag_rows(
             gma,
-            ring.normalize(f + np.transpose(f, (1, 0, 2))),
-            ring.normalize(k + np.transpose(k, (1, 0, 2))),
+            _add(ring, f, _moved(f, (1, 0, 2))),
+            _add(ring, k, _moved(k, (1, 0, 2))),
         )
-        out[name] = bool(C.center_rows(pairs)[1].all())
+        out[name] = bool(C.center_rows_lifted(pairs)[1].all())
     out["g-pattern"] = grid.pattern_violation is None or grid.pattern_violation[0] != "g"
     out["h-pattern"] = grid.pattern_violation is None or grid.pattern_violation[0] != "h"
     return out
@@ -654,27 +725,28 @@ def decompose_trace_constructive(
         raise PredicateNotSatisfied("trace is not centralizing", witness=wit)
     if report is None:
         report = gma.report
-    grid = extract_components(q, gma, centralizing=True)
-    w = extract_constructive_witness(q, gma, C, grid, report)
+    # q is lifted once; the chain, mu and nu run on integers over Q, and
+    # only the returned witness, form and violation are built as ring values
+    qt = _lift(ring, q.tensor)
+    grid = _component_grid(gma, qt, True)
+    w, side = _witness_chain(gma, C, grid, report)
+    td = partial(_td, ring)
     dA, dM, dN, dB = gma.dims
     d = gma.dim
 
-    z_vec = gma.embed_diag(w.epsilon, w.epsilon_prime)
-    z_coords = C.center_coords(z_vec)
+    z_vec = _diag_rows(gma, w["epsilon"], w["epsilon_prime"])
 
     # mu(e_c) for every basis vector at once: the A-corner value
     # gamma(a4) + alpha(a2) + tau(a3) and the B-corner value gamma'(a1),
     # each completed to the other corner through phi or phi^-1
-    a_vals = ring.zeros((d, dA))
-    a_vals[gma.block_slice(1)] = w.alpha.T
-    a_vals[gma.block_slice(2)] = w.tau.T
-    a_vals[gma.block_slice(3)] = w.gamma.T
-    b_vals = ring.zeros((d, dB))
-    b_vals[gma.block_slice(0)] = w.gamma_prime.T
-    back, back_ok = C.phi_inv_rows(b_vals)
-    fwd, fwd_ok = C.phi_rows(a_vals)
-    mu_rows, central = C.center_rows(
-        _diag_rows(gma, ring.normalize(back + a_vals), ring.normalize(b_vals + fwd))
+    a_vals = _rows_by_block(
+        gma, dA, {1: _moved(w["alpha"]), 2: _moved(w["tau"]), 3: _moved(w["gamma"])}
+    )
+    b_vals = _rows_by_block(gma, dB, {0: _moved(w["gamma_prime"])})
+    back, back_ok = C.corner_rows_lifted(False, b_vals)
+    fwd, fwd_ok = C.corner_rows_lifted(True, a_vals)
+    mu_rows, central = C.center_rows_lifted(
+        _diag_rows(gma, _add(ring, back, a_vals), _add(ring, b_vals, fwd))
     )
     failure = _first_failed_check(
         (
@@ -684,41 +756,43 @@ def decompose_trace_constructive(
     )
     if failure is not None:
         raise WitnessExtractionError(*failure, report)
-    mu_mat = ring.zeros((C.zdim, d))
-    mu_mat[...] = mu_rows.T
+    mu = _moved(mu_rows)  # (zdim, d)
 
     # nu := T_q - z x^2 - mu(x) x, coefficientwise on every pair at once
-    mul = gma.mul
-    sym = pair_coefficients(ring, mul)  # e_i e_j + e_j e_i (diag: e_i^2)
-    z_sym = ring.tensordot(sym, ring.tensordot(z_vec, mul, axes=([0], [0])), axes=([1], [0]))
-    mu_e = ring.tensordot(ring.tensordot(mu_mat, C.z_g, axes=([0], [0])), mul, axes=([1], [0]))
-    resid = ring.normalize(
-        pair_coefficients(ring, q.tensor) - z_sym - pair_coefficients(ring, mu_e)
+    mul = gma.lifted["mul"]
+    pairs = _products(gma)[1]  # e_i e_j + e_j e_i (diag: e_i^2)
+    z_sym = td(pairs, td(z_vec, mul, ([0], [0])), ([1], [0]))
+    mu_e = td(td(mu, C.lifted["z_g"][:2], ([0], [0])), mul, ([1], [0]))  # mu(e_i) e_j
+    resid = _sub(
+        ring,
+        _sub(ring, (pair_coefficients(ring, qt[0]), qt[1]), z_sym),
+        (pair_coefficients(ring, mu_e[0]), mu_e[1]),
     )
-    nu_rows, central = C.center_rows(resid)
-    shape_report = witness_shape_report(grid, w, C)
+    nu_rows, central = C.center_rows_lifted(resid)
+    shape_report = _shape_laws(grid, w, C)
+    witness = _witness(ring, w, side)
     if not central.all():
         n = int(np.argmax(~central))
         return ConstructiveDecomposition(
             "violation-candidate",
             None,
-            w,
+            witness,
             shape_report,
             {
                 "stage": "nu-centrality",
                 "pair": pair_index_order(d)[n],
-                "residual": resid[n].tolist(),
+                "residual": _unlift(ring, resid[0][n], resid[1]).tolist(),
                 "q": q.tensor.tolist(),
             },
             report.route,
             report,
         )
-    nu = symmetric_from_pairs(ring, d, nu_rows)
-    form = ProperTraceForm(z_coords, mu_mat, nu)
+    nu = symmetric_from_pairs(ring, d, _unlift(ring, *nu_rows))
+    form = ProperTraceForm(_values(ring, C.center_rows_lifted(z_vec)[0]), _values(ring, mu), nu)
     if not form.matches(gma, q):
         raise ExactError("constructive form failed reconstruction (internal)")
     return ConstructiveDecomposition(
-        "ok", form, w, shape_report, None, report.route, report
+        "ok", form, witness, shape_report, None, report.route, report
     )
 
 

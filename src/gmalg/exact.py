@@ -166,13 +166,11 @@ class RingDescriptor:
     def tensordot(self, a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
         """Exact tensordot; guards empty contractions (numpy would emit float zeros).
 
-        Over Q both operands are cleared of denominators and contracted as
-        python ints, so each output cell costs one ``Fraction`` instead of a
-        ``Fraction`` product and sum per term."""
-        if self.is_prime_field:
-            return _contract(self, a, b, axes)
-        na, la = clear_denominators(np.asarray(a))
-        nb, lb = clear_denominators(np.asarray(b))
+        Both operands are lifted (``_lift``) and contracted, so over Q each
+        output cell costs one ``Fraction`` instead of a ``Fraction`` product
+        and sum per term; over F_p the lift is the identity."""
+        na, la = _lift(self, np.asarray(a))
+        nb, lb = _lift(self, np.asarray(b))
         return _unlift(self, _contract(self, na, nb, axes), la * lb)
 
     def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
@@ -190,9 +188,9 @@ RATIONAL = RingDescriptor("rational")
 def clear_denominators(a: np.ndarray):
     """(n, L) with a == n / L: L is the lcm of the denominators of a's
     rational entries and n an ``object`` array of python ints."""
-    cells = np.asarray(a).ravel().tolist()
-    den = lcm(*[v.denominator for v in cells])
-    lifted = np.array([v.numerator * (den // v.denominator) for v in cells], dtype=object)
+    ratios = [v.as_integer_ratio() for v in np.asarray(a).ravel().tolist()]
+    den = lcm(*{d for _, d in ratios})
+    lifted = np.array([n * (den // d) for n, d in ratios], dtype=object)
     return lifted.reshape(np.shape(a)), den
 
 
@@ -230,6 +228,30 @@ def _scaled_equal(ring: RingDescriptor, a: np.ndarray, la: int, b: np.ndarray, l
     if la != lb:
         a, b = ring.normalize(a * lb), ring.normalize(b * la)
     return a.shape == b.shape and bool(np.all(a == b))
+
+
+def _scaled(n: np.ndarray, k: int) -> np.ndarray:
+    """n * k for lifted n, skipped when k == 1, as every scale is over F_p."""
+    return n if k == 1 else n * k
+
+
+def _common(*terms):
+    """The numerators of lifted terms (n, L) over their common scale, and
+    that scale: the lcm of theirs, 1 over F_p."""
+    L = lcm(*(l for _, l in terms))
+    return [n if l == L else n * (L // l) for n, l in terms], L
+
+
+def _add(ring: RingDescriptor, *terms):
+    """The sum of lifted terms (n, L), lifted over their common scale."""
+    ns, L = _common(*terms)
+    return ring.normalize(sum(ns[1:], ns[0])), L
+
+
+def _sub(ring: RingDescriptor, a, b):
+    """a - b for lifted a = (n, L) and b, lifted over their common scale."""
+    (na, nb), L = _common(a, b)
+    return ring.normalize(na - nb), L
 
 
 def prime_field(p: int) -> RingDescriptor:
@@ -373,14 +395,20 @@ class FactoredMatrix:
         rhs = ring.normalize(np.asarray(rhs))
         if rhs.shape != self.shape[:1]:
             raise ExactError("rhs shape mismatch")
-        b, lb = _lift(ring, rhs)
-        x = np.zeros(self.shape[1], dtype=ring.dtype)  # x / (E's scale * lb)
-        x[self.pivots] = _sparse_times(ring, self._transform, b[self.rows])
+        x, L, ok = self.solve_lifted(*_lift(ring, rhs))
+        return _unlift(ring, x, L) if ok else None
+
+    def solve_lifted(self, b: np.ndarray, lb: int):
+        """Solves of mat @ x = b / lb on lifted values (``_lift``), for one
+        right-hand side b or a stack of them as rows: (x, L, ok) with x / L
+        the canonical solution wherever ok holds, meaningless elsewhere."""
+        ring = self.ring
+        x = np.zeros(b.shape[:-1] + self.shape[1:], dtype=ring.dtype)
+        x[..., self.pivots] = _sparse_times(ring, self._transform, b[..., self.rows].T).T
         # mat @ x / (mat's scale * E's scale * lb) == b / lb
-        scale = self._matrix_scale * self._transform_scale
-        if not _scaled_equal(ring, _sparse_times(ring, self._matrix, x), scale, b, 1):
-            return None
-        return _unlift(ring, x, self._transform_scale * lb)
+        Kx = _sparse_times(ring, self._matrix, x.T)
+        ok = np.all(Kx == _scaled(b.T, self._matrix_scale * self._transform_scale), axis=0)
+        return x, self._transform_scale * lb, ok
 
 
 def _nonzero_entries(ring: RingDescriptor, mat: np.ndarray):
@@ -392,10 +420,11 @@ def _nonzero_entries(ring: RingDescriptor, mat: np.ndarray):
 
 
 def _sparse_times(ring: RingDescriptor, entries, v: np.ndarray) -> np.ndarray:
-    """mat @ v on lifted values (``_lift``), for mat given by ``_nonzero_entries``."""
+    """mat @ v on lifted values (``_lift``), for mat given by
+    ``_nonzero_entries`` and v a vector or a matrix."""
     n, r, c, values = entries
-    out = np.zeros(n, dtype=ring.dtype)
-    np.add.at(out, r, values * v[c])
+    out = np.zeros((n,) + v.shape[1:], dtype=ring.dtype)
+    np.add.at(out, r, values.reshape((-1,) + (1,) * (v.ndim - 1)) * v[c])
     return ring.normalize(out)
 
 

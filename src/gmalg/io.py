@@ -73,7 +73,8 @@ def sparse_from_json(ring: RingDescriptor, shape, records) -> np.ndarray:
             raise IOFormatError(f"bad sparse record {rec!r}")
         idx = rec[:-1]
         for ax, i in enumerate(idx):
-            if not isinstance(i, int) or not 0 <= i < shape[ax]:
+            # a boolean is an int to python, but numpy reads it as a mask
+            if not _is_size(i) or i >= shape[ax]:
                 raise IOFormatError(f"index out of range in record {rec!r}")
         out[tuple(idx)] = scalar_from_json(ring, rec[-1])
     return ring.normalize(out)
@@ -101,6 +102,16 @@ def _require_cells(cells: int, what: str):
 def _is_size(v, least: int = 0) -> bool:
     """v is a JSON integer, not a boolean, and at least `least`."""
     return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+# the meta entries the builders write and the package reads back
+_META_FIELDS = {
+    "builder": (lambda v: isinstance(v, str), "a string"),
+    "n": (_is_size, "a nonnegative int"),
+    "k": (_is_size, "a nonnegative int"),
+    "dim_v": (_is_size, "a nonnegative int"),
+    "prime_certified": (lambda v: isinstance(v, bool), "a boolean"),
+}
 
 
 def _get_dim(block, name):
@@ -165,6 +176,8 @@ def context_from_json(doc: dict) -> MoritaContext:
     _require_cells(d**3, f"the product tensor of a context of dimension {d}")
     meta = doc.get("meta", {})
     _require(isinstance(meta, dict), "meta must be a JSON object")
+    for key, (ok, what) in _META_FIELDS.items():
+        _require(key not in meta or ok(meta[key]), f"meta.{key} must be {what}")
     try:
         A = AlgebraSpec(
             ring,
@@ -346,7 +359,7 @@ def map_from_json(doc: dict) -> MapDocument:
         isinstance(shape, list) and all(_is_size(s) for s in shape),
         "map shape must be a list of nonnegative ints",
     )
-    expected = {"linear": 2, "bilinear": 3}.get(kind)
+    expected = {"linear": 2, "bilinear": 3}.get(kind) if isinstance(kind, str) else None
     _require(expected is not None, f"unknown map kind {kind!r}")
     _require(len(shape) == expected, f"{kind} map needs a rank-{expected} shape")
     if "entries_dense" in doc:

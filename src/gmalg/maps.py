@@ -248,9 +248,13 @@ def _verdict(carrier, centralizing: bool, degree: int, unknown, witness):
     kills U's unknown layout, lifted (exact._lift); only whether a value
     is zero counts, so the scales of both are left out.  Otherwise
     witness(monomial, offending) searches from the first monomial whose
-    coefficient row is nonzero."""
+    coefficient row is nonzero.  The operator depends only on the carrier,
+    so it is built once per carrier, degree and mode (``cached``)."""
     ring = carrier.ring
-    K = constraint_operator(ring, degree, _bracket_action(carrier, centralizing)[0])
+    K = carrier.cached(
+        ("constraint_operator", degree, centralizing),
+        lambda: constraint_operator(ring, degree, _bracket_action(carrier, centralizing)[0]),
+    )
     rows = _sparse_times(ring, K, unknown.reshape(-1))
     monomials, _ = _monomial_table(carrier.dim, degree)
     bad = np.flatnonzero(np.any(rows.reshape(len(monomials), -1) != 0, axis=1))
@@ -360,9 +364,13 @@ def is_centralizing_trace(gma, bil: BilinearMapRep):
 
 
 def _second_commutator_tensor(carrier):
-    """[i, j, k, r] = [[e_i, e_j], e_k]_r."""
-    Bk = _commutator_tensor(carrier)
-    return carrier.ring.tensordot(Bk, Bk, axes=([2], [0]))
+    """[i, j, k, r] = [[e_i, e_j], e_k]_r, built once per carrier (``cached``)."""
+
+    def build():
+        Bk = _commutator_tensor(carrier)
+        return carrier.ring.tensordot(Bk, Bk, axes=([2], [0]))
+
+    return carrier.cached("second_commutators", build)
 
 
 def _image_products(ring, P, F: np.ndarray):

@@ -25,6 +25,7 @@ import numpy as np
 from .exact import (
     ExactError,
     RingDescriptor,
+    _lift,
     inverse_array,
     row_span_coords,
     rref_array,
@@ -49,6 +50,20 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
+
+
+def _read_only(value):
+    """value with every array in it, nested in tuples, lists and dicts, made
+    read-only in place; arrays are not copied."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            _read_only(v)
+    elif isinstance(value, dict):
+        for v in value.values():
+            _read_only(v)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +94,19 @@ def _unit_defect(ring, unit, prod, axis):
 
 class _MulCarrier:
     """Mixin for anything with .ring, .dim, .mul, .unit."""
+
+    @cached_property
+    def cache(self) -> dict:
+        """Per-algebra values that depend only on the algebra (and its
+        center), each stored by ``cached`` on first use."""
+        return {}
+
+    def cached(self, key, build):
+        """The per-algebra value under key: build() on first use, then the
+        same value, its arrays read-only."""
+        if key not in self.cache:
+            self.cache[key] = _read_only(build())
+        return self.cache[key]
 
     def _check_vec(self, x):
         x = np.asarray(x)
@@ -417,6 +445,29 @@ class GMA(_MulCarrier):
         from .decompose import build_generic_system
 
         return build_generic_system(self)
+
+    @cached_property
+    def lifted(self) -> dict:
+        """The structure tensors of the algebra and of its context, lifted
+        (exact._lift) and read-only, by name: "mul", then "A.mul", "A.unit",
+        "B.mul", "B.unit", "M.left", "M.right", "N.left", "N.right",
+        "pairing_MN" and "pairing_NM".  Over F_p each is the frozen tensor
+        itself with scale 1."""
+        c = self.ctx
+        tensors = {
+            "mul": self.mul,
+            "A.mul": c.A.mul,
+            "A.unit": c.A.unit,
+            "B.mul": c.B.mul,
+            "B.unit": c.B.unit,
+            "M.left": c.M.left,
+            "M.right": c.M.right,
+            "N.left": c.N.left,
+            "N.right": c.N.right,
+            "pairing_MN": c.pairing_MN,
+            "pairing_NM": c.pairing_NM,
+        }
+        return {name: _read_only(_lift(self.ring, t)) for name, t in tensors.items()}
 
 
 def assemble_gma(ctx: MoritaContext) -> GMA:

@@ -8,10 +8,11 @@ original, so its center and both corner projections have the same
 dimensions, its center and phi are the transported ones, and every
 verdict of the hypothesis report is the same.  So are the dimensions of
 both trace spaces, the status of both decomposition routes on a trace
-moved to the new basis, and the status and sign of a Lie triple splitting
-moved likewise.  The builders only emit matrix-unit bases; these are the
-first contexts on any other basis, so the first that the annihilator of a
-center other than a span of unit vectors runs on.
+moved to the new basis, over Q the maps z, mu and nu they return, moved
+likewise, and the status and sign of a Lie triple splitting moved likewise.
+The builders only emit matrix-unit bases; these are the first contexts on
+any other basis, so the first that the annihilator of a center other than a
+span of unit vectors runs on.
 """
 
 import numpy as np
@@ -279,3 +280,39 @@ def test_identity_42_on_a_rescaled_rational_basis():
         assert not ok
         defect = gma.commutator(gma.commutator(gma.square(x), y), gma.commutator(x, y))
         assert not gma.ring.is_zero(defect)
+
+
+def proper_maps(ring, g, form):
+    """The G-valued data of a proper form: z, mu as the matrix of columns
+    mu(e_i), and nu as the tensor [i, j] = nu(e_i, e_j)."""
+    z_g = g.center.z_g
+    mu = ring.tensordot(form.mu, z_g, axes=([0], [0])).T
+    nu = ring.tensordot(form.nu, z_g, axes=([2], [0]))
+    return form.z_vec(g), mu, nu
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_both_routes_return_the_moved_maps_for_a_moved_trace(seed):
+    """q moved to a seeded rational basis of M3(Q) decomposes, by either
+    route, into the moved z, x -> mu(x) and (x, y) -> nu(x, y): G^-1 z,
+    G^-1 mu(G x) and G^-1 nu(G x, G y)."""
+    ring = RATIONAL
+    g = assemble_gma(CONTEXTS["m3-q-split-1"]())
+    moved, P = transported(g.ctx, seed)
+    h = assemble_gma(moved)
+    G, G_inv = block_diagonal(ring, P, 0), block_diagonal(ring, P, 1)
+    q = random_proper_trace(g, None, seed=seed + 10)
+    moved_q = BilinearMapRep(ring, transport(ring, q.tensor, G, G, G_inv))
+    assert not ring.equal(moved_q.tensor, q.tensor)
+    for route in (decompose_trace_generic, decompose_trace_constructive):
+        want = route(q, g)
+        got = route(moved_q, h)
+        assert (got.status, want.status) == ("ok", "ok")
+        z, mu, nu = proper_maps(ring, g, want.form)
+        moved_z, moved_mu, moved_nu = proper_maps(ring, h, got.form)
+        assert ring.equal(moved_z, ring.tensordot(G_inv, z, axes=([1], [0])))
+        assert ring.equal(
+            moved_mu,
+            ring.tensordot(ring.tensordot(G_inv, mu, axes=([1], [0])), G, axes=([1], [0])),
+        )
+        assert ring.equal(moved_nu, transport(ring, nu, G, G, G_inv))

@@ -456,6 +456,98 @@ def test_missing_file_is_exit_two(capsys):
     assert main(["check", "/nonexistent/ctx.json"]) == 2
 
 
+def assert_input_error(argv, capsys, message="error: "):
+    """The command exits 2 with a message and writes nothing to stdout."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "block, key",
+    [("module_M", "right"), ("algebra_B", "mul"), (None, "pairing_NM")],
+)
+def test_check_rejects_a_boolean_index(m3_file, tmp_path, capsys, block, key):
+    """numpy reads a boolean in an index tuple as a mask: [True, 0, 0, 3]
+    would set every cell of out[0, 0, :] where the shape allows it, and
+    raise an IndexError where it does not."""
+    doc = json.loads(open(m3_file).read())
+    (doc[block] if block else doc)[key] = [[True, 0, 0, 3]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert_input_error(["check", str(path)], capsys, "index out of range in record [True, 0, 0, 3]")
+
+
+def test_map_commands_reject_a_boolean_index(t3_file, tmp_path, capsys):
+    gma = assemble_gma(build_upper_triangular(3, 1, F5))
+    path = tmp_path / "q.json"
+    save_map(path, MapDocument("bilinear", BilinearMapRep(F5, gma.mul)))
+    doc = json.loads(path.read_text())
+    doc["entries"] = [[True, 0, 0, 3]] + doc["entries"]
+    path.write_text(json.dumps(doc))
+    for argv in (
+        ["verify-map", t3_file, str(path), "--predicate", "centralizing-trace"],
+        ["decompose-trace", t3_file, str(path)],
+    ):
+        assert_input_error(argv, capsys, "index out of range in record [True, 0, 0, 3]")
+
+
+def document_files(tmp_path, ring):
+    """A context, a bilinear and a linear map document over ring, as JSON."""
+    ctx = build_full_matrix(3, 1, ring)
+    gma = assemble_gma(ctx)
+    paths = {name: tmp_path / f"{name}.json" for name in ("ctx", "bilinear", "linear")}
+    save_context(paths["ctx"], ctx)
+    save_map(paths["bilinear"], MapDocument("bilinear", BilinearMapRep(ring, gma.mul), 1, "mul"))
+    l = random_lie_triple_iso(gma, 1)
+    save_map(paths["linear"], MapDocument("linear", l, 1, "conjugation"))
+    return paths
+
+
+# every field a writer fills with a string (scalars are strings over Q),
+# and the meta entries the builders write, by document
+STRING_FIELDS = {
+    "ctx": [
+        ("format",), ("ring", "kind"), ("meta", "builder"), ("meta", "n"), ("meta", "k"),
+        ("meta", "prime_certified"), ("algebra_A", "unit", 0), ("algebra_B", "mul", 0, -1),
+    ],
+    "bilinear": [("format",), ("ring", "kind"), ("kind",), ("provenance",), ("entries", 0, -1)],
+    "linear": [("format",), ("ring", "kind"), ("kind",), ("provenance",), ("entries_dense", 0)],
+}
+
+
+@pytest.mark.parametrize("ring", [F5, RATIONAL], ids=["f5", "q"])
+@pytest.mark.parametrize("value", [[], {}, ["linear"], {"kind": "linear"}], ids=repr)
+def test_unhashable_values_in_string_fields_are_input_errors(tmp_path, capsys, ring, value):
+    """A list or dict where a document has a string exits 2 with a message
+    from every command that reads the document."""
+    paths = document_files(tmp_path, ring)
+    ctx = str(paths["ctx"])
+    commands = {
+        "ctx": lambda p: [["check", p], ["center", p], ["suite", p, "--count", "1"]],
+        "bilinear": lambda p: [
+            ["verify-map", ctx, p, "--predicate", "centralizing-trace"],
+            ["decompose-trace", ctx, p],
+        ],
+        "linear": lambda p: [
+            ["verify-map", ctx, p, "--predicate", "commuting-linear"],
+            ["decompose-lti", ctx, ctx, p],
+        ],
+    }
+    for name, fields in STRING_FIELDS.items():
+        for path in fields:
+            doc = json.loads(paths[name].read_text())
+            at = doc
+            for key in path[:-1]:
+                at = at[key]
+            at[path[-1]] = value
+            bad = tmp_path / f"bad-{name}.json"
+            bad.write_text(json.dumps(doc))
+            for argv in commands[name](str(bad)):
+                assert_input_error(argv, capsys)
+
+
 # ---------------------------------------------------------------------------
 # golden output
 # ---------------------------------------------------------------------------

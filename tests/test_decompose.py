@@ -258,6 +258,83 @@ def test_lie_triple_splits_factor_the_mu_nu_columns_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the per-algebra cache
+# ---------------------------------------------------------------------------
+
+
+def cached_arrays(gma):
+    """Every array the per-algebra caches of gma, its corners and its
+    center hold, by where it was found."""
+    found = {}
+
+    def collect(where, value):
+        if isinstance(value, np.ndarray):
+            found[where] = value
+        elif isinstance(value, (tuple, list)):
+            for i, v in enumerate(value):
+                collect(f"{where}[{i}]", v)
+        elif isinstance(value, dict):
+            for k, v in value.items():
+                collect(f"{where}[{k!r}]", v)
+
+    for name, owner in (("gma", gma), ("A", gma.ctx.A), ("B", gma.ctx.B)):
+        collect(f"{name}.cache", vars(owner).get("cache", {}))
+    collect("gma.lifted", vars(gma).get("lifted", {}))
+    collect("center.lifted", vars(gma.center).get("lifted", {}))
+    return found
+
+
+@pytest.mark.parametrize(
+    "ring, n, k", [(F5, 4, 2), (RATIONAL, 3, 1), (F5, 3, 2)], ids=["m4-f5", "m3-q", "m3-f5-split2"]
+)
+def test_the_cache_is_built_on_first_use_and_read_only(ring, n, k):
+    gma = assemble_gma(build_full_matrix(n, k, ring))
+    gma.center
+    # the center is computed without the cache: set-up does not build it
+    assert cached_arrays(gma) == {}
+    q = random_proper_trace(gma, None, seed=3)
+    for route in (decompose_trace_generic, decompose_trace_constructive):
+        assert route(q, gma).status == "ok"
+    l = random_lie_triple_iso(gma, 3)
+    assert decompose_lie_triple_iso(l, gma, gma).status == "ok"
+    found = cached_arrays(gma)
+    assert {"gma.lifted['mul'][0]", "center.lifted['annihilator'][0]"} <= set(found)
+    assert any(w.startswith(("A.cache", "B.cache")) for w in found)
+    for where, arr in found.items():
+        assert not arr.flags.writeable, where
+        if arr.size:
+            with pytest.raises(ValueError):
+                arr.reshape(-1)[0] = arr.reshape(-1)[0]
+    if ring.is_prime_field:
+        # over F_p the lift is the identity: the same arrays, not copies
+        assert gma.lifted["mul"][0] is gma.mul and gma.lifted["mul"][1] == 1
+        assert gma.lifted["A.unit"][0] is gma.ctx.A.unit
+        assert gma.center.lifted["z_g"][0] is gma.center.z_g
+
+
+def test_a_round_trip_runs_one_centralizing_predicate_per_route(monkeypatch):
+    """The routes share immutable per-algebra data, never a verdict: each
+    still runs its own predicate on its own input, warm cache or not."""
+    from gmalg import decompose
+
+    gma = assemble_gma(build_full_matrix(3, 1, RATIONAL))
+    calls = []
+    predicate = decompose.is_centralizing_trace
+
+    def counted(g, q):
+        calls.append(q)
+        return predicate(g, q)
+
+    monkeypatch.setattr(decompose, "is_centralizing_trace", counted)
+    for seed in (1, 2, 3):
+        q = random_proper_trace(gma, None, seed=seed)
+        calls.clear()
+        for route in (decompose_trace_generic, decompose_trace_constructive):
+            assert route(q, gma).status == "ok"
+        assert calls == [q, q]
+
+
+# ---------------------------------------------------------------------------
 # failure paths
 # ---------------------------------------------------------------------------
 

@@ -11,9 +11,11 @@ The contraction over Q is checked against numpy's tensordot on the
 Fraction arrays themselves, and the trace predicates, the reconstruction
 check and the factored solve, which decide on lifted integers over Q,
 against the Fraction code they replaced, on contexts whose constants
-are not all integers.  The constructive chain is checked against
-its per-basis-vector loops: the witness extraction, the shape laws and
-the mu/nu assembly.  The corner isomorphism phi is checked against one
+are not all integers.  The constructive chain, which runs on lifted
+integers, is checked against its per-basis-vector loops (the witness
+extraction, the shape laws and the mu/nu assembly) and against the same
+chain as contractions on ring values, which over Q build Fractions, on
+the same contexts.  The corner isomorphism phi is checked against one
 exact solve per projected center row, and the matrix-unit builders
 against one loop per product tensor.  The table of block laws that checks
 the Morita axioms is compared with one hand-written contraction per
@@ -113,6 +115,7 @@ from gmalg.maps import (
     is_lie_triple_hom,
     pair_coefficients,
     pair_index_order,
+    symmetric_from_pairs,
     trace_space,
     vanishes_on_second_commutators,
 )
@@ -147,6 +150,24 @@ INSTANCES = {
     "m3-q": lambda: build_full_matrix(3, 1, RATIONAL),
     "diagonal-f5": lambda: build_diagonal_pair(F5),
     "m3-p1048573": lambda: build_full_matrix(3, 1, BIG_P),
+}
+
+# Contexts over Q with structure constants, centers or inputs off the
+# integers: the matrix-unit bases have denominator 1 almost everywhere, so
+# they cannot show a denominator lost on the way.  The moved M3(Q) has a
+# center and an annihilator off the integers too.
+M3_Q_BASES = {
+    "m3-q-rescaled": lambda ctx: rescaled(ctx, 2000),
+    "m3-q-moved": lambda ctx: transported(ctx, 1),
+}
+Q_LANE = {
+    "m3-q": lambda: build_full_matrix(3, 1, RATIONAL),
+    "t3-q": lambda: build_upper_triangular(3, 1, RATIONAL),
+    "inflated-half-q": lambda: build_inflated(RATIONAL, 1, [[Fraction(1, 2)]]),
+    **{
+        name: lambda move=move: move(build_full_matrix(3, 1, RATIONAL))[0]
+        for name, move in M3_Q_BASES.items()
+    },
 }
 
 
@@ -1184,6 +1205,273 @@ def slow_decompose_trace_constructive(q, gma):
     return ConstructiveDecomposition("ok", form, w, shape_report, None, report.route, report)
 
 
+# The chain as contractions on ring values, as it ran before it moved to
+# lifted integers: over Q every contraction, span test and solve builds
+# Fractions.  Kept only as an oracle for the lifted chain.
+
+
+def fraction_corner_rows(C, image, iso, v):
+    coeff, resid = row_span_residual(C.ring, image, np.asarray(v))
+    return (
+        C.ring.tensordot(coeff, iso, axes=([-1], [1])),
+        ~np.any(resid != C.ring.zero, axis=-1),
+    )
+
+
+def fraction_center_rows(C, v):
+    v = C.ring.normalize(np.asarray(v))
+    rest = C.ring.tensordot(v, C.annihilator, axes=([-1], [1]))
+    pivots = (C.z_g != C.ring.zero).argmax(axis=1)
+    return v[..., pivots], ~np.any(rest != C.ring.zero, axis=-1)
+
+
+def fraction_outside(ring, rows, v):
+    return np.any(row_span_residual(ring, rows, v)[1] != ring.zero, axis=-1)
+
+
+def fraction_diag_rows(gma, a, b):
+    out = gma.ring.zeros(np.shape(a)[:-1] + (gma.dim,))
+    out[..., gma.block_slice(0)] = a
+    out[..., gma.block_slice(3)] = b
+    return out
+
+
+def fraction_central_multiples(ring, alg, z_rows, targets):
+    Q = nullspace_array(ring, z_rows)
+    ze = ring.tensordot(z_rows, alg.mul, axes=([1], [0]))
+    coeff = np.transpose(ring.tensordot(ze, Q, axes=([2], [1])), (1, 2, 0))
+    rhs = ring.tensordot(targets, Q, axes=([2], [1]))
+    sols, first_bad = solve_columns(
+        ring, coeff.reshape(-1, z_rows.shape[0]), rhs.reshape(rhs.shape[0], -1)
+    )
+    failed = np.zeros(rhs.shape[0], dtype=bool)
+    if first_bad is not None:
+        failed[first_bad] = True
+    return ring.tensordot(sols, z_rows, axes=([1], [0])), failed
+
+
+def fraction_components(q, gma):
+    """The grid's components as ring values: (i, j) -> C_ij."""
+    ring = gma.ring
+    P = ring.normalize(q.tensor + np.transpose(q.tensor, (1, 0, 2)))
+    tensors = {}
+    for i in range(4):
+        for j in range(i, 4):
+            block = P[gma.block_slice(i), gma.block_slice(j), :]
+            tensors[(i, j)] = ring.normalize(block * ring.half) if i == j else block.copy()
+    return tensors
+
+
+def fraction_extract_constructive_witness(gma, tensors, report):
+    ring, C, ctx = gma.ring, gma.center, gma.ctx
+    A, B = ctx.A, ctx.B
+    dA, dM, dN, dB = gma.dims
+    td = ring.tensordot
+
+    def component(kind, i, j):
+        return tensors[(i, j)][:, :, gma.block_slice("fghk".index(kind))]
+
+    def evaluate(kind, i, j, x, y):
+        return td(y, td(x, component(kind, i, j), axes=([0], [0])), axes=([0], [0]))
+
+    def check(*checks):
+        failure = decompose._first_failed_check(checks)
+        if failure is not None:
+            raise WitnessExtractionError(*failure, report)
+
+    fwd, inside = fraction_corner_rows(C, C.pia_image, C.phi, evaluate("f", 0, 0, A.unit, A.unit))
+    check(("kappa", decompose._OFF_PHI, ~inside))
+    kappa = ring.normalize(fwd - evaluate("k", 0, 0, A.unit, A.unit))
+    back, inside = fraction_corner_rows(C, C.pib_image, C.phi_inv, evaluate("k", 3, 3, B.unit, B.unit))
+    check(("theta", decompose._OFF_PHI_INV, ~inside))
+    theta = ring.normalize(back - evaluate("f", 3, 3, B.unit, B.unit))
+
+    def unit_column_values(block, stage):
+        f = td(A.unit, component("f", 0, block), axes=([0], [0]))
+        k = td(A.unit, component("k", 0, block), axes=([0], [0]))
+        back, inside = fraction_corner_rows(C, C.pib_image, C.phi_inv, k)
+        vals = ring.normalize(f - back)
+        check(
+            (stage, decompose._OFF_PHI_INV, ~inside),
+            (stage + "-centrality", decompose._ESCAPES, fraction_outside(ring, C.z_a, vals)),
+        )
+        out = ring.zeros((dA, vals.shape[0]))
+        out[...] = vals.T
+        return out
+
+    alpha = unit_column_values(1, "alpha")
+    tau = unit_column_values(2, "tau")
+    f14, k14 = component("f", 0, 3), component("k", 0, 3)
+    gamma, gamma_prime, delta = ring.zeros((dA, dB)), ring.zeros((dB, dA)), ring.zeros((dA, dB, dA))
+
+    def rest_a():
+        return ring.normalize(f14 - np.transpose(td(gamma, A.mul, axes=([0], [0])), (1, 0, 2)))
+
+    def rest_b():
+        return ring.normalize(k14 - td(gamma_prime, B.mul, axes=([0], [0])))
+
+    a_noncomm = C.z_a.shape[0] < dA
+    if a_noncomm or not C.z_b.shape[0] < dB:
+        side = "A" if a_noncomm else "fallback"
+        sols, failed = fraction_central_multiples(ring, A, C.z_a, np.transpose(f14, (1, 0, 2)))
+        check(("gamma-solve", "inconsistent system", failed))
+        gamma[...] = sols.T
+        delta[...] = rest_a()
+        fwd, inside = fraction_corner_rows(C, C.pia_image, C.phi, td(B.unit, delta, axes=([0], [1])))
+        vals = ring.normalize(td(B.unit, k14, axes=([0], [1])) - fwd)
+        check(
+            ("gamma-prime", decompose._OFF_PHI, ~inside),
+            ("gamma-prime-centrality", decompose._ESCAPES, fraction_outside(ring, C.z_b, vals)),
+        )
+        gamma_prime[...] = vals.T
+    else:
+        side = "B"
+        sols, failed = fraction_central_multiples(ring, B, C.z_b, k14)
+        gamma_prime[...] = sols.T
+        back, inside = fraction_corner_rows(C, C.pib_image, C.phi_inv, rest_b())
+        check(
+            ("gamma-prime-solve", "inconsistent system", failed),
+            ("delta", decompose._OFF_PHI_INV, ~inside.all(axis=1)),
+        )
+        delta[...] = back
+        vals = ring.normalize(td(A.unit, f14, axes=([0], [0])) - td(A.unit, delta, axes=([0], [0])))
+        check(("gamma-centrality", decompose._ESCAPES, fraction_outside(ring, C.z_a, vals)))
+        gamma[...] = vals.T
+    check(
+        ("f14-shape", "f14 - gamma(a4)a1 escapes Z(A)", fraction_outside(ring, C.z_a, rest_a())),
+        ("k14-shape", "k14 - gamma'(a1)a4 escapes Z(B)", fraction_outside(ring, C.z_b, rest_b())),
+    )
+    epsilon = ring.normalize(theta - td(gamma, B.unit, axes=([1], [0])))
+    epsilon_prime = ring.normalize(kappa - td(gamma_prime, A.unit, axes=([1], [0])))
+    if not fraction_center_rows(C, gma.embed_diag(epsilon, epsilon_prime))[1]:
+        raise WitnessExtractionError("epsilon-pair", "epsilon + epsilon' is not central in G", report)
+    xi = alpha.copy()
+    eta = ring.zeros((dA, dM, dA))
+    eta[...] = ring.normalize(
+        component("f", 0, 1) - np.transpose(td(alpha, A.mul, axes=([0], [0])), (1, 0, 2))
+    )
+    check(("eta-centrality", decompose._ESCAPES, fraction_outside(ring, C.z_a, eta)))
+    return ConstructiveWitness(
+        kappa, theta, alpha, tau, gamma, gamma_prime, delta, xi, eta, epsilon, epsilon_prime, side
+    )
+
+
+def fraction_witness_shape_report(gma, tensors, pattern_violation, w):
+    ring, C, ctx = gma.ring, gma.center, gma.ctx
+    td = ring.tensordot
+    dA, dM, dN, dB = gma.dims
+
+    def component(kind, i, j):
+        return tensors[(i, j)][:, :, gma.block_slice("fghk".index(kind))]
+
+    gp_back, back_ok = fraction_corner_rows(C, C.pib_image, C.phi_inv, w.gamma_prime.T)
+    g_fwd, fwd_ok = fraction_corner_rows(C, C.pia_image, C.phi, w.gamma.T)
+    eps_a = td(w.epsilon, ctx.A.mul, axes=([0], [0]))
+    eps_b = td(w.epsilon_prime, ctx.B.mul, axes=([0], [0]))
+    coef_a = ring.normalize(eps_a + gp_back)
+    coef_b = ring.normalize(eps_b + g_fwd)
+
+    def law(lhs, rhs, *phis_ok):
+        return all(bool(ok.all()) for ok in phis_ok) and ring.equal(lhs, rhs)
+
+    out = {}
+    out["g12-shape"] = not dM or law(
+        component("g", 0, 1), td(coef_a, ctx.M.left, axes=([1], [0])), back_ok
+    )
+    out["g24-shape"] = not dM or law(
+        component("g", 1, 3),
+        np.transpose(td(ctx.M.right, coef_b, axes=([1], [1])), (0, 2, 1)),
+        fwd_ok,
+    )
+    if dN:
+        out["h13-shape"] = law(
+            component("h", 0, 2),
+            np.transpose(td(ctx.N.right, eps_a, axes=([1], [1])), (2, 0, 1))
+            + td(w.gamma_prime, ctx.N.left, axes=([0], [0])),
+        )
+        out["h34-shape"] = law(
+            component("h", 2, 3),
+            np.transpose(td(coef_b, ctx.N.left, axes=([1], [0])), (1, 0, 2)),
+            fwd_ok,
+        )
+        eps_nm = td(np.transpose(ctx.pairing_NM, (1, 0, 2)), eps_b, axes=([2], [0]))
+        out["k23-centrality"] = not fraction_outside(
+            ring, C.z_b, ring.normalize(component("k", 1, 2) - eps_nm)
+        ).any()
+        eps_mn = td(ctx.pairing_MN, eps_a, axes=([2], [0]))
+        out["f23-centrality"] = not fraction_outside(
+            ring, C.z_a, ring.normalize(component("f", 1, 2) - eps_mn)
+        ).any()
+    for block, name in ((1, "f22k22-central"), (2, "f33k33-central")):
+        f, k = component("f", block, block), component("k", block, block)
+        pairs = fraction_diag_rows(
+            gma,
+            ring.normalize(f + np.transpose(f, (1, 0, 2))),
+            ring.normalize(k + np.transpose(k, (1, 0, 2))),
+        )
+        out[name] = bool(fraction_center_rows(C, pairs)[1].all())
+    out["g-pattern"] = pattern_violation is None or pattern_violation[0] != "g"
+    out["h-pattern"] = pattern_violation is None or pattern_violation[0] != "h"
+    return out
+
+
+def fraction_decompose_trace_constructive(q, gma):
+    """decompose_trace_constructive on ring values; the entry predicate is
+    left to the caller."""
+    ring, C, report = gma.ring, gma.center, gma.report
+    grid = extract_components(q, gma, centralizing=True)
+    tensors = fraction_components(q, gma)
+    w = fraction_extract_constructive_witness(gma, tensors, report)
+    dA, dM, dN, dB = gma.dims
+    d = gma.dim
+    z_vec = gma.embed_diag(w.epsilon, w.epsilon_prime)
+    z_coords = fraction_center_rows(C, z_vec)[0].copy()
+    a_vals = ring.zeros((d, dA))
+    a_vals[gma.block_slice(1)] = w.alpha.T
+    a_vals[gma.block_slice(2)] = w.tau.T
+    a_vals[gma.block_slice(3)] = w.gamma.T
+    b_vals = ring.zeros((d, dB))
+    b_vals[gma.block_slice(0)] = w.gamma_prime.T
+    back, back_ok = fraction_corner_rows(C, C.pib_image, C.phi_inv, b_vals)
+    fwd, fwd_ok = fraction_corner_rows(C, C.pia_image, C.phi, a_vals)
+    mu_rows, central = fraction_center_rows(
+        C, fraction_diag_rows(gma, ring.normalize(back + a_vals), ring.normalize(b_vals + fwd))
+    )
+    failure = decompose._first_failed_check(
+        (
+            ("mu-assembly", "witness value outside the projected center", ~(back_ok & fwd_ok)),
+            ("mu-assembly", "mu value not central", ~central),
+        )
+    )
+    if failure is not None:
+        raise WitnessExtractionError(*failure, report)
+    mu_mat = ring.zeros((C.zdim, d))
+    mu_mat[...] = mu_rows.T
+    mul = gma.mul
+    sym = pair_coefficients(ring, mul)
+    z_sym = ring.tensordot(sym, ring.tensordot(z_vec, mul, axes=([0], [0])), axes=([1], [0]))
+    mu_e = ring.tensordot(ring.tensordot(mu_mat, C.z_g, axes=([0], [0])), mul, axes=([1], [0]))
+    resid = ring.normalize(
+        pair_coefficients(ring, q.tensor) - z_sym - pair_coefficients(ring, mu_e)
+    )
+    nu_rows, central = fraction_center_rows(C, resid)
+    shape_report = fraction_witness_shape_report(gma, tensors, grid.pattern_violation, w)
+    if not central.all():
+        n = int(np.argmax(~central))
+        violation = {
+            "stage": "nu-centrality",
+            "pair": pair_index_order(d)[n],
+            "residual": resid[n].tolist(),
+            "q": q.tensor.tolist(),
+        }
+        return ConstructiveDecomposition(
+            "violation-candidate", None, w, shape_report, violation, report.route, report
+        )
+    form = ProperTraceForm(z_coords, mu_mat, symmetric_from_pairs(ring, d, nu_rows))
+    assert form.matches(gma, q)
+    return ConstructiveDecomposition("ok", form, w, shape_report, None, report.route, report)
+
+
 def build_scalar_gap_a(ring):
     """A = R^2 componentwise, B = R, M = R^2, N = 0: the center of A is all
     of A, its part in the projected center only the scalars, so phi can
@@ -1221,6 +1509,7 @@ CHAIN_INSTANCES = {
     "m3-p1048573": INSTANCES["m3-p1048573"],
     "scalar-gap-a-f5": lambda: build_scalar_gap_a(F5),
     "scalar-gap-b-f5": lambda: build_scalar_gap_b(F5),
+    **Q_LANE,
 }
 
 
@@ -1279,9 +1568,9 @@ def outcome(result):
 
 # what the centralizing inputs below come to, per instance
 CENTRALIZING_OUTCOMES = {
+    **{name: {"ok"} for name in Q_LANE},
     "diagonal-f5": {"ok", "violation-candidate"},
     "m3-p1048573": {"ok"},
-    "m3-q": {"ok"},
     "m4-f5": {"ok"},
     "scalar-gap-a-f5": {"ok", "gamma-prime", "kappa", "mu-assembly"},
     "scalar-gap-b-f5": {"ok", "alpha", "delta", "mu-assembly", "theta"},
@@ -1306,6 +1595,7 @@ def test_constructive_chain_matches_loops(chain_instance):
     for q in qs + basis:
         got = run_chain(decompose_trace_constructive, q, gma)
         assert_same_chain_result(got, run_chain(slow_decompose_trace_constructive, q, gma))
+        assert_same_chain_result(got, run_chain(fraction_decompose_trace_constructive, q, gma))
         results.append(got)
     assert {outcome(r) for r in results} == CENTRALIZING_OUTCOMES[name]
     if name == "diagonal-f5":
@@ -1354,10 +1644,17 @@ PERTURBED_OUTCOMES = {
         "alpha", "epsilon-pair", "gamma-prime-solve", "pattern", "tau", "theta",
         "violation-candidate",
     },
-    "m3-q": {
-        "alpha", "epsilon-pair", "gamma-prime-solve", "pattern", "tau", "theta",
-        "violation-candidate",
+    **{
+        name: {
+            "alpha", "epsilon-pair", "gamma-prime-solve", "pattern", "tau", "theta",
+            "violation-candidate",
+        }
+        for name in ("m3-q", *M3_Q_BASES)
     },
+    "t3-q": {
+        "alpha", "epsilon-pair", "gamma-prime-solve", "pattern", "theta", "violation-candidate",
+    },
+    "inflated-half-q": {"epsilon-pair", "pattern", "violation-candidate"},
     "m4-f5": {
         "alpha", "alpha-centrality", "epsilon-pair", "eta-centrality",
         "gamma-prime-centrality", "gamma-solve", "k14-shape", "kappa", "pattern", "tau",
@@ -1380,23 +1677,28 @@ def test_constructive_chain_matches_loops_off_the_predicate(chain_instance, monk
     for q in chain_perturbations(gma):
         got = run_chain(decompose_trace_constructive, q, gma)
         assert_same_chain_result(got, run_chain(slow_decompose_trace_constructive, q, gma))
+        assert_same_chain_result(got, run_chain(fraction_decompose_trace_constructive, q, gma))
         outcomes.add(outcome(got))
         if isinstance(got, ComponentPatternError):
             grid = extract_components(q, gma, centralizing=False)
+            tensors = fraction_components(q, gma)
             fast = run_chain(lambda q, g: extract_constructive_witness(q, g, grid=grid), q, gma)
-            slow = run_chain(
-                lambda q, g: slow_extract_constructive_witness(g, grid, g.report), q, gma
-            )
-            assert type(fast) is type(slow)
-            if isinstance(slow, Exception):
-                assert (fast.stage, str(fast)) == (slow.stage, str(slow))
+            for oracle in (
+                lambda q, g: slow_extract_constructive_witness(g, grid, g.report),
+                lambda q, g: fraction_extract_constructive_witness(g, tensors, g.report),
+            ):
+                slow = run_chain(oracle, q, gma)
+                assert type(fast) is type(slow)
+                if isinstance(slow, Exception):
+                    assert (fast.stage, str(fast)) == (slow.stage, str(slow))
+                    continue
+                assert pickle.dumps(fast) == pickle.dumps(slow)
+            if isinstance(fast, Exception):
                 continue
-            for field in ConstructiveWitness.__dataclass_fields__:
-                if field != "side":
-                    assert_identical(getattr(fast, field), getattr(slow, field))
-            assert fast.side == slow.side
-            laws = witness_shape_report(grid, fast, gma.center)
-            assert list(laws.items()) == list(slow_witness_shape_report(grid, slow).items())
+            laws = list(witness_shape_report(grid, fast, gma.center).items())
+            assert laws == list(slow_witness_shape_report(grid, fast).items())
+            want = fraction_witness_shape_report(gma, tensors, grid.pattern_violation, fast)
+            assert laws == list(want.items())
     assert outcomes == PERTURBED_OUTCOMES[name]
 
 
@@ -2248,25 +2550,6 @@ def test_q_contraction_matches_fraction_contraction_fuzzed(case):
 # the Q lane on lifted integers
 # ---------------------------------------------------------------------------
 
-# Contexts over Q with structure constants, centers or inputs off the
-# integers: the matrix-unit bases have denominator 1 almost everywhere, so
-# they cannot show a denominator lost on the way.  The moved M3(Q) has a
-# center and an annihilator off the integers too.
-M3_Q_BASES = {
-    "m3-q-rescaled": lambda ctx: rescaled(ctx, 2000),
-    "m3-q-moved": lambda ctx: transported(ctx, 1),
-}
-Q_LANE = {
-    "m3-q": lambda: build_full_matrix(3, 1, RATIONAL),
-    "t3-q": lambda: build_upper_triangular(3, 1, RATIONAL),
-    "inflated-half-q": lambda: build_inflated(RATIONAL, 1, [[Fraction(1, 2)]]),
-    **{
-        name: lambda move=move: move(build_full_matrix(3, 1, RATIONAL))[0]
-        for name, move in M3_Q_BASES.items()
-    },
-}
-
-
 def fraction_sparse_times(ring, entries, v):
     """exact._sparse_times on Fraction values: a Fraction product and sum per nonzero."""
     n, r, c, values = entries
@@ -2334,6 +2617,14 @@ class SolvedEveryTime:
 
     def solve(self, rhs):
         return solve_array(self.ring, self.mat, rhs)
+
+    def solve_lifted(self, b, lb):
+        flat = b.reshape((math.prod(b.shape[:-1]), b.shape[-1]))
+        rows = [self.solve(_unlift(self.ring, r, lb)) for r in flat]
+        ok = np.array([x is not None for x in rows])
+        x = np.stack([self.ring.zeros(self.mat.shape[1]) if x is None else x for x in rows])
+        x, L = _lift(self.ring, x)
+        return x.reshape(b.shape[:-1] + x.shape[1:]), L, ok.reshape(b.shape[:-1])
 
 
 def q_lane_traces(gma):
