@@ -1,9 +1,11 @@
 """Centers, the cross-corner center isomorphism, and structural hypothesis checks.
 
-The center of the assembled block algebra is computed from the intertwining
-system { a*m = m*b, n*a = b*n } over pairs (a, b); with a faithful connecting
-bimodule this is exactly the center, and the result is re-verified against
-raw centrality ([z, e_i] = 0) so a discrepancy can never pass silently.
+Every center here is one commutant: the nullspace of x |-> [x, e_i] over
+the basis, read as canonical rows (``compute_center_algebra``).  The block
+algebra's center Z(G) and the centers of its corners A and B all come from
+it.  Membership in the span of any of these canonical rows is decided by
+one test: the span's annihilator ``nullspace_array(rows)`` kills the
+vector, and its coordinates are the vector read at the rows' pivots.
 
 ``phi`` is the isomorphism between the two corner projections of the center
 (a |-> the unique b with a*m = m*b and n*a = b*n for all m, n); it exists on
@@ -24,18 +26,14 @@ from .exact import (
     RingDescriptor,
     _contract,
     _lift,
-    _scaled,
     _unlift,
     nullspace_array,
     rank_array,
-    row_span_coords,
-    row_span_residual,
     rref_array,
 )
 from .maps import (
     _arrangement_table,
     _bracket_action,
-    _commutator_tensor,
     _jordan_tensor,
     constraint_matrix,
 )
@@ -92,40 +90,33 @@ class CenterData:
     @cached_property
     def lifted(self) -> dict:
         """The center's arrays lifted (exact._lift) and read-only, by field
-        name: (n, L) for phi, phi_inv and the annihilator, and (n, L,
-        pivots) for the canonical rows z_g, z_a, z_b, pia_image and
-        pib_image.  Over F_p each n is the array itself.  Built on first
-        use, not with the center."""
+        name: (n, L) for phi and phi_inv, and (n, L, pivots, Q) for the
+        canonical rows z_g, z_a, z_b, pia_image and pib_image, Q the
+        numerators of their lifted annihilator ``nullspace_array(rows)``
+        (for z_g, ``annihilator``); a scale does not change what Q kills.
+        Over F_p each n is the array itself.  Built on first use, not with
+        the center."""
         out = {name: _lift(self.ring, getattr(self, name)) for name in ("phi", "phi_inv")}
-        out["annihilator"] = _lift(self.ring, self.annihilator)
         for name in ("z_g", "z_a", "z_b", "pia_image", "pib_image"):
             rows = getattr(self, name)
+            ann = self.annihilator if name == "z_g" else nullspace_array(self.ring, rows)
             pivots = (rows != 0).argmax(axis=1) if rows.size else np.zeros(len(rows), dtype=np.intp)
-            out[name] = (*_lift(self.ring, rows), pivots)
+            out[name] = (*_lift(self.ring, rows), pivots, _lift(self.ring, ann)[0])
         return _read_only(out)
 
     def span_lifted(self, name: str, v):
         """(coords, inside) for lifted vectors v = (n, L) stacked along n's
         leading axes, against the canonical rows `name`: the coordinates,
         lifted, are v read at the rows' pivots (meaningless for a vector
-        outside), and a vector is inside iff n * L_rows equals its
-        coordinates times the lifted rows, all pivots being 1."""
-        rows, L, pivots = self.lifted[name]
+        outside), and a vector is inside iff the rows' annihilator kills it."""
+        _, _, pivots, ann = self.lifted[name]
         n, Lv = v
-        coords = n[..., pivots]
-        rest = _scaled(n, L) != _contract(self.ring, coords, rows, axes=([-1], [0]))
-        return (coords, Lv), ~np.any(rest, axis=-1)
+        rest = _contract(self.ring, n, ann, axes=([-1], [1]))
+        return (n[..., pivots], Lv), ~np.any(rest != 0, axis=-1)
 
     def outside_lifted(self, name: str, v):
         """Mask of the lifted vectors v that leave the span of the rows `name`."""
         return ~self.span_lifted(name, v)[1]
-
-    def center_rows_lifted(self, v):
-        """center_rows on lifted v = (n, L), with the coordinates lifted."""
-        ann = self.lifted["annihilator"][0]
-        n, Lv = v
-        rest = _contract(self.ring, n, ann, axes=([-1], [1]))
-        return (n[..., self.lifted["z_g"][2]], Lv), ~np.any(rest != 0, axis=-1)
 
     def corner_rows_lifted(self, forward: bool, v):
         """phi (forward) or phi^-1 on lifted v = (n, L) stacked along n's
@@ -141,7 +132,7 @@ class CenterData:
         coefficients over the z_g basis (v read at z_g's pivots, meaningless
         for a vector that is not central) and whether each vector is central."""
         v = self.ring.normalize(np.asarray(v))
-        return v[..., self.lifted["z_g"][2]], self.center_rows_lifted(_lift(self.ring, v))[1]
+        return v[..., self.lifted["z_g"][2]], self.span_lifted("z_g", _lift(self.ring, v))[1]
 
     def center_coords(self, v):
         """Coefficients of v over the z_g basis, or None if v is not central."""
@@ -183,29 +174,16 @@ class CenterData:
         return out if inside else None
 
 
-def _intertwining_blocks(ctx: MoritaContext):
-    """Coefficient blocks of a*m_j - m_j*b and n_j*a - b*n_j in the unknowns
-    a and b: (M_a, M_b, N_a, N_b), rows (j, r), so that M_a @ a is a*m_j
-    read in coordinate r, M_b @ b is m_j*b, N_a @ a is n_j*a, N_b @ b is b*n_j."""
-    dA, dB, dM, dN = ctx.A.dim, ctx.B.dim, ctx.M.dim, ctx.N.dim
-    return (
-        np.transpose(ctx.M.left, (1, 2, 0)).reshape(dM * dM, dA),
-        np.transpose(ctx.M.right, (0, 2, 1)).reshape(dM * dM, dB),
-        np.transpose(ctx.N.right, (0, 2, 1)).reshape(dN * dN, dA),
-        np.transpose(ctx.N.left, (1, 2, 0)).reshape(dN * dN, dB),
-    )
-
-
 def check_faithful(ctx: MoritaContext):
     """(left_ok, right_ok, witness) for the connecting bimodule M.
 
     left: a*M = 0 forces a = 0;  right: M*b = 0 forces b = 0.
     The witness is the offending nonzero annihilator, if any.
     """
-    ring = ctx.ring
-    KL, KR, _, _ = _intertwining_blocks(ctx)
-    left_null = nullspace_array(ring, KL)
-    right_null = nullspace_array(ring, KR)
+    ring, dA, dB, dM = ctx.ring, ctx.A.dim, ctx.B.dim, ctx.M.dim
+    # rows (j, r): a*m_j resp. m_j*b read in coordinate r
+    left_null = nullspace_array(ring, np.transpose(ctx.M.left, (1, 2, 0)).reshape(dM * dM, dA))
+    right_null = nullspace_array(ring, np.transpose(ctx.M.right, (0, 2, 1)).reshape(dM * dM, dB))
     left_ok = left_null.shape[0] == 0
     right_ok = right_null.shape[0] == 0
     witness = None
@@ -233,25 +211,7 @@ def _corner_iso(ring, z_g, src: slice, dst: slice):
 def compute_center_gma(gma: GMA) -> CenterData:
     ring = gma.ring
     ctx = gma.ctx
-    dA, d = ctx.A.dim, gma.dim
-
-    # intertwining system over pairs (a | b): a*m_j = m_j*b and n_j*a = b*n_j
-    ma, mb, na, nb = _intertwining_blocks(ctx)
-    K = ring.normalize(np.block([[ma, -mb], [na, -nb]]))
-    pairs = nullspace_array(ring, K)
-
-    z_rows = ring.zeros((pairs.shape[0], d))
-    z_rows[:, gma.block_slice(0)] = pairs[:, :dA]
-    z_rows[:, gma.block_slice(3)] = pairs[:, dA:]
-    z_g = _rref_rows(ring, z_rows)
-
-    # raw centrality cross-check: [z, e_i] = 0 for every surviving basis vector
-    if not ring.is_zero(ring.tensordot(z_g, _commutator_tensor(gma), axes=([1], [0]))):
-        raise CenterError(
-            "intertwining solution is not raw-central; "
-            "the connecting bimodule is too degenerate for this construction"
-        )
-
+    z_g = compute_center_algebra(gma)
     z_a = compute_center_algebra(ctx.A)
     z_b = compute_center_algebra(ctx.B)
     pia, phi = _corner_iso(ring, z_g, gma.block_slice(0), gma.block_slice(3))
@@ -268,7 +228,7 @@ def compute_center_gma(gma: GMA) -> CenterData:
         )
 
     return CenterData(
-        ring, d, z_g, z_a, z_b, pia, pib, phi, phi_inv, nullspace_array(ring, z_g),
+        ring, gma.dim, z_g, z_a, z_b, pia, pib, phi, phi_inv, nullspace_array(ring, z_g),
         left_ok, right_ok,
     )
 
@@ -499,9 +459,9 @@ def central_jordan_radical(gma) -> np.ndarray:
     sym = _jordan_tensor(gma)
     while S.shape[0]:
         T = ring.tensordot(S, sym, axes=([1], [1]))  # [s, i, r] = (S_s o e_i)_r
-        _, resid = row_span_residual(ring, S, T)
-        K = resid.reshape(S.shape[0], d * d).T.copy()  # rows (i,r), cols s
-        C = nullspace_array(ring, ring.normalize(K))
+        # sum_s c_s S_s o e_i stays in S iff S's annihilator kills it
+        K = ring.tensordot(T, nullspace_array(ring, S), axes=([2], [1]))  # [s, i, k]
+        C = nullspace_array(ring, K.reshape(S.shape[0], -1).T)
         newS = _rref_rows(ring, ring.tensordot(C, S, axes=([1], [0]))) if C.shape[0] else ring.zeros((0, d))
         if newS.shape[0] == S.shape[0]:
             return newS
@@ -718,10 +678,7 @@ def hypothesis_report(gma: GMA, loyalty_bound: int = 5**8, seed: int = 0) -> Hyp
 
     unit_central = C.center_coords(gma.unit) is not None
     central = C.zdim == 1 and unit_central
-    b_unit_central = False
-    if zB.shape[0] == 1:
-        coeff = row_span_coords(ring, zB, ctx.B.unit)
-        b_unit_central = coeff is not None
+    b_unit_central = zB.shape[0] == 1 and bool(C.span_lifted("z_b", _lift(ring, ctx.B.unit))[1])
     return HypothesisReport(
         morita_ok=True,  # a GMA comes only from assemble_gma, which checks the laws
         M_faithful_left=C.faithful_left,

@@ -244,8 +244,8 @@ def cmd_center(args) -> int:
             "corner_B_center": [dense_to_json(ring, row) for row in C.z_b],
             "projection_A_image": [dense_to_json(ring, row) for row in C.pia_image],
             "projection_B_image": [dense_to_json(ring, row) for row in C.pib_image],
-            "phi": dense_to_json(ring, C.phi) if C.phi is not None else None,
-            "phi_shape": list(C.phi.shape) if C.phi is not None else None,
+            "phi": dense_to_json(ring, C.phi),
+            "phi_shape": list(C.phi.shape),
             "faithful_left": C.faithful_left,
             "faithful_right": C.faithful_right,
             "loyal": loyal.status,
@@ -588,7 +588,7 @@ def _suite_properties(gma: GMA, ctx, args):
 
     def p_roundtrip_generic():
         for i in range(args.count):
-            q = random_proper_trace(gma, gma.center, args.seed + i)
+            q = random_proper_trace(gma, args.seed + i)
             dec = decompose_trace_generic(q, gma, mode="commuting", report=hyp)
             if dec.status != "ok" or not dec.form.matches(gma, q):
                 return "FAIL", f"seed {args.seed + i} does not roundtrip"
@@ -598,7 +598,7 @@ def _suite_properties(gma: GMA, ctx, args):
         if hyp.route == "none":
             return "SKIP", "no decomposition route"
         for i in range(args.count):
-            q = random_proper_trace(gma, gma.center, args.seed + i)
+            q = random_proper_trace(gma, args.seed + i)
             try:
                 dec = decompose_trace_constructive(q, gma, report=hyp)
             except WitnessExtractionError as e:

@@ -24,7 +24,7 @@ from math import lcm
 
 import numpy as np
 
-from .center import CenterData, compute_center_algebra
+from .center import CenterData
 from .exact import (
     ExactError,
     FactoredMatrix,
@@ -36,7 +36,6 @@ from .exact import (
     _sub,
     _unlift,
     inverse_array,
-    nullspace_array,
     rank_array,
 )
 from .maps import (
@@ -450,26 +449,28 @@ def _first_failed_check(checks):
     return checks[int(np.argmax(failed[(slice(None),) + item]))][:2]
 
 
-def _central_multiples(ring, alg, targets):
+def _central_multiples(C: CenterData, alg, name: str, targets):
     """For each stack targets[k] (lifted; one vector per basis element e_i
-    of alg), the central c = sum_u c_u zeta_u, zeta_u the canonical rows of
-    Z(alg), with c e_i = targets[k, i] modulo Z(alg) for every i: (c per k
-    as lifted rows, mask of the k without one).  The annihilator Q of Z(alg)
-    reads each equation modulo the span; the system in the c_u depends only
-    on alg, so it is built and factored once per algebra."""
+    of alg), the central c = sum_u c_u zeta_u, zeta_u the canonical rows
+    `name` of C (Z(alg)), with c e_i = targets[k, i] modulo Z(alg) for
+    every i: (c per k as lifted rows, mask of the k without one).  The
+    annihilator Q of Z(alg), lifted in C, reads each equation modulo the
+    span; its scale multiplies both sides, so the numerators serve.  The
+    system in the c_u depends only on alg, so it is built and factored once
+    per algebra."""
+    ring = C.ring
+    z, Lz, _, Q = C.lifted[name]
 
     def build():
-        z = compute_center_algebra(alg)
-        Q = nullspace_array(ring, z)
-        ze = ring.tensordot(z, alg.mul, axes=([1], [0]))  # [u, i] = zeta_u e_i
-        coeff = np.transpose(ring.tensordot(ze, Q, axes=([2], [1])), (1, 2, 0))
-        return _lift(ring, z), _lift(ring, Q), FactoredMatrix(ring, coeff.reshape(-1, z.shape[0]))
+        ze, L = _lift(ring, ring.tensordot(getattr(C, name), alg.mul, axes=([1], [0])))
+        coeff = np.transpose(_contract(ring, ze, Q, axes=([2], [1])), (1, 2, 0))  # [i, q, u]
+        return FactoredMatrix(ring, _unlift(ring, coeff.reshape(-1, z.shape[0]), L))
 
-    z, (Q, lQ), factor = alg.cached("central_multiples", build)
+    factor = alg.cached("central_multiples", build)
     t, lt = targets
     rhs = _contract(ring, t, Q, axes=([2], [1]))
-    x, L, ok = factor.solve_lifted(rhs.reshape(rhs.shape[0], -1), lt * lQ)
-    return _td(ring, (x, L), z, axes=([1], [0])), ~ok
+    x, L, ok = factor.solve_lifted(rhs.reshape(rhs.shape[0], -1), lt)
+    return _td(ring, (x, L), (z, Lz), axes=([1], [0])), ~ok
 
 
 _ESCAPES = "value escapes the projected center"
@@ -480,7 +481,6 @@ _OFF_PHI_INV = "phi^-1 argument outside pi_B(Z)"
 def extract_constructive_witness(
     q: BilinearMapRep,
     gma: GMA,
-    C: CenterData | None = None,
     grid: ComponentGrid | None = None,
     report=None,
 ) -> ConstructiveWitness:
@@ -497,20 +497,18 @@ def extract_constructive_witness(
     Each link runs on all basis vectors at once; where several fail, the
     error names the first in the order of a loop over the basis.
     """
-    if C is None:
-        C = gma.center
     if grid is None:
         grid = extract_components(q, gma)
     if report is None:
         report = gma.report
-    return _witness(gma.ring, *_witness_chain(gma, C, grid, report))
+    return _witness(gma.ring, *_witness_chain(gma, grid, report))
 
 
-def _witness_chain(gma: GMA, C: CenterData, grid: ComponentGrid, report):
+def _witness_chain(gma: GMA, grid: ComponentGrid, report):
     """The chain of extract_constructive_witness on lifted values
     (exact._lift): (its fields but xi and side, lifted, by name; side).
     Every span test decides on integers."""
-    ring = gma.ring
+    ring, C = gma.ring, gma.center
     T = gma.lifted
     dA, dM, dN, dB = gma.dims
     td = partial(_td, ring)
@@ -559,7 +557,7 @@ def _witness_chain(gma: GMA, C: CenterData, grid: ComponentGrid, report):
     a_noncomm = C.z_a.shape[0] < dA
     if a_noncomm or not C.z_b.shape[0] < dB:
         side = "A" if a_noncomm else "fallback"
-        sols, failed = _central_multiples(ring, gma.ctx.A, _moved(f14, (1, 0, 2)))
+        sols, failed = _central_multiples(C, gma.ctx.A, "z_a", _moved(f14, (1, 0, 2)))
         check(("gamma-solve", "inconsistent system", failed))
         gamma = _moved(sols)
         delta = ra = rest_a(gamma)
@@ -573,7 +571,7 @@ def _witness_chain(gma: GMA, C: CenterData, grid: ComponentGrid, report):
         rb = rest_b(gamma_prime)
     else:
         side = "B"
-        sols, failed = _central_multiples(ring, gma.ctx.B, k14)
+        sols, failed = _central_multiples(C, gma.ctx.B, "z_b", k14)
         gamma_prime = _moved(sols)
         rb = rest_b(gamma_prime)
         delta, inside = C.corner_rows_lifted(False, rb)
@@ -594,7 +592,7 @@ def _witness_chain(gma: GMA, C: CenterData, grid: ComponentGrid, report):
 
     epsilon = _sub(ring, theta, td(gamma, uB, ([1], [0])))
     epsilon_prime = _sub(ring, kappa, td(gamma_prime, uA, ([1], [0])))
-    if not C.center_rows_lifted(_diag_rows(gma, epsilon, epsilon_prime))[1]:
+    if not C.span_lifted("z_g", _diag_rows(gma, epsilon, epsilon_prime))[1]:
         raise WitnessExtractionError(
             "epsilon-pair", "epsilon + epsilon' is not central in G", report
         )
@@ -617,20 +615,20 @@ def _witness(ring, lifted: dict, side: str) -> ConstructiveWitness:
     return ConstructiveWitness(xi=f["alpha"].copy(), side=side, **f)
 
 
-def witness_shape_report(grid: ComponentGrid, w: ConstructiveWitness, C: CenterData) -> dict:
+def witness_shape_report(grid: ComponentGrid, w: ConstructiveWitness) -> dict:
     """The component shape laws, each checked exactly on all basis pairs:
     the left sides are the grid's components, the right sides one
     contraction each."""
     ring = grid.gma.ring
     names = ("gamma", "gamma_prime", "epsilon", "epsilon_prime")
-    return _shape_laws(grid, {name: _lift(ring, getattr(w, name)) for name in names}, C)
+    return _shape_laws(grid, {name: _lift(ring, getattr(w, name)) for name in names})
 
 
-def _shape_laws(grid: ComponentGrid, w: dict, C: CenterData) -> dict:
+def _shape_laws(grid: ComponentGrid, w: dict) -> dict:
     """witness_shape_report on the lifted witness fields w, by name; each
     law decides on integers."""
     gma = grid.gma
-    ring = gma.ring
+    ring, C = gma.ring, gma.center
     T = gma.lifted
     td = partial(_td, ring)
     dA, dM, dN, dB = gma.dims
@@ -690,7 +688,7 @@ def _shape_laws(grid: ComponentGrid, w: dict, C: CenterData) -> dict:
             _add(ring, f, _moved(f, (1, 0, 2))),
             _add(ring, k, _moved(k, (1, 0, 2))),
         )
-        out[name] = bool(C.center_rows_lifted(pairs)[1].all())
+        out[name] = bool(C.span_lifted("z_g", pairs)[1].all())
     out["g-pattern"] = grid.pattern_violation is None or grid.pattern_violation[0] != "g"
     out["h-pattern"] = grid.pattern_violation is None or grid.pattern_violation[0] != "h"
     return out
@@ -708,7 +706,7 @@ class ConstructiveDecomposition:
 
 
 def decompose_trace_constructive(
-    q: BilinearMapRep, gma: GMA, C: CenterData | None = None, report=None
+    q: BilinearMapRep, gma: GMA, report=None
 ) -> ConstructiveDecomposition:
     """Assemble (z, mu, nu) from the constructive witness.
 
@@ -717,9 +715,7 @@ def decompose_trace_constructive(
     passed every earlier check) is handed back as a violation candidate
     with the offending pair attached — never silently accepted.
     """
-    ring = gma.ring
-    if C is None:
-        C = gma.center
+    ring, C = gma.ring, gma.center
     ok, wit = is_centralizing_trace(gma, q)
     if not ok:
         raise PredicateNotSatisfied("trace is not centralizing", witness=wit)
@@ -729,7 +725,7 @@ def decompose_trace_constructive(
     # only the returned witness, form and violation are built as ring values
     qt = _lift(ring, q.tensor)
     grid = _component_grid(gma, qt, True)
-    w, side = _witness_chain(gma, C, grid, report)
+    w, side = _witness_chain(gma, grid, report)
     td = partial(_td, ring)
     dA, dM, dN, dB = gma.dims
     d = gma.dim
@@ -745,8 +741,8 @@ def decompose_trace_constructive(
     b_vals = _rows_by_block(gma, dB, {0: _moved(w["gamma_prime"])})
     back, back_ok = C.corner_rows_lifted(False, b_vals)
     fwd, fwd_ok = C.corner_rows_lifted(True, a_vals)
-    mu_rows, central = C.center_rows_lifted(
-        _diag_rows(gma, _add(ring, back, a_vals), _add(ring, b_vals, fwd))
+    mu_rows, central = C.span_lifted(
+        "z_g", _diag_rows(gma, _add(ring, back, a_vals), _add(ring, b_vals, fwd))
     )
     failure = _first_failed_check(
         (
@@ -768,8 +764,8 @@ def decompose_trace_constructive(
         _sub(ring, (pair_coefficients(ring, qt[0]), qt[1]), z_sym),
         (pair_coefficients(ring, mu_e[0]), mu_e[1]),
     )
-    nu_rows, central = C.center_rows_lifted(resid)
-    shape_report = _shape_laws(grid, w, C)
+    nu_rows, central = C.span_lifted("z_g", resid)
+    shape_report = _shape_laws(grid, w)
     witness = _witness(ring, w, side)
     if not central.all():
         n = int(np.argmax(~central))
@@ -788,7 +784,7 @@ def decompose_trace_constructive(
             report,
         )
     nu = symmetric_from_pairs(ring, d, _unlift(ring, *nu_rows))
-    form = ProperTraceForm(_values(ring, C.center_rows_lifted(z_vec)[0]), _values(ring, mu), nu)
+    form = ProperTraceForm(_values(ring, C.span_lifted("z_g", z_vec)[0]), _values(ring, mu), nu)
     if not form.matches(gma, q):
         raise ExactError("constructive form failed reconstruction (internal)")
     return ConstructiveDecomposition(
@@ -924,15 +920,13 @@ def decompose_lie_triple_iso(
 # ---------------------------------------------------------------------------
 
 
-def random_proper_trace(gma: GMA, C: CenterData | None, seed: int) -> BilinearMapRep:
+def random_proper_trace(gma: GMA, seed: int) -> BilinearMapRep:
     """q(x,y) = z(xy+yx)/2 + (mu(x)y + mu(y)x)/2 + nu_b(x,y) with z central
     and mu, nu_b center-valued, drawn from the seeded stream.  Its trace is
     z x^2 + mu(x) x + nu_b(x,x) — proper by construction, hence commuting."""
     ring, d = gma.ring, gma.dim
-    if C is None:
-        C = gma.center
     stream = XorShift64Star(seed)
-    zdim = C.zdim
+    zdim = gma.center.zdim
 
     def draw():
         return ring.array([ring.random_scalar(stream) for _ in range(zdim)])

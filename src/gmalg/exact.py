@@ -302,8 +302,7 @@ def nullspace_array(ring: RingDescriptor, mat: np.ndarray) -> np.ndarray:
 
     Row f is e_f - sum_k red[k, f] e_{piv_k}.  It is also the annihilator of
     the row span: ``nullspace_array(rows) @ v`` is zero iff v lies in the
-    span of rows, and for canonical RREF rows it is the residual of
-    ``row_span_residual`` read on the free columns.
+    span of rows, the package's one test of span membership.
     """
     rows, cols = np.shape(mat)
     red, piv, rank = rref_array(ring, mat)  # rref_array normalizes its own copy
@@ -443,28 +442,17 @@ def inverse_array(ring: RingDescriptor, mat: np.ndarray):
     return red[:, n:].copy()
 
 
-def row_span_residual(ring: RingDescriptor, basis_rows: np.ndarray, v: np.ndarray):
-    """(coords, residual) of v against a *canonical RREF* row basis.
-
-    The coordinates are v sampled at the pivot columns and the residual is
-    v minus their combination of the basis rows; it is zero iff v lies in
-    the span.  v may stack vectors along its leading axes.
-    """
-    basis_rows = ring.normalize(basis_rows)
-    v = ring.normalize(np.asarray(v))
-    if basis_rows.shape[0] == 0:
-        return ring.zeros(v.shape[:-1] + (0,)), v.copy()
-    nonzero = basis_rows != ring.zero
-    if not nonzero.any(axis=1).all():
-        raise ExactError("zero row in supposed basis")
-    coords = v[..., nonzero.argmax(axis=1)]
-    return coords, ring.normalize(v - ring.tensordot(coords, basis_rows, axes=([-1], [0])))
-
-
 def row_span_coords(ring: RingDescriptor, basis_rows: np.ndarray, v: np.ndarray):
-    """Coordinates of v in a *canonical RREF* row basis, or None if outside."""
-    coords, resid = row_span_residual(ring, basis_rows, v)
-    return coords if ring.is_zero(resid) else None
+    """Coordinates of v in a *canonical RREF* row basis, or None if outside.
+
+    The coordinates are v read at the pivot columns; v is inside iff the
+    annihilator ``nullspace_array(basis_rows)`` kills it.  v may stack
+    vectors along its leading axes, and is outside if any of them is.
+    """
+    v = ring.normalize(np.asarray(v))
+    if not ring.is_zero(ring.tensordot(v, nullspace_array(ring, basis_rows), axes=([-1], [1]))):
+        return None
+    return v[..., (basis_rows != 0).argmax(axis=1)] if basis_rows.size else v[..., :0]
 
 
 def row_space_equal(ring: RingDescriptor, rows_a: np.ndarray, rows_b: np.ndarray) -> bool:
@@ -474,13 +462,3 @@ def row_space_equal(ring: RingDescriptor, rows_a: np.ndarray, rows_b: np.ndarray
     if ra[2] != rb[2]:
         return False
     return bool(np.all(ra[0][: ra[2]] == rb[0][: rb[2]]))
-
-
-def row_space_contains(ring: RingDescriptor, span_rows: np.ndarray, cand_rows: np.ndarray) -> bool:
-    """Is every candidate row inside the row span?  rank test, exact."""
-    if cand_rows.size == 0:
-        return True
-    if span_rows.size == 0:
-        return ring.is_zero(cand_rows)
-    stacked = np.concatenate([span_rows, cand_rows], axis=0)
-    return rank_array(ring, span_rows) == rank_array(ring, stacked)

@@ -114,6 +114,22 @@ _META_FIELDS = {
 }
 
 
+def _check_full_matrix_meta(meta, dims):
+    """A full_matrix context is M_n split at k: 1 <= k <= n - 1, and the
+    blocks A, M, N, B have dimensions k^2, k(n-k), (n-k)k, (n-k)^2."""
+    for key in ("n", "k"):
+        _require(key in meta, f"meta.{key} is missing for a full_matrix context")
+    n, k = meta["n"], meta["k"]
+    _require(n >= 2, f"meta.n must be at least 2 for a full_matrix context, got {n}")
+    _require(1 <= k <= n - 1, f"meta.k must lie in 1..{n - 1} for n = {n}, got {k}")
+    want = (k * k, k * (n - k), (n - k) * k, (n - k) ** 2)
+    _require(
+        dims == want,
+        f"meta.n = {n} and meta.k = {k} need block dimensions (A, M, N, B) = {want}, "
+        f"the context has {dims}",
+    )
+
+
 def _get_dim(block, name):
     d = block.get("dim")
     _require(_is_size(d), f"{name}.dim must be a nonnegative int")
@@ -178,6 +194,8 @@ def context_from_json(doc: dict) -> MoritaContext:
     _require(isinstance(meta, dict), "meta must be a JSON object")
     for key, (ok, what) in _META_FIELDS.items():
         _require(key not in meta or ok(meta[key]), f"meta.{key} must be {what}")
+    if meta.get("builder") == "full_matrix":
+        _check_full_matrix_meta(meta, (dA, dM, dN, dB))
     try:
         A = AlgebraSpec(
             ring,
@@ -393,16 +411,12 @@ def load_map(path) -> MapDocument:
 
 def proper_form_to_json(gma: GMA, form) -> dict:
     ring = gma.ring
-    d = gma.dim
-    mu_cols = [form.mu_vec(gma, gma.basis_vector(i)) for i in range(d)]
-    mu_dense = ring.zeros((d, d))
-    for i, col in enumerate(mu_cols):
-        mu_dense[:, i] = col
-    nu = ring.tensordot(form.nu, gma.center.z_g, axes=([2], [0]))
+    z_g = gma.center.z_g
     return {
         "z": dense_to_json(ring, form.z_vec(gma)),
-        "mu_columns": dense_to_json(ring, mu_dense),
-        "nu": sparse_to_json(ring, nu),
+        # column i is mu(e_i) = z_g^T mu[:, i]
+        "mu_columns": dense_to_json(ring, ring.tensordot(z_g, form.mu, axes=([0], [0]))),
+        "nu": sparse_to_json(ring, ring.tensordot(form.nu, z_g, axes=([2], [0]))),
     }
 
 
@@ -413,23 +427,13 @@ def proper_form_from_json(gma: GMA, doc: dict):
 
     ring, d = gma.ring, gma.dim
     C = gma.center
-    z_vec = dense_from_json(ring, (d,), doc["z"])
-    z = C.center_coords(z_vec)
-    _require(z is not None, "stored z is not central")
-    mu_dense = dense_from_json(ring, (d, d), doc["mu_columns"])
-    mu = ring.zeros((C.zdim, d))
-    for i in range(d):
-        coords = C.center_coords(mu_dense[:, i])
-        _require(coords is not None, "stored mu column is not central")
-        mu[:, i] = coords
-    nu_dense = sparse_from_json(ring, (d, d, d), doc["nu"])
-    nu = ring.zeros((d, d, C.zdim))
-    for i in range(d):
-        for j in range(d):
-            coords = C.center_coords(nu_dense[i, j])
-            _require(coords is not None, "stored nu entry is not central")
-            nu[i, j] = coords
-    return ProperTraceForm(z, mu, nu)
+    z, central = C.center_rows(dense_from_json(ring, (d,), doc["z"]))
+    _require(central, "stored z is not central")
+    mu, central = C.center_rows(dense_from_json(ring, (d, d), doc["mu_columns"]).T)
+    _require(central.all(), "stored mu column is not central")
+    nu, central = C.center_rows(sparse_from_json(ring, (d, d, d), doc["nu"]))
+    _require(central.all(), "stored nu entry is not central")
+    return ProperTraceForm(z.copy(), mu.T.copy(), nu)
 
 
 def linear_rep_to_json(rep: LinearMapRep) -> dict:

@@ -721,11 +721,8 @@ def build_peirce(alg: AlgebraSpec, e, assume_prime: bool = False):
         return c
 
     def block_mul(U, V, W, what):
-        t = ring.zeros((U.shape[0], V.shape[0], W.shape[0]))
-        for i in range(U.shape[0]):
-            for j in range(V.shape[0]):
-                t[i, j] = coords_in(W, alg.multiply(U[i], V[j]), what)
-        return t
+        UV = ring.tensordot(U, ring.tensordot(V, alg.mul, axes=([1], [1])), axes=([1], [1]))
+        return coords_in(W, UV, what)  # UV[i, j] = U_i * V_j
 
     A = AlgebraSpec(ring, UA.shape[0], block_mul(UA, UA, UA, "A*A"), coords_in(UA, e, "e"))
     B = AlgebraSpec(ring, UB.shape[0], block_mul(UB, UB, UB, "B*B"), coords_in(UB, f, "f"))

@@ -100,7 +100,7 @@ def test_criterion_03_seeded_roundtrips_at_scale(m4, t3):
         system = build_generic_system(gma)
         report = hypothesis_report(gma)
         for seed in range(N_SEEDED_TRACES):
-            q = random_proper_trace(gma, gma.center, seed)
+            q = random_proper_trace(gma, seed)
             sym = q.symmetrize().tensor
             gen = decompose_trace_generic(q, gma, system=system, report=report)
             con = decompose_trace_constructive(q, gma, report=report)
@@ -118,7 +118,7 @@ def test_criterion_04_constructive_witness_sanity(m4):
     C = m4.center
     report = hypothesis_report(m4)
     for seed in range(N_SEEDED_TRACES):
-        q = random_proper_trace(m4, C, seed)
+        q = random_proper_trace(m4, seed)
         dec = decompose_trace_constructive(q, m4, report=report)
         assert dec.status == "ok"
         assert dec.shape_report["g-pattern"] and dec.shape_report["h-pattern"]
@@ -274,7 +274,7 @@ def test_criterion_09_both_rings_and_the_n2_gap(m2, m3, m3_space):
             system = build_generic_system(gma)
             report = hypothesis_report(gma)
             for seed in range(10):
-                q = random_proper_trace(gma, gma.center, seed)
+                q = random_proper_trace(gma, seed)
                 sym = q.symmetrize().tensor
                 gen = decompose_trace_generic(q, gma, system=system, report=report)
                 con = decompose_trace_constructive(q, gma, report=report)

@@ -188,6 +188,35 @@ def test_faithfulness_is_computed_once_per_algebra(monkeypatch, tmp_path, capsys
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("n, k", [(4, 2), (3, 1)], ids=["m4-side-a", "m3-side-b"])
+def test_decompositions_compute_no_center(monkeypatch, n, k):
+    """Z(G), Z(A) and Z(B) are computed with the center and the report;
+    the generic and the constructive routes, gamma systems included, read
+    them from there."""
+    from gmalg import decompose
+    from gmalg.decompose import (
+        decompose_trace_constructive,
+        decompose_trace_generic,
+        random_proper_trace,
+    )
+
+    gma = assemble_gma(build_full_matrix(n, k, F5))
+    gma.center, gma.report
+    calls = []
+
+    def counted(alg):
+        calls.append(alg)
+        return compute_center_algebra(alg)
+
+    for module in (center, decompose):
+        monkeypatch.setattr(module, "compute_center_algebra", counted, raising=False)
+    q = random_proper_trace(gma, 2)
+    assert decompose_trace_generic(q, gma).status == "ok"
+    dec = decompose_trace_constructive(q, gma)
+    assert dec.status == "ok" and dec.witness.side == ("A" if k > 1 else "B")
+    assert calls == []
+
+
 def test_loyal_statuses():
     assert check_loyal(build_full_matrix(3, 1, F5)).status == "true"
     assert check_loyal(build_upper_triangular(3, 1, F5)).status == "true"

@@ -234,7 +234,7 @@ def test_both_routes_keep_their_status_on_a_moved_trace(original):
     moved, P = transported(g.ctx, 1)
     h = assemble_gma(moved)
     G, G_inv = block_diagonal(ring, P, 0), block_diagonal(ring, P, 1)
-    q = random_proper_trace(g, None, seed=5)
+    q = random_proper_trace(g, seed=5)
     t = q.tensor.copy()
     t[0, 1, g.dim - 1] = t[0, 1, g.dim - 1] + ring.one
     traces = [q, BilinearMapRep(ring, t)]
@@ -301,7 +301,7 @@ def test_both_routes_return_the_moved_maps_for_a_moved_trace(seed):
     moved, P = transported(g.ctx, seed)
     h = assemble_gma(moved)
     G, G_inv = block_diagonal(ring, P, 0), block_diagonal(ring, P, 1)
-    q = random_proper_trace(g, None, seed=seed + 10)
+    q = random_proper_trace(g, seed=seed + 10)
     moved_q = BilinearMapRep(ring, transport(ring, q.tensor, G, G, G_inv))
     assert not ring.equal(moved_q.tensor, q.tensor)
     for route in (decompose_trace_generic, decompose_trace_constructive):

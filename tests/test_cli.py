@@ -251,7 +251,7 @@ def test_verify_map_kind_mismatch(t3_file, tmp_path):
 
 def test_decompose_trace_both_paths(t3_file, tmp_path, capsys):
     gma = assemble_gma(build_upper_triangular(3, 1, F5))
-    q = random_proper_trace(gma, gma.center, seed=6)
+    q = random_proper_trace(gma, seed=6)
     qpath = tmp_path / "q.json"
     save_map(qpath, MapDocument("bilinear", q, seed=6))
     out = tmp_path / "dec.json"
@@ -288,7 +288,7 @@ def test_decompose_trace_honours_loyalty_bound(tmp_path, capsys):
     save_context(ctx_path, ctx)
     gma = assemble_gma(ctx)
     qpath = tmp_path / "q.json"
-    save_map(qpath, MapDocument("bilinear", random_proper_trace(gma, gma.center, seed=1), seed=1))
+    save_map(qpath, MapDocument("bilinear", random_proper_trace(gma, seed=1), seed=1))
     assert main(["check", str(ctx_path), "--loyalty-bound", "1"]) == 0
     assert "decomposition-route: corner" in capsys.readouterr().out
     argv = ["decompose-trace", str(ctx_path), str(qpath), "--path", "generic"]
@@ -491,6 +491,34 @@ def test_map_commands_reject_a_boolean_index(t3_file, tmp_path, capsys):
         ["decompose-trace", t3_file, str(path)],
     ):
         assert_input_error(argv, capsys, "index out of range in record [True, 0, 0, 3]")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"n": 5}, "meta.n = 5 and meta.k = 1 need block dimensions"),
+        ({"n": 0}, "meta.n must be at least 2"),
+        ({"n": None}, "meta.n is missing"),
+        ({"k": None}, "meta.k is missing"),
+        ({"k": 2}, "meta.n = 3 and meta.k = 2 need block dimensions"),
+        ({"k": 3}, "meta.k must lie in 1..2"),
+    ],
+    ids=["n-5", "n-0", "no-n", "no-k", "k-2", "k-3"],
+)
+def test_full_matrix_meta_must_match_the_blocks(m3_file, tmp_path, capsys, change, message):
+    """The Lie triple generators read n and k of a full_matrix context; a
+    meta that does not describe M_n split at k exits 2 from every command
+    that reads the context."""
+    doc = json.loads(open(m3_file).read())
+    for key, value in change.items():
+        if value is None:
+            del doc["meta"][key]
+        else:
+            doc["meta"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["check", str(path)], ["suite", str(path), "--count", "1"]):
+        assert_input_error(argv, capsys, message)
 
 
 def document_files(tmp_path, ring):

@@ -160,7 +160,7 @@ def test_constructive_square_chain_on_t3_runs_through_b(t3):
 
 @pytest.mark.parametrize("seed", [1, 42])
 def test_seeded_roundtrip_m4(m4, seed):
-    q = random_proper_trace(m4, m4.center, seed)
+    q = random_proper_trace(m4, seed)
     sym = q.symmetrize().tensor
     gen = decompose_trace_generic(q, m4)
     con = decompose_trace_constructive(q, m4)
@@ -174,7 +174,7 @@ def test_seeded_roundtrip_m4(m4, seed):
 def test_seeded_roundtrip_rational_t3(seed):
     t3q = assemble_gma(build_upper_triangular(3, 1, RATIONAL))
     ring = t3q.ring
-    q = random_proper_trace(t3q, t3q.center, seed)
+    q = random_proper_trace(t3q, seed)
     sym = q.symmetrize().tensor
     gen = decompose_trace_generic(q, t3q)
     con = decompose_trace_constructive(q, t3q)
@@ -184,9 +184,9 @@ def test_seeded_roundtrip_rational_t3(seed):
 
 
 def test_random_proper_trace_is_seed_stable(m4):
-    a = random_proper_trace(m4, m4.center, 7)
-    b = random_proper_trace(m4, m4.center, 7)
-    c = random_proper_trace(m4, m4.center, 8)
+    a = random_proper_trace(m4, 7)
+    b = random_proper_trace(m4, 7)
+    c = random_proper_trace(m4, 8)
     assert F5.equal(a.tensor, b.tensor)
     assert not F5.equal(a.tensor, c.tensor)
     # proper by construction means commuting, not merely centralizing
@@ -194,7 +194,7 @@ def test_random_proper_trace_is_seed_stable(m4):
 
 
 def test_generic_solver_accepts_commuting_mode(t3):
-    q = random_proper_trace(t3, t3.center, 3)
+    q = random_proper_trace(t3, 3)
     dec = decompose_trace_generic(q, t3, mode="commuting")
     assert dec.status == "ok"
     assert F5.equal(dec.form.sym_tensor(t3), q.symmetrize().tensor)
@@ -203,7 +203,7 @@ def test_generic_solver_accepts_commuting_mode(t3):
 def test_shared_system_matches_fresh_solves(t3):
     system = build_generic_system(t3)
     for seed in (2, 3):
-        q = random_proper_trace(t3, t3.center, seed)
+        q = random_proper_trace(t3, seed)
         a = decompose_trace_generic(q, t3, system=system)
         b = decompose_trace_generic(q, t3)
         assert F5.equal(a.form.sym_tensor(t3), b.form.sym_tensor(t3))
@@ -230,7 +230,7 @@ def fresh_m3(split=1):
 
 def test_generic_system_is_factored_once_on_first_solve(monkeypatch):
     gma = fresh_m3()
-    traces = [random_proper_trace(gma, gma.center, seed) for seed in range(10)]
+    traces = [random_proper_trace(gma, seed) for seed in range(10)]
     shapes = count_reductions(monkeypatch)
     system = build_generic_system(gma)
     assert shapes == [] and "factor" not in vars(system)
@@ -292,14 +292,17 @@ def test_the_cache_is_built_on_first_use_and_read_only(ring, n, k):
     gma.center
     # the center is computed without the cache: set-up does not build it
     assert cached_arrays(gma) == {}
-    q = random_proper_trace(gma, None, seed=3)
+    q = random_proper_trace(gma, seed=3)
     for route in (decompose_trace_generic, decompose_trace_constructive):
         assert route(q, gma).status == "ok"
     l = random_lie_triple_iso(gma, 3)
     assert decompose_lie_triple_iso(l, gma, gma).status == "ok"
     found = cached_arrays(gma)
-    assert {"gma.lifted['mul'][0]", "center.lifted['annihilator'][0]"} <= set(found)
-    assert any(w.startswith(("A.cache", "B.cache")) for w in found)
+    assert {"gma.lifted['mul'][0]", "center.lifted['z_g'][3]"} <= set(found)
+    # Z(A), Z(B) and their annihilators live in the center's cache; a
+    # corner's cache holds the factored gamma system built from them
+    assert {"center.lifted['z_a'][3]", "center.lifted['z_b'][3]"} <= set(found)
+    assert any("central_multiples" in vars(c).get("cache", {}) for c in (gma.ctx.A, gma.ctx.B))
     for where, arr in found.items():
         assert not arr.flags.writeable, where
         if arr.size:
@@ -327,7 +330,7 @@ def test_a_round_trip_runs_one_centralizing_predicate_per_route(monkeypatch):
 
     monkeypatch.setattr(decompose, "is_centralizing_trace", counted)
     for seed in (1, 2, 3):
-        q = random_proper_trace(gma, None, seed=seed)
+        q = random_proper_trace(gma, seed=seed)
         calls.clear()
         for route in (decompose_trace_generic, decompose_trace_constructive):
             assert route(q, gma).status == "ok"
@@ -341,7 +344,7 @@ def test_a_round_trip_runs_one_centralizing_predicate_per_route(monkeypatch):
 
 def test_generic_system_of_a_larger_algebra_is_rejected(m4):
     gma = fresh_m3()
-    q = random_proper_trace(gma, gma.center, 4)
+    q = random_proper_trace(gma, 4)
     with pytest.raises(MapError, match="another algebra"):
         decompose_trace_generic(q, gma, system=m4.generic_system)
 
@@ -349,7 +352,7 @@ def test_generic_system_of_a_larger_algebra_is_rejected(m4):
 def test_generic_system_of_another_split_is_rejected():
     # same dimension, so the solve would run and wrongly say not-proper
     gma, other = fresh_m3(split=1), fresh_m3(split=2)
-    q = random_proper_trace(gma, gma.center, 4)
+    q = random_proper_trace(gma, 4)
     with pytest.raises(MapError, match="another algebra"):
         decompose_trace_generic(q, gma, system=build_generic_system(other))
     assert decompose_trace_generic(q, gma, system=build_generic_system(gma)).status == "ok"
@@ -369,9 +372,8 @@ def test_non_centralizing_trace_is_rejected_with_witness(m3):
 def test_witness_extraction_needs_a_centralizing_grid(m3):
     q = mul_map(m3)
     grid = extract_components(q, m3)
-    C = m3.center
-    w = extract_constructive_witness(q, m3, C=C, grid=grid)
-    rep = witness_shape_report(grid, w, C)
+    w = extract_constructive_witness(q, m3, grid=grid)
+    rep = witness_shape_report(grid, w)
     assert set(rep) == SHAPE_KEYS
     assert all(rep.values())
 

@@ -225,7 +225,7 @@ def test_map_document_rejects_mismatches():
 
 
 def test_proper_form_roundtrip(t3):
-    q = random_proper_trace(t3, t3.center, seed=5)
+    q = random_proper_trace(t3, seed=5)
     form = decompose_trace_generic(q, t3).form
     doc = proper_form_to_json(t3, form)
     back = proper_form_from_json(t3, doc)
@@ -234,7 +234,7 @@ def test_proper_form_roundtrip(t3):
 
 
 def test_proper_form_validates_centrality(m3):
-    q = random_proper_trace(m3, m3.center, seed=1)
+    q = random_proper_trace(m3, seed=1)
     form = decompose_trace_generic(q, m3).form
     doc = proper_form_to_json(m3, form)
     bad = dict(doc)

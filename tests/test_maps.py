@@ -12,7 +12,7 @@ from gmalg.decompose import (
     decompose_trace_generic,
     random_proper_trace,
 )
-from gmalg.exact import RATIONAL, prime_field, row_space_contains
+from gmalg.exact import RATIONAL, prime_field
 from gmalg.maps import (
     BilinearMapRep,
     LinearMapRep,
@@ -28,6 +28,7 @@ from gmalg.maps import (
     vanishes_on_second_commutators,
 )
 from gmalg.structure import assemble_gma, build_full_matrix, full_matrix_positions
+from test_oracles import row_space_contains
 
 F5 = prime_field(5)
 
@@ -294,7 +295,7 @@ def test_centralizing_trace_predicate_stays_small(m4):
     """The predicate applies the constraint operator as its nonzero entries
     (17,136 on M4(F_5)); gathering a block per realization, or the dense
     12240 x 2176 operator, would take megabytes."""
-    q = random_proper_trace(m4, None, seed=1)
+    q = random_proper_trace(m4, seed=1)
     assert is_centralizing_trace(m4, q)[0]  # the center and the tables, built once
     tracemalloc.start()
     try:

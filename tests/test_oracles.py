@@ -22,7 +22,9 @@ the Morita axioms is compared with one hand-written contraction per
 identity, law by law, on seeded mutations of the builder contexts.  Every
 test modulo a span reads the annihilator ``nullspace_array(rows)``; it is
 checked against the nullspace read-off loop, the greedy unit-vector
-complement it replaced and the rank tests of span containment.  They
+complement it replaced, the pivot read-back residual and the rank tests of
+span containment.  The center Z(G), a commutant, is checked against the
+intertwining system over pairs (a, b) it replaced.  They
 are kept here only as oracles.  Every comparison is literal: same keys in the same order, same
 dtype, same scalar type, same values, same witnesses.
 
@@ -44,7 +46,7 @@ from hypothesis import given, settings, strategies as st
 
 import pickle
 
-from gmalg import backend, decompose
+from gmalg import backend, decompose, exact
 from gmalg.center import (
     CenterError,
     ProperSpanReport,
@@ -87,10 +89,7 @@ from gmalg.exact import (
     nullspace_array,
     prime_field,
     rank_array,
-    row_space_contains,
     row_space_equal,
-    row_span_coords,
-    row_span_residual,
     rref_array,
     solve_array,
     solve_columns,
@@ -174,6 +173,44 @@ Q_LANE = {
 # ---------------------------------------------------------------------------
 # reference loops
 # ---------------------------------------------------------------------------
+
+
+# Span membership as it was decided before every span test read the
+# annihilator: the pivot read-back residual, and a rank test.
+
+
+def row_span_residual(ring, basis_rows, v):
+    """(coords, residual) of v against a *canonical RREF* row basis.
+
+    The coordinates are v sampled at the pivot columns and the residual is
+    v minus their combination of the basis rows; it is zero iff v lies in
+    the span.  v may stack vectors along its leading axes.
+    """
+    basis_rows = ring.normalize(basis_rows)
+    v = ring.normalize(np.asarray(v))
+    if basis_rows.shape[0] == 0:
+        return ring.zeros(v.shape[:-1] + (0,)), v.copy()
+    nonzero = basis_rows != ring.zero
+    if not nonzero.any(axis=1).all():
+        raise ExactError("zero row in supposed basis")
+    coords = v[..., nonzero.argmax(axis=1)]
+    return coords, ring.normalize(v - ring.tensordot(coords, basis_rows, axes=([-1], [0])))
+
+
+def row_span_coords(ring, basis_rows, v):
+    """Coordinates of v in a *canonical RREF* row basis, or None if outside."""
+    coords, resid = row_span_residual(ring, basis_rows, v)
+    return coords if ring.is_zero(resid) else None
+
+
+def row_space_contains(ring, span_rows, cand_rows) -> bool:
+    """Is every candidate row inside the row span?  rank test, exact."""
+    if cand_rows.size == 0:
+        return True
+    if span_rows.size == 0:
+        return ring.is_zero(cand_rows)
+    stacked = np.concatenate([span_rows, cand_rows], axis=0)
+    return rank_array(ring, span_rows) == rank_array(ring, stacked)
 
 
 def slow_cubic_trace_coefficients(carrier, bil):
@@ -564,7 +601,7 @@ def gma(request):
 def traces(gma):
     """A proper trace and a perturbed copy, each with its reference coefficients."""
     ring, d = gma.ring, gma.dim
-    proper = random_proper_trace(gma, None, seed=7)
+    proper = random_proper_trace(gma, seed=7)
     t = proper.tensor.copy()
     t[0, 1, d - 1] = t[0, 1, d - 1] + ring.one
     perturbed = BilinearMapRep(ring, t)
@@ -1583,7 +1620,7 @@ def centralizing_traces(gma):
     centralizing trace space is enumerable (F5, dim <= 12), its basis."""
     ring = gma.ring
     qs = [BilinearMapRep(ring, gma.mul)]
-    qs += [random_proper_trace(gma, None, seed) for seed in ((1, 2) if ring.p == 5 else (1,))]
+    qs += [random_proper_trace(gma, seed) for seed in ((1, 2) if ring.p == 5 else (1,))]
     basis = trace_space(gma, "centralizing").basis if ring.p == 5 and gma.dim <= 12 else []
     return qs, basis
 
@@ -1615,7 +1652,7 @@ def chain_perturbations(gma):
     at 1 and at j.  Then changed at (0, j, r) and (0, j + 1, r') with r != r',
     so that neighbouring basis vectors can fail different checks."""
     ring, d = gma.ring, gma.dim
-    base = random_proper_trace(gma, None, 7).tensor
+    base = random_proper_trace(gma, 7).tensor
     starts = sorted({o + k for o in gma.offsets for k in (0, 1) if o + k < d})
     rs = sorted(set(gma.offsets) - {d})
 
@@ -1695,7 +1732,7 @@ def test_constructive_chain_matches_loops_off_the_predicate(chain_instance, monk
                 assert pickle.dumps(fast) == pickle.dumps(slow)
             if isinstance(fast, Exception):
                 continue
-            laws = list(witness_shape_report(grid, fast, gma.center).items())
+            laws = list(witness_shape_report(grid, fast).items())
             assert laws == list(slow_witness_shape_report(grid, fast).items())
             want = fraction_witness_shape_report(gma, tensors, grid.pattern_violation, fast)
             assert laws == list(want.items())
@@ -1807,6 +1844,47 @@ def test_corner_isomorphism_matches_partner_solves(name):
     want = slow_corner_isomorphisms(gma)
     for got, ref in zip((C.pia_image, C.pib_image, C.phi, C.phi_inv), want):
         assert_identical(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# the center: the intertwining route
+# ---------------------------------------------------------------------------
+
+
+def slow_intertwining_center(gma):
+    """Z(G) from the intertwining system over pairs (a | b): a*m_j = m_j*b
+    and n_j*a = b*n_j, embedded as a + b and reduced.  This is the center
+    when M is faithful on both sides, as it is on every context whose
+    center exists (phi needs it)."""
+    ring, ctx = gma.ring, gma.ctx
+    dA, dM, dN, dB = gma.dims
+    ma = np.transpose(ctx.M.left, (1, 2, 0)).reshape(dM * dM, dA)
+    mb = np.transpose(ctx.M.right, (0, 2, 1)).reshape(dM * dM, dB)
+    na = np.transpose(ctx.N.right, (0, 2, 1)).reshape(dN * dN, dA)
+    nb = np.transpose(ctx.N.left, (1, 2, 0)).reshape(dN * dN, dB)
+    pairs = nullspace_array(ring, ring.normalize(np.block([[ma, -mb], [na, -nb]])))
+    z = ring.zeros((pairs.shape[0], gma.dim))
+    z[:, gma.block_slice(0)] = pairs[:, :dA]
+    z[:, gma.block_slice(3)] = pairs[:, dA:]
+    return slow_rref_rows(ring, z)
+
+
+INTERTWINING_INSTANCES = {
+    **INSTANCES,
+    **Q_LANE,
+    "scalar-gap-a-f5": lambda: build_scalar_gap_a(F5),
+    "scalar-gap-b-f5": lambda: build_scalar_gap_b(F5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERTWINING_INSTANCES))
+def test_center_is_the_intertwining_space(name):
+    """The commutant Z(G) is, bit for bit, the canonical basis of the
+    intertwining pairs, and every row is raw-central."""
+    gma = assemble_gma(INTERTWINING_INSTANCES[name]())
+    z_g = gma.center.z_g
+    assert_identical(z_g, slow_intertwining_center(gma))
+    assert gma.ring.is_zero(gma.ring.tensordot(z_g, _commutator_tensor(gma), axes=([1], [0])))
 
 
 # ---------------------------------------------------------------------------
@@ -2197,7 +2275,7 @@ def augmented_generic_system(name):
     trace appended, as one solve of the generic route reduces it."""
     g = assemble_gma(INSTANCES[name]())
     K = g.generic_system.matrix
-    rhs = pair_coefficients(g.ring, random_proper_trace(g, None, seed=3).tensor).reshape(K.shape[0])
+    rhs = pair_coefficients(g.ring, random_proper_trace(g, seed=3).tensor).reshape(K.shape[0])
     return np.concatenate([K, rhs[:, None]], axis=1)
 
 
@@ -2394,7 +2472,7 @@ def factored_system_rhs(g, mat, stream):
     rhs = [ring.tensordot(mat, draw(cols), axes=([1], [0])) for _ in range(3)]
     for seed in (3, 5):
         rhs.append(
-            pair_coefficients(g.ring, random_proper_trace(g, None, seed=seed).tensor).reshape(rows)
+            pair_coefficients(g.ring, random_proper_trace(g, seed=seed).tensor).reshape(rows)
         )
     shifted = rhs[-1].copy()
     shifted[stream.below(rows)] += ring.one
@@ -2477,7 +2555,7 @@ def test_q_contraction_matches_fraction_contraction_on_call_shapes():
     x = random_rationals(stream, (d,))
     MU = random_rationals(stream, (d, d))
     z = g.center.z_g[0] * Fraction(-3, 7)
-    q = random_proper_trace(g, None, seed=7).tensor
+    q = random_proper_trace(g, seed=7).tensor
     sym = mul + np.transpose(mul, (1, 0, 2))
     cases = [
         (mul, mul, ([2], [0])),  # associativity, both bracketings
@@ -2634,7 +2712,7 @@ def q_lane_traces(gma):
     stream = XorShift64Star(17)
     traces = {}
     for seed in (1, 2):
-        q = random_proper_trace(gma, None, seed=seed)
+        q = random_proper_trace(gma, seed=seed)
         t = q.tensor.copy()
         t[0, 1, d - 1] += Fraction(1, 3)
         traces[f"proper-{seed}"] = q
@@ -2947,6 +3025,41 @@ def test_row_span_residual_is_the_annihilator_on_free_columns(case):
     assert ring.is_zero(resid[:, list(piv)])
     ann = nullspace_array(ring, rows)
     assert_identical(resid[:, free], ring.tensordot(v, ann, axes=([1], [1])))
+
+
+@settings(deadline=None, max_examples=150)
+@given(span_and_vectors())
+def test_row_span_coords_reads_the_annihilator_as_the_residual_does(case):
+    ring, mat, v = case
+    red, piv, rank = rref_array(ring, mat)
+    rows = red[:rank]
+    for vec in v:
+        got, want = exact.row_span_coords(ring, rows, vec), row_span_coords(ring, rows, vec)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert_identical(got, want)
+
+
+@pytest.mark.parametrize("name", sorted({**INSTANCES, **Q_LANE}))
+def test_center_span_tests_match_the_residual(name):
+    """CenterData.span_lifted decides membership in each of the center's
+    five row sets with their annihilators: on seeded vectors and on
+    combinations of the rows it agrees with the pivot read-back residual,
+    coordinates included."""
+    g = assemble_gma({**INSTANCES, **Q_LANE}[name]())
+    ring, C = g.ring, g.center
+    stream = XorShift64Star(sum(map(ord, name)))
+    for rows_name in ("z_g", "z_a", "z_b", "pia_image", "pib_image"):
+        rows = getattr(C, rows_name)
+        k, width = rows.shape
+        draws = ring.array([[ring.random_scalar(stream) for _ in range(width)] for _ in range(4)])
+        combos = ring.tensordot(draws[:, :k], rows, axes=([1], [0]))
+        v = np.concatenate([draws, combos])
+        coords, resid = row_span_residual(ring, rows, v)
+        (n, L), inside = C.span_lifted(rows_name, _lift(ring, v))
+        assert inside.tolist() == (~np.any(resid != ring.zero, axis=-1)).tolist()
+        assert inside[len(draws) :].all()
+        assert_identical(_unlift(ring, n, L), coords)
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
