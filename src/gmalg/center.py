@@ -34,7 +34,7 @@ from .exact import (
 from .maps import (
     _arrangement_table,
     _bracket_action,
-    _jordan_tensor,
+    _product_tensors,
     constraint_matrix,
 )
 from .rng import XorShift64Star
@@ -340,11 +340,11 @@ class ProperSpanReport:
     dim_proper: int
 
 
-def check_all_commuting_proper(alg) -> ProperSpanReport:
-    """Is every commuting linear map of the form x -> z*x + eta(x)?  (span test)"""
+def check_all_commuting_proper(alg, z_rows: np.ndarray) -> ProperSpanReport:
+    """Is every commuting linear map of the form x -> z*x + eta(x), with
+    z_rows the canonical basis of Z(alg) (a corner's from CenterData)?"""
     ring, d = alg.ring, alg.dim
     comm = commuting_linear_space(alg)
-    z_rows = compute_center_algebra(alg)
     gens = proper_linear_generators(alg, z_rows)
     span = ring.zeros((len(gens), d * d))
     for i, F in enumerate(gens):
@@ -456,7 +456,7 @@ def check_identity_42(gma, seed: int = 1729):
 def central_jordan_radical(gma) -> np.ndarray:
     ring, d = gma.ring, gma.dim
     S = gma.center.z_g.copy()
-    sym = _jordan_tensor(gma)
+    sym = _unlift(ring, *_product_tensors(gma)["jordan"])
     while S.shape[0]:
         T = ring.tensordot(S, sym, axes=([1], [1]))  # [s, i, r] = (S_s o e_i)_r
         # sum_s c_s S_s o e_i stays in S iff S's annihilator kills it
@@ -688,8 +688,8 @@ def hypothesis_report(gma: GMA, loyalty_bound: int = 5**8, seed: int = 0) -> Hyp
         zA_ne_A=zA.shape[0] < ctx.A.dim,
         zB_eq_piB=spans_equal(zB, C.pib_image),
         zB_ne_B=zB.shape[0] < ctx.B.dim,
-        commuting_proper_on_A=check_all_commuting_proper(ctx.A),
-        commuting_proper_on_B=check_all_commuting_proper(ctx.B),
+        commuting_proper_on_A=check_all_commuting_proper(ctx.A, zA),
+        commuting_proper_on_B=check_all_commuting_proper(ctx.B, zB),
         central_over_R=central,
         b_central_over_R=b_unit_central,
         prop322_m0b0=_search_independent_pair(gma, seed),

@@ -34,6 +34,7 @@ from .exact import (
     _lift,
     _scaled_equal,
     _sub,
+    _td,
     _unlift,
     inverse_array,
     rank_array,
@@ -42,6 +43,7 @@ from .maps import (
     BilinearMapRep,
     LinearMapRep,
     MapError,
+    _product_tensors,
     is_centralizing_trace,
     is_commuting_trace,
     is_jordan_hom,
@@ -138,7 +140,7 @@ def extract_components(q: BilinearMapRep, gma: GMA, centralizing: bool | None = 
         raise MapError("bilinear map shape does not match the algebra")
     if centralizing is None:
         centralizing = is_centralizing_trace(gma, q)[0]
-    return _component_grid(gma, _lift(gma.ring, q.tensor), centralizing)
+    return _component_grid(gma, q.lifted, centralizing)
 
 
 def _component_grid(gma: GMA, q, centralizing: bool) -> ComponentGrid:
@@ -216,7 +218,7 @@ class ProperTraceForm:
         """Does the form reconstruct q's trace: is twice sym_tensor q + q^T?"""
         ring = gma.ring
         doubled, L = self._doubled_tensor(gma)
-        t, lq = _lift(ring, q.tensor)
+        t, lq = q.lifted
         return _scaled_equal(ring, doubled, L, ring.normalize(t + np.transpose(t, (1, 0, 2))), lq)
 
     def _doubled_tensor(self, gma: GMA):
@@ -231,14 +233,14 @@ class ProperTraceForm:
         # nu is read on i <= j and mirrored, so only its symmetric use counts
         upper = np.triu(np.ones((gma.dim, gma.dim), dtype=bool))[:, :, None]
         nu = np.where(upper, nu, np.transpose(nu, (1, 0, 2)))
-        sym = _products(gma)[0][0]
+        sym, ls = _product_tensors(gma)["jordan"]
         z_mul = td(td(z, z_g, axes=([0], [0])), mul, axes=([0], [0]))  # [k] = z e_k
-        zxy = td(sym, z_mul, axes=([2], [0]))  # over lz lg lm^2
+        zxy = td(sym, z_mul, axes=([2], [0]))  # over lz lg lm ls
         P = td(td(mu, z_g, axes=([0], [0])), mul, axes=([1], [0]))  # mu(e_i) e_j, over lu lg lm
         nu = td(nu, z_g, axes=([2], [0]))  # over ln lg
         # every part is over lg times its own scale
         parts = [
-            (zxy, lz * lm * lm),
+            (zxy, lz * lm * ls),
             (ring.normalize(P + np.transpose(P, (1, 0, 2))), lu * lm),
             (ring.normalize(nu * 2), ln),
         ]
@@ -251,14 +253,14 @@ class ProperTraceForm:
 class _GenericSystem:
     """The (pairs*dim) x (zdim*(1 + dim + npairs)) coefficient matrix of
     v_ij = z*(e_i e_j + e_j e_i) + mu(e_i)e_j + mu(e_j)e_i + nu_ij, built
-    once per algebra and reused for every decomposition on it.
+    once per algebra and reused for every decomposition on it.  Its z-block
+    reads the pair layout e_i e_j + e_j e_i of ``maps._product_tensors``.
 
     Each solve goes through a factorization made on the first solve that
     needs it, not when the system is built."""
 
     gma: GMA
     matrix: np.ndarray
-    sym_products: np.ndarray  # (npairs, dim): e_i e_j + e_j e_i (diag: e_i^2)
 
     @property
     def zdim(self):
@@ -284,10 +286,9 @@ def build_generic_system(gma: GMA) -> _GenericSystem:
     npairs = len(I)
     n = np.arange(npairs)
     off = I != J
-    mul = gma.mul
-    sym = pair_coefficients(ring, mul)
+    sym = _unlift(ring, *_product_tensors(gma)["pairs"])
     # ZB[t, j] = zeta_t * e_j  (center times basis, as vectors)
-    ZB = ring.tensordot(zg, mul, axes=([1], [0]))  # (t, j, r)
+    ZB = ring.tensordot(zg, gma.mul, axes=([1], [0]))  # (t, j, r)
     # K[pair, r, column block, t]; blocks: z, mu(e_0..e_d-1), nu(pairs)
     K = ring.zeros((npairs, d, 1 + d + npairs, zdim))
     K[:, :, 0, :] = np.transpose(ring.tensordot(sym, ZB, axes=([1], [1])), (0, 2, 1))
@@ -295,7 +296,7 @@ def build_generic_system(gma: GMA) -> _GenericSystem:
     K[n, :, 1 + I, :] = np.transpose(ZB[:, J, :], (1, 2, 0))
     K[n[off], :, 1 + J[off], :] = np.transpose(ZB[:, I[off], :], (1, 2, 0))
     K[n, :, 1 + d + n, :] = zg.T
-    return _GenericSystem(gma, K.reshape(npairs * d, (1 + d + npairs) * zdim), sym)
+    return _GenericSystem(gma, K.reshape(npairs * d, (1 + d + npairs) * zdim))
 
 
 def _solution_to_form(gma: GMA, sol: np.ndarray) -> ProperTraceForm:
@@ -348,7 +349,7 @@ def decompose_trace_generic(
         report = gma.report
     if system is None:
         system = gma.generic_system
-    t, L = _lift(gma.ring, q.tensor)
+    t, L = q.lifted
     rhs = pair_coefficients(gma.ring, t).reshape(system.matrix.shape[0])
     sol, L, ok = system.factor.solve_lifted(rhs, L)
     if not ok:
@@ -389,11 +390,6 @@ class ConstructiveWitness:
     side: str  # "A" | "B" | "fallback"
 
 
-def _td(ring, a, b, axes):
-    """tensordot of lifted a = (n, L) and b = (m, K): (contraction, L * K)."""
-    return _contract(ring, a[0], b[0], axes), a[1] * b[1]
-
-
 def _moved(v, axes=None):
     """np.transpose of lifted v."""
     return np.transpose(v[0], axes), v[1]
@@ -422,18 +418,6 @@ def _rows_by_block(gma: GMA, width: int, parts: dict):
     for block, n in zip(parts, ns):
         out[gma.block_slice(block)] = n
     return out, L
-
-
-def _products(gma: GMA):
-    """(mul + mul^T, its pair layout e_i e_j + e_j e_i, diag e_i^2), each
-    lifted over mul's scale; built once per algebra."""
-
-    def build():
-        mul, L = gma.lifted["mul"]
-        jordan = gma.ring.normalize(mul + np.transpose(mul, (1, 0, 2)))
-        return (jordan, L), (pair_coefficients(gma.ring, mul), L)
-
-    return gma.cached("products", build)
 
 
 def _first_failed_check(checks):
@@ -723,7 +707,7 @@ def decompose_trace_constructive(
         report = gma.report
     # q is lifted once; the chain, mu and nu run on integers over Q, and
     # only the returned witness, form and violation are built as ring values
-    qt = _lift(ring, q.tensor)
+    qt = q.lifted
     grid = _component_grid(gma, qt, True)
     w, side = _witness_chain(gma, grid, report)
     td = partial(_td, ring)
@@ -756,7 +740,7 @@ def decompose_trace_constructive(
 
     # nu := T_q - z x^2 - mu(x) x, coefficientwise on every pair at once
     mul = gma.lifted["mul"]
-    pairs = _products(gma)[1]  # e_i e_j + e_j e_i (diag: e_i^2)
+    pairs = _product_tensors(gma)["pairs"]  # e_i e_j + e_j e_i (diag: e_i^2)
     z_sym = td(pairs, td(z_vec, mul, ([0], [0])), ([1], [0]))
     mu_e = td(td(mu, C.lifted["z_g"][:2], ([0], [0])), mul, ([1], [0]))  # mu(e_i) e_j
     resid = _sub(

@@ -222,6 +222,11 @@ def _contract(ring: RingDescriptor, a: np.ndarray, b: np.ndarray, axes) -> np.nd
     return ring.normalize(np.tensordot(a, b, axes=axes))
 
 
+def _td(ring: RingDescriptor, a, b, axes):
+    """_contract of lifted a = (n, L) and b = (m, K): (contraction, L * K)."""
+    return _contract(ring, a[0], b[0], axes), a[1] * b[1]
+
+
 def _scaled_equal(ring: RingDescriptor, a: np.ndarray, la: int, b: np.ndarray, lb: int) -> bool:
     """Is a / la == b / lb cell by cell, for lifted a and b?  Decided as
     a * lb == b * la, on the integers themselves over Q."""
@@ -453,12 +458,3 @@ def row_span_coords(ring: RingDescriptor, basis_rows: np.ndarray, v: np.ndarray)
     if not ring.is_zero(ring.tensordot(v, nullspace_array(ring, basis_rows), axes=([-1], [1]))):
         return None
     return v[..., (basis_rows != 0).argmax(axis=1)] if basis_rows.size else v[..., :0]
-
-
-def row_space_equal(ring: RingDescriptor, rows_a: np.ndarray, rows_b: np.ndarray) -> bool:
-    """Do two row collections span the same subspace?  (unique RREF compare)"""
-    ra = rref_array(ring, rows_a) if rows_a.size else (rows_a, (), 0)
-    rb = rref_array(ring, rows_b) if rows_b.size else (rows_b, (), 0)
-    if ra[2] != rb[2]:
-        return False
-    return bool(np.all(ra[0][: ra[2]] == rb[0][: rb[2]]))

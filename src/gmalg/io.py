@@ -245,28 +245,6 @@ def load_context(path) -> MoritaContext:
     return context_from_json(_load_json(path))
 
 
-def contexts_equal(a: MoritaContext, b: MoritaContext) -> bool:
-    ring = a.ring
-    if ring_to_json(ring) != ring_to_json(b.ring):
-        return False
-    return (
-        a.A.dim == b.A.dim
-        and a.B.dim == b.B.dim
-        and a.M.dim == b.M.dim
-        and a.N.dim == b.N.dim
-        and ring.equal(a.A.mul, b.A.mul)
-        and ring.equal(a.A.unit, b.A.unit)
-        and ring.equal(a.B.mul, b.B.mul)
-        and ring.equal(a.B.unit, b.B.unit)
-        and ring.equal(a.M.left, b.M.left)
-        and ring.equal(a.M.right, b.M.right)
-        and ring.equal(a.N.left, b.N.left)
-        and ring.equal(a.N.right, b.N.right)
-        and ring.equal(a.pairing_MN, b.pairing_MN)
-        and ring.equal(a.pairing_NM, b.pairing_NM)
-    )
-
-
 # ---------------------------------------------------------------------------
 # standalone algebras (input format for the Peirce-split generator)
 # ---------------------------------------------------------------------------

@@ -11,20 +11,23 @@ produces the same witness for the same input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from .exact import (
     ExactError,
     RingDescriptor,
+    _common,
     _contract,
     _lift,
     _sparse_times,
+    _td,
     _unlift,
     nullspace_array,
     rank_array,
 )
+from .structure import _freeze, _read_only
 
 
 class MapError(ExactError):
@@ -55,16 +58,18 @@ class LinearMapRep:
         return self.ring.tensordot(self.matrix, np.asarray(x), axes=([1], [0]))
 
     def compose(self, other: "LinearMapRep") -> "LinearMapRep":
-        if self.dim_in != other.dim_out:
-            raise MapError("composition shape mismatch")
+        if self.ring != other.ring or self.dim_in != other.dim_out:
+            raise MapError("composition needs one ring and matching shapes")
         return LinearMapRep(
             self.ring, self.ring.tensordot(self.matrix, other.matrix, axes=([1], [0]))
         )
 
     def __add__(self, other):
+        _check_operands(self.ring, other.ring, self.matrix, other.matrix)
         return LinearMapRep(self.ring, self.ring.normalize(self.matrix + other.matrix))
 
     def __sub__(self, other):
+        _check_operands(self.ring, other.ring, self.matrix, other.matrix)
         return LinearMapRep(self.ring, self.ring.normalize(self.matrix - other.matrix))
 
     def scale(self, c) -> "LinearMapRep":
@@ -72,9 +77,7 @@ class LinearMapRep:
         return LinearMapRep(self.ring, self.ring.normalize(self.matrix * c))
 
     def equal(self, other) -> bool:
-        return self.matrix.shape == other.matrix.shape and self.ring.equal(
-            self.matrix, other.matrix
-        )
+        return self.ring == other.ring and self.ring.equal(self.matrix, other.matrix)
 
     def is_injective(self) -> bool:
         return rank_array(self.ring, self.matrix) == self.dim_in
@@ -93,15 +96,23 @@ class LinearMapRep:
 
 @dataclass(eq=False)
 class BilinearMapRep:
-    """A bilinear map as a (dim_in1, dim_in2, dim_out) coefficient tensor."""
+    """A bilinear map as a (dim_in1, dim_in2, dim_out) coefficient tensor,
+    read-only (a copy where ``normalize`` hands back the caller's array)."""
 
     ring: RingDescriptor
     tensor: np.ndarray
 
     def __post_init__(self):
-        self.tensor = self.ring.normalize(np.asarray(self.tensor))
+        tensor = self.ring.normalize(np.asarray(self.tensor))
+        self.tensor = _freeze(tensor) if tensor is self.tensor else _read_only(tensor)
         if self.tensor.ndim != 3:
             raise MapError("bilinear map wants a 3-D tensor")
+
+    @cached_property
+    def lifted(self):
+        """The tensor lifted (exact._lift) and read-only, built on first use:
+        the one lift every predicate, grid and reconstruction check reads."""
+        return _read_only(_lift(self.ring, self.tensor))
 
     @property
     def shape(self):
@@ -122,19 +133,25 @@ class BilinearMapRep:
         return BilinearMapRep(self.ring, sym)
 
     def equal(self, other) -> bool:
-        return self.tensor.shape == other.tensor.shape and self.ring.equal(
-            self.tensor, other.tensor
-        )
+        return self.ring == other.ring and self.ring.equal(self.tensor, other.tensor)
 
     def __add__(self, other):
+        _check_operands(self.ring, other.ring, self.tensor, other.tensor)
         return BilinearMapRep(self.ring, self.ring.normalize(self.tensor + other.tensor))
 
     def __sub__(self, other):
+        _check_operands(self.ring, other.ring, self.tensor, other.tensor)
         return BilinearMapRep(self.ring, self.ring.normalize(self.tensor - other.tensor))
 
     @classmethod
     def zero(cls, ring, d1, d2, dout):
         return cls(ring, ring.zeros((d1, d2, dout)))
+
+
+def _check_operands(ring, other_ring, a, b):
+    """Map arithmetic needs one ring and one shape: numpy would broadcast."""
+    if ring != other_ring or a.shape != b.shape:
+        raise MapError(f"maps over {ring} and {other_ring} of shapes {a.shape} and {b.shape}")
 
 
 def _grid_values(ring):
@@ -219,14 +236,24 @@ def constraint_matrix(ring, degree: int, act: np.ndarray) -> np.ndarray:
     return K
 
 
-def _commutator_tensor(carrier):
-    """[t, k, r] = [e_t, e_k]_r."""
-    return carrier.ring.normalize(carrier.mul - np.transpose(carrier.mul, (1, 0, 2)))
+def _product_tensors(carrier) -> dict:
+    """The tensors derived from the product, lifted (exact._lift) over its
+    scale and built once per carrier (``cached``): "commutator" [t, k, r] =
+    [e_t, e_k]_r, "jordan" (e_t e_k + e_k e_t)_r and "pairs" [n, r] =
+    (e_i e_j + e_j e_i)_r for the n-th pair of pair_index_order (e_i^2 on
+    the diagonal)."""
+    return carrier.cached("products", partial(_build_product_tensors, carrier))
 
 
-def _jordan_tensor(carrier):
-    """[t, k, r] = (e_t o e_k)_r = (e_t e_k + e_k e_t)_r."""
-    return carrier.ring.normalize(carrier.mul + np.transpose(carrier.mul, (1, 0, 2)))
+def _build_product_tensors(carrier) -> dict:
+    ring = carrier.ring
+    mul, L = _lift(ring, carrier.mul)
+    swapped = np.transpose(mul, (1, 0, 2))
+    return {
+        "commutator": (ring.normalize(mul - swapped), L),
+        "jordan": (ring.normalize(mul + swapped), L),
+        "pairs": (pair_coefficients(ring, mul), L),
+    }
 
 
 def _bracket_action(carrier, centralizing: bool):
@@ -234,8 +261,7 @@ def _bracket_action(carrier, centralizing: bool):
     coordinate q, or read through the center's annihilator when
     centralizing, so that it vanishes iff the bracket is central."""
     ring = carrier.ring
-    mul, L = _lift(ring, carrier.mul)
-    Bk = ring.normalize(mul - np.transpose(mul, (1, 0, 2)))
+    Bk, L = _product_tensors(carrier)["commutator"]
     if centralizing:
         ann, La = _lift(ring, carrier.center.annihilator)
         Bk, L = _contract(ring, Bk, ann, axes=([2], [1])), L * La
@@ -345,7 +371,7 @@ def _pair_layout(carrier, bil: BilinearMapRep):
     d = carrier.dim
     if bil.tensor.shape != (d, d, d):
         raise MapError(f"bilinear map has shape {bil.tensor.shape}, the algebra wants {(d, d, d)}")
-    return pair_coefficients(carrier.ring, _lift(carrier.ring, bil.tensor)[0])
+    return pair_coefficients(carrier.ring, bil.lifted[0])
 
 
 def is_commuting_trace(carrier, bil: BilinearMapRep):
@@ -364,25 +390,29 @@ def is_centralizing_trace(gma, bil: BilinearMapRep):
 
 
 def _second_commutator_tensor(carrier):
-    """[i, j, k, r] = [[e_i, e_j], e_k]_r, built once per carrier (``cached``)."""
+    """[i, j, k, r] = [[e_i, e_j], e_k]_r, lifted, built once per carrier (``cached``)."""
 
     def build():
-        Bk = _commutator_tensor(carrier)
-        return carrier.ring.tensordot(Bk, Bk, axes=([2], [0]))
+        Bk = _product_tensors(carrier)["commutator"]
+        return _td(carrier.ring, Bk, Bk, axes=([2], [0]))
 
     return carrier.cached("second_commutators", build)
 
 
-def _image_products(ring, P, F: np.ndarray):
-    """[i, j, r] = P(F e_i, F e_j)_r for a bilinear P given as an (a, b, r) tensor."""
-    t = ring.tensordot(F, P, axes=([0], [0]))  # (i, b, r)
-    return np.transpose(ring.tensordot(t, F, axes=([1], [0])), (0, 2, 1))
+def _image_products(ring, P, F):
+    """[i, j, r] = P(F e_i, F e_j)_r for a bilinear P given as an (a, b, r)
+    tensor, P and F lifted."""
+    t = _td(ring, F, P, axes=([0], [0]))  # (i, b, r)
+    n, L = _td(ring, t, F, axes=([1], [0]))
+    return np.transpose(n, (0, 2, 1)), L
 
 
 def _first_failure(src, lhs, rhs, offset: int):
-    """(ok, witness) for lhs == rhs over index tuples (i, j, ...) with
-    j >= i + offset: the witness is the basis vectors of the first failing
-    tuple in C order, the tuple a loop over i, then j, then k stops at."""
+    """(ok, witness) for lhs == rhs, both lifted, over index tuples
+    (i, j, ...) with j >= i + offset: the witness is the basis vectors of
+    the first failing tuple in C order, the tuple a loop over i, then j,
+    then k stops at."""
+    (lhs, rhs), _ = _common(lhs, rhs)
     d = src.dim
     mask = np.triu(np.ones((d, d), dtype=bool), offset)
     mask = mask.reshape(mask.shape + (1,) * (lhs.ndim - 3))
@@ -396,8 +426,9 @@ def is_jordan_hom(src, dst, F: LinearMapRep):
     """F(x*y + y*x) = F(x)F(y) + F(y)F(x) on all basis pairs.  (ok, witness)."""
     ring = dst.ring
     _require_shape(F, dst.dim, src.dim)
-    lhs = ring.tensordot(_jordan_tensor(src), F.matrix, axes=([2], [1]))
-    rhs = _image_products(ring, _jordan_tensor(dst), F.matrix)
+    f = _lift(ring, F.matrix)
+    lhs = _td(ring, _product_tensors(src)["jordan"], f, axes=([2], [1]))
+    rhs = _image_products(ring, _product_tensors(dst)["jordan"], f)
     return _first_failure(src, lhs, rhs, 0)
 
 
@@ -405,19 +436,21 @@ def is_lie_triple_hom(src, dst, F: LinearMapRep):
     """F([[x, y], z]) = [[F(x), F(y)], F(z)] on all basis triples.  (ok, witness)."""
     ring = dst.ring
     _require_shape(F, dst.dim, src.dim)
-    lhs = ring.tensordot(_second_commutator_tensor(src), F.matrix, axes=([3], [1]))
-    Bd = _commutator_tensor(dst)
-    inner = _image_products(ring, Bd, F.matrix)  # (i, j, m) = [F e_i, F e_j]_m
-    outer = ring.tensordot(Bd, F.matrix, axes=([1], [0]))  # (m, r, k) = [e_m, F e_k]_r
-    rhs = np.transpose(ring.tensordot(inner, outer, axes=([2], [0])), (0, 1, 3, 2))
-    return _first_failure(src, lhs, rhs, 1)
+    f = _lift(ring, F.matrix)
+    lhs = _td(ring, _second_commutator_tensor(src), f, axes=([3], [1]))
+    Bd = _product_tensors(dst)["commutator"]
+    inner = _image_products(ring, Bd, f)  # (i, j, m) = [F e_i, F e_j]_m
+    outer = _td(ring, Bd, f, axes=([1], [0]))  # (m, r, k) = [e_m, F e_k]_r
+    n, L = _td(ring, inner, outer, axes=([2], [0]))
+    return _first_failure(src, lhs, (np.transpose(n, (0, 1, 3, 2)), L), 1)
 
 
 def vanishes_on_second_commutators(src, F: LinearMapRep):
     """F([[x, y], z]) = 0 on all basis triples.  (ok, witness)."""
     _require_shape(F, F.dim_out, src.dim)
-    lhs = F.ring.tensordot(_second_commutator_tensor(src), F.matrix, axes=([3], [1]))
-    return _first_failure(src, lhs, F.ring.zero, 1)
+    f = _lift(F.ring, F.matrix)
+    lhs = _td(F.ring, _second_commutator_tensor(src), f, axes=([3], [1]))
+    return _first_failure(src, lhs, (0, 1), 1)
 
 
 # ---------------------------------------------------------------------------

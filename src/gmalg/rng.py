@@ -48,13 +48,3 @@ class XorShift64Star:
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % n
-
-    def nonzero_below(self, n: int) -> int:
-        while True:
-            v = self.below(n)
-            if v:
-                return v
-
-    def spawn(self, salt: int) -> "XorShift64Star":
-        """Derive an independent stream (used to give sub-tasks their own seed)."""
-        return XorShift64Star(self.next_u64() ^ (salt * 0x9E3779B97F4A7C15 & _MASK))

@@ -616,11 +616,6 @@ def build_upper_triangular(n: int, k: int, ring: RingDescriptor) -> MoritaContex
     return _corner_split(n, k, ring, True, {"builder": "upper_triangular", "n": n, "k": k})
 
 
-def triangular_positions(n: int, k: int):
-    """Global (row, col) of each GMA coordinate for a triangular build."""
-    return [rc for block in _block_positions(n, k, True) for rc in block]
-
-
 def build_inflated(ring: RingDescriptor, dim_v: int, gamma) -> MoritaContext:
     """One-dimensional corners R, a space V on both off-diagonals, and a
     symmetric bilinear form gamma giving both pairings.

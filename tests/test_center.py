@@ -66,7 +66,8 @@ def test_commuting_linear_space_on_m2():
     # scalar multiples + maps into the scalars: 1 + 4 dimensions
     mats = commuting_linear_space(make_matrix_algebra(2, F5))
     assert len(mats) == 5
-    rep = check_all_commuting_proper(make_matrix_algebra(2, F5))
+    alg = make_matrix_algebra(2, F5)
+    rep = check_all_commuting_proper(alg, compute_center_algebra(alg))
     assert rep.ok
     assert rep.dim_commuting == 5 and rep.dim_proper == 5
 
@@ -215,6 +216,21 @@ def test_decompositions_compute_no_center(monkeypatch, n, k):
     dec = decompose_trace_constructive(q, gma)
     assert dec.status == "ok" and dec.witness.side == ("A" if k > 1 else "B")
     assert calls == []
+
+
+def test_the_report_reads_the_corner_centers_from_the_center(monkeypatch):
+    """Z(G), Z(A) and Z(B) are computed once, with the center; the report's
+    proper-commuting checks read Z(A) and Z(B) from it."""
+    calls = []
+
+    def counted(alg):
+        calls.append(alg)
+        return compute_center_algebra(alg)
+
+    monkeypatch.setattr(center, "compute_center_algebra", counted)
+    gma = assemble_gma(build_full_matrix(4, 2, F5))
+    gma.center, gma.report
+    assert calls == [gma, gma.ctx.A, gma.ctx.B]
 
 
 def test_loyal_statuses():

@@ -315,6 +315,70 @@ def test_the_cache_is_built_on_first_use_and_read_only(ring, n, k):
         assert gma.center.lifted["z_g"][0] is gma.center.z_g
 
 
+def test_a_warm_round_trip_lifts_its_trace_once(monkeypatch):
+    """Both routes, their predicates, the grid, the right-hand side and
+    both reconstruction checks read one lift of q (exact.clear_denominators
+    of its 729 cells), not one each."""
+    from gmalg import exact
+
+    gma = assemble_gma(build_full_matrix(3, 1, RATIONAL))
+    routes = (decompose_trace_generic, decompose_trace_constructive)
+    for route in routes:
+        assert route(random_proper_trace(gma, seed=1), gma).status == "ok"
+    sizes = []
+    clear = exact.clear_denominators
+
+    def counted(a):
+        sizes.append(np.size(a))
+        return clear(a)
+
+    q = random_proper_trace(gma, seed=2)
+    monkeypatch.setattr(exact, "clear_denominators", counted)
+    for route in routes:
+        assert route(q, gma).status == "ok"
+    assert sizes.count(gma.dim**3) == 1
+
+
+def test_a_warm_lie_triple_split_builds_no_product_tensor(monkeypatch):
+    """The commutator, Jordan and pair tensors are built once per algebra:
+    a second split, with its three hom predicates, adds nothing to any
+    cache and builds none of them."""
+    from gmalg import maps
+
+    gma = assemble_gma(build_full_matrix(3, 1, F5))
+    carriers = (gma, gma.ctx.A, gma.ctx.B)
+    assert decompose_lie_triple_iso(random_lie_triple_iso(gma, 1), gma, gma).status == "ok"
+    keys = [set(vars(c).get("cache", {})) for c in carriers]
+    assert "products" in keys[0]
+    builds = []
+    build = maps._build_product_tensors
+
+    def counted(carrier):
+        builds.append(carrier)
+        return build(carrier)
+
+    monkeypatch.setattr(maps, "_build_product_tensors", counted)
+    l = random_lie_triple_iso(gma, 2, shape="central-shift")
+    assert decompose_lie_triple_iso(l, gma, gma).status == "ok"
+    assert builds == []
+    assert [set(vars(c).get("cache", {})) for c in carriers] == keys
+
+
+@pytest.mark.parametrize("ring", [F5, RATIONAL], ids=["f5", "q"])
+def test_a_bilinear_map_freezes_its_tensor_not_the_callers(ring):
+    gma = assemble_gma(build_full_matrix(3, 1, ring))
+    given = random_proper_trace(gma, seed=4).tensor.copy()
+    q = BilinearMapRep(ring, given)
+    assert given.flags.writeable and not q.tensor.flags.writeable
+    with pytest.raises(ValueError):
+        q.tensor[0, 0, 0] = q.tensor[0, 0, 0]
+    n, L = q.lifted
+    assert q.lifted is q.lifted and not n.flags.writeable
+    assert ring.equal(q.tensor, given) and ring.equal(n, given * L)
+    given[0, 0, 0] = given[0, 0, 0] + 1
+    assert not ring.equal(q.tensor, given)
+
+
 def test_a_round_trip_runs_one_centralizing_predicate_per_route(monkeypatch):
     """The routes share immutable per-algebra data, never a verdict: each
     still runs its own predicate on its own input, warm cache or not."""

@@ -21,12 +21,11 @@ from gmalg.exact import (
     rank_array,
     ring_from_json,
     ring_to_json,
-    row_space_equal,
     row_span_coords,
     rref_array,
     solve_array,
 )
-from test_oracles import row_space_contains
+from test_oracles import row_space_contains, row_space_equal
 
 F5 = prime_field(5)
 F7 = prime_field(7)

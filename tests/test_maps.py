@@ -79,6 +79,42 @@ def test_bilinear_rep_trace_eval(t2):
     assert F5.equal(s.trace_eval(x), q.trace_eval(x))
 
 
+F7 = prime_field(7)
+MISMATCHED_OPERANDS = {
+    "linear-shape": lambda: (LinearMapRep(F5, F5.eye(3)), LinearMapRep(F5, F5.zeros((1, 3)))),
+    "linear-ring": lambda: (LinearMapRep(F5, F5.eye(3)), LinearMapRep(F7, F7.eye(3))),
+    "bilinear-shape": lambda: (
+        BilinearMapRep(F5, F5.zeros((2, 2, 2))),
+        BilinearMapRep(F5, F5.zeros((1, 2, 2))),
+    ),
+    "bilinear-ring": lambda: (
+        BilinearMapRep(F5, F5.zeros((2, 2, 2))),
+        BilinearMapRep(RATIONAL, RATIONAL.zeros((2, 2, 2))),
+    ),
+}
+
+
+@pytest.mark.parametrize("op", ["add", "sub"])
+@pytest.mark.parametrize("case", sorted(MISMATCHED_OPERANDS))
+def test_map_arithmetic_rejects_mismatched_operands(case, op):
+    """numpy would broadcast a (1, 3) matrix onto a (3, 3) one silently."""
+    a, b = MISMATCHED_OPERANDS[case]()
+    with pytest.raises(MapError):
+        a + b if op == "add" else a - b
+
+
+def test_composition_rejects_another_ring():
+    with pytest.raises(MapError, match="one ring"):
+        LinearMapRep.identity(F5, 3).compose(LinearMapRep.identity(F7, 3))
+
+
+def test_maps_over_different_rings_are_not_equal():
+    assert not LinearMapRep.identity(F5, 3).equal(LinearMapRep.identity(F7, 3))
+    assert LinearMapRep.identity(F5, 3).equal(LinearMapRep.identity(F5, 3))
+    a, b = MISMATCHED_OPERANDS["bilinear-ring"]()
+    assert not a.equal(b) and a.equal(BilinearMapRep(F5, F5.zeros((2, 2, 2))))
+
+
 def test_pair_index_order():
     assert pair_index_order(3) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 

@@ -41,21 +41,3 @@ def test_below_stays_in_range(seed, n):
 def test_below_rejects_nonpositive():
     with pytest.raises(ValueError):
         XorShift64Star(1).below(0)
-
-
-def test_nonzero_below_never_zero():
-    s = XorShift64Star(7)
-    draws = [s.nonzero_below(5) for _ in range(60)]
-    assert all(1 <= v < 5 for v in draws)
-    # with 60 draws over 4 values we should see more than one value
-    assert len(set(draws)) > 1
-
-
-def test_spawn_diverges_from_parent_and_siblings():
-    base = XorShift64Star(3)
-    a = base.spawn(0)
-    b = base.spawn(1)
-    va = [a.next_u64() for _ in range(4)]
-    vb = [b.next_u64() for _ in range(4)]
-    assert va != vb
-    assert va != [XorShift64Star(3).next_u64() for _ in range(4)]
