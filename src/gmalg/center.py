@@ -150,28 +150,16 @@ class CenterData:
         """The annihilator applied to v: zero iff v is central."""
         return self.ring.tensordot(self.annihilator, np.asarray(v), axes=([1], [0]))
 
-    def _corner_values(self, forward: bool, v):
-        v = self.ring.normalize(np.asarray(v))
-        image, inside = self.corner_rows_lifted(forward, _lift(self.ring, v))
-        return _unlift(self.ring, *image), inside
-
-    def phi_rows(self, a_rows):
-        """(phi of each A-corner vector stacked along a_rows' leading axes,
-        whether it lies in pi_A(Z)); a vector outside gets a meaningless value."""
-        return self._corner_values(True, a_rows)
-
-    def phi_inv_rows(self, b_rows):
-        """phi^-1 row by row, as phi_rows, on B-corner vectors and pi_B(Z)."""
-        return self._corner_values(False, b_rows)
-
     def phi_apply(self, a_vec):
         """Apply the corner isomorphism to an A-corner vector; None off the span."""
-        out, inside = self.phi_rows(a_vec)
-        return out if inside else None
+        v = _lift(self.ring, self.ring.normalize(a_vec))
+        image, inside = self.corner_rows_lifted(True, v)
+        return _unlift(self.ring, *image) if inside else None
 
     def phi_inv_apply(self, b_vec):
-        out, inside = self.phi_inv_rows(b_vec)
-        return out if inside else None
+        v = _lift(self.ring, self.ring.normalize(b_vec))
+        image, inside = self.corner_rows_lifted(False, v)
+        return _unlift(self.ring, *image) if inside else None
 
 
 def check_faithful(ctx: MoritaContext):
@@ -258,6 +246,18 @@ def _digits_le(n: int, base: int, width: int):
 
 def check_loyal(ctx: MoritaContext, bound: int = 5**8) -> LoyaltyResult:
     """Exhaustive enumeration over F_p (bounded), structural certificates over Q."""
+    return _loyalty(ctx, bound, lambda: check_faithful(ctx)[:2])
+
+
+def gma_loyalty(gma: GMA, bound: int = 5**8) -> LoyaltyResult:
+    """check_loyal of gma's context; over Q its certificates read the
+    faithfulness of M that gma.center holds instead of computing it again."""
+    C = gma.center
+    return _loyalty(gma.ctx, bound, lambda: (C.faithful_left, C.faithful_right))
+
+
+def _loyalty(ctx: MoritaContext, bound: int, faithful) -> LoyaltyResult:
+    """check_loyal, with faithful() giving M's (left, right) faithfulness."""
     ring = ctx.ring
     dA, dB, dM = ctx.A.dim, ctx.B.dim, ctx.M.dim
     if dM == 0:
@@ -266,7 +266,7 @@ def check_loyal(ctx: MoritaContext, bound: int = 5**8) -> LoyaltyResult:
             "M = 0: the unit pair already annihilates it",
         )
     if not ring.is_prime_field:
-        left_ok, right_ok, _ = check_faithful(ctx)
+        left_ok, right_ok = faithful()
         if dA == 1 and right_ok:
             return LoyaltyResult("true", None, "dim A = 1 and M right-faithful")
         if dB == 1 and left_ok:
@@ -683,7 +683,7 @@ def hypothesis_report(gma: GMA, loyalty_bound: int = 5**8, seed: int = 0) -> Hyp
         morita_ok=True,  # a GMA comes only from assemble_gma, which checks the laws
         M_faithful_left=C.faithful_left,
         M_faithful_right=C.faithful_right,
-        M_loyal=check_loyal(ctx, loyalty_bound),
+        M_loyal=gma_loyalty(gma, loyalty_bound),
         zA_eq_piA=spans_equal(zA, C.pia_image),
         zA_ne_A=zA.shape[0] < ctx.A.dim,
         zB_eq_piB=spans_equal(zB, C.pib_image),

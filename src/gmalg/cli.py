@@ -20,8 +20,8 @@ from .center import (
     center_zero_divisor_free,
     central_jordan_radical,
     check_identity_42,
-    check_loyal,
     cube_annihilating_forms_contained,
+    gma_loyalty,
     hypothesis_report,
 )
 from .decompose import (
@@ -48,6 +48,7 @@ from .io import (
     save_json,
 )
 from .maps import (
+    LinearMapRep,
     MapError,
     is_centralizing_linear,
     is_centralizing_trace,
@@ -219,7 +220,7 @@ def cmd_center(args) -> int:
     except (CenterError, ExactError) as e:
         _print([f"center computation failed: {e}"])
         return 1
-    loyal = check_loyal(gma.ctx, bound=args.loyalty_bound)
+    loyal = gma_loyalty(gma, bound=args.loyalty_bound)
     lines = [
         f"center-dim: {C.zdim}",
     ]
@@ -608,28 +609,25 @@ def _suite_properties(gma: GMA, ctx, args):
         return "PASS", f"{args.count} seeded traces"
 
     def p_lti():
-        if ctx.meta.get("builder") != "full_matrix":
-            return "SKIP", "needs a full-matrix instance"
-        n = ctx.meta["n"]
-        expected = {"conjugation": 1, "neg-antiauto": -1, "central-shift": 1}
-        note = ""
-        if ring.is_prime_field and (1 + n) % ring.p == 0:
-            # x -> uxu^-1 + trace(x)I is singular when 1 + n vanishes
-            del expected["central-shift"]
-            note = f"; central-shift left out: 1 + n = {1 + n} vanishes mod {ring.p}"
-        for shape, lam in sorted(expected.items()):
-            l = random_lie_triple_iso(gma, args.seed + 11, shape=shape)
+        # a split is ambiguous for every map of the drawn form when it is for
+        # the identity; otherwise it recovers the drawn sign, sigma and shift
+        ident = LinearMapRep.identity(ring, gma.dim)
+        ambiguous = decompose_lie_triple_iso(ident, gma, gma, report=hyp).status == "ambiguous"
+        seed = args.seed + 11
+        sigma = random_lie_triple_iso(gma, seed, "conjugation")
+        for shape, lam in (("central-shift", 1), ("conjugation", 1), ("neg-conjugation", -1)):
+            l = random_lie_triple_iso(gma, seed, shape)
             L = decompose_lie_triple_iso(l, gma, gma, report=hyp)
-            if n == 2:
+            if ambiguous:
                 if L.status != "ambiguous":
-                    return "FAIL", f"{shape}: expected sign ambiguity at n=2, got {L.status}"
-                continue
-            if L.status != "ok" or L.lam != lam:
+                    return "FAIL", f"{shape}: the identity split is ambiguous, got {L.status}"
+            elif L.status != "ok" or L.lam != lam:
                 return "FAIL", f"{shape}: status {L.status}, sign {L.lam}"
-        if n == 2:
-            return "PASS", "n=2: both signs consistent, reported as ambiguous" + note
-        count = "three" if len(expected) == 3 else "two"
-        return "PASS", f"{count} shapes, expected signs{note}"
+            elif not (L.m.equal(sigma) and L.n.equal(l - sigma.scale(ring.coerce(lam)))):
+                return "FAIL", f"{shape}: the split is not the drawn conjugation and shift"
+        if ambiguous:
+            return "PASS", "identity and three shapes ambiguous: both signs consistent"
+        return "PASS", "three shapes, expected signs"
 
     return [
         ("axioms-and-file-roundtrip", p_axioms),
@@ -762,6 +760,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for name, low in (("count", 1), ("max_dim", 0), ("loyalty_bound", 0)):
+        if getattr(args, name, low) < low:
+            sys.stderr.write(f"error: --{name.replace('_', '-')} must be at least {low}\n")
+            return 2
     try:
         return args.func(args)
     except (IOFormatError, ExactError, MapError, AxiomError) as e:

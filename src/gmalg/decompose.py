@@ -37,6 +37,7 @@ from .exact import (
     _td,
     _unlift,
     inverse_array,
+    nullspace_array,
     rank_array,
 )
 from .maps import (
@@ -44,6 +45,7 @@ from .maps import (
     LinearMapRep,
     MapError,
     _product_tensors,
+    _second_commutator_tensor,
     is_centralizing_trace,
     is_commuting_trace,
     is_jordan_hom,
@@ -54,7 +56,7 @@ from .maps import (
     vanishes_on_second_commutators,
 )
 from .rng import XorShift64Star
-from .structure import GMA
+from .structure import GMA, full_matrix_positions
 
 
 class PredicateNotSatisfied(MapError):
@@ -287,8 +289,8 @@ def build_generic_system(gma: GMA) -> _GenericSystem:
     n = np.arange(npairs)
     off = I != J
     sym = _unlift(ring, *_product_tensors(gma)["pairs"])
-    # ZB[t, j] = zeta_t * e_j  (center times basis, as vectors)
-    ZB = ring.tensordot(zg, gma.mul, axes=([1], [0]))  # (t, j, r)
+    # ZB[t, j, r] = (zeta_t * e_j)_r  (center times basis, as vectors)
+    ZB = _unlift(ring, *_td(ring, _lift(ring, zg), gma.lifted_mul, axes=([1], [0])))
     # K[pair, r, column block, t]; blocks: z, mu(e_0..e_d-1), nu(pairs)
     K = ring.zeros((npairs, d, 1 + d + npairs, zdim))
     K[:, :, 0, :] = np.transpose(ring.tensordot(sym, ZB, axes=([1], [1])), (0, 2, 1))
@@ -926,67 +928,53 @@ def random_proper_trace(gma: GMA, seed: int) -> BilinearMapRep:
     return BilinearMapRep(ring, ProperTraceForm(z, mu, nu).sym_tensor(gma))
 
 
-def _matrix_meta(gma: GMA):
-    meta = gma.ctx.meta
-    if meta.get("builder") != "full_matrix":
-        raise MapError("this generator needs a full-matrix split instance")
-    return meta["n"]
-
-
 def random_lie_triple_iso(gma: GMA, seed: int, shape: str = "conjugation") -> LinearMapRep:
-    """Seeded Lie triple isomorphisms on full-matrix split instances.
+    """Seeded Lie triple isomorphisms of gma, drawn from the algebra itself.
 
-    shapes: "conjugation" (x -> uxu^-1), "neg-antiauto" (x -> -x^T),
-    "central-shift" (x -> uxu^-1 + trace(x)I; bijective since 1 + n != 0).
-    The emitted map is verified invertible and second-commutator-preserving.
+    shapes: "conjugation" sigma(x) = u x u^-1 for a seeded unit u of gma,
+    "neg-conjugation" -sigma, "central-shift" sigma(x) + tau(x) 1 with tau a
+    seeded nonzero functional that kills every second commutator, and
+    "neg-antiauto" x -> -x^T, the one shape that needs a full-matrix split
+    instance.  det(I + 1 tau^T) = 1 + tau(1), so tau is drawn again while
+    tau(1) = -1.  u is drawn first: a seed's "conjugation" is the Jordan part
+    of its "neg-conjugation" and "central-shift".  The emitted map is verified
+    invertible and second-commutator-preserving.
     """
-    from .structure import full_matrix_positions
-
     ring, d = gma.ring, gma.dim
-    n = _matrix_meta(gma)
-    positions = full_matrix_positions(n, gma.ctx.meta["k"])
-    stream = XorShift64Star(seed)
-
-    def to_matrix(v):
-        X = ring.zeros((n, n))
-        for idx, (r, c) in enumerate(positions):
-            X[r, c] = v[idx]
-        return X
-
-    def to_coords(X):
-        v = ring.zeros(d)
-        for idx, (r, c) in enumerate(positions):
-            v[idx] = X[r, c]
-        return v
-
     if shape == "neg-antiauto":
-        cols = [to_coords(ring.normalize(-to_matrix(gma.basis_vector(i)).T)) for i in range(d)]
-        mat = np.stack(cols, axis=1)
-    elif shape in ("conjugation", "central-shift"):
-        U = None
+        meta = gma.ctx.meta
+        if meta.get("builder") != "full_matrix":
+            raise MapError("neg-antiauto needs a full-matrix split instance")
+        positions = full_matrix_positions(meta["n"], meta["k"])
+        coord = {rc: i for i, rc in enumerate(positions)}
+        mat = ring.zeros((d, d))
+        mat[[coord[c, r] for r, c in positions], np.arange(d)] = ring.neg(ring.one)
+    elif shape in ("conjugation", "neg-conjugation", "central-shift"):
+        stream = XorShift64Star(seed)
         for _ in range(64):
-            cand = ring.array(
-                [[ring.random_scalar(stream) for _ in range(n)] for _ in range(n)]
-            )
-            if inverse_array(ring, cand) is not None:
-                U = cand
+            u = ring.array([ring.random_scalar(stream) for _ in range(d)])
+            left = gma.left_mult_matrix(u)
+            left_inv = inverse_array(ring, left)
+            if left_inv is not None:
                 break
-        if U is None:
-            raise ExactError("no invertible conjugator found in 64 draws")
-        Uinv = inverse_array(ring, U)
-        if shape == "central-shift" and ring.is_zero(
-            ring.normalize(ring.coerce(1) + ring.coerce(n) * ring.one)
-        ):
-            raise ExactError("1 + n vanishes; the shifted map would be singular")
-        cols = []
-        for i in range(d):
-            X = to_matrix(gma.basis_vector(i))
-            Y = ring.tensordot(ring.tensordot(U, X, axes=([1], [0])), Uinv, axes=([1], [0]))
-            if shape == "central-shift":
-                tr = sum(X[r, r] for r in range(n))
-                Y = ring.normalize(Y + ring.eye(n) * tr)
-            cols.append(to_coords(ring.normalize(Y)))
-        mat = np.stack(cols, axis=1)
+        else:
+            raise ExactError("no unit found in 64 draws")
+        u_inv = ring.tensordot(left_inv, gma.unit, axes=([1], [0]))
+        mat = ring.tensordot(left, gma.right_mult_matrix(u_inv), axes=([1], [0]))
+        if shape == "neg-conjugation":
+            mat = ring.normalize(-mat)
+        elif shape == "central-shift":
+            S, L = _second_commutator_tensor(gma)
+            taus = nullspace_array(ring, _unlift(ring, S.reshape(-1, d), L))
+            for _ in range(64):
+                c = ring.array([ring.random_scalar(stream) for _ in range(len(taus))])
+                tau = ring.tensordot(c, taus, axes=([0], [0]))
+                tau_one = ring.tensordot(tau, gma.unit, axes=([0], [0]))
+                if not ring.is_zero(tau) and not ring.is_zero(tau_one + ring.one):
+                    break
+            else:
+                raise ExactError("no nonzero tau with tau(1) != -1 found in 64 draws")
+            mat = ring.normalize(mat + np.multiply.outer(gma.unit, tau))
     else:
         raise MapError(f"unknown shape {shape!r}")
     l = LinearMapRep(ring, mat)
@@ -996,4 +984,3 @@ def random_lie_triple_iso(gma: GMA, seed: int, shape: str = "conjugation") -> Li
     if not ok:
         raise ExactError("generated map fails the second-commutator predicate (internal)")
     return l
-

@@ -247,7 +247,7 @@ def _product_tensors(carrier) -> dict:
 
 def _build_product_tensors(carrier) -> dict:
     ring = carrier.ring
-    mul, L = _lift(ring, carrier.mul)
+    mul, L = carrier.lifted_mul
     swapped = np.transpose(mul, (1, 0, 2))
     return {
         "commutator": (ring.normalize(mul - swapped), L),

@@ -101,6 +101,12 @@ class _MulCarrier:
         center), each stored by ``cached`` on first use."""
         return {}
 
+    @cached_property
+    def lifted_mul(self):
+        """The product tensor lifted (exact._lift) and read-only: the one lift
+        of ``mul`` per carrier, which every reader of the lifted product shares."""
+        return _read_only(_lift(self.ring, self.mul))
+
     def cached(self, key, build):
         """The per-algebra value under key: build() on first use, then the
         same value, its arrays read-only."""
@@ -455,10 +461,7 @@ class GMA(_MulCarrier):
         itself with scale 1."""
         c = self.ctx
         tensors = {
-            "mul": self.mul,
-            "A.mul": c.A.mul,
             "A.unit": c.A.unit,
-            "B.mul": c.B.mul,
             "B.unit": c.B.unit,
             "M.left": c.M.left,
             "M.right": c.M.right,
@@ -467,7 +470,8 @@ class GMA(_MulCarrier):
             "pairing_MN": c.pairing_MN,
             "pairing_NM": c.pairing_NM,
         }
-        return {name: _read_only(_lift(self.ring, t)) for name, t in tensors.items()}
+        lifted = {name: _read_only(_lift(self.ring, t)) for name, t in tensors.items()}
+        return {"mul": self.lifted_mul, "A.mul": c.A.lifted_mul, "B.mul": c.B.lifted_mul, **lifted}
 
 
 def assemble_gma(ctx: MoritaContext) -> GMA:

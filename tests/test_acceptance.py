@@ -134,10 +134,11 @@ def test_criterion_04_constructive_witness_sanity(m4):
 
 
 def test_criterion_05_lie_triple_pipeline(m3):
-    """Conjugations split with sign +1 and zero central part; composing a
-    trace shift surfaces n(x) = tr(x)*1 exactly; the negated transpose
-    returns sign -1 with the transpose as Jordan part.  In every case m is
-    a Jordan isomorphism onto, with m(1) = 1."""
+    """Conjugations split with sign +1 and zero central part; a drawn central
+    shift surfaces exactly as n, a nonzero multiple of x -> tr(x)*1, with the
+    same seed's conjugation as Jordan part; the negated transpose returns
+    sign -1 with the transpose as Jordan part.  In every case m is a Jordan
+    isomorphism onto, with m(1) = 1."""
     pos = full_matrix_positions(3, 1)
     coord_of = {rc: i for i, rc in enumerate(pos)}
     tr = F5.zeros(m3.dim)
@@ -159,9 +160,14 @@ def test_criterion_05_lie_triple_pipeline(m3):
         side_conditions(dec)
 
     for seed in range(N_SEEDED_ISOS):
-        dec = decompose_lie_triple_iso(random_lie_triple_iso(m3, seed, "central-shift"), m3, m3)
+        l = random_lie_triple_iso(m3, seed, "central-shift")
+        sigma = random_lie_triple_iso(m3, seed, "conjugation")
+        dec = decompose_lie_triple_iso(l, m3, m3)
         assert dec.status == "ok" and dec.lam == 1
-        assert F5.equal(dec.n.matrix, shift_matrix)
+        assert dec.m.equal(sigma)
+        assert F5.equal(dec.n.matrix, F5.normalize(l.matrix - sigma.matrix))
+        c = dec.n.matrix[0, 0]
+        assert c != 0 and F5.equal(dec.n.matrix, F5.normalize(c * shift_matrix))
         side_conditions(dec)
 
     tau = F5.zeros((m3.dim, m3.dim))

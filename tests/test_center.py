@@ -175,18 +175,23 @@ def test_faithfulness_is_computed_once_per_algebra(monkeypatch, tmp_path, capsys
         return check_faithful(ctx)
 
     monkeypatch.setattr(center, "check_faithful", counted)
-    gma = assemble_gma(build_full_matrix(4, 2, F5))
-    report = hypothesis_report(gma)
-    assert check_loyal(gma.ctx).status == "true"
-    assert len(calls) == 1
-    verdict = check_faithful(gma.ctx)[:2]
-    assert (gma.center.faithful_left, gma.center.faithful_right) == verdict
-    assert (report.M_faithful_left, report.M_faithful_right) == verdict
-    path = tmp_path / "m4.json"
-    save_context(path, gma.ctx)
-    assert main(["center", str(path)]) == 0
-    assert "faithful: left=True right=True" in capsys.readouterr().out.splitlines()
-    assert len(calls) == 2
+    # over Q the loyalty certificates read the faithfulness the center holds
+    for ctx in (build_full_matrix(4, 2, F5), build_full_matrix(3, 1, RATIONAL)):
+        calls.clear()
+        gma = assemble_gma(ctx)
+        report = hypothesis_report(gma)
+        assert report.M_loyal.status == "true"
+        assert len(calls) == 1
+        verdict = check_faithful(gma.ctx)[:2]
+        assert (gma.center.faithful_left, gma.center.faithful_right) == verdict
+        assert (report.M_faithful_left, report.M_faithful_right) == verdict
+        path = tmp_path / "ctx.json"
+        save_context(path, gma.ctx)
+        assert main(["center", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "faithful: left=True right=True" in lines
+        assert f"loyal: true ({report.M_loyal.detail})" in lines
+        assert len(calls) == 2
 
 
 @pytest.mark.parametrize("n, k", [(4, 2), (3, 1)], ids=["m4-side-a", "m3-side-b"])

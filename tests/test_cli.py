@@ -27,8 +27,11 @@ from gmalg.structure import (
     assemble_gma,
     build_diagonal_pair,
     build_full_matrix,
+    build_inflated,
+    build_peirce,
     build_upper_triangular,
     make_matrix_algebra,
+    make_triangular_algebra,
 )
 from gmalg.decompose import random_lie_triple_iso, random_proper_trace
 
@@ -402,18 +405,43 @@ def test_suite_skips_with_reasons_on_non_loyal_instance(tmp_path, capsys):
     assert "0 failed" in out
 
 
-def test_suite_leaves_out_the_central_shift_when_one_plus_n_vanishes(tmp_path, capsys):
-    # over F_5 the central shift x -> uxu^-1 + trace(x)I of M_4 is singular
-    ctx_path = tmp_path / "m4.json"
-    argv = ["gen", "--kind", "full-matrix", "--ring", "fp:5", "--n", "4", "--split", "2"]
-    assert main(argv + ["-o", str(ctx_path)]) == 0
-    capsys.readouterr()
-    assert main(["suite", str(ctx_path), "--count", "2"]) == 0
+def peirce_context(alg, idempotent_coords):
+    e = alg.ring.zeros(alg.dim)
+    e[list(idempotent_coords)] = alg.ring.one
+    return build_peirce(alg, e)[0]
+
+
+SPLIT = "PASS lie-triple-split-shapes (three shapes, expected signs)"
+AMBIGUOUS = (
+    "PASS lie-triple-split-shapes (identity and three shapes ambiguous: both signs consistent)"
+)
+# every builder: the split recovers the drawn sign, conjugation and shift,
+# or is ambiguous for every drawn map exactly when it is for the identity
+LTI_CONTEXTS = {
+    "m2-f5": (lambda: build_full_matrix(2, 1, F5), AMBIGUOUS),
+    "m3-f5": (lambda: build_full_matrix(3, 1, F5), SPLIT),
+    "m4-f5": (lambda: build_full_matrix(4, 2, F5), SPLIT),
+    "t2-f5": (lambda: build_upper_triangular(2, 1, F5), AMBIGUOUS),
+    "t3-f5": (lambda: build_upper_triangular(3, 1, F5), SPLIT),
+    "t4-split2-f5": (lambda: build_upper_triangular(4, 2, F5), SPLIT),
+    "diagonal-f5": (lambda: build_diagonal_pair(F5), AMBIGUOUS),
+    "diagonal-k3-f7": (lambda: build_diagonal_pair(prime_field(7), 3), AMBIGUOUS),
+    "inflated-f5": (lambda: build_inflated(F5, 1, F5.eye(1)), AMBIGUOUS),
+    "peirce-m3-f5": (lambda: peirce_context(make_matrix_algebra(3, F5), [0]), SPLIT),
+    "peirce-t4-f5": (lambda: peirce_context(make_triangular_algebra(4, F5), [0, 4]), SPLIT),
+    "m3-q": (lambda: build_full_matrix(3, 1, RATIONAL), SPLIT),
+    "t3-q": (lambda: build_upper_triangular(3, 1, RATIONAL), SPLIT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LTI_CONTEXTS))
+def test_suite_splits_lie_triple_isomorphisms_on_every_builder(name, tmp_path, capsys):
+    build, line = LTI_CONTEXTS[name]
+    path = tmp_path / f"{name}.json"
+    save_context(path, build())
+    assert main(["suite", str(path), "--count", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert (
-        "PASS lie-triple-split-shapes (two shapes, expected signs; "
-        "central-shift left out: 1 + n = 5 vanishes mod 5)"
-    ) in lines
+    assert line in lines
     assert "0 failed" in lines[-1]
 
 
@@ -450,6 +478,21 @@ def test_unknown_predicate_is_an_argparse_error(m3_file, tmp_path):
     with pytest.raises(SystemExit) as e:
         main(["verify-map", m3_file, "nope.json", "--predicate", "sideways"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("suite", "--count", "0"),
+        ("suite", "--count", "-1"),
+        ("suite", "--max-dim", "-1"),
+        ("suite", "--loyalty-bound", "-1"),
+        ("check", "--loyalty-bound", "-5"),
+        ("center", "--loyalty-bound", "-1"),
+    ],
+)
+def test_out_of_range_counts_and_bounds_exit_two(m3_file, capsys, command, flag, value):
+    assert_input_error([command, m3_file, flag, value], capsys, f"{flag} must be at least")
 
 
 def test_missing_file_is_exit_two(capsys):
@@ -619,14 +662,14 @@ PASS center-zero-divisor-free
 PASS central-jordan-radical-zero
 PASS commuting-maps-proper-on-a-corner (A=True B=True)
 PASS cube-annihilating-forms-contained
-SKIP lie-triple-split-shapes (needs a full-matrix instance)
+PASS lie-triple-split-shapes (three shapes, expected signs)
 PASS loyalty-certificate (enumeration over 4 candidates)
 PASS second-commutator-identity-dichotomy (fails with verified witness)
 PASS seeded-proper-roundtrip-constructive (2 seeded traces)
 PASS seeded-proper-roundtrip-generic (2 seeded traces)
 PASS trace-space-decomposes (dim 28)
 PASS trace-space-modes-agree (shared dim 28)
-suite: 14 passed, 0 failed, 1 skipped [seed 0]
+suite: 15 passed, 0 failed, 0 skipped [seed 0]
 """,
     ("m3-f5", "check"): """\
 morita axioms: pass

@@ -339,6 +339,24 @@ def test_a_warm_round_trip_lifts_its_trace_once(monkeypatch):
     assert sizes.count(gma.dim**3) == 1
 
 
+def test_the_product_is_lifted_once_per_algebra(monkeypatch):
+    """The derived product tensors, the generic system and GMA.lifted read
+    one lift of the 729-cell product of M3(Q) (exact.clear_denominators)."""
+    from gmalg import exact
+
+    lifted = []
+    clear = exact.clear_denominators
+
+    def counted(a):
+        lifted.append(a)
+        return clear(a)
+
+    monkeypatch.setattr(exact, "clear_denominators", counted)
+    gma = assemble_gma(build_full_matrix(3, 1, RATIONAL))
+    gma.report, gma.generic_system, gma.lifted
+    assert sum(a is gma.mul for a in lifted) == 1
+
+
 def test_a_warm_lie_triple_split_builds_no_product_tensor(monkeypatch):
     """The commutator, Jordan and pair tensors are built once per algebra:
     a second split, with its three hom predicates, adds nothing to any

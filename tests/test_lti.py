@@ -1,16 +1,22 @@
 """Splitting second-commutator-preserving bijections as lam*m + n.
 
-Conjugations must come back with sign +1 and no central part, a
-composed trace shift must surface exactly as n(x) = tr(x)*1, and the
-negated transpose flips the sign.  The 1+1 split of M_2 is the known
-degenerate case where both signs admit a central completion."""
+Conjugations must come back with sign +1 and no central part, negated ones
+with sign -1, a drawn central shift must surface exactly as n (on M_3 a
+nonzero multiple of tr(x)*1), and the negated transpose flips the sign.
+The 1+1 split of M_2 is the known degenerate case where both signs admit a
+central completion."""
 
 import numpy as np
 import pytest
 
-from gmalg.exact import RATIONAL, prime_field, inverse_array
+from gmalg.exact import RATIONAL, RingDescriptor, prime_field, inverse_array
 from gmalg.maps import LinearMapRep, MapError, is_jordan_hom
-from gmalg.structure import assemble_gma, build_full_matrix, full_matrix_positions
+from gmalg.structure import (
+    assemble_gma,
+    build_full_matrix,
+    build_upper_triangular,
+    full_matrix_positions,
+)
 from gmalg.decompose import (
     PredicateNotSatisfied,
     decompose_lie_triple_iso,
@@ -72,12 +78,58 @@ def test_conjugations_come_back_clean(m3, seed):
 @pytest.mark.parametrize("seed", [0, 5])
 def test_trace_shift_recovers_the_central_part(m3, seed):
     l = random_lie_triple_iso(m3, seed, "central-shift")
+    sigma = random_lie_triple_iso(m3, seed, "conjugation")
     dec = decompose_lie_triple_iso(l, m3, m3)
     assert dec.status == "ok"
     assert dec.lam == 1
-    assert F5.equal(dec.n.matrix, trace_times_unit(m3, 3, 1))
-    # and the jordan part no longer contains the shift
-    assert dec.m.equal(LinearMapRep(F5, F5.normalize(l.matrix - dec.n.matrix)))
+    # the jordan part is the drawn conjugation, the central part the drawn shift
+    assert dec.m.equal(sigma)
+    assert dec.n.equal(l - sigma)
+    # on M_3 a functional killing second commutators is a multiple of the trace
+    c = dec.n.matrix[0, 0]
+    assert c != 0
+    assert F5.equal(dec.n.matrix, F5.normalize(c * trace_times_unit(m3, 3, 1)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_negated_conjugations_flip_the_sign(m3, seed):
+    l = random_lie_triple_iso(m3, seed, "neg-conjugation")
+    dec = decompose_lie_triple_iso(l, m3, m3)
+    assert dec.status == "ok"
+    assert dec.lam == -1
+    assert F5.is_zero(dec.n.matrix)
+    assert dec.m.equal(random_lie_triple_iso(m3, seed, "conjugation"))
+
+
+def test_central_shift_redraws_tau_when_tau_of_one_is_minus_one(m4, monkeypatch):
+    # on M_4(F_5) tau = c*tr and tau(1) = 4c, so c = 1 gives tau(1) = -1 and
+    # the singular map x -> uxu^-1 + tr(x)1; c = 0 gives tau = 0
+    draws = []
+    scalar = RingDescriptor.random_scalar
+
+    def recorded(ring, stream):
+        draws.append(scalar(ring, stream))
+        return draws[-1]
+
+    monkeypatch.setattr(RingDescriptor, "random_scalar", recorded)
+    redrawn = 0
+    for seed in range(12):
+        draws.clear()
+        l = random_lie_triple_iso(m4, seed, "central-shift")
+        # u takes m4.dim draws per attempt, then one per tau (the trace alone)
+        taus = draws[len(draws) - len(draws) % m4.dim :]
+        assert all(c in (0, 1) for c in taus[:-1]) and taus[-1] not in (0, 1)
+        redrawn += taus[0] == 1
+        assert inverse_array(F5, l.matrix) is not None
+        sigma = random_lie_triple_iso(m4, seed, "conjugation")
+        shift = F5.normalize(taus[-1] * trace_times_unit(m4, 4, 2))
+        assert F5.equal(F5.normalize(l.matrix - sigma.matrix), shift)
+    assert redrawn
+
+
+def test_neg_antiauto_needs_a_full_matrix_instance(t3):
+    with pytest.raises(MapError, match="full-matrix"):
+        random_lie_triple_iso(t3, 0, "neg-antiauto")
 
 
 def test_negated_transpose_flips_the_sign(m3):
