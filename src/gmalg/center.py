@@ -17,6 +17,7 @@ of the center basis, not solved for.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -34,10 +35,10 @@ from .exact import (
 from .maps import (
     _arrangement_table,
     _bracket_action,
+    _grid_values,
     _product_tensors,
     constraint_matrix,
 )
-from .rng import XorShift64Star
 from .structure import GMA, MoritaContext, _read_only
 
 
@@ -236,12 +237,21 @@ class LoyaltyResult:
         raise TypeError("three-valued result; compare .status explicitly")
 
 
-def _digits_le(n: int, base: int, width: int):
-    out = []
-    for _ in range(width):
-        out.append(n % base)
-        n //= base
-    return out
+def _first_singular(ring, T):
+    """(c, kernel vector) for the first nonzero c in F_p^k whose matrix
+    sum_u c_u T[u] has a kernel, with the first vector of its canonical
+    nullspace; None if every such matrix is injective.  A vector and its
+    nonzero multiples share one kernel, so only the multiple whose last
+    nonzero digit is 1 is scanned: the numbers below p^k with leading digit
+    1, in increasing order, read as little-endian digits."""
+    p, k = ring.p, T.shape[0]
+    numbers = np.concatenate([np.arange(p**h, 2 * p**h, dtype=np.int64) for h in range(k)])
+    candidates = numbers[:, None] // p ** np.arange(k, dtype=np.int64) % p
+    for c in candidates:
+        ker = nullspace_array(ring, np.tensordot(c, T, axes=([0], [0])))
+        if ker.shape[0]:
+            return c.copy(), ker[0].copy()
+    return None
 
 
 def check_loyal(ctx: MoritaContext, bound: int = 5**8) -> LoyaltyResult:
@@ -275,32 +285,21 @@ def _loyalty(ctx: MoritaContext, bound: int, faithful) -> LoyaltyResult:
             return LoyaltyResult("true", None, "corner context of an algebra flagged prime")
         return LoyaltyResult("unknown", None, "no structural certificate over Q")
 
-    p = ring.p
     # enumerate the smaller corner; orientation is reported in the witness order
     side_a = dA <= dB
-    width = dA if side_a else dB
-    total = p**width - 1
+    total = ring.p ** min(dA, dB) - 1
     if total > bound:
         return LoyaltyResult("unknown", None, f"{total} candidates exceed bound {bound}")
-    # a vector and its nonzero multiples share one kernel, so scan only the
-    # multiple whose last nonzero digit is 1: it is the first of its class
-    for nidx in (p**h + low for h in range(width) for low in range(p**h)):
-        vec = ring.array(_digits_le(nidx, p, width))
-        if side_a:
-            # kernel in b of b |-> a*M*b
-            U = ring.tensordot(vec, ctx.M.left, axes=([0], [0]))  # (j, x) = (a*m_j)_x
-            K = ring.tensordot(U, ctx.M.right, axes=([1], [0]))  # (j, b, r)
-            K = np.transpose(K, (0, 2, 1)).reshape(dM * dM, dB)
-        else:
-            U = ring.tensordot(vec, ctx.M.right, axes=([0], [1]))  # (j, x) = (m_j*b)_x
-            K = ring.tensordot(U, ctx.M.left, axes=([1], [1]))  # (j, a, r)
-            K = np.transpose(K, (0, 2, 1)).reshape(dM * dM, dA)
-        ker = nullspace_array(ring, K)
-        if ker.shape[0]:
-            partner = ker[0].copy()
-            ab = (vec, partner) if side_a else (partner, vec)
-            return LoyaltyResult("false", ab, "annihilating pair found by enumeration")
-    return LoyaltyResult("true", None, f"enumeration over {total} candidates")
+    # [a, j, b, r] = ((e_a m_j) e_b)_r; for a fixed candidate on one side,
+    # the rows (j, r) and the other side's coordinates as columns
+    amb = ring.tensordot(ctx.M.left, ctx.M.right, axes=([2], [0]))
+    axes = (0, 1, 3, 2) if side_a else (2, 1, 3, 0)
+    T = np.transpose(amb, axes).reshape(dA if side_a else dB, dM * dM, -1)
+    hit = _first_singular(ring, T)
+    if hit is None:
+        return LoyaltyResult("true", None, f"enumeration over {total} candidates")
+    ab = hit if side_a else hit[::-1]
+    return LoyaltyResult("false", ab, "annihilating pair found by enumeration")
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +318,6 @@ def commuting_linear_space(alg) -> list:
     return [w.reshape(d, d).T.copy() for w in sols]
 
 
-def proper_linear_generators(alg, z_rows: np.ndarray) -> list:
-    """Matrices spanning {x -> z*x + eta(x) : z central, eta linear into the center}."""
-    ring, d = alg.ring, alg.dim
-    gens = []
-    for z in z_rows:
-        gens.append(alg.left_mult_matrix(z))
-    for z in z_rows:
-        for i in range(d):
-            F = ring.zeros((d, d))
-            F[:, i] = z
-            gens.append(F)
-    return gens
-
-
 @dataclass
 class ProperSpanReport:
     ok: bool
@@ -345,13 +330,12 @@ def check_all_commuting_proper(alg, z_rows: np.ndarray) -> ProperSpanReport:
     z_rows the canonical basis of Z(alg) (a corner's from CenterData)?"""
     ring, d = alg.ring, alg.dim
     comm = commuting_linear_space(alg)
-    gens = proper_linear_generators(alg, z_rows)
-    span = ring.zeros((len(gens), d * d))
-    for i, F in enumerate(gens):
-        span[i] = F.reshape(d * d)
-    cand = ring.zeros((len(comm), d * d))
-    for i, F in enumerate(comm):
-        cand[i] = F.reshape(d * d)
+    # the maps x -> z*x, as (z, r, y) = (z e_y)_r, then x -> x_i z, as
+    # (z, i, r, c) = z_r when c = i: together they span the proper maps
+    left = np.transpose(_unlift(ring, *alg._products(z_rows, 0)), (0, 2, 1))
+    eta = z_rows[:, None, :, None] * np.eye(d, dtype=np.int64)[None, :, None, :]
+    span = ring.normalize(np.concatenate([left.reshape(-1, d * d), eta.reshape(-1, d * d)]))
+    cand = np.reshape(comm, (len(comm), d * d))
     # the commuting maps lie in the proper span iff its annihilator kills them
     ann = nullspace_array(ring, span)
     ok = ring.is_zero(ring.tensordot(cand, ann, axes=([1], [1])))
@@ -391,16 +375,17 @@ def _integer_mul_tensor(gma):
 _IDENTITY_42_CELLS = 1 << 20
 
 
-def check_identity_42(gma, seed: int = 1729):
+def check_identity_42(gma):
     """Decide whether [[x^2, y], [x, y]] vanishes identically; witness if not.
 
     Exact monomial-coefficient extraction (degree 3 in x, 2 in y; both below
     every supported characteristic).  The arrangement (u, v, w) of x_a x_b x_c
     contributes [[e_u e_v, e_s], [e_w, e_t]] to y_s y_t; the first monomial,
-    then (s <= t), with a nonzero coefficient seeds the witness search.  The
-    returned witness pair is re-verified by direct evaluation.
+    then (s <= t), with a nonzero coefficient gives the variables of the
+    witness search.  The returned witness pair is re-verified by direct
+    evaluation.
     """
-    ring, d = gma.ring, gma.dim
+    d = gma.dim
     mul, p = _integer_mul_tensor(gma)
 
     def reduce(arr):
@@ -414,7 +399,6 @@ def check_identity_42(gma, seed: int = 1729):
     bounds = np.append(starts, len(uvw))
     upper = np.triu(np.ones((d, d), dtype=bool))
     per = max(1, _IDENTITY_42_CELLS // (6 * d**3))  # a monomial has <= 6 arrangements
-    bad = None
     for t0 in range(0, len(triples), per):
         t1 = min(t0 + per, len(triples))
         u, v, w = uvw[bounds[t0] : bounds[t1]].T
@@ -425,27 +409,23 @@ def check_identity_42(gma, seed: int = 1729):
         hits = np.argwhere(np.any(coef != 0, axis=-1) & upper)
         if hits.size:
             n, s, t = (int(i) for i in hits[0])
-            bad = triples[t0 + n] + (s, t)
-            break
+            return False, _identity_42_witness(gma, triples[t0 + n], (s, t))
+    return True, None
 
-    if bad is None:
-        return True, None
 
-    def defect(x, y):
-        return gma.commutator(gma.commutator(gma.square(x), y), gma.commutator(x, y))
-
-    a, b, c, s, t = bad
-    x = ring.normalize(gma.basis_vector(a) + gma.basis_vector(b) + gma.basis_vector(c))
-    y = ring.normalize(gma.basis_vector(s) + gma.basis_vector(t))
-    if not ring.is_zero(defect(x, y)):
-        return False, (x, y)
-    stream = XorShift64Star(seed)
-    for _ in range(2000):
-        x = ring.array([ring.random_scalar(stream) for _ in range(d)])
-        y = ring.array([ring.random_scalar(stream) for _ in range(d)])
-        if not ring.is_zero(defect(x, y)):
-            return False, (x, y)
-    raise CenterError("nonzero defect coefficient but no evaluable witness found")
+def _identity_42_witness(gma, xs, ys):
+    """(x, y) with a nonzero defect, x on the basis vectors xs and y on ys,
+    whose monomial has a nonzero coefficient.  The defect has degree at most
+    3 in each coordinate of x and 2 in each of y, so it is nonzero somewhere
+    on four distinct values per coordinate; the basis sums come first."""
+    ring, e = gma.ring, gma.basis_vector
+    for coeffs in itertools.product(_grid_values(ring), repeat=5):
+        x = ring.normalize(sum(c * e(i) for c, i in zip(coeffs[:3], xs)))
+        y = ring.normalize(sum(c * e(i) for c, i in zip(coeffs[3:], ys)))
+        defect = gma.commutator(gma.commutator(gma.square(x), y), gma.commutator(x, y))
+        if not ring.is_zero(defect):
+            return x, y
+    raise CenterError("nonzero defect coefficient but witness grid found nothing")
 
 
 # ---------------------------------------------------------------------------
@@ -485,37 +465,25 @@ def balanced_pair_space_dim(gma) -> int | None:
     dA, dM = ctx.A.dim, ctx.M.dim
     if dM == 0:
         return None
-    K = ring.zeros((dM * dM * dM, 2 * dA * dM))  # unknowns [f columns | g columns]
-    for i in range(dM):
-        for j in range(dM):
-            base = (i * dM + j) * dM
-            for a in range(dA):
-                K[base : base + dM, a * dM + i] += ctx.M.left[a, j]
-                K[base : base + dM, dA * dM + a * dM + j] += ctx.M.left[a, i]
+    # rows (i, j, r): (f(m_i) m_j + g(m_j) m_i)_r; columns [f | g], each
+    # (a, c) = (e_a coordinate of the image of m_c)
+    act = np.transpose(ctx.M.left, (1, 2, 0))  # [j, r, a] = (e_a m_j)_r
+    eye = np.eye(dM, dtype=np.int64)
+    f = act[None, :, :, :, None] * eye[:, None, None, None, :]  # c = i
+    g = act[:, None, :, :, None] * eye[None, :, None, None, :]  # c = j
+    K = np.stack([f, g], axis=3).reshape(dM**3, 2 * dA * dM)
     return nullspace_array(ring, ring.normalize(K)).shape[0]
 
 
-def center_multiplier_annihilator_ok(gma, bound: int = 5**8):
+def center_multiplier_annihilator_ok(gma) -> bool:
     """No nonzero projected-center multiplier kills a nonzero A basis element.
 
-    F_p only (coordinate grid scan); returns None when not applicable.
-    """
-    ring = gma.ring
-    if not ring.is_prime_field:
-        return None
-    C = gma.center
-    ka = C.pia_image.shape[0]
-    p = ring.p
-    if p**ka - 1 > bound:
-        return None
-    A = gma.ctx.A
-    for nidx in range(1, p**ka):
-        coeff = ring.array(_digits_le(nidx, p, ka))
-        alpha = ring.tensordot(coeff, C.pia_image, axes=([0], [0]))
-        for i in range(A.dim):
-            if ring.is_zero(A.multiply(alpha, A.basis_vector(i))):
-                return False
-    return True
+    The multipliers are the nonzero combinations of the canonical rows
+    pi_u of pi_A(Z(G)), so one kills e_i iff the products pi_u * e_i are
+    linearly dependent."""
+    ring, C = gma.ring, gma.center
+    T = _unlift(ring, *gma.ctx.A._products(C.pia_image, 0))  # [u, i, r]
+    return all(rank_array(ring, T[:, i]) == T.shape[0] for i in range(T.shape[1]))
 
 
 def center_zero_divisor_free(gma, bound: int = 5**8):
@@ -525,20 +493,14 @@ def center_zero_divisor_free(gma, bound: int = 5**8):
         return None
     C = gma.center
     z = C.zdim
-    p = ring.p
     if z == 0:
         return True
-    if p ** (2 * z) > bound:
+    if ring.p ** (2 * z) > bound:
         return None
-    elems = []
-    for nidx in range(1, p**z):
-        coeff = ring.array(_digits_le(nidx, p, z))
-        elems.append(C.expand(coeff))
-    for z1 in elems:
-        for z2 in elems:
-            if ring.is_zero(gma.multiply(z1, z2)):
-                return False
-    return True
+    # [u, w, v] = coordinate w of z_u z_v, which is central
+    prod = ring.tensordot(_unlift(ring, *gma._products(C.z_g, 0)), C.z_g, axes=([1], [1]))
+    coords, _ = C.center_rows(np.transpose(prod, (0, 2, 1)))
+    return _first_singular(ring, np.transpose(coords, (0, 2, 1))) is None
 
 
 def cube_annihilating_forms_contained(gma) -> bool:
@@ -634,38 +596,37 @@ class HypothesisReport:
         return out
 
 
-def _search_independent_pair(gma, seed: int):
-    ring = gma.ring
-    ctx = gma.ctx
-    dM, dB = ctx.M.dim, ctx.B.dim
+def _independent_pair(gma):
+    """A pair (m0, b0) with {m0*b0, m0} independent, or None.  One exists
+    iff some b acts on M as a non-scalar map, so iff some basis b_j does:
+    either m_i*b_j leaves the line of m_i for a basis m_i, or b_j acts
+    diagonally and scales m_i and m_0 differently, and then m_0 + m_i
+    works.  The first basis pair (i, j) comes first, then the first such
+    diagonal action."""
+    ring, R = gma.ring, gma.ctx.M.right  # [i, j, r] = (m_i b_j)_r
+    dM, dB = R.shape[:2]
     if dM == 0:
         return None
-
-    def independent(m0, b0):
-        mb = ctx.M.act_right(m0, b0)
-        stack = ring.zeros((2, dM))
-        stack[0] = mb
-        stack[1] = m0
-        return rank_array(ring, stack) == 2
-
-    for i in range(dM):
-        for j in range(dB):
-            m0 = ring.zeros(dM)
-            m0[i] = ring.one
-            b0 = ring.zeros(dB)
-            b0[j] = ring.one
-            if independent(m0, b0):
-                return (m0, b0)
-    stream = XorShift64Star(seed)
-    for _ in range(1000):
-        m0 = ring.array([ring.random_scalar(stream) for _ in range(dM)])
-        b0 = ring.array([ring.random_scalar(stream) for _ in range(dB)])
-        if independent(m0, b0):
-            return (m0, b0)
-    return None
+    diag = R[np.arange(dM), :, np.arange(dM)]  # [i, j] = (m_i b_j)_i
+    off = R != 0
+    off[np.arange(dM), :, np.arange(dM)] = False
+    off = off.any(axis=2)
+    if off.any():
+        i, j = np.argwhere(off)[0]
+        support = [i]
+    else:
+        scaled = np.argwhere((diag != diag[0]).T)
+        if not scaled.size:
+            return None
+        j, i = scaled[0]
+        support = [0, i]
+    m0, b0 = ring.zeros(dM), ring.zeros(dB)
+    m0[support] = ring.one
+    b0[j] = ring.one
+    return m0, b0
 
 
-def hypothesis_report(gma: GMA, loyalty_bound: int = 5**8, seed: int = 0) -> HypothesisReport:
+def hypothesis_report(gma: GMA, loyalty_bound: int = 5**8) -> HypothesisReport:
     ring = gma.ring
     ctx = gma.ctx
     C = gma.center
@@ -692,6 +653,6 @@ def hypothesis_report(gma: GMA, loyalty_bound: int = 5**8, seed: int = 0) -> Hyp
         commuting_proper_on_B=check_all_commuting_proper(ctx.B, zB),
         central_over_R=central,
         b_central_over_R=b_unit_central,
-        prop322_m0b0=_search_independent_pair(gma, seed),
+        prop322_m0b0=_independent_pair(gma),
         two_torsionfree=(not ring.is_prime_field) or ring.p % 2 == 1,
     )

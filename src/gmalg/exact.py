@@ -13,10 +13,10 @@ Q an array of python ints n and one denominator L for the values n / L, over
 F_p the residues themselves with L = 1.  They build ``Fraction``s
 (``_unlift``) only for the values they return.
 
-RREF is canonical (unique reduced row echelon form); ``solve`` returns the
-canonical solution with every free variable set to zero, or None when the
-system is inconsistent.  ``FactoredMatrix`` returns the same solutions for a
-matrix solved many times, from reductions made once.
+RREF is canonical (unique reduced row echelon form).  ``FactoredMatrix``
+solves a matrix many times from reductions made once: each solve returns
+the canonical solution, every free variable set to zero, or None when the
+system is inconsistent.
 """
 
 from __future__ import annotations
@@ -320,49 +320,16 @@ def nullspace_array(ring: RingDescriptor, mat: np.ndarray) -> np.ndarray:
     return ring.normalize(basis)
 
 
-def solve_array(ring: RingDescriptor, mat: np.ndarray, rhs: np.ndarray):
-    """Canonical solution of mat @ x = rhs (free variables zeroed), or None."""
-    rhs = ring.normalize(np.asarray(rhs))
-    if rhs.ndim != 1:
-        raise ExactError("rhs shape mismatch")
-    sols, first_bad = solve_columns(ring, mat, rhs[None])
-    return None if first_bad is not None else sols[0]
-
-
-def solve_columns(ring: RingDescriptor, mat: np.ndarray, rhs_rows: np.ndarray):
-    """Canonical solutions of mat @ x = b for each row b of rhs_rows, from
-    one reduction of [mat | rhs_rows^T]: (solutions, first_bad), where
-    first_bad is the first inconsistent row (None if there is none).
-
-    Up to first_bad every right-hand side lies in the column span of mat,
-    so it gets no pivot and its read-off is that of a solve on its own;
-    the solution rows from first_bad on are meaningless.
-    """
-    mat = ring.normalize(mat)
-    rhs_rows = ring.normalize(np.asarray(rhs_rows))
-    rows, cols = mat.shape
-    if rhs_rows.ndim != 2 or rhs_rows.shape[1] != rows:
-        raise ExactError("rhs shape mismatch")
-    aug = ring.zeros((rows, cols + rhs_rows.shape[0]))
-    aug[:, :cols] = mat
-    aug[:, cols:] = rhs_rows.T
-    red, piv, rank = rref_array(ring, aug)
-    n = sum(1 for c in piv if c < cols)
-    sols = ring.zeros((rhs_rows.shape[0], cols))
-    sols[:, list(piv[:n])] = red[:n, cols:].T
-    return sols, (piv[n] - cols if rank > n else None)
-
-
 class FactoredMatrix:
     """A matrix reduced once for many exact solves ``mat @ x = b``.
 
-    ``solve_array`` reduces ``[mat | b]`` for every b; this pays two
+    A solve on its own reduces ``[mat | b]`` for every b; this pays two
     reductions once.  Reducing the transpose of mat's distinct nonzero rows
     picks r = rank independent rows S of mat, and reducing ``[mat_S | I_r]``
     gives the pivot columns P of mat (mat_S has mat's row space, hence its
     column dependencies) and the transform E with E mat_S = RREF(mat).  For
     each b, x_P = E b_S and x = 0 elsewhere: if b is consistent this is its
-    unique canonical solution, the one ``solve_array`` returns, so
+    unique canonical solution, the one the reduction of ``[mat | b]`` gives, so
     ``mat @ x == b`` decides consistency.  E and mat are kept as their
     nonzero entries, so both products cost one operation per nonzero, and
     lifted (``_lift``), so over Q both run on python ints and only x is
@@ -394,7 +361,7 @@ class FactoredMatrix:
         self._transform, self._transform_scale = _nonzero_entries(ring, red[:, cols:])
 
     def solve(self, rhs: np.ndarray):
-        """The canonical solution of mat @ x = rhs, as ``solve_array`` gives it, or None."""
+        """The canonical solution of mat @ x = rhs (free variables zeroed), or None."""
         ring = self.ring
         rhs = ring.normalize(np.asarray(rhs))
         if rhs.shape != self.shape[:1]:

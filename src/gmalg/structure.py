@@ -25,7 +25,9 @@ import numpy as np
 from .exact import (
     ExactError,
     RingDescriptor,
+    _contract,
     _lift,
+    _unlift,
     inverse_array,
     row_span_coords,
     rref_array,
@@ -122,11 +124,18 @@ class _MulCarrier:
             )
         return self.ring.normalize(x)
 
+    def _products(self, x, axis):
+        """Elements x, stacked along its leading axes, times the basis on
+        `axis` of the product (0: [..., j, r] = (x e_j)_r, 1: [..., i, r] =
+        (e_i x)_r), lifted, from the one lift ``lifted_mul``."""
+        n, L = self.lifted_mul
+        nx, lx = _lift(self.ring, x)
+        return _contract(self.ring, nx, n, axes=([-1], [axis])), lx * L
+
     def multiply(self, x, y):
-        x = self._check_vec(x)
-        y = self._check_vec(y)
-        xy = self.ring.tensordot(x, self.mul, axes=([0], [0]))  # (j, r)
-        return self.ring.tensordot(y, xy, axes=([0], [0]))
+        xy, L = self._products(self._check_vec(x), 0)
+        ny, ly = _lift(self.ring, self._check_vec(y))
+        return _unlift(self.ring, _contract(self.ring, ny, xy, axes=([0], [0])), ly * L)
 
     def square(self, x):
         return self.multiply(x, x)
@@ -140,13 +149,11 @@ class _MulCarrier:
 
     def left_mult_matrix(self, x):
         """Matrix L with L @ y = x*y."""
-        x = self._check_vec(x)
-        return self.ring.tensordot(x, self.mul, axes=([0], [0])).T.copy()
+        return _unlift(self.ring, *self._products(self._check_vec(x), 0)).T.copy()
 
     def right_mult_matrix(self, x):
         """Matrix R with R @ y = y*x."""
-        x = self._check_vec(x)
-        return self.ring.tensordot(x, self.mul, axes=([0], [1])).T.copy()
+        return _unlift(self.ring, *self._products(self._check_vec(x), 1)).T.copy()
 
     def _assoc_witness(self):
         w = _first_nonzero(self.ring, _associator(self.ring, *(self.mul,) * 4))

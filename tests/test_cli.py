@@ -6,6 +6,7 @@ failed).  File outputs are canonical JSON; reruns must be bytes-equal.
 """
 
 import json
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,7 @@ from gmalg.structure import (
     make_triangular_algebra,
 )
 from gmalg.decompose import random_lie_triple_iso, random_proper_trace
+from test_oracles import build_late_annihilator_pair
 
 F5 = prime_field(5)
 
@@ -379,6 +381,52 @@ def test_decompose_lti_rejects_a_map_over_another_ring(m3_file, tmp_path, capsys
 
 
 # ---------------------------------------------------------------------------
+# a lawful context whose center analysis fails
+# ---------------------------------------------------------------------------
+
+UNFAITHFUL = (
+    "analysis failed: corner isomorphism inverse needs the bimodule faithful on the left;"
+    " it is not\n"
+)
+
+
+@pytest.fixture()
+def unfaithful_files(tmp_path):
+    """The late-annihilator pair, whose M is not faithful on the left, with
+    the zero trace and the identity map on its block algebra."""
+    ctx = build_late_annihilator_pair(F5)
+    d = assemble_gma(ctx).dim
+    files = {name: tmp_path / f"{name}.json" for name in ("ctx", "trace", "ident")}
+    save_context(files["ctx"], ctx)
+    save_map(files["trace"], MapDocument("bilinear", BilinearMapRep.zero(F5, d, d, d)))
+    save_map(files["ident"], MapDocument("linear", LinearMapRep.identity(F5, d)))
+    return {name: str(path) for name, path in files.items()}
+
+
+@pytest.mark.parametrize(
+    "predicate, map_name", [("centralizing-trace", "trace"), ("centralizing-linear", "ident")]
+)
+def test_verify_map_reports_a_failed_center_analysis(
+    unfaithful_files, predicate, map_name, capsys
+):
+    f = unfaithful_files
+    assert main(["verify-map", f["ctx"], f[map_name], "--predicate", predicate]) == 1
+    assert capsys.readouterr().out == UNFAITHFUL
+
+
+def test_decompose_trace_reports_a_failed_center_analysis(unfaithful_files, capsys):
+    f = unfaithful_files
+    assert main(["decompose-trace", f["ctx"], f["trace"]]) == 1
+    assert capsys.readouterr().out == UNFAITHFUL
+
+
+def test_decompose_lti_reports_a_failed_center_analysis(unfaithful_files, capsys):
+    f = unfaithful_files
+    assert main(["decompose-lti", f["ctx"], f["ctx"], f["ident"]]) == 1
+    assert capsys.readouterr().out == UNFAITHFUL
+
+
+# ---------------------------------------------------------------------------
 # suite
 # ---------------------------------------------------------------------------
 
@@ -469,6 +517,37 @@ def test_suite_reruns_are_byte_identical(t3_file, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_diagonal_pair(F5), lambda: build_full_matrix(3, 1, F5)],
+    ids=["diagonal", "m3"],
+)
+def test_suite_seed_moves_neither_the_independent_pair_nor_the_witness(
+    build, tmp_path, monkeypatch, capsys
+):
+    # the diagonal pair has no independent basis pair, and the identity
+    # [[x^2, y], [x, y]] = 0 fails on M3
+    path = tmp_path / "ctx.json"
+    save_context(path, build())
+    reports, verdicts = [], []
+
+    def recorded(fn, into):
+        def wrapper(*args, **kwargs):
+            into.append(fn(*args, **kwargs))
+            return into[-1]
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "hypothesis_report", recorded(cli.hypothesis_report, reports))
+    monkeypatch.setattr(cli, "check_identity_42", recorded(cli.check_identity_42, verdicts))
+    for seed in range(4):
+        assert main(["suite", str(path), "--count", "1", "--seed", str(seed)]) == 0
+    assert len(reports) == len(verdicts) == 4
+    assert all(r.prop322_m0b0 is not None for r in reports)
+    assert len({pickle.dumps(r.prop322_m0b0) for r in reports}) == 1
+    assert len({pickle.dumps(v) for v in verdicts}) == 1
+
+
 # ---------------------------------------------------------------------------
 # argument handling
 # ---------------------------------------------------------------------------
@@ -477,6 +556,12 @@ def test_suite_reruns_are_byte_identical(t3_file, tmp_path):
 def test_unknown_predicate_is_an_argparse_error(m3_file, tmp_path):
     with pytest.raises(SystemExit) as e:
         main(["verify-map", m3_file, "nope.json", "--predicate", "sideways"])
+    assert e.value.code == 2
+
+
+def test_seed_is_an_option_of_suite_only(m3_file):
+    with pytest.raises(SystemExit) as e:
+        main(["check", m3_file, "--seed", "3"])
     assert e.value.code == 2
 
 
@@ -737,7 +822,7 @@ loyal: true (dim A = 1 and M right-faithful)
 PASS axioms-and-file-roundtrip
 PASS balanced-pairs-vanish
 PASS center-basis-commutes (dim 1)
-SKIP center-multiplier-regular (not enumerable (rational ring or over bound))
+PASS center-multiplier-regular
 SKIP center-zero-divisor-free (not enumerable (rational ring or over bound))
 PASS central-jordan-radical-zero
 PASS commuting-maps-proper-on-a-corner (A=True B=True)
@@ -749,7 +834,7 @@ PASS seeded-proper-roundtrip-constructive (2 seeded traces)
 PASS seeded-proper-roundtrip-generic (2 seeded traces)
 SKIP trace-space-decomposes (exhaustive nullspace needs a prime field)
 SKIP trace-space-modes-agree (exhaustive nullspace needs a prime field)
-suite: 11 passed, 0 failed, 4 skipped [seed 0]
+suite: 12 passed, 0 failed, 3 skipped [seed 0]
 """,
 }
 

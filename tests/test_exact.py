@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from gmalg.exact import (
     ExactError,
+    FactoredMatrix,
     RATIONAL,
     RingDescriptor,
     inverse_array,
@@ -23,9 +24,8 @@ from gmalg.exact import (
     ring_to_json,
     row_span_coords,
     rref_array,
-    solve_array,
 )
-from test_oracles import row_space_contains, row_space_equal
+from test_oracles import row_space_contains, row_space_equal, solve_array
 
 F5 = prime_field(5)
 F7 = prime_field(7)
@@ -95,13 +95,15 @@ def test_rref_mod5_example():
 
 
 def test_solve_underdetermined_zeroes_free_variables():
-    sol = solve_array(RATIONAL, RATIONAL.array([[1, 1]]), RATIONAL.array([2]))
-    assert RATIONAL.equal(sol, RATIONAL.array([2, 0]))
+    A, b = RATIONAL.array([[1, 1]]), RATIONAL.array([2])
+    for sol in (solve_array(RATIONAL, A, b), FactoredMatrix(RATIONAL, A).solve(b)):
+        assert RATIONAL.equal(sol, RATIONAL.array([2, 0]))
 
 
 def test_solve_inconsistent_returns_none():
-    A = RATIONAL.array([[1], [1]])
-    assert solve_array(RATIONAL, A, RATIONAL.array([1, 2])) is None
+    A, b = RATIONAL.array([[1], [1]]), RATIONAL.array([1, 2])
+    assert solve_array(RATIONAL, A, b) is None
+    assert FactoredMatrix(RATIONAL, A).solve(b) is None
 
 
 def test_nullspace_rational_example():
@@ -191,8 +193,11 @@ def test_nullspace_really_annihilates(A):
 def test_solve_solutions_verify(A, rhs_list):
     rhs = F5.array(rhs_list[: A.shape[0]] + [0] * max(0, A.shape[0] - len(rhs_list)))
     sol = solve_array(F5, A, rhs)
+    factored = FactoredMatrix(F5, A).solve(rhs)
+    assert (sol is None) == (factored is None)
     if sol is not None:
         assert F5.equal(F5.tensordot(A, sol, axes=([1], [0])), rhs)
+        assert F5.equal(factored, sol)
 
 
 @settings(deadline=None, max_examples=40)

@@ -286,3 +286,38 @@ def test_rational_lane_builders():
         assert check_morita_axioms(ctx).ok
         g = assemble_gma(ctx)
         assert RATIONAL.equal(g.multiply(g.unit, g.unit), g.unit)
+
+
+@pytest.mark.parametrize("ring", [F5, RATIONAL], ids=["f5", "q"])
+def test_carrier_products_contract_with_the_one_lift_of_the_product(ring, monkeypatch):
+    """multiply, left_mult_matrix and right_mult_matrix read lifted_mul:
+    once it is built, none of them clears the denominators of the 729-cell
+    product of M3 again, and each returns what RingDescriptor.tensordot
+    on the product gives, cell types included."""
+    from fractions import Fraction
+
+    from gmalg import exact
+
+    g = assemble_gma(build_full_matrix(3, 1, ring))
+    stream = XorShift64Star(31)
+    draw = (lambda: stream.below(5)) if ring.is_prime_field else (
+        lambda: Fraction(stream.below(9) - 4, 1 + stream.below(6))
+    )
+    x, y = (ring.array([draw() for _ in range(g.dim)]) for _ in range(2))
+    g.lifted_mul
+    sizes = []
+    clear = exact.clear_denominators
+
+    def counted(a):
+        sizes.append(np.size(a))
+        return clear(a)
+
+    monkeypatch.setattr(exact, "clear_denominators", counted)
+    got = (g.multiply(x, y), g.left_mult_matrix(x), g.right_mult_matrix(x))
+    assert g.dim**3 not in sizes
+    monkeypatch.undo()
+    left, right = (ring.tensordot(x, g.mul, axes=([0], [axis])) for axis in (0, 1))
+    want = (ring.tensordot(y, left, axes=([0], [0])), left.T, right.T)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert [type(v) for v in a.flat] == [type(v) for v in b.flat]
