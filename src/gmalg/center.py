@@ -28,6 +28,7 @@ from .exact import (
     _contract,
     _lift,
     _unlift,
+    blocked_nullspace,
     nullspace_array,
     rank_array,
     rref_array,
@@ -37,7 +38,7 @@ from .maps import (
     _bracket_action,
     _grid_values,
     _product_tensors,
-    constraint_matrix,
+    constraint_operator,
 )
 from .structure import GMA, MoritaContext, _read_only
 
@@ -311,10 +312,11 @@ def commuting_linear_space(alg) -> list:
     """Canonical basis (as matrices) of {f linear : [f(x), x] = 0 for all x}.
 
     The unknowns are w[i*d + k] = f(e_i)_k; the rows are the coefficients
-    of x_i x_j (i <= j) in [f(x), x]: the degree-2 constraint operator."""
+    of x_i x_j (i <= j) in [f(x), x]: the degree-2 constraint operator,
+    solved one block at a time from its entries."""
     ring, d = alg.ring, alg.dim
     act = _unlift(ring, *_bracket_action(alg, False))
-    sols = nullspace_array(ring, constraint_matrix(ring, 2, act))
+    sols = blocked_nullspace(ring, constraint_operator(ring, 2, act), d * d)
     return [w.reshape(d, d).T.copy() for w in sols]
 
 
@@ -507,12 +509,13 @@ def cube_annihilating_forms_contained(gma) -> bool:
     """Bilinear K: B x B -> N with x*K(x,x) = 0 coefficientwise satisfy
     K(x,x) = 0 coefficientwise.  x*K(x,x) depends on K only through its
     pair layout, so this holds iff the degree-3 constraint operator of N's
-    left action has full column rank: no nonzero pair layout is killed."""
-    ring, N = gma.ring, gma.ctx.N
-    if N.dim == 0 or gma.ctx.B.dim == 0:
+    left action has full column rank: no nonzero pair layout is killed,
+    so its nullspace has no rows."""
+    ring, N, dB = gma.ring, gma.ctx.N, gma.ctx.B.dim
+    if N.dim == 0 or dB == 0:
         return True
-    K = constraint_matrix(ring, 3, N.left)
-    return rank_array(ring, K) == K.shape[1]
+    K = constraint_operator(ring, 3, N.left)
+    return blocked_nullspace(ring, K, dB * (dB + 1) // 2 * N.dim).shape[0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,81 @@ def nullspace_array(ring: RingDescriptor, mat: np.ndarray) -> np.ndarray:
     return ring.normalize(basis)
 
 
+# small components are packed into groups of about this many columns, so
+# that they share one reduction instead of paying for one call each
+_GROUP_COLUMNS = 32
+
+
+def blocked_nullspace(ring: RingDescriptor, entries, n_cols: int) -> np.ndarray:
+    """``nullspace_array`` of the (n_rows, n_cols) matrix whose nonzero
+    entries (row count, rows, columns, values) are given, each (row, column)
+    once and in canonical scalars, as ``_sparse_times`` takes them, solved
+    one block at a time.
+
+    The connected components of the graph in which an entry joins its row
+    to its column are packed, in order, into groups of about _GROUP_COLUMNS
+    columns (a larger component is a group of its own), and each group is
+    scattered into a dense block of its own rows and columns; the whole
+    matrix is dense only when it is that small.  A block-diagonal matrix has
+    the pivots of its blocks, and each canonical null vector
+    e_f - sum_k red[k, f] e_{piv_k} lies in the columns of f's block, so each
+    block's ``nullspace_array`` put back into its columns and sorted by free
+    column is the dense one, bit for bit.  The free column of a null vector
+    is its last nonzero entry: red[k, f] != 0 only for piv_k < f."""
+    n_rows, r, c, values = entries
+    _, component, size = np.unique(
+        _column_components(n_rows, r, c, n_cols), return_inverse=True, return_counts=True
+    )
+    group = ((np.cumsum(size) - size) // _GROUP_COLUMNS)[component]
+    by_group = np.argsort(group, kind="stable")  # ascending within each group
+    keys, starts, widths = np.unique(group[by_group], return_index=True, return_counts=True)
+    position = np.empty(n_cols, dtype=np.intp)  # of each column within its block
+    position[by_group] = np.arange(n_cols) - np.repeat(starts, widths)
+    # the entries by group, then by row: each distinct (group, row) is a block row
+    entry_group = group[c]
+    by_entry = np.lexsort((r, entry_group))
+    g, rows = entry_group[by_entry], r[by_entry]
+    new_row = np.ones(len(g), dtype=bool)
+    new_row[1:] = (g[1:] != g[:-1]) | (rows[1:] != rows[:-1])
+    seen = np.concatenate(([0], np.cumsum(new_row)))  # block rows up to each entry
+    at_col, at_value = position[c[by_entry]], values[by_entry]
+    firsts = np.searchsorted(g, keys)
+    lasts = np.append(firsts[1:], len(g))
+    pieces = []
+    is_free = np.zeros(n_cols, dtype=bool)
+    for start, width, first, last in zip(*(a.tolist() for a in (starts, widths, firsts, lasts))):
+        cols = by_group[start : start + width]
+        block = ring.zeros((seen[last] - seen[first], width))
+        block[seen[first + 1 : last + 1] - seen[first] - 1, at_col[first:last]] = at_value[first:last]
+        null = nullspace_array(ring, block)
+        free = cols[width - 1 - np.argmax(null[:, ::-1] != 0, axis=1)]
+        is_free[free] = True
+        pieces.append((cols, free, null))
+    slot = np.cumsum(is_free) - 1  # the basis row of each free column
+    basis = ring.zeros((int(is_free.sum()), n_cols))
+    for cols, free, null in pieces:
+        basis[slot[free, None], cols] = null
+    return basis
+
+
+def _column_components(n_rows: int, r: np.ndarray, c: np.ndarray, n_cols: int) -> np.ndarray:
+    """label[j], the least column joined to column j through shared rows:
+    each row takes the least label of its columns and hands it back to
+    them, and pointer jumping (label = label[label]) shortcuts the chains,
+    until nothing changes."""
+    label = np.arange(n_cols)
+    while True:
+        low = np.full(n_rows, n_cols)
+        np.minimum.at(low, r, label[c])
+        new = label.copy()
+        np.minimum.at(new, c, low[r])
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 class FactoredMatrix:
     """A matrix reduced once for many exact solves ``mat @ x = b``.
 

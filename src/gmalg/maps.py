@@ -24,7 +24,7 @@ from .exact import (
     _sparse_times,
     _td,
     _unlift,
-    nullspace_array,
+    blocked_nullspace,
     rank_array,
 )
 from .structure import _freeze, _read_only
@@ -226,14 +226,6 @@ def constraint_operator(ring, degree: int, act: np.ndarray):
     cols = np.arange(owner.shape[0])[:, None] * m + t
     values = np.broadcast_to(act[k, t, q], rows.shape)
     return len(monomials) * n, rows.ravel(), cols.ravel(), values.ravel()
-
-
-def constraint_matrix(ring, degree: int, act: np.ndarray) -> np.ndarray:
-    """constraint_operator as a dense matrix."""
-    n, rows, cols, values = constraint_operator(ring, degree, act)
-    K = ring.zeros((n, _monomial_table(act.shape[0], degree)[1].shape[0] * act.shape[1]))
-    K[rows, cols] = values
-    return K
 
 
 def _product_tensors(carrier) -> dict:
@@ -502,7 +494,11 @@ def trace_space(gma, mode: str = "centralizing", max_dim: int = 12) -> TraceSpac
 
     Unknowns are the pair coefficients v_ij = coefficient of x_i x_j (i <= j)
     as vectors in G; the recovered symmetric tensor halves the off-diagonal.
-    Exhaustive-solve scale, so guarded to prime fields and dim <= max_dim.
+    The rows are the canonical nullspace of the degree-3 constraint operator
+    (n_rows x n_cols = monomials x target dim by pairs x dim), solved from
+    its entries one block at a time (exact.blocked_nullspace), so the dense
+    system is never built.  Exhaustive-solve scale, so guarded to prime
+    fields and dim <= max_dim.
     """
     ring, d = gma.ring, gma.dim
     if mode not in ("centralizing", "commuting"):
@@ -512,11 +508,12 @@ def trace_space(gma, mode: str = "centralizing", max_dim: int = 12) -> TraceSpac
     if d > max_dim:
         raise MapError(f"dim {d} exceeds the trace_space guard {max_dim}")
 
-    K = constraint_matrix(ring, 3, _unlift(ring, *_bracket_action(gma, mode == "centralizing")))
-    rows = nullspace_array(ring, K)
     npairs = d * (d + 1) // 2
+    K = constraint_operator(ring, 3, _unlift(ring, *_bracket_action(gma, mode == "centralizing")))
+    n_rows, n_cols = K[0], npairs * d
+    rows = blocked_nullspace(ring, K, n_cols)
     tensors = symmetric_from_pairs(ring, d, rows.reshape(len(rows), npairs, d))
     # over a prime field BilinearMapRep reduces each slice into an array of its own
     basis = [BilinearMapRep(ring, t) for t in tensors]
-    return TraceSpaceResult(mode, K.shape[0], K.shape[1], basis, rows)
+    return TraceSpaceResult(mode, n_rows, n_cols, basis, rows)
 

@@ -21,7 +21,10 @@ loops (the witness extraction, the shape laws and the mu/nu assembly) and
 against the same chain as contractions on ring values, which over Q build
 Fractions, on the same contexts. The factored solve is checked against
 ``solve_array`` and ``solve_columns``, one reduction of [mat | b] per
-solve. The corner isomorphism phi is checked against one exact solve per
+solve. The blocked nullspace, solved one connected block of the
+constraint operator at a time, is checked against ``nullspace_array`` of
+the operator's dense scatter, which is kept here as an oracle. The corner
+isomorphism phi is checked against one exact solve per
 projected center row, and the matrix-unit builders against one loop per
 product tensor. The table of block laws that checks the Morita axioms is
 compared with one hand-written contraction per identity, law by law, on
@@ -44,11 +47,12 @@ import itertools
 import math
 import re
 import types
+import unittest.mock
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pickle
 
@@ -95,6 +99,7 @@ from gmalg.exact import (
     _scaled_equal,
     _sparse_times,
     _unlift,
+    blocked_nullspace,
     nullspace_array,
     prime_field,
     rank_array,
@@ -111,7 +116,6 @@ from gmalg.maps import (
     _monomial_table,
     _product_tensors,
     _trace_witness,
-    constraint_matrix,
     constraint_operator,
     is_centralizing_linear,
     is_centralizing_trace,
@@ -808,21 +812,39 @@ def test_generic_system_matches_loop(gma):
     assert_identical(_unlift(gma.ring, *_product_tensors(gma)["pairs"]), sym)
 
 
+# (n_rows, n_cols, dim) of the trace spaces of M4(F5), 2+2 split: the
+# centralizing traces are the 153 proper ones the generic system solves for
+M4_TRACE_SPACES = {"centralizing": (12240, 2176, 153), "commuting": (13056, 2176, 153)}
+
+
 @pytest.mark.parametrize("mode", ["centralizing", "commuting"])
 def test_trace_space_matches_loop(gma, mode):
+    """The blocked solve against the dense nullspace of the loop-built
+    system, beyond the dim guard too (M4 is dim 16)."""
     ring, d = gma.ring, gma.dim
-    if not ring.is_prime_field or d > 12:
-        pytest.skip("trace_space enumerates prime fields up to dim 12")
+    if not ring.is_prime_field:
+        pytest.skip("trace_space enumerates prime fields only")
     K = slow_trace_space_matrix(gma, mode)
     act = _unlift(ring, *_bracket_action(gma, mode == "centralizing"))
-    assert_identical(constraint_matrix(ring, 3, act), K)
-    space = trace_space(gma, mode)
+    assert_identical(dense_constraint_matrix(ring, 3, act), K)
+    space = trace_space(gma, mode, max_dim=d)
     assert (space.n_rows, space.n_cols) == K.shape
     assert_identical(space.raw_rows, nullspace_array(ring, K))
+    if d == 16:  # M4(F5), the one instance of dim 16
+        assert (space.n_rows, space.n_cols, space.dim) == M4_TRACE_SPACES[mode]
+        assert space.dim == gma.generic_system.matrix.shape[1]
     slow_basis = slow_basis_tensors(ring, d, space.raw_rows)
     assert len(space.basis) == len(slow_basis)
     for b, s in zip(space.basis, slow_basis):
         assert_identical(b.tensor, s)
+
+
+def dense_constraint_matrix(ring, degree: int, act: np.ndarray) -> np.ndarray:
+    """constraint_operator scattered into a dense matrix."""
+    n, rows, cols, values = constraint_operator(ring, degree, act)
+    K = ring.zeros((n, _monomial_table(act.shape[0], degree)[1].shape[0] * act.shape[1]))
+    K[rows, cols] = values
+    return K
 
 
 def slow_constraint_matrix(ring, degree, act):
@@ -872,7 +894,34 @@ def test_constraint_operator_matches_arrangement_loop(case):
     assert not np.any(values == 0)
     want = slow_constraint_matrix(ring, degree, act)
     assert n_rows == want.shape[0]
-    assert_identical(constraint_matrix(ring, degree, act), want)
+    assert_identical(dense_constraint_matrix(ring, degree, act), want)
+
+
+def _action(ring, shape, nonzero):
+    """An action of the given shape, one at the given cells, zero elsewhere."""
+    act = ring.zeros(shape)
+    for idx in nonzero:
+        act[idx] = ring.one
+    return act
+
+
+@settings(deadline=None, max_examples=150)
+@given(constraint_actions())
+@example((F5, 3, F5.zeros((3, 2, 2))))  # the zero operator: every column without entries
+@example((RATIONAL, 2, RATIONAL.zeros((2, 3, 1))))
+@example((F5, 3, F5.zeros((3, 0, 2))))  # m = 0: no columns
+@example((BIG_P, 2, BIG_P.zeros((3, 2, 0))))  # n = 0: no rows
+@example((F5, 3, _action(F5, (2, 3, 2), [(0, 0, 1), (1, 2, 0)])))  # column t = 1 never hit
+@example((RATIONAL, 3, _action(RATIONAL, (3, 2, 1), [(2, 1, 0)])))
+def test_blocked_nullspace_matches_dense_nullspace(case):
+    """With one component per block and with components packed together."""
+    ring, degree, act = case
+    K = constraint_operator(ring, degree, act)
+    dense = dense_constraint_matrix(ring, degree, act)
+    want = nullspace_array(ring, dense)
+    for group_columns in (1, 4, exact._GROUP_COLUMNS):
+        with unittest.mock.patch.object(exact, "_GROUP_COLUMNS", group_columns):
+            assert_identical(blocked_nullspace(ring, K, dense.shape[1]), want)
 
 
 @pytest.mark.parametrize("name", ["t3-f5", "m4-f5", "m3-q"])
@@ -887,7 +936,7 @@ def test_cube_annihilation_matrix_matches_loop(name):
     assert_identical(slow, np.transpose(slow, (0, 2, 1, 3)))
     v, w = np.triu_indices(dB)
     want = slow[:, v, w, :].reshape(slow.shape[0], len(v) * dN)
-    assert_identical(constraint_matrix(g.ring, 3, g.ctx.N.left), want)
+    assert_identical(dense_constraint_matrix(g.ring, 3, g.ctx.N.left), want)
 
 
 def perturbed(F, at):
@@ -2502,7 +2551,7 @@ def factor_reductions(name):
 
 def m3_f5_trace_space_matrix(mode):
     g = assemble_gma(build_full_matrix(3, 1, F5))
-    return constraint_matrix(F5, 3, _unlift(F5, *_bracket_action(g, mode == "centralizing")))
+    return dense_constraint_matrix(F5, 3, _unlift(F5, *_bracket_action(g, mode == "centralizing")))
 
 
 # name: (build, shape, rank)
