@@ -17,7 +17,6 @@ of the center basis, not solved for.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -36,7 +35,7 @@ from .exact import (
 from .maps import (
     _arrangement_table,
     _bracket_action,
-    _grid_values,
+    _grid_points,
     _product_tensors,
     constraint_operator,
 )
@@ -419,13 +418,10 @@ def _identity_42_witness(gma, xs, ys):
     """(x, y) with a nonzero defect, x on the basis vectors xs and y on ys,
     whose monomial has a nonzero coefficient.  The defect has degree at most
     3 in each coordinate of x and 2 in each of y, so it is nonzero somewhere
-    on four distinct values per coordinate; the basis sums come first."""
-    ring, e = gma.ring, gma.basis_vector
-    for coeffs in itertools.product(_grid_values(ring), repeat=5):
-        x = ring.normalize(sum(c * e(i) for c, i in zip(coeffs[:3], xs)))
-        y = ring.normalize(sum(c * e(i) for c, i in zip(coeffs[3:], ys)))
+    on the grid of maps._grid_points; the basis sums come first."""
+    for x, y in _grid_points(gma, xs, ys):
         defect = gma.commutator(gma.commutator(gma.square(x), y), gma.commutator(x, y))
-        if not ring.is_zero(defect):
+        if not gma.ring.is_zero(defect):
             return x, y
     raise CenterError("nonzero defect coefficient but witness grid found nothing")
 

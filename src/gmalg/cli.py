@@ -471,7 +471,7 @@ def _suite_properties(gma: GMA, ctx, args):
 
     def space(mode):
         if mode not in spaces:
-            spaces[mode] = trace_space(gma, mode, max_dim=args.max_dim)
+            spaces[mode] = trace_space(gma, mode)
         return spaces[mode]
 
     def p_axioms():
@@ -561,10 +561,6 @@ def _suite_properties(gma: GMA, ctx, args):
         )
 
     def p_trace_space():
-        if not ring.is_prime_field:
-            return "SKIP", "exhaustive nullspace needs a prime field"
-        if gma.dim > args.max_dim:
-            return "SKIP", f"dim {gma.dim} exceeds --max-dim {args.max_dim}"
         if hyp.route == "none":
             return "SKIP", "no decomposition route"
         cen = space("centralizing")
@@ -575,10 +571,6 @@ def _suite_properties(gma: GMA, ctx, args):
         return "PASS", f"dim {cen.dim}"
 
     def p_trace_modes():
-        if not ring.is_prime_field:
-            return "SKIP", "exhaustive nullspace needs a prime field"
-        if gma.dim > args.max_dim:
-            return "SKIP", f"dim {gma.dim} exceeds --max-dim {args.max_dim}"
         if hyp.route == "none":
             return "SKIP", "no decomposition route"
         cen, com = space("centralizing"), space("commuting")
@@ -683,17 +675,15 @@ def cmd_suite(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--max-dim", type=int, default=12, help="cap for exhaustive subspace solves"
-    )
-    common.add_argument(
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", default=None, help="write the result file here")
+    bounded = argparse.ArgumentParser(add_help=False, parents=[output])
+    bounded.add_argument(
         "--loyalty-bound",
         type=int,
         default=5**8,
         help="enumeration budget for loyalty and center scans",
     )
-    common.add_argument("-o", "--output", default=None, help="write the result file here")
 
     p = argparse.ArgumentParser(
         prog="gmalg",
@@ -703,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", parents=[common], help="generate a context file")
+    g = sub.add_parser("gen", parents=[output], help="generate a context file")
     g.add_argument(
         "--kind",
         required=True,
@@ -718,22 +708,22 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--algebra-file", default=None, help="algebra + idempotent input")
     g.set_defaults(func=cmd_gen)
 
-    c = sub.add_parser("check", parents=[common], help="axioms + hypothesis report")
+    c = sub.add_parser("check", parents=[bounded], help="axioms + hypothesis report")
     c.add_argument("context")
     c.set_defaults(func=cmd_check)
 
-    ce = sub.add_parser("center", parents=[common], help="center analysis report")
+    ce = sub.add_parser("center", parents=[bounded], help="center analysis report")
     ce.add_argument("context")
     ce.set_defaults(func=cmd_center)
 
-    v = sub.add_parser("verify-map", parents=[common], help="check a map predicate")
+    v = sub.add_parser("verify-map", parents=[output], help="check a map predicate")
     v.add_argument("context")
     v.add_argument("map")
     v.add_argument("--predicate", required=True, choices=PREDICATES)
     v.set_defaults(func=cmd_verify_map)
 
     dt = sub.add_parser(
-        "decompose-trace", parents=[common], help="proper form of a trace"
+        "decompose-trace", parents=[bounded], help="proper form of a trace"
     )
     dt.add_argument("context")
     dt.add_argument("map")
@@ -742,14 +732,14 @@ def build_parser() -> argparse.ArgumentParser:
     dt.set_defaults(func=cmd_decompose_trace)
 
     dl = sub.add_parser(
-        "decompose-lti", parents=[common], help="split a Lie triple isomorphism"
+        "decompose-lti", parents=[output], help="split a Lie triple isomorphism"
     )
     dl.add_argument("src_context")
     dl.add_argument("dst_context")
     dl.add_argument("map")
     dl.set_defaults(func=cmd_decompose_lti)
 
-    s = sub.add_parser("suite", parents=[common], help="batch property run")
+    s = sub.add_parser("suite", parents=[bounded], help="batch property run")
     s.add_argument("context")
     s.add_argument("--count", type=int, default=5, help="seeded cases per property")
     s.add_argument("--seed", type=int, default=0, help="seed of the drawn traces and maps")
@@ -759,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for name, low in (("count", 1), ("max_dim", 0), ("loyalty_bound", 0)):
+    for name, low in (("count", 1), ("loyalty_bound", 0)):
         if getattr(args, name, low) < low:
             sys.stderr.write(f"error: --{name.replace('_', '-')} must be at least {low}\n")
             return 2

@@ -385,7 +385,6 @@ class ConstructiveWitness:
     gamma: np.ndarray  # (dimA, dimB)
     gamma_prime: np.ndarray  # (dimB, dimA)
     delta: np.ndarray  # (dimA, dimB, dimA)
-    xi: np.ndarray  # (dimA, dimM), equals alpha
     eta: np.ndarray  # (dimA, dimM, dimA)
     epsilon: np.ndarray  # in A
     epsilon_prime: np.ndarray  # in B
@@ -492,7 +491,7 @@ def extract_constructive_witness(
 
 def _witness_chain(gma: GMA, grid: ComponentGrid, report):
     """The chain of extract_constructive_witness on lifted values
-    (exact._lift): (its fields but xi and side, lifted, by name; side).
+    (exact._lift): (its fields but side, lifted, by name; side).
     Every span test decides on integers."""
     ring, C = gma.ring, gma.center
     T = gma.lifted
@@ -596,9 +595,9 @@ def _witness_chain(gma: GMA, grid: ComponentGrid, report):
 
 
 def _witness(ring, lifted: dict, side: str) -> ConstructiveWitness:
-    """The ConstructiveWitness of the chain's lifted fields; xi is alpha."""
+    """The ConstructiveWitness of the chain's lifted fields."""
     f = {name: _values(ring, v) for name, v in lifted.items()}
-    return ConstructiveWitness(xi=f["alpha"].copy(), side=side, **f)
+    return ConstructiveWitness(side=side, **f)
 
 
 def witness_shape_report(grid: ComponentGrid, w: ConstructiveWitness) -> dict:

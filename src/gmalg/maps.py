@@ -2,14 +2,15 @@
 
 Every predicate that can fail returns a verified witness: the offending input
 is re-evaluated directly through the product tensor, never inferred from the
-coefficient system alone.  Witness search is deterministic — basis sums first,
-then a small scalar grid (three values per slot bound the degree, so the grid
-is exhaustive for these polynomial degrees), so a failing predicate always
-produces the same witness for the same input.
+coefficient system alone.  Witness search is deterministic: one grid of four
+values per slot (the defect has degree at most three in each slot, so the
+grid is exhaustive for it), walked from the basis sum on, so a failing
+predicate always produces the same witness for the same input.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
@@ -161,6 +162,17 @@ def _grid_values(ring):
     return [ring.coerce(1), ring.coerce(2), ring.coerce(3), ring.coerce(4)]
 
 
+def _grid_points(carrier, *groups):
+    """The witness grid, in itertools.product order over _grid_values with
+    one value per slot: for each choice, one vector per group of basis
+    indices, the sum of its basis vectors times their values.  The first
+    point is the basis sums."""
+    ring, e = carrier.ring, carrier.basis_vector
+    for values in itertools.product(_grid_values(ring), repeat=sum(map(len, groups))):
+        it = iter(values)
+        yield tuple(ring.normalize(sum(next(it) * e(i) for i in g)) for g in groups)
+
+
 def _arrangements3(a, b, c):
     return sorted(set(
         ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a))
@@ -260,14 +272,15 @@ def _bracket_action(carrier, centralizing: bool):
     return np.transpose(Bk, (1, 0, 2)), L
 
 
-def _verdict(carrier, centralizing: bool, degree: int, unknown, witness):
+def _verdict(carrier, centralizing: bool, degree: int, unknown, image):
     """(ok, witness) for [U(x), x] (degree 2) or [U(x, x), x] (degree 3)
     vanishing, or landing in the center: ok iff the constraint operator
     kills U's unknown layout, lifted (exact._lift); only whether a value
-    is zero counts, so the scales of both are left out.  Otherwise
-    witness(monomial, offending) searches from the first monomial whose
-    coefficient row is nonzero.  The operator depends only on the carrier,
-    so it is built once per carrier, degree and mode (``cached``)."""
+    is zero counts, so the scales of both are left out.  Otherwise the
+    witness is the first point x of the grid on the basis indices of the
+    first monomial with a nonzero coefficient row at which [image(x), x] is
+    nonzero (or not central).  The operator depends only on the carrier, so
+    it is built once per carrier, degree and mode (``cached``)."""
     ring = carrier.ring
     K = carrier.cached(
         ("constraint_operator", degree, centralizing),
@@ -279,7 +292,14 @@ def _verdict(carrier, centralizing: bool, degree: int, unknown, witness):
     if bad.size == 0:
         return True, None
     quotient = carrier.center.quotient if centralizing else (lambda v: v)
-    return False, witness(monomials[bad[0]], lambda v: not ring.is_zero(quotient(v)))
+    slots = monomials[bad[0]]
+    if degree == 2 and slots[0] == slots[1]:
+        # the defect is homogeneous: no multiple of e_i fails where e_i passes
+        slots = slots[:1]
+    for (x,) in _grid_points(carrier, slots):
+        if not ring.is_zero(quotient(carrier.commutator(image(x), x))):
+            return False, x
+    raise MapError("nonzero defect coefficient but witness grid found nothing")
 
 
 # ---------------------------------------------------------------------------
@@ -292,70 +312,23 @@ def _require_shape(F: LinearMapRep, dim_out: int, dim_in: int):
         raise MapError(f"map has shape {F.matrix.shape}, the algebras want {(dim_out, dim_in)}")
 
 
-def _linear_witness(carrier, F, bad_pair, offending):
-    """Deterministic witness x with [F(x), x] violating `offending`."""
-    ring = carrier.ring
-    i, j = bad_pair
-
-    def defect(x):
-        return carrier.commutator(F.apply(x), x)
-
-    if i == j:
-        x = carrier.basis_vector(i)
-        if offending(defect(x)):
-            return x
-    for t in _grid_values(ring):
-        for u in _grid_values(ring):
-            x = ring.normalize(
-                carrier.basis_vector(i) * t + carrier.basis_vector(j) * u
-            )
-            if offending(defect(x)):
-                return x
-    raise MapError("nonzero defect coefficient but witness grid found nothing")
-
-
 def is_commuting_linear(carrier, F: LinearMapRep):
     """Does [F(x), x] = 0 hold identically?  (ok, witness)."""
     _require_shape(F, carrier.dim, carrier.dim)
     unknown = _lift(carrier.ring, F.matrix)[0].T
-    return _verdict(carrier, False, 2, unknown, partial(_linear_witness, carrier, F))
+    return _verdict(carrier, False, 2, unknown, F.apply)
 
 
 def is_centralizing_linear(gma, F: LinearMapRep):
     """Does [F(x), x] land in Z(G) for every x?  (ok, witness)."""
     _require_shape(F, gma.dim, gma.dim)
     unknown = _lift(gma.ring, F.matrix)[0].T
-    return _verdict(gma, True, 2, unknown, partial(_linear_witness, gma, F))
+    return _verdict(gma, True, 2, unknown, F.apply)
 
 
 # ---------------------------------------------------------------------------
 # trace (quadratic) predicates
 # ---------------------------------------------------------------------------
-
-
-def _trace_witness(carrier, bil, bad_triple, offending):
-    ring = carrier.ring
-    a, b, c = bad_triple
-
-    def defect(x):
-        return carrier.commutator(bil.apply(x, x), x)
-
-    x = ring.normalize(
-        carrier.basis_vector(a) + carrier.basis_vector(b) + carrier.basis_vector(c)
-    )
-    if offending(defect(x)):
-        return x
-    for t in _grid_values(ring):
-        for u in _grid_values(ring):
-            for v in _grid_values(ring):
-                x = ring.normalize(
-                    carrier.basis_vector(a) * t
-                    + carrier.basis_vector(b) * u
-                    + carrier.basis_vector(c) * v
-                )
-                if offending(defect(x)):
-                    return x
-    raise MapError("nonzero cubic coefficient but witness grid found nothing")
 
 
 def _pair_layout(carrier, bil: BilinearMapRep):
@@ -368,12 +341,12 @@ def _pair_layout(carrier, bil: BilinearMapRep):
 
 def is_commuting_trace(carrier, bil: BilinearMapRep):
     layout = _pair_layout(carrier, bil)
-    return _verdict(carrier, False, 3, layout, partial(_trace_witness, carrier, bil))
+    return _verdict(carrier, False, 3, layout, bil.trace_eval)
 
 
 def is_centralizing_trace(gma, bil: BilinearMapRep):
     layout = _pair_layout(gma, bil)
-    return _verdict(gma, True, 3, layout, partial(_trace_witness, gma, bil))
+    return _verdict(gma, True, 3, layout, bil.trace_eval)
 
 
 # ---------------------------------------------------------------------------
@@ -488,32 +461,27 @@ class TraceSpaceResult:
         return len(self.basis)
 
 
-def trace_space(gma, mode: str = "centralizing", max_dim: int = 12) -> TraceSpaceResult:
+def trace_space(gma, mode: str = "centralizing") -> TraceSpaceResult:
     """All symmetric bilinear B: G x G -> G whose trace x -> B(x, x) has
-    [B(x,x), x] central ("centralizing") or zero ("commuting").
+    [B(x,x), x] central ("centralizing") or zero ("commuting"), over either
+    ring and at any dimension.
 
     Unknowns are the pair coefficients v_ij = coefficient of x_i x_j (i <= j)
     as vectors in G; the recovered symmetric tensor halves the off-diagonal.
     The rows are the canonical nullspace of the degree-3 constraint operator
     (n_rows x n_cols = monomials x target dim by pairs x dim), solved from
     its entries one block at a time (exact.blocked_nullspace), so the dense
-    system is never built.  Exhaustive-solve scale, so guarded to prime
-    fields and dim <= max_dim.
+    system is never built.
     """
     ring, d = gma.ring, gma.dim
     if mode not in ("centralizing", "commuting"):
         raise MapError(f"unknown mode {mode!r}")
-    if not ring.is_prime_field:
-        raise MapError("trace_space enumeration is supported over prime fields only")
-    if d > max_dim:
-        raise MapError(f"dim {d} exceeds the trace_space guard {max_dim}")
 
     npairs = d * (d + 1) // 2
     K = constraint_operator(ring, 3, _unlift(ring, *_bracket_action(gma, mode == "centralizing")))
     n_rows, n_cols = K[0], npairs * d
     rows = blocked_nullspace(ring, K, n_cols)
     tensors = symmetric_from_pairs(ring, d, rows.reshape(len(rows), npairs, d))
-    # over a prime field BilinearMapRep reduces each slice into an array of its own
+    # BilinearMapRep gives each slice an array of its own, on either ring
     basis = [BilinearMapRep(ring, t) for t in tensors]
     return TraceSpaceResult(mode, n_rows, n_cols, basis, rows)
-

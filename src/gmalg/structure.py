@@ -447,7 +447,7 @@ class GMA(_MulCarrier):
 
     @cached_property
     def report(self):
-        """The hypothesis report with default loyalty bound and seed."""
+        """The hypothesis report with the default loyalty bound."""
         from .center import hypothesis_report
 
         return hypothesis_report(self)

@@ -493,6 +493,15 @@ def test_suite_splits_lie_triple_isomorphisms_on_every_builder(name, tmp_path, c
     assert "0 failed" in lines[-1]
 
 
+def test_suite_decides_trace_spaces_beyond_dim_12(tmp_path, capsys):
+    path = tmp_path / "m4.json"
+    save_context(path, build_full_matrix(4, 2, F5))
+    assert main(["suite", str(path), "--count", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS trace-space-decomposes (dim 153)\n" in out
+    assert "PASS trace-space-modes-agree (shared dim 153)\n" in out
+
+
 def test_suite_builds_one_hypothesis_report(m3_file, monkeypatch, capsys):
     # the round trips and the Lie triple shapes read the report the suite built
     built = []
@@ -566,11 +575,26 @@ def test_seed_is_an_option_of_suite_only(m3_file):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["suite", "CTX", "--max-dim", "99"],
+        ["gen", "--kind", "diagonal", "--loyalty-bound", "3"],
+        ["verify-map", "CTX", "map.json", "--predicate", "jordan-hom", "--loyalty-bound", "3"],
+        ["decompose-lti", "CTX", "CTX", "map.json", "--loyalty-bound", "3"],
+    ],
+    ids=["suite-max-dim", "gen-loyalty-bound", "verify-map-loyalty-bound", "decompose-lti-loyalty-bound"],
+)
+def test_commands_refuse_options_they_do_not_read(m3_file, argv):
+    with pytest.raises(SystemExit) as e:
+        main([m3_file if a == "CTX" else a for a in argv])
+    assert e.value.code == 2
+
+
+@pytest.mark.parametrize(
     "command, flag, value",
     [
         ("suite", "--count", "0"),
         ("suite", "--count", "-1"),
-        ("suite", "--max-dim", "-1"),
         ("suite", "--loyalty-bound", "-1"),
         ("check", "--loyalty-bound", "-5"),
         ("center", "--loyalty-bound", "-1"),
@@ -832,9 +856,9 @@ PASS loyalty-certificate (dim A = 1 and M right-faithful)
 PASS second-commutator-identity-dichotomy (fails with verified witness)
 PASS seeded-proper-roundtrip-constructive (2 seeded traces)
 PASS seeded-proper-roundtrip-generic (2 seeded traces)
-SKIP trace-space-decomposes (exhaustive nullspace needs a prime field)
-SKIP trace-space-modes-agree (exhaustive nullspace needs a prime field)
-suite: 12 passed, 0 failed, 3 skipped [seed 0]
+PASS trace-space-decomposes (dim 55)
+PASS trace-space-modes-agree (shared dim 55)
+suite: 14 passed, 0 failed, 1 skipped [seed 0]
 """,
 }
 

@@ -111,11 +111,10 @@ from gmalg.maps import (
     LinearMapRep,
     _arrangements3,
     _bracket_action,
+    MapError,
     _grid_values,
-    _linear_witness,
     _monomial_table,
     _product_tensors,
-    _trace_witness,
     constraint_operator,
     is_centralizing_linear,
     is_centralizing_trace,
@@ -252,11 +251,32 @@ def slow_cubic_trace_coefficients(carrier, bil):
     return out
 
 
+def slow_trace_witness(carrier, bil, bad_triple, offending):
+    """The basis sum, then the grid of four values per slot, a's outermost."""
+    ring = carrier.ring
+    a, b, c = bad_triple
+    e = carrier.basis_vector
+
+    def defect(x):
+        return carrier.commutator(bil.apply(x, x), x)
+
+    x = ring.normalize(e(a) + e(b) + e(c))
+    if offending(defect(x)):
+        return x
+    for t in _grid_values(ring):
+        for u in _grid_values(ring):
+            for v in _grid_values(ring):
+                x = ring.normalize(e(a) * t + e(b) * u + e(c) * v)
+                if offending(defect(x)):
+                    return x
+    raise MapError("nonzero defect coefficient but witness grid found nothing")
+
+
 def slow_trace_predicate(carrier, bil, coeffs, offending):
     """The first monomial whose coefficient offends starts the witness grid."""
     for triple, coef in coeffs.items():
         if offending(coef):
-            return False, _trace_witness(carrier, bil, triple, offending)
+            return False, slow_trace_witness(carrier, bil, triple, offending)
     return True, None
 
 
@@ -381,11 +401,30 @@ def slow_linear_defect_coefficients(carrier, F):
     return out
 
 
+def slow_linear_witness(carrier, F, bad_pair, offending):
+    """e_i alone on a diagonal pair, then the grid of four values per slot."""
+    ring = carrier.ring
+    i, j = bad_pair
+    e = carrier.basis_vector
+
+    def defect(x):
+        return carrier.commutator(F.apply(x), x)
+
+    if i == j and offending(defect(e(i))):
+        return e(i)
+    for t in _grid_values(ring):
+        for u in _grid_values(ring):
+            x = ring.normalize(e(i) * t + e(j) * u)
+            if offending(defect(x)):
+                return x
+    raise MapError("nonzero defect coefficient but witness grid found nothing")
+
+
 def slow_linear_predicate(carrier, F, coeffs, offending):
     """The first pair whose coefficient offends starts the witness grid."""
     for pair, coef in coeffs.items():
         if offending(coef):
-            return False, _linear_witness(carrier, F, pair, offending)
+            return False, slow_linear_witness(carrier, F, pair, offending)
     return True, None
 
 
@@ -820,14 +859,12 @@ M4_TRACE_SPACES = {"centralizing": (12240, 2176, 153), "commuting": (13056, 2176
 @pytest.mark.parametrize("mode", ["centralizing", "commuting"])
 def test_trace_space_matches_loop(gma, mode):
     """The blocked solve against the dense nullspace of the loop-built
-    system, beyond the dim guard too (M4 is dim 16)."""
+    system, on both rings and at every dimension (M4 is dim 16)."""
     ring, d = gma.ring, gma.dim
-    if not ring.is_prime_field:
-        pytest.skip("trace_space enumerates prime fields only")
     K = slow_trace_space_matrix(gma, mode)
     act = _unlift(ring, *_bracket_action(gma, mode == "centralizing"))
     assert_identical(dense_constraint_matrix(ring, 3, act), K)
-    space = trace_space(gma, mode, max_dim=d)
+    space = trace_space(gma, mode)
     assert (space.n_rows, space.n_cols) == K.shape
     assert_identical(space.raw_rows, nullspace_array(ring, K))
     if d == 16:  # M4(F5), the one instance of dim 16
@@ -1326,7 +1363,6 @@ def slow_extract_constructive_witness(gma, grid, report):
             "epsilon-pair", "epsilon + epsilon' is not central in G", report
         )
 
-    xi = alpha.copy()
     eta = ring.zeros((dA, dM, dA))
     f12 = grid.component("f", 0, 1)
     for i in range(dA):
@@ -1336,7 +1372,7 @@ def slow_extract_constructive_witness(gma, grid, report):
             )
             need(eta[i, j], C.z_a, "eta-centrality")
     return ConstructiveWitness(
-        kappa, theta, alpha, tau, gamma, gamma_prime, delta, xi, eta, epsilon, epsilon_prime, side
+        kappa, theta, alpha, tau, gamma, gamma_prime, delta, eta, epsilon, epsilon_prime, side
     )
 
 
@@ -1644,14 +1680,13 @@ def fraction_extract_constructive_witness(gma, tensors, report):
     epsilon_prime = ring.normalize(kappa - td(gamma_prime, A.unit, axes=([1], [0])))
     if not fraction_center_rows(C, gma.embed_diag(epsilon, epsilon_prime))[1]:
         raise WitnessExtractionError("epsilon-pair", "epsilon + epsilon' is not central in G", report)
-    xi = alpha.copy()
     eta = ring.zeros((dA, dM, dA))
     eta[...] = ring.normalize(
         component("f", 0, 1) - np.transpose(td(alpha, A.mul, axes=([0], [0])), (1, 0, 2))
     )
     check(("eta-centrality", decompose._ESCAPES, fraction_outside(ring, C.z_a, eta)))
     return ConstructiveWitness(
-        kappa, theta, alpha, tau, gamma, gamma_prime, delta, xi, eta, epsilon, epsilon_prime, side
+        kappa, theta, alpha, tau, gamma, gamma_prime, delta, eta, epsilon, epsilon_prime, side
     )
 
 
@@ -1878,8 +1913,9 @@ CENTRALIZING_OUTCOMES = {
 
 
 def centralizing_traces(gma):
-    """The multiplication itself and proper traces, then, where the
-    centralizing trace space is enumerable (F5, dim <= 12), its basis."""
+    """The multiplication itself and proper traces, then, on the F5
+    contexts up to dim 12 (the rest would make Tier-1 slow), the basis of
+    the centralizing trace space."""
     ring = gma.ring
     qs = [BilinearMapRep(ring, gma.mul)]
     qs += [random_proper_trace(gma, seed) for seed in ((1, 2) if ring.p == 5 else (1,))]
@@ -2539,14 +2575,27 @@ def factor_reductions(name):
     independent rows S beside an identity."""
     g = assemble_gma(INSTANCES[name]())
     K = g.generic_system.matrix
+    return kernel_inputs(lambda: FactoredMatrix(g.ring, K))
+
+
+def kernel_inputs(run):
+    """Copies of the matrices the kernel reduces while run() runs."""
     seen = []
     rref = backend.rref
     backend.rref = lambda ring, a: seen.append(a.copy()) or rref(ring, a)
     try:
-        FactoredMatrix(g.ring, K)
+        run()
     finally:
         backend.rref = rref
     return seen
+
+
+def largest_trace_space_block(ctx, mode):
+    """The first of the largest blocks that trace_space reduces, the
+    center of the algebra built beforehand."""
+    g = assemble_gma(ctx)
+    g.center
+    return max(kernel_inputs(lambda: trace_space(g, mode)), key=lambda a: a.size)
 
 
 def m3_f5_trace_space_matrix(mode):
@@ -2564,6 +2613,28 @@ WORKLOAD_SHAPES = {
     "m4-f5-generic-selected": (lambda: factor_reductions("m4-f5")[1], (153, 306), 153),
     "m3-q-generic-transposed": (lambda: factor_reductions("m3-q")[0], (55, 88), 55),
     "m3-q-generic-selected": (lambda: factor_reductions("m3-q")[1], (55, 110), 55),
+    # the largest blocks trace_space reduces; no workload reduces the dense
+    # M3(F5) systems above any more
+    "m3-f5-centralizing-block": (
+        lambda: largest_trace_space_block(build_full_matrix(3, 1, F5), "centralizing"),
+        (94, 51),
+        38,
+    ),
+    "m3-f5-commuting-block": (
+        lambda: largest_trace_space_block(build_full_matrix(3, 1, F5), "commuting"),
+        (96, 51),
+        38,
+    ),
+    "m4-f5-centralizing-block": (
+        lambda: largest_trace_space_block(INSTANCES["m4-f5"](), "centralizing"),
+        (396, 136),
+        115,
+    ),
+    "m3-q-commuting-block": (  # Fraction entries: the object kernel reduces it
+        lambda: largest_trace_space_block(INSTANCES["m3-q"](), "commuting"),
+        (96, 51),
+        38,
+    ),
 }
 
 
@@ -2948,13 +3019,13 @@ def fraction_verdict(carrier, centralizing, degree, unknown, witness):
 def fraction_trace_predicate(carrier, bil, centralizing):
     unknown = pair_coefficients(carrier.ring, bil.tensor)
     return fraction_verdict(
-        carrier, centralizing, 3, unknown, functools.partial(_trace_witness, carrier, bil)
+        carrier, centralizing, 3, unknown, functools.partial(slow_trace_witness, carrier, bil)
     )
 
 
 def fraction_linear_predicate(carrier, F, centralizing):
     return fraction_verdict(
-        carrier, centralizing, 2, F.matrix.T, functools.partial(_linear_witness, carrier, F)
+        carrier, centralizing, 2, F.matrix.T, functools.partial(slow_linear_witness, carrier, F)
     )
 
 
