@@ -226,6 +226,8 @@ def compute_center_gma(gma: GMA) -> CenterData:
 # loyalty (a M b = 0 forces a = 0 or b = 0)
 # ---------------------------------------------------------------------------
 
+_CANDIDATE_BOUND = 5**8  # the most candidates an exhaustive scan over F_p tries
+
 
 @dataclass
 class LoyaltyResult:
@@ -254,19 +256,19 @@ def _first_singular(ring, T):
     return None
 
 
-def check_loyal(ctx: MoritaContext, bound: int = 5**8) -> LoyaltyResult:
-    """Exhaustive enumeration over F_p (bounded), structural certificates over Q."""
-    return _loyalty(ctx, bound, lambda: check_faithful(ctx)[:2])
+def check_loyal(ctx: MoritaContext) -> LoyaltyResult:
+    """Enumeration over F_p within _CANDIDATE_BOUND, structural certificates over Q."""
+    return _loyalty(ctx, lambda: check_faithful(ctx)[:2])
 
 
-def gma_loyalty(gma: GMA, bound: int = 5**8) -> LoyaltyResult:
+def gma_loyalty(gma: GMA) -> LoyaltyResult:
     """check_loyal of gma's context; over Q its certificates read the
     faithfulness of M that gma.center holds instead of computing it again."""
     C = gma.center
-    return _loyalty(gma.ctx, bound, lambda: (C.faithful_left, C.faithful_right))
+    return _loyalty(gma.ctx, lambda: (C.faithful_left, C.faithful_right))
 
 
-def _loyalty(ctx: MoritaContext, bound: int, faithful) -> LoyaltyResult:
+def _loyalty(ctx: MoritaContext, faithful) -> LoyaltyResult:
     """check_loyal, with faithful() giving M's (left, right) faithfulness."""
     ring = ctx.ring
     dA, dB, dM = ctx.A.dim, ctx.B.dim, ctx.M.dim
@@ -288,8 +290,8 @@ def _loyalty(ctx: MoritaContext, bound: int, faithful) -> LoyaltyResult:
     # enumerate the smaller corner; orientation is reported in the witness order
     side_a = dA <= dB
     total = ring.p ** min(dA, dB) - 1
-    if total > bound:
-        return LoyaltyResult("unknown", None, f"{total} candidates exceed bound {bound}")
+    if total > _CANDIDATE_BOUND:
+        return LoyaltyResult("unknown", None, f"{total} candidates exceed bound {_CANDIDATE_BOUND}")
     # [a, j, b, r] = ((e_a m_j) e_b)_r; for a fixed candidate on one side,
     # the rows (j, r) and the other side's coordinates as columns
     amb = ring.tensordot(ctx.M.left, ctx.M.right, axes=([2], [0]))
@@ -484,7 +486,7 @@ def center_multiplier_annihilator_ok(gma) -> bool:
     return all(rank_array(ring, T[:, i]) == T.shape[0] for i in range(T.shape[1]))
 
 
-def center_zero_divisor_free(gma, bound: int = 5**8):
+def center_zero_divisor_free(gma):
     """Z(G) has no zero divisors (exhaustive product grid; F_p only)."""
     ring = gma.ring
     if not ring.is_prime_field:
@@ -493,7 +495,7 @@ def center_zero_divisor_free(gma, bound: int = 5**8):
     z = C.zdim
     if z == 0:
         return True
-    if ring.p ** (2 * z) > bound:
+    if ring.p ** (2 * z) > _CANDIDATE_BOUND:
         return None
     # [u, w, v] = coordinate w of z_u z_v, which is central
     prod = ring.tensordot(_unlift(ring, *gma._products(C.z_g, 0)), C.z_g, axes=([1], [1]))
@@ -625,7 +627,10 @@ def _independent_pair(gma):
     return m0, b0
 
 
-def hypothesis_report(gma: GMA, loyalty_bound: int = 5**8) -> HypothesisReport:
+def hypothesis_report(gma: GMA) -> HypothesisReport:
+    """The hypotheses of both routes, read once per algebra as ``gma.report``.
+    Loyalty over F_p scans within _CANDIDATE_BOUND = 5^8 candidates: M6(F5)
+    split 3 (1953124) and M2 over p = 1048573 (1048572) read "unknown"."""
     ring = gma.ring
     ctx = gma.ctx
     C = gma.center
@@ -643,7 +648,7 @@ def hypothesis_report(gma: GMA, loyalty_bound: int = 5**8) -> HypothesisReport:
         morita_ok=True,  # a GMA comes only from assemble_gma, which checks the laws
         M_faithful_left=C.faithful_left,
         M_faithful_right=C.faithful_right,
-        M_loyal=gma_loyalty(gma, loyalty_bound),
+        M_loyal=gma_loyalty(gma),
         zA_eq_piA=spans_equal(zA, C.pia_image),
         zA_ne_A=zA.shape[0] < ctx.A.dim,
         zB_eq_piB=spans_equal(zB, C.pib_image),

@@ -23,7 +23,6 @@ from .center import (
     check_identity_42,
     cube_annihilating_forms_contained,
     gma_loyalty,
-    hypothesis_report,
 )
 from .decompose import (
     PredicateNotSatisfied,
@@ -202,7 +201,7 @@ def cmd_check(args) -> int:
         _print([str(rep)], args.output)
         return 1
     try:
-        hyp = hypothesis_report(gma, loyalty_bound=args.loyalty_bound)
+        hyp = gma.report
     except (CenterError, ExactError) as e:
         _print([str(rep), f"analysis failed: {e}"], args.output)
         return 1
@@ -221,7 +220,7 @@ def cmd_center(args) -> int:
     except (CenterError, ExactError) as e:
         _print([f"center computation failed: {e}"])
         return 1
-    loyal = gma_loyalty(gma, bound=args.loyalty_bound)
+    loyal = gma_loyalty(gma)
     lines = [
         f"center-dim: {C.zdim}",
     ]
@@ -353,9 +352,8 @@ def cmd_decompose_trace(args) -> int:
     lines = []
     failed = False
     generic = constructive = None
-    report = hypothesis_report(gma, loyalty_bound=args.loyalty_bound)
     if args.path in ("generic", "both"):
-        generic = decompose_trace_generic(q, gma, mode=args.mode, report=report)
+        generic = decompose_trace_generic(q, gma, mode=args.mode)
         out["route"] = generic.route
         lines.append(f"generic: {generic.status} (route {generic.route})")
         if generic.status == "ok":
@@ -368,7 +366,7 @@ def cmd_decompose_trace(args) -> int:
             lines += ["  " + ln for ln in generic.report.lines()]
     if args.path in ("constructive", "both"):
         try:
-            constructive = decompose_trace_constructive(q, gma, report=report)
+            constructive = decompose_trace_constructive(q, gma)
         except WitnessExtractionError as e:
             failed = True
             out["constructive"] = {"status": "extraction-failed", "stage": e.stage}
@@ -465,7 +463,7 @@ def cmd_decompose_lti(args) -> int:
 def _suite_properties(gma: GMA, ctx, args):
     """Yield (name, thunk) pairs; each thunk returns (status, detail)."""
     ring = gma.ring
-    hyp = hypothesis_report(gma, loyalty_bound=args.loyalty_bound)
+    hyp = gma.report
     loyal = hyp.M_loyal
     spaces = {}  # mode -> trace_space result, shared by the two trace-space checks
 
@@ -541,7 +539,7 @@ def _suite_properties(gma: GMA, ctx, args):
     def p_center_domain():
         if loyal.status != "true":
             return "SKIP", "needs a loyal bimodule"
-        res = center_zero_divisor_free(gma, bound=args.loyalty_bound)
+        res = center_zero_divisor_free(gma)
         if res is None:
             return "SKIP", "not enumerable (rational ring or over bound)"
         return ("PASS", "") if res else ("FAIL", "zero divisors in the center")
@@ -565,7 +563,7 @@ def _suite_properties(gma: GMA, ctx, args):
             return "SKIP", "no decomposition route"
         cen = space("centralizing")
         for k, b in enumerate(cen.basis):
-            dec = decompose_trace_generic(b, gma, mode="centralizing", report=hyp)
+            dec = decompose_trace_generic(b, gma, mode="centralizing")
             if dec.status != "ok" or not dec.form.matches(gma, b):
                 return "FAIL", f"basis element {k} does not decompose"
         return "PASS", f"dim {cen.dim}"
@@ -581,7 +579,7 @@ def _suite_properties(gma: GMA, ctx, args):
     def p_roundtrip_generic():
         for i in range(args.count):
             q = random_proper_trace(gma, args.seed + i)
-            dec = decompose_trace_generic(q, gma, mode="commuting", report=hyp)
+            dec = decompose_trace_generic(q, gma, mode="commuting")
             if dec.status != "ok" or not dec.form.matches(gma, q):
                 return "FAIL", f"seed {args.seed + i} does not roundtrip"
         return "PASS", f"{args.count} seeded traces"
@@ -592,7 +590,7 @@ def _suite_properties(gma: GMA, ctx, args):
         for i in range(args.count):
             q = random_proper_trace(gma, args.seed + i)
             try:
-                dec = decompose_trace_constructive(q, gma, report=hyp)
+                dec = decompose_trace_constructive(q, gma)
             except WitnessExtractionError as e:
                 return "FAIL", f"seed {args.seed + i}: extraction failed at {e.stage}"
             if dec.status != "ok" or not dec.form.matches(gma, q):
@@ -603,12 +601,12 @@ def _suite_properties(gma: GMA, ctx, args):
         # a split is ambiguous for every map of the drawn form when it is for
         # the identity; otherwise it recovers the drawn sign, sigma and shift
         ident = LinearMapRep.identity(ring, gma.dim)
-        ambiguous = decompose_lie_triple_iso(ident, gma, gma, report=hyp).status == "ambiguous"
+        ambiguous = decompose_lie_triple_iso(ident, gma, gma).status == "ambiguous"
         seed = args.seed + 11
         sigma = random_lie_triple_iso(gma, seed, "conjugation")
         for shape, lam in (("central-shift", 1), ("conjugation", 1), ("neg-conjugation", -1)):
             l = random_lie_triple_iso(gma, seed, shape)
-            L = decompose_lie_triple_iso(l, gma, gma, report=hyp)
+            L = decompose_lie_triple_iso(l, gma, gma)
             if ambiguous:
                 if L.status != "ambiguous":
                     return "FAIL", f"{shape}: the identity split is ambiguous, got {L.status}"
@@ -677,13 +675,6 @@ def cmd_suite(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("-o", "--output", default=None, help="write the result file here")
-    bounded = argparse.ArgumentParser(add_help=False, parents=[output])
-    bounded.add_argument(
-        "--loyalty-bound",
-        type=int,
-        default=5**8,
-        help="enumeration budget for loyalty and center scans",
-    )
 
     p = argparse.ArgumentParser(
         prog="gmalg",
@@ -708,11 +699,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--algebra-file", default=None, help="algebra + idempotent input")
     g.set_defaults(func=cmd_gen)
 
-    c = sub.add_parser("check", parents=[bounded], help="axioms + hypothesis report")
+    c = sub.add_parser("check", parents=[output], help="axioms + hypothesis report")
     c.add_argument("context")
     c.set_defaults(func=cmd_check)
 
-    ce = sub.add_parser("center", parents=[bounded], help="center analysis report")
+    ce = sub.add_parser("center", parents=[output], help="center analysis report")
     ce.add_argument("context")
     ce.set_defaults(func=cmd_center)
 
@@ -722,9 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--predicate", required=True, choices=PREDICATES)
     v.set_defaults(func=cmd_verify_map)
 
-    dt = sub.add_parser(
-        "decompose-trace", parents=[bounded], help="proper form of a trace"
-    )
+    dt = sub.add_parser("decompose-trace", parents=[output], help="proper form of a trace")
     dt.add_argument("context")
     dt.add_argument("map")
     dt.add_argument("--mode", default="centralizing", choices=["centralizing", "commuting"])
@@ -739,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     dl.add_argument("map")
     dl.set_defaults(func=cmd_decompose_lti)
 
-    s = sub.add_parser("suite", parents=[bounded], help="batch property run")
+    s = sub.add_parser("suite", parents=[output], help="batch property run")
     s.add_argument("context")
     s.add_argument("--count", type=int, default=5, help="seeded cases per property")
     s.add_argument("--seed", type=int, default=0, help="seed of the drawn traces and maps")
@@ -749,10 +738,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for name, low in (("count", 1), ("loyalty_bound", 0)):
-        if getattr(args, name, low) < low:
-            sys.stderr.write(f"error: --{name.replace('_', '-')} must be at least {low}\n")
-            return 2
+    if getattr(args, "count", 1) < 1:
+        sys.stderr.write("error: --count must be at least 1\n")
+        return 2
     try:
         return args.func(args)
     except (IOFormatError, ExactError, MapError, AxiomError) as e:

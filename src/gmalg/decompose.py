@@ -467,7 +467,6 @@ def extract_constructive_witness(
     q: BilinearMapRep,
     gma: GMA,
     grid: ComponentGrid | None = None,
-    report=None,
 ) -> ConstructiveWitness:
     """Run the component chain and return its data, verifying every
     centrality membership on the way.
@@ -484,9 +483,7 @@ def extract_constructive_witness(
     """
     if grid is None:
         grid = extract_components(q, gma)
-    if report is None:
-        report = gma.report
-    return _witness(gma.ring, *_witness_chain(gma, grid, report))
+    return _witness(gma.ring, *_witness_chain(gma, grid, gma.report))
 
 
 def _witness_chain(gma: GMA, grid: ComponentGrid, report):
@@ -795,9 +792,7 @@ class LieTripleDecomposition:
     detail: str = ""
 
 
-def decompose_lie_triple_iso(
-    l: LinearMapRep, src: GMA, dst: GMA, report=None
-) -> LieTripleDecomposition:
+def decompose_lie_triple_iso(l: LinearMapRep, src: GMA, dst: GMA) -> LieTripleDecomposition:
     """Split an invertible second-commutator-preserving map as l = lam*m + n.
 
     Pipeline: pull the product of src through l to the bilinear map
@@ -806,8 +801,7 @@ def decompose_lie_triple_iso(
     valued in Z(dst); exactly one consistent sign is expected (two is an
     ambiguity worth reporting, zero a failure), and m = lam*l + mu/2 must
     then be a Jordan homomorphism with the usual side conditions.  The
-    result carries `report`, dst's hypothesis report (``dst.report`` when
-    none is given).
+    result carries `report`, dst's hypothesis report ``dst.report``.
     """
     ring = dst.ring
     if l.matrix.shape != (dst.dim, src.dim):
@@ -819,8 +813,7 @@ def decompose_lie_triple_iso(
     if not ok:
         raise PredicateNotSatisfied("map does not preserve second commutators", witness=wit)
 
-    if report is None:
-        report = dst.report
+    report = dst.report
     C = dst.center
     # q[i, j, :] = l(l^-1(e_i) l^-1(e_j))
     t = ring.tensordot(linv, dst.mul, axes=([0], [0]))

@@ -441,7 +441,8 @@ def symmetric_from_pairs(ring, d: int, W: np.ndarray) -> np.ndarray:
     symmetric (..., d, d, k) tensor: a diagonal pair is copied, an
     off-diagonal one is halved onto both of its slots."""
     I, J = np.triu_indices(d)
-    W = ring.normalize(np.where((I == J)[:, None], W, W * ring.half))
+    W = np.array(W, dtype=ring.dtype)  # a copy: only its nonzero off-diagonal cells are halved
+    W = ring.normalize(np.multiply(W, ring.half, out=W, where=(W != 0) & (I != J)[:, None]))
     S = ring.zeros(W.shape[:-2] + (d, d) + W.shape[-1:])
     S[..., I, J, :] = W
     S[..., J, I, :] = W

@@ -27,6 +27,8 @@ from .exact import (
     RingDescriptor,
     _contract,
     _lift,
+    _sub,
+    _td,
     _unlift,
     inverse_array,
     row_span_coords,
@@ -80,18 +82,18 @@ def _first_nonzero(ring, arr):
 
 
 def _associator(ring, xy, xy_z, yz, x_yz):
-    """(xy)z - x(yz) on basis triples, indexed [x, y, z, r], from the product
-    tensors of x*y, (xy)*z, y*z and x*(yz)."""
-    lhs = ring.tensordot(xy, xy_z, axes=([2], [0]))
-    rhs = ring.tensordot(yz, x_yz, axes=([2], [1]))  # [y, z, x, r]
-    return ring.normalize(lhs - np.transpose(rhs, (2, 0, 1, 3)))
+    """(xy)z - x(yz) up to a nonzero multiple on basis triples, indexed
+    [x, y, z, r], from the lifted product tensors of x*y, (xy)*z, y*z, x*(yz)."""
+    lhs = _td(ring, xy, xy_z, ([2], [0]))
+    rhs, L = _td(ring, yz, x_yz, ([2], [1]))  # [y, z, x, r]
+    return _sub(ring, lhs, (np.transpose(rhs, (2, 0, 1, 3)), L))[0]
 
 
 def _unit_defect(ring, unit, prod, axis):
-    """1*x - x (axis 0) or x*1 - x (axis 1) on basis vectors, indexed [x, r],
-    for a product tensor with the unit's algebra on that axis."""
-    act = ring.tensordot(unit, prod, axes=([0], [axis]))
-    return ring.normalize(act - ring.eye(prod.shape[2]))
+    """1*x - x (axis 0) or x*1 - x (axis 1) up to a nonzero multiple, indexed
+    [x, r], for a lifted unit and product tensor with its algebra on that axis."""
+    act = _td(ring, unit, prod, ([0], [axis]))
+    return _sub(ring, act, (np.eye(prod[0].shape[2], dtype=ring.dtype), 1))[0]
 
 
 class _MulCarrier:
@@ -156,12 +158,13 @@ class _MulCarrier:
         return _unlift(self.ring, *self._products(self._check_vec(x), 1)).T.copy()
 
     def _assoc_witness(self):
-        w = _first_nonzero(self.ring, _associator(self.ring, *(self.mul,) * 4))
+        w = _first_nonzero(self.ring, _associator(self.ring, *(self.lifted_mul,) * 4))
         return None if w is None else w[:3]
 
     def _unit_witness(self):
+        unit = _lift(self.ring, self.unit)
         for axis, law in ((0, "left-unit"), (1, "right-unit")):
-            defect = _unit_defect(self.ring, self.unit, self.mul, axis)
+            defect = _unit_defect(self.ring, unit, self.lifted_mul, axis)
             if _first_nonzero(self.ring, defect) is not None:
                 return law
         return None
@@ -350,15 +353,21 @@ _MORITA_LAWS = (
 )
 
 
+def _lifted_blocks(ctx: MoritaContext) -> dict:
+    """_block_products and, under "A" and "B", the corner units, each lifted once."""
+    units = {x: getattr(ctx, x).unit for x in "AB"}
+    return {k: _lift(ctx.ring, t) for k, t in {**_block_products(ctx), **units}.items()}
+
+
 def _law_defect(ctx: MoritaContext, prods: dict, law: str):
-    """The two sides of one law subtracted, on basis tuples of its blocks."""
+    """The two sides of one law subtracted, up to a nonzero multiple, on basis tuples."""
     ring = ctx.ring
     if law[0] == "1":
         corner = _block_at(_row(law[1]), _row(law[1]))
-        return _unit_defect(ring, getattr(ctx, corner).unit, prods[corner + law[1]], 0)
+        return _unit_defect(ring, prods[corner], prods[corner + law[1]], 0)
     if law[1] == "1":
         corner = _block_at(_col(law[0]), _col(law[0]))
-        return _unit_defect(ring, getattr(ctx, corner).unit, prods[law[0] + corner], 1)
+        return _unit_defect(ring, prods[corner], prods[law[0] + corner], 1)
     x, y, z = law
     xy, yz = _block_at(_row(x), _col(y)), _block_at(_row(y), _col(z))
     return _associator(ring, prods[x + y], prods[xy + z], prods[y + z], prods[x + yz])
@@ -373,7 +382,7 @@ def check_morita_axioms(ctx: MoritaContext) -> MoritaReport:
     """
     if ctx.M.dim == 0 and ctx.N.dim == 0:
         return MoritaReport(False, "context.degenerate-both-modules-zero")
-    prods = _block_products(ctx)
+    prods = _lifted_blocks(ctx)
     for name, law in _MORITA_LAWS:
         w = _first_nonzero(ctx.ring, _law_defect(ctx, prods, law))
         if w is not None:
@@ -447,7 +456,8 @@ class GMA(_MulCarrier):
 
     @cached_property
     def report(self):
-        """The hypothesis report with the default loyalty bound."""
+        """The hypothesis report, the one every command and route reads; its
+        loyalty scan keeps to the fixed budget center._CANDIDATE_BOUND."""
         from .center import hypothesis_report
 
         return hypothesis_report(self)

@@ -272,8 +272,12 @@ def test_loyalty_result_bool_is_guarded():
 
 
 def test_loyal_bound_exhaustion_reports_unknown():
-    res = check_loyal(build_full_matrix(4, 2, F5), bound=3)
+    # p - 1 loyalty candidates and p^2 center products exceed the budget 5^8
+    ctx = build_full_matrix(2, 1, prime_field(1048573))
+    res = check_loyal(ctx)
     assert res.status == "unknown"
+    assert res.detail == "1048572 candidates exceed bound 390625"
+    assert center_zero_divisor_free(assemble_gma(ctx)) is None
 
 
 # ---------------------------------------------------------------------------

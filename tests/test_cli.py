@@ -286,21 +286,16 @@ def test_decompose_trace_rejects_non_centralizing(m3_file, tmp_path, capsys):
     assert "witness" in out
 
 
-def test_decompose_trace_honours_loyalty_bound(tmp_path, capsys):
-    # a bound of 1 leaves loyalty unknown, which moves M4 off the main route
-    ctx = build_full_matrix(4, 2, F5)
-    ctx_path = tmp_path / "m4.json"
+def test_decompose_trace_names_the_route(tmp_path, capsys):
+    # M3(Q) split 1 has a commutative corner A, so only the corner route applies
+    ctx = build_full_matrix(3, 1, RATIONAL)
+    ctx_path = tmp_path / "m3q.json"
     save_context(ctx_path, ctx)
-    gma = assemble_gma(ctx)
     qpath = tmp_path / "q.json"
-    save_map(qpath, MapDocument("bilinear", random_proper_trace(gma, seed=1), seed=1))
-    assert main(["check", str(ctx_path), "--loyalty-bound", "1"]) == 0
-    assert "decomposition-route: corner" in capsys.readouterr().out
-    argv = ["decompose-trace", str(ctx_path), str(qpath), "--path", "generic"]
-    assert main(argv + ["--loyalty-bound", "1"]) == 0
+    q = random_proper_trace(assemble_gma(ctx), seed=1)
+    save_map(qpath, MapDocument("bilinear", q, seed=1))
+    assert main(["decompose-trace", str(ctx_path), str(qpath), "--path", "generic"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "generic: ok (route corner)"
-    assert main(argv) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "generic: ok (route main)"
 
 
 def test_decompose_trace_saves_a_rational_violation_candidate(tmp_path, capsys):
@@ -503,7 +498,8 @@ def test_suite_decides_trace_spaces_beyond_dim_12(tmp_path, capsys):
 
 
 def test_suite_builds_one_hypothesis_report(m3_file, monkeypatch, capsys):
-    # the round trips and the Lie triple shapes read the report the suite built
+    # every property, the round trips and the Lie triple shapes included,
+    # reads the algebra's one report
     built = []
     report = center.hypothesis_report
 
@@ -512,7 +508,6 @@ def test_suite_builds_one_hypothesis_report(m3_file, monkeypatch, capsys):
         return report(*args, **kwargs)
 
     monkeypatch.setattr(center, "hypothesis_report", counted)
-    monkeypatch.setattr(cli, "hypothesis_report", counted)
     assert main(["suite", m3_file, "--count", "2"]) == 0
     assert "0 failed" in capsys.readouterr().out
     assert len(built) == 1
@@ -547,7 +542,7 @@ def test_suite_seed_moves_neither_the_independent_pair_nor_the_witness(
 
         return wrapper
 
-    monkeypatch.setattr(cli, "hypothesis_report", recorded(cli.hypothesis_report, reports))
+    monkeypatch.setattr(center, "hypothesis_report", recorded(center.hypothesis_report, reports))
     monkeypatch.setattr(cli, "check_identity_42", recorded(cli.check_identity_42, verdicts))
     for seed in range(4):
         assert main(["suite", str(path), "--count", "1", "--seed", str(seed)]) == 0
@@ -581,8 +576,21 @@ def test_seed_is_an_option_of_suite_only(m3_file):
         ["gen", "--kind", "diagonal", "--loyalty-bound", "3"],
         ["verify-map", "CTX", "map.json", "--predicate", "jordan-hom", "--loyalty-bound", "3"],
         ["decompose-lti", "CTX", "CTX", "map.json", "--loyalty-bound", "3"],
+        ["check", "CTX", "--loyalty-bound", "3"],
+        ["center", "CTX", "--loyalty-bound", "3"],
+        ["decompose-trace", "CTX", "map.json", "--loyalty-bound", "3"],
+        ["suite", "CTX", "--loyalty-bound", "3"],
     ],
-    ids=["suite-max-dim", "gen-loyalty-bound", "verify-map-loyalty-bound", "decompose-lti-loyalty-bound"],
+    ids=[
+        "suite-max-dim",
+        "gen-loyalty-bound",
+        "verify-map-loyalty-bound",
+        "decompose-lti-loyalty-bound",
+        "check-loyalty-bound",
+        "center-loyalty-bound",
+        "decompose-trace-loyalty-bound",
+        "suite-loyalty-bound",
+    ],
 )
 def test_commands_refuse_options_they_do_not_read(m3_file, argv):
     with pytest.raises(SystemExit) as e:
@@ -595,9 +603,6 @@ def test_commands_refuse_options_they_do_not_read(m3_file, argv):
     [
         ("suite", "--count", "0"),
         ("suite", "--count", "-1"),
-        ("suite", "--loyalty-bound", "-1"),
-        ("check", "--loyalty-bound", "-5"),
-        ("center", "--loyalty-bound", "-1"),
     ],
 )
 def test_out_of_range_counts_and_bounds_exit_two(m3_file, capsys, command, flag, value):

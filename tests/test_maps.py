@@ -24,9 +24,11 @@ from gmalg.maps import (
     is_jordan_hom,
     is_lie_triple_hom,
     pair_index_order,
+    symmetric_from_pairs,
     trace_space,
     vanishes_on_second_commutators,
 )
+from gmalg.rng import XorShift64Star
 from gmalg.structure import assemble_gma, build_full_matrix, full_matrix_positions
 from test_oracles import row_space_contains
 
@@ -340,3 +342,32 @@ def test_centralizing_trace_predicate_stays_small(m4):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("ring", [F5, RATIONAL], ids=["f5", "q"])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "3d"])
+def test_symmetric_from_pairs_halves_only_nonzero_off_diagonal_cells(ring, lead):
+    """The layout matches halving every off-diagonal cell, as the whole
+    array once was: the same values, dtype and cell types (zero cells over
+    Q stay Fraction(0)), and the input is left as it was."""
+    from fractions import Fraction
+
+    d, k = 4, 3
+    stream = XorShift64Star(17)
+    npairs = d * (d + 1) // 2
+    cells = [
+        0 if stream.below(2) else 1 + stream.below(4) for _ in range(np.prod(lead + (npairs, k)))
+    ]
+    if not ring.is_prime_field:
+        cells = [Fraction(c * (1 if stream.below(2) else -1), 1 + stream.below(3)) for c in cells]
+    W = ring.array(cells).reshape(lead + (npairs, k))
+    before = W.copy()
+    I, J = np.triu_indices(d)
+    halved = ring.normalize(np.where((I == J)[:, None], W, W * ring.half))
+    want = ring.zeros(lead + (d, d, k))
+    want[..., I, J, :] = halved
+    want[..., J, I, :] = halved
+    got = symmetric_from_pairs(ring, d, W)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert [type(v) for v in got.flat] == [type(v) for v in want.flat]
+    assert np.array_equal(W, before)

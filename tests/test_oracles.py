@@ -146,7 +146,7 @@ from gmalg.structure import (
     make_matrix_algebra,
     make_triangular_algebra,
 )
-from gmalg.structure import _MORITA_LAWS, _block_products, _first_nonzero, _law_defect
+from gmalg.structure import _MORITA_LAWS, _first_nonzero, _law_defect, _lifted_blocks
 from test_change_of_basis import block_diagonal, rescaled, transported
 
 F5 = prime_field(5)
@@ -1168,6 +1168,8 @@ SCAN_CONTEXTS = {
     "inflated-f5": lambda: build_inflated(F5, 1, F5.eye(1)),
     "m3-q": lambda: build_full_matrix(3, 1, RATIONAL),
     "diagonal-q": lambda: build_diagonal_pair(RATIONAL),
+    # p^2 exceeds the scans' candidate bound, so neither side decides
+    "m2-f1048573": lambda: build_full_matrix(2, 1, BIG_P),
 }
 
 
@@ -1178,8 +1180,7 @@ def test_center_scans_match_their_loops(name):
     and the zero-divisor scan do not decide."""
     gma = assemble_gma(SCAN_CONTEXTS[name]())
     assert balanced_pair_space_dim(gma) == slow_balanced_pair_space_dim(gma)
-    for bound in (5**8, 24):
-        assert center_zero_divisor_free(gma, bound) is slow_center_zero_divisor_free(gma, bound)
+    assert center_zero_divisor_free(gma) is slow_center_zero_divisor_free(gma)
     want = slow_center_multiplier_annihilator_ok(gma)
     if want is not None:
         assert center_multiplier_annihilator_ok(gma) is want
@@ -2533,7 +2534,7 @@ def test_block_laws_match_hand_written_axioms_under_mutation(name):
     for ctx in [base] + [mutated_context(base, stream) for _ in range(40)]:
         # every law, not only the first that fails, has the oracle's witness
         slow = slow_morita_witnesses(ctx)
-        prods = _block_products(ctx)
+        prods = _lifted_blocks(ctx)
         for name, law in _MORITA_LAWS:
             got = _first_nonzero(ctx.ring, _law_defect(ctx, prods, law))
             assert got == slow.get(name)

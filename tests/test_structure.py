@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from gmalg.exact import RATIONAL, ExactError, inverse_array, prime_field, rank_array
+from gmalg.maps import trace_space
 from gmalg.rng import XorShift64Star
 from gmalg.structure import (
+    AlgebraSpec,
     AxiomError,
     BimoduleSpec,
     MoritaContext,
@@ -321,3 +323,73 @@ def test_carrier_products_contract_with_the_one_lift_of_the_product(ring, monkey
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
         assert [type(v) for v in a.flat] == [type(v) for v in b.flat]
+
+
+@pytest.mark.parametrize("n", [3, 4], ids=["m3", "m4"])
+def test_axiom_checks_lift_each_tensor_once(n, monkeypatch):
+    """check_morita_axioms over Q clears the denominators of each of the
+    eight block tensors and two corner units at most once, and validate
+    lifts the product through lifted_mul and the unit once."""
+    from gmalg import exact
+
+    lifted = []
+    clear = exact.clear_denominators
+
+    def counted(a):
+        lifted.append(id(a))
+        return clear(a)
+
+    monkeypatch.setattr(exact, "clear_denominators", counted)
+    ctx = build_full_matrix(n, n // 2, RATIONAL)
+    assert check_morita_axioms(ctx).ok
+    assert len(lifted) <= 10 and len(set(lifted)) == len(lifted)
+    lifted.clear()
+    alg = make_matrix_algebra(n, RATIONAL)
+    alg.validate()
+    alg.validate()
+    assert sorted(lifted) == sorted([id(alg.mul), id(alg.unit), id(alg.unit)])
+
+
+def opposite(ctx: MoritaContext) -> MoritaContext:
+    """The context of G^op split along 1 - e: the corners are B^op and A^op,
+    M and N keep their elements with their left and right actions traded,
+    and the two pairings swap."""
+
+    def op(alg):
+        return AlgebraSpec(alg.ring, alg.dim, np.transpose(alg.mul, (1, 0, 2)), alg.unit)
+
+    def traded(mod):
+        left, right = (np.transpose(t, (1, 0, 2)) for t in (mod.right, mod.left))
+        return BimoduleSpec(mod.ring, mod.dim, left, right)
+
+    return MoritaContext(
+        op(ctx.B),
+        op(ctx.A),
+        traded(ctx.M),
+        traded(ctx.N),
+        np.transpose(ctx.pairing_NM, (1, 0, 2)),
+        np.transpose(ctx.pairing_MN, (1, 0, 2)),
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_full_matrix(3, 1, F5),
+        lambda: build_upper_triangular(3, 1, F5),
+        lambda: build_diagonal_pair(F5),
+        lambda: build_full_matrix(3, 1, RATIONAL),
+    ],
+    ids=["m3-f5", "t3-f5", "diagonal-f5", "m3-q"],
+)
+def test_opposite_algebra_keeps_center_and_trace_spaces(build):
+    """G and G^op have the same center and, since [x, y] changes sign and
+    x^2 does not, the same centralizing and commuting traces; the
+    decomposition route is one-sided and is not compared."""
+    ctx = build()
+    rev = opposite(ctx)
+    assert check_morita_axioms(rev).ok
+    g, g_op = assemble_gma(ctx), assemble_gma(rev)
+    assert g_op.center.zdim == g.center.zdim
+    for mode in ("centralizing", "commuting"):
+        assert trace_space(g_op, mode).dim == trace_space(g, mode).dim
