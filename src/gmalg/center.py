@@ -366,7 +366,7 @@ def _integer_mul_tensor(gma):
     ring = gma.ring
     if ring.is_prime_field:
         return np.asarray(gma.mul, dtype=np.int64), ring.p
-    lifted, _ = gma.lifted["mul"]
+    lifted, _ = gma.lifted_mul
     B = int(np.abs(lifted).max(initial=0))
     if 96 * gma.dim**3 * B**4 < 1 << 63:
         lifted = lifted.astype(np.int64)
@@ -643,7 +643,7 @@ def hypothesis_report(gma: GMA) -> HypothesisReport:
 
     unit_central = C.center_coords(gma.unit) is not None
     central = C.zdim == 1 and unit_central
-    b_unit_central = zB.shape[0] == 1 and bool(C.span_lifted("z_b", _lift(ring, ctx.B.unit))[1])
+    b_unit_central = zB.shape[0] == 1 and bool(C.span_lifted("z_b", ctx.lifted["B"])[1])
     return HypothesisReport(
         morita_ok=True,  # a GMA comes only from assemble_gma, which checks the laws
         M_faithful_left=C.faithful_left,

@@ -227,7 +227,7 @@ class ProperTraceForm:
         """(T, L), lifted (exact._lift): T / L = z(xy + yx) + mu(x)y + mu(y)x
         + 2nu(x, y), twice the symmetric tensor of z x^2 + mu(x) x + nu(x, x)."""
         ring, td = gma.ring, partial(_contract, gma.ring)
-        mul, lm = gma.lifted["mul"]
+        mul, lm = gma.lifted_mul
         z_g, lg = gma.center.lifted["z_g"][:2]
         z, lz = _lift(ring, self.z)
         mu, lu = _lift(ring, self.mu)
@@ -447,7 +447,7 @@ def _central_multiples(C: CenterData, alg, name: str, targets):
     z, Lz, _, Q = C.lifted[name]
 
     def build():
-        ze, L = _lift(ring, ring.tensordot(getattr(C, name), alg.mul, axes=([1], [0])))
+        ze, L = _td(ring, (z, Lz), alg.lifted_mul, axes=([1], [0]))
         coeff = np.transpose(_contract(ring, ze, Q, axes=([2], [1])), (1, 2, 0))  # [i, q, u]
         return FactoredMatrix(ring, _unlift(ring, coeff.reshape(-1, z.shape[0]), L))
 
@@ -491,10 +491,10 @@ def _witness_chain(gma: GMA, grid: ComponentGrid, report):
     (exact._lift): (its fields but side, lifted, by name; side).
     Every span test decides on integers."""
     ring, C = gma.ring, gma.center
-    T = gma.lifted
+    T = gma.ctx.lifted
     dA, dM, dN, dB = gma.dims
     td = partial(_td, ring)
-    uA, uB = T["A.unit"], T["B.unit"]
+    uA, uB = T["A"], T["B"]
 
     def check(*checks):
         failure = _first_failed_check(checks)
@@ -531,10 +531,10 @@ def _witness_chain(gma: GMA, grid: ComponentGrid, report):
     k14 = grid.part("k", 0, 3)  # (dA, dB, dB)
 
     def rest_a(gamma):  # [i, t] = f14(a1, a4) - gamma(a4) a1
-        return _sub(ring, f14, _moved(td(gamma, T["A.mul"], ([0], [0])), (1, 0, 2)))
+        return _sub(ring, f14, _moved(td(gamma, T["AA"], ([0], [0])), (1, 0, 2)))
 
     def rest_b(gamma_prime):  # [i, t] = k14(a1, a4) - gamma'(a1) a4
-        return _sub(ring, k14, td(gamma_prime, T["B.mul"], ([0], [0])))
+        return _sub(ring, k14, td(gamma_prime, T["BB"], ([0], [0])))
 
     a_noncomm = C.z_a.shape[0] < dA
     if a_noncomm or not C.z_b.shape[0] < dB:
@@ -580,7 +580,7 @@ def _witness_chain(gma: GMA, grid: ComponentGrid, report):
         )
 
     # [i, j] = f12(a1, a2) - alpha(a2) a1
-    eta = _sub(ring, grid.part("f", 0, 1), _moved(td(alpha, T["A.mul"], ([0], [0])), (1, 0, 2)))
+    eta = _sub(ring, grid.part("f", 0, 1), _moved(td(alpha, T["AA"], ([0], [0])), (1, 0, 2)))
     check(("eta-centrality", _ESCAPES, C.outside_lifted("z_a", eta)))
 
     fields = dict(
@@ -611,7 +611,7 @@ def _shape_laws(grid: ComponentGrid, w: dict) -> dict:
     law decides on integers."""
     gma = grid.gma
     ring, C = gma.ring, gma.center
-    T = gma.lifted
+    T = gma.ctx.lifted
     td = partial(_td, ring)
     dA, dM, dN, dB = gma.dims
 
@@ -619,8 +619,8 @@ def _shape_laws(grid: ComponentGrid, w: dict) -> dict:
     # inputs; that simply fails the law being checked
     gp_back, back_ok = C.corner_rows_lifted(False, _moved(w["gamma_prime"]))  # rows a1
     g_fwd, fwd_ok = C.corner_rows_lifted(True, _moved(w["gamma"]))  # rows a4
-    eps_a = td(w["epsilon"], T["A.mul"], ([0], [0]))  # [a1] = eps a1
-    eps_b = td(w["epsilon_prime"], T["B.mul"], ([0], [0]))  # [a4] = eps' a4
+    eps_a = td(w["epsilon"], T["AA"], ([0], [0]))  # [a1] = eps a1
+    eps_b = td(w["epsilon_prime"], T["BB"], ([0], [0]))  # [a4] = eps' a4
     coef_a = _add(ring, eps_a, gp_back)  # eps a1 + phi^-1(gamma'(a1))
     coef_b = _add(ring, eps_b, g_fwd)  # eps' a4 + phi(gamma(a4))
 
@@ -630,12 +630,12 @@ def _shape_laws(grid: ComponentGrid, w: dict) -> dict:
     out = {}
     # g12(a1,a2) = (eps a1 + phi^-1(gamma'(a1))) a2
     out["g12-shape"] = not dM or law(
-        grid.part("g", 0, 1), td(coef_a, T["M.left"], ([1], [0])), back_ok
+        grid.part("g", 0, 1), td(coef_a, T["AM"], ([1], [0])), back_ok
     )
     # g24(a2,a4) = a2 (eps' a4 + phi(gamma(a4)))
     out["g24-shape"] = not dM or law(
         grid.part("g", 1, 3),
-        _moved(td(T["M.right"], coef_b, ([1], [1])), (0, 2, 1)),
+        _moved(td(T["MB"], coef_b, ([1], [1])), (0, 2, 1)),
         fwd_ok,
     )
     if dN:
@@ -644,22 +644,22 @@ def _shape_laws(grid: ComponentGrid, w: dict) -> dict:
             grid.part("h", 0, 2),
             _add(
                 ring,
-                _moved(td(T["N.right"], eps_a, ([1], [1])), (2, 0, 1)),
-                td(w["gamma_prime"], T["N.left"], ([0], [0])),
+                _moved(td(T["NA"], eps_a, ([1], [1])), (2, 0, 1)),
+                td(w["gamma_prime"], T["BN"], ([0], [0])),
             ),
         )
         # h34(a3,a4) = (eps' a4 + phi(gamma(a4))) a3
         out["h34-shape"] = law(
             grid.part("h", 2, 3),
-            _moved(td(coef_b, T["N.left"], ([1], [0])), (1, 0, 2)),
+            _moved(td(coef_b, T["BN"], ([1], [0])), (1, 0, 2)),
             fwd_ok,
         )
         # k23(a2,a3) - eps' a3 a2 central in B
-        eps_nm = td(_moved(T["pairing_NM"], (1, 0, 2)), eps_b, ([2], [0]))
+        eps_nm = td(_moved(T["NM"], (1, 0, 2)), eps_b, ([2], [0]))
         k23 = _sub(ring, grid.part("k", 1, 2), eps_nm)
         out["k23-centrality"] = not C.outside_lifted("z_b", k23).any()
         # f23(a2,a3) - eps a2 a3 central in A
-        eps_mn = td(T["pairing_MN"], eps_a, ([2], [0]))
+        eps_mn = td(T["MN"], eps_a, ([2], [0]))
         f23 = _sub(ring, grid.part("f", 1, 2), eps_mn)
         out["f23-centrality"] = not C.outside_lifted("z_a", f23).any()
     # f22 + k22 and f33 + k33 land in Z(G)  (checked as polarized pairs)
@@ -737,7 +737,7 @@ def decompose_trace_constructive(
     mu = _moved(mu_rows)  # (zdim, d)
 
     # nu := T_q - z x^2 - mu(x) x, coefficientwise on every pair at once
-    mul = gma.lifted["mul"]
+    mul = gma.lifted_mul
     pairs = _product_tensors(gma)["pairs"]  # e_i e_j + e_j e_i (diag: e_i^2)
     z_sym = td(pairs, td(z_vec, mul, ([0], [0])), ([1], [0]))
     mu_e = td(td(mu, C.lifted["z_g"][:2], ([0], [0])), mul, ([1], [0]))  # mu(e_i) e_j

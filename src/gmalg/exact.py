@@ -122,9 +122,6 @@ class RingDescriptor:
         v = self.coerce(v)
         return int(v) if self.is_prime_field else str(v)
 
-    def scalar_from_json(self, v):
-        return self.coerce(v)
-
     def random_scalar(self, stream):
         """Seeded draw: uniform residue over F_p, small integer over Q."""
         if self.is_prime_field:

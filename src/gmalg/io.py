@@ -19,7 +19,14 @@ import numpy as np
 
 from .exact import ExactError, RingDescriptor, ring_from_json, ring_to_json
 from .maps import BilinearMapRep, LinearMapRep
-from .structure import AlgebraSpec, BimoduleSpec, GMA, MoritaContext
+from .structure import (
+    GMA,
+    AlgebraSpec,
+    BimoduleSpec,
+    MoritaContext,
+    _context_tensors,
+    _product_block,
+)
 
 
 class IOFormatError(ExactError):
@@ -141,36 +148,47 @@ def _get_dim(block, name):
 # ---------------------------------------------------------------------------
 
 
+# The document block of each part of a context, and the place of each
+# tensor of MoritaContext.lifted in the document: (block, field), the
+# pairings at the top level.  A block product "xy" has shape (dim x, dim y,
+# dim of the block _product_block(x, y)) and is written sparse; a unit "x"
+# has shape (dim x,) and is written dense.  A missing pairing reads as zero.
+_DOC_BLOCKS = {"A": "algebra_A", "B": "algebra_B", "M": "module_M", "N": "module_N"}
+_DOC_TENSORS = {
+    "AA": ("algebra_A", "mul"),
+    "A": ("algebra_A", "unit"),
+    "BB": ("algebra_B", "mul"),
+    "B": ("algebra_B", "unit"),
+    "AM": ("module_M", "left"),
+    "MB": ("module_M", "right"),
+    "BN": ("module_N", "left"),
+    "NA": ("module_N", "right"),
+    "MN": (None, "pairing_MN"),
+    "NM": (None, "pairing_NM"),
+}
+
+
+def _tensor_shape(dims: dict, key: str) -> tuple:
+    if len(key) == 1:
+        return (dims[key],)
+    x, y = key
+    return (dims[x], dims[y], dims[_product_block(x, y)])
+
+
 def context_to_json(ctx: MoritaContext) -> dict:
     ring = ctx.ring
-    meta = {k: v for k, v in ctx.meta.items() if isinstance(k, str)}
-    return {
+    doc = {
         "format": "gma-context",
         "ring": ring_to_json(ring),
-        "algebra_A": {
-            "dim": ctx.A.dim,
-            "unit": dense_to_json(ring, ctx.A.unit),
-            "mul": sparse_to_json(ring, ctx.A.mul),
-        },
-        "algebra_B": {
-            "dim": ctx.B.dim,
-            "unit": dense_to_json(ring, ctx.B.unit),
-            "mul": sparse_to_json(ring, ctx.B.mul),
-        },
-        "module_M": {
-            "dim": ctx.M.dim,
-            "left": sparse_to_json(ring, ctx.M.left),
-            "right": sparse_to_json(ring, ctx.M.right),
-        },
-        "module_N": {
-            "dim": ctx.N.dim,
-            "left": sparse_to_json(ring, ctx.N.left),
-            "right": sparse_to_json(ring, ctx.N.right),
-        },
-        "pairing_MN": sparse_to_json(ring, ctx.pairing_MN),
-        "pairing_NM": sparse_to_json(ring, ctx.pairing_NM),
-        "meta": meta,
+        "meta": {k: v for k, v in ctx.meta.items() if isinstance(k, str)},
     }
+    for x, block in _DOC_BLOCKS.items():
+        doc[block] = {"dim": getattr(ctx, x).dim}
+    tensors = _context_tensors(ctx)
+    for key, (block, field) in _DOC_TENSORS.items():
+        write = dense_to_json if len(key) == 1 else sparse_to_json
+        (doc if block is None else doc[block])[field] = write(ring, tensors[key])
+    return doc
 
 
 def context_from_json(doc: dict) -> MoritaContext:
@@ -182,52 +200,30 @@ def context_from_json(doc: dict) -> MoritaContext:
         raise IOFormatError("context file is missing its ring") from None
     except ExactError as e:
         raise IOFormatError(f"bad ring descriptor: {e}") from None
-    for key in ("algebra_A", "algebra_B", "module_M", "module_N"):
-        _require(isinstance(doc.get(key), dict), f"missing block {key}")
-    dA = _get_dim(doc["algebra_A"], "algebra_A")
-    dB = _get_dim(doc["algebra_B"], "algebra_B")
-    dM = _get_dim(doc["module_M"], "module_M")
-    dN = _get_dim(doc["module_N"], "module_N")
-    d = dA + dM + dN + dB
+    for block in _DOC_BLOCKS.values():
+        _require(isinstance(doc.get(block), dict), f"missing block {block}")
+    dims = {x: _get_dim(doc[block], block) for x, block in _DOC_BLOCKS.items()}
+    d = sum(dims.values())
     _require_cells(d**3, f"the product tensor of a context of dimension {d}")
     meta = doc.get("meta", {})
     _require(isinstance(meta, dict), "meta must be a JSON object")
     for key, (ok, what) in _META_FIELDS.items():
         _require(key not in meta or ok(meta[key]), f"meta.{key} must be {what}")
     if meta.get("builder") == "full_matrix":
-        _check_full_matrix_meta(meta, (dA, dM, dN, dB))
+        _check_full_matrix_meta(meta, tuple(dims[x] for x in "AMNB"))
     try:
-        A = AlgebraSpec(
-            ring,
-            dA,
-            sparse_from_json(ring, (dA, dA, dA), doc["algebra_A"]["mul"]),
-            dense_from_json(ring, (dA,), doc["algebra_A"]["unit"]),
-        )
-        B = AlgebraSpec(
-            ring,
-            dB,
-            sparse_from_json(ring, (dB, dB, dB), doc["algebra_B"]["mul"]),
-            dense_from_json(ring, (dB,), doc["algebra_B"]["unit"]),
-        )
-        M = BimoduleSpec(
-            ring,
-            dM,
-            sparse_from_json(ring, (dA, dM, dM), doc["module_M"]["left"]),
-            sparse_from_json(ring, (dM, dB, dM), doc["module_M"]["right"]),
-        )
-        N = BimoduleSpec(
-            ring,
-            dN,
-            sparse_from_json(ring, (dB, dN, dN), doc["module_N"]["left"]),
-            sparse_from_json(ring, (dN, dA, dN), doc["module_N"]["right"]),
-        )
+        T = {}
+        for key, (block, field) in _DOC_TENSORS.items():
+            data = doc.get(field, []) if block is None else doc[block][field]
+            read = dense_from_json if len(key) == 1 else sparse_from_json
+            T[key] = read(ring, _tensor_shape(dims, key), data)
         ctx = MoritaContext(
-            A,
-            B,
-            M,
-            N,
-            sparse_from_json(ring, (dM, dN, dA), doc.get("pairing_MN", [])),
-            sparse_from_json(ring, (dN, dM, dB), doc.get("pairing_NM", [])),
+            AlgebraSpec(ring, dims["A"], T["AA"], T["A"]),
+            AlgebraSpec(ring, dims["B"], T["BB"], T["B"]),
+            BimoduleSpec(ring, dims["M"], T["AM"], T["MB"]),
+            BimoduleSpec(ring, dims["N"], T["BN"], T["NA"]),
+            T["MN"],
+            T["NM"],
             meta=dict(meta),
         )
     except KeyError as e:

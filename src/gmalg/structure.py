@@ -178,7 +178,6 @@ class AlgebraSpec(_MulCarrier):
     dim: int
     mul: np.ndarray  # (dim, dim, dim)
     unit: np.ndarray  # (dim,)
-    labels: tuple | None = None
 
     def __post_init__(self):
         self.mul = _freeze(self.ring.normalize(np.asarray(self.mul)))
@@ -187,8 +186,6 @@ class AlgebraSpec(_MulCarrier):
             raise ExactError("mul tensor shape mismatch")
         if self.unit.shape != (self.dim,):
             raise ExactError("unit shape mismatch")
-        if self.labels is not None:
-            self.labels = tuple(self.labels)
 
     def validate(self):
         if self.dim == 0:
@@ -265,6 +262,17 @@ class MoritaContext:
     def ring(self) -> RingDescriptor:
         return self.A.ring
 
+    @cached_property
+    def lifted(self) -> dict:
+        """Each tensor of ``_context_tensors`` lifted (exact._lift) once and
+        read-only, by the same key; "AA" and "BB" are the corners' own
+        ``lifted_mul``.  Over F_p each is the frozen tensor itself with scale 1."""
+        corners = {"AA": self.A.lifted_mul, "BB": self.B.lifted_mul}
+        return {
+            key: corners[key] if key in corners else _read_only(_lift(self.ring, t))
+            for key, t in _context_tensors(self).items()
+        }
+
     def pair_mn(self, m, n):
         t = self.ring.tensordot(m, self.pairing_MN, axes=([0], [0]))
         return self.ring.tensordot(n, t, axes=([0], [0]))
@@ -305,9 +313,14 @@ def _block_at(row: int, col: int) -> str:
     return _BLOCKS[2 * row + col]
 
 
+def _product_block(x: str, y: str) -> str:
+    """The block that products of blocks x and y land in: (row x, col y)."""
+    return _block_at(_row(x), _col(y))
+
+
 def _block_products(ctx: MoritaContext) -> dict:
     """The product tensor [x, y, r] of each pair of blocks xy with
-    col x = row y; r runs over the block at (row x, col y)."""
+    col x = row y; r runs over the block _product_block(x, y)."""
     return {
         "AA": ctx.A.mul,
         "AM": ctx.M.left,
@@ -318,6 +331,12 @@ def _block_products(ctx: MoritaContext) -> dict:
         "BN": ctx.N.left,
         "BB": ctx.B.mul,
     }
+
+
+def _context_tensors(ctx: MoritaContext) -> dict:
+    """Every tensor of the context: _block_products and, under "A" and
+    "B", the corner units."""
+    return {**_block_products(ctx), "A": ctx.A.unit, "B": ctx.B.unit}
 
 
 # The Morita axioms in report order, each a law of the block product:
@@ -353,15 +372,9 @@ _MORITA_LAWS = (
 )
 
 
-def _lifted_blocks(ctx: MoritaContext) -> dict:
-    """_block_products and, under "A" and "B", the corner units, each lifted once."""
-    units = {x: getattr(ctx, x).unit for x in "AB"}
-    return {k: _lift(ctx.ring, t) for k, t in {**_block_products(ctx), **units}.items()}
-
-
-def _law_defect(ctx: MoritaContext, prods: dict, law: str):
+def _law_defect(ctx: MoritaContext, law: str):
     """The two sides of one law subtracted, up to a nonzero multiple, on basis tuples."""
-    ring = ctx.ring
+    ring, prods = ctx.ring, ctx.lifted
     if law[0] == "1":
         corner = _block_at(_row(law[1]), _row(law[1]))
         return _unit_defect(ring, prods[corner], prods[corner + law[1]], 0)
@@ -369,7 +382,7 @@ def _law_defect(ctx: MoritaContext, prods: dict, law: str):
         corner = _block_at(_col(law[0]), _col(law[0]))
         return _unit_defect(ring, prods[corner], prods[law[0] + corner], 1)
     x, y, z = law
-    xy, yz = _block_at(_row(x), _col(y)), _block_at(_row(y), _col(z))
+    xy, yz = _product_block(x, y), _product_block(y, z)
     return _associator(ring, prods[x + y], prods[xy + z], prods[y + z], prods[x + yz])
 
 
@@ -382,9 +395,8 @@ def check_morita_axioms(ctx: MoritaContext) -> MoritaReport:
     """
     if ctx.M.dim == 0 and ctx.N.dim == 0:
         return MoritaReport(False, "context.degenerate-both-modules-zero")
-    prods = _lifted_blocks(ctx)
     for name, law in _MORITA_LAWS:
-        w = _first_nonzero(ctx.ring, _law_defect(ctx, prods, law))
+        w = _first_nonzero(ctx.ring, _law_defect(ctx, law))
         if w is not None:
             return MoritaReport(False, name, w)
     return MoritaReport(True)
@@ -405,7 +417,6 @@ class GMA(_MulCarrier):
     mul: np.ndarray
     unit: np.ndarray
     offsets: tuple  # (start_A, start_M, start_N, start_B)
-    labels: tuple | None = None
 
     def __post_init__(self):
         self.mul = _freeze(self.ring.normalize(np.asarray(self.mul)))
@@ -469,27 +480,6 @@ class GMA(_MulCarrier):
 
         return build_generic_system(self)
 
-    @cached_property
-    def lifted(self) -> dict:
-        """The structure tensors of the algebra and of its context, lifted
-        (exact._lift) and read-only, by name: "mul", then "A.mul", "A.unit",
-        "B.mul", "B.unit", "M.left", "M.right", "N.left", "N.right",
-        "pairing_MN" and "pairing_NM".  Over F_p each is the frozen tensor
-        itself with scale 1."""
-        c = self.ctx
-        tensors = {
-            "A.unit": c.A.unit,
-            "B.unit": c.B.unit,
-            "M.left": c.M.left,
-            "M.right": c.M.right,
-            "N.left": c.N.left,
-            "N.right": c.N.right,
-            "pairing_MN": c.pairing_MN,
-            "pairing_NM": c.pairing_NM,
-        }
-        lifted = {name: _read_only(_lift(self.ring, t)) for name, t in tensors.items()}
-        return {"mul": self.lifted_mul, "A.mul": c.A.lifted_mul, "B.mul": c.B.lifted_mul, **lifted}
-
 
 def assemble_gma(ctx: MoritaContext) -> GMA:
     """Glue a Morita context into its generalized matrix algebra.
@@ -508,19 +498,12 @@ def assemble_gma(ctx: MoritaContext) -> GMA:
     sl = {x: slice(o, o + n) for x, o, n in zip(_BLOCKS, offsets, dims)}
     mul = ring.zeros((d, d, d))
     for (x, y), tensor in _block_products(ctx).items():
-        mul[sl[x], sl[y], sl[_block_at(_row(x), _col(y))]] = tensor
+        mul[sl[x], sl[y], sl[_product_block(x, y)]] = tensor
 
     unit = ring.zeros(d)
     unit[sl["A"]] = ctx.A.unit
     unit[sl["B"]] = ctx.B.unit
-
-    labels = None
-    if ctx.A.labels and ctx.B.labels:
-        mid_m = tuple(f"m{i}" for i in range(ctx.M.dim))
-        mid_n = tuple(f"n{i}" for i in range(ctx.N.dim))
-        labels = tuple(ctx.A.labels) + mid_m + mid_n + tuple(ctx.B.labels)
-
-    return GMA(ctx, ring, d, mul, unit, offsets, labels)
+    return GMA(ctx, ring, d, mul, unit, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +552,7 @@ def _matrix_unit_algebra(ring: RingDescriptor, n: int, upper: bool) -> AlgebraSp
     for i, (r, c) in enumerate(pos):
         if r == c:
             unit[i] = ring.one
-    labels = tuple(f"E{r + 1}{c + 1}" for r, c in pos)
-    return AlgebraSpec(ring, len(pos), _unit_products(ring, pos, pos, pos), unit, labels)
+    return AlgebraSpec(ring, len(pos), _unit_products(ring, pos, pos, pos), unit)
 
 
 def make_matrix_algebra(n: int, ring: RingDescriptor) -> AlgebraSpec:
@@ -653,7 +635,7 @@ def build_inflated(ring: RingDescriptor, dim_v: int, gamma) -> MoritaContext:
         raise ExactError("gamma must be dim_v x dim_v")
     if not ring.equal(gamma, gamma.T):
         raise ExactError("gamma must be symmetric")
-    scal = AlgebraSpec(ring, 1, ring.array([[[1]]]), ring.array([1]), ("1",))
+    scal = AlgebraSpec(ring, 1, ring.array([[[1]]]), ring.array([1]))
     eye3 = ring.zeros((1, dim_v, dim_v))
     eye3[0] = ring.eye(dim_v)
     eye3_r = ring.zeros((dim_v, 1, dim_v))
@@ -682,7 +664,7 @@ def build_diagonal_pair(ring: RingDescriptor, k: int = 2) -> MoritaContext:
         mul[i, i, i] = ring.one
     unit = ring.zeros(k)
     unit[:] = ring.one
-    alg = AlgebraSpec(ring, k, mul, unit, tuple(f"d{i}" for i in range(k)))
+    alg = AlgebraSpec(ring, k, mul, unit)
     left = ring.zeros((k, k, k))
     right = ring.zeros((k, k, k))
     for i in range(k):

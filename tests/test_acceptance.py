@@ -315,3 +315,45 @@ def test_criterion_10_suite_determinism(tmp_path):
         assert "0 failed" in text
         if expect_skips:
             assert "SKIP" in text
+
+
+def incidence_algebra(ring, points: int, less):
+    """The incidence algebra of a poset on range(points): the matrix units
+    E_ij with i <= j in the poset (`less` lists every strict relation i < j,
+    transitively closed), row-major."""
+    from gmalg.structure import AlgebraSpec, _unit_products
+
+    pos = tuple(sorted({(i, i) for i in range(points)} | set(less)))
+    unit = ring.zeros(len(pos))
+    for t, (i, j) in enumerate(pos):
+        if i == j:
+            unit[t] = ring.one
+    return AlgebraSpec(ring, len(pos), _unit_products(ring, pos, pos, pos), unit), pos
+
+
+def test_known_gap_the_diamond_split_claims_a_route_it_does_not_have(tmp_path, capsys):
+    """A known open gap (ROADMAP item 1), pinned as it stands: the diamond
+    poset 0 < 1, 0 < 2, 1 < 3, 2 < 3 over F5, split along E00 + E11, is on
+    the corner route, yet its centralizing trace space (dimension 56) is
+    larger than the span of the proper forms (the generic system's rank
+    55), and the suite fails.  This asserts the gap, not the paper's claim:
+    the mend of item 1 must flip it, by a hypothesis that takes the route
+    away or by a decomposition of every trace."""
+    from gmalg.cli import main
+    from gmalg.io import save_context
+
+    alg, pos = incidence_algebra(F5, 4, [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)])
+    e = F5.zeros(alg.dim)
+    e[[pos.index((0, 0)), pos.index((1, 1))]] = F5.one
+    ctx, _ = build_peirce(alg, e)
+    gma = assemble_gma(ctx)
+    assert gma.dims == (3, 3, 0, 3)
+    assert gma.report.route == "corner"
+    assert trace_space(gma, mode="centralizing").dim == 56
+    assert len(gma.generic_system.factor.rows) == 55
+
+    path = tmp_path / "diamond.json"
+    save_context(path, ctx)
+    assert main(["suite", str(path), "--count", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL trace-space-decomposes (basis element 25 does not decompose)" in out

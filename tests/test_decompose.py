@@ -279,7 +279,6 @@ def cached_arrays(gma):
 
     for name, owner in (("gma", gma), ("A", gma.ctx.A), ("B", gma.ctx.B)):
         collect(f"{name}.cache", vars(owner).get("cache", {}))
-    collect("gma.lifted", vars(gma).get("lifted", {}))
     collect("center.lifted", vars(gma.center).get("lifted", {}))
     return found
 
@@ -298,20 +297,24 @@ def test_the_cache_is_built_on_first_use_and_read_only(ring, n, k):
     l = random_lie_triple_iso(gma, 3)
     assert decompose_lie_triple_iso(l, gma, gma).status == "ok"
     found = cached_arrays(gma)
-    assert {"gma.lifted['mul'][0]", "center.lifted['z_g'][3]"} <= set(found)
+    assert "center.lifted['z_g'][3]" in found
     # Z(A), Z(B) and their annihilators live in the center's cache; a
     # corner's cache holds the factored gamma system built from them
     assert {"center.lifted['z_a'][3]", "center.lifted['z_b'][3]"} <= set(found)
     assert any("central_multiples" in vars(c).get("cache", {}) for c in (gma.ctx.A, gma.ctx.B))
+    # the context's lifted tensors and the lifted product, built with the GMA
+    found.update({f"ctx.lifted[{key!r}]": n for key, (n, _) in gma.ctx.lifted.items()})
+    found["gma.lifted_mul"] = gma.lifted_mul[0]
     for where, arr in found.items():
         assert not arr.flags.writeable, where
         if arr.size:
             with pytest.raises(ValueError):
                 arr.reshape(-1)[0] = arr.reshape(-1)[0]
+    assert gma.ctx.lifted["AA"] is gma.ctx.A.lifted_mul
     if ring.is_prime_field:
         # over F_p the lift is the identity: the same arrays, not copies
-        assert gma.lifted["mul"][0] is gma.mul and gma.lifted["mul"][1] == 1
-        assert gma.lifted["A.unit"][0] is gma.ctx.A.unit
+        assert gma.lifted_mul[0] is gma.mul and gma.lifted_mul[1] == 1
+        assert gma.ctx.lifted["A"][0] is gma.ctx.A.unit
         assert gma.center.lifted["z_g"][0] is gma.center.z_g
 
 
@@ -340,8 +343,8 @@ def test_a_warm_round_trip_lifts_its_trace_once(monkeypatch):
 
 
 def test_the_product_is_lifted_once_per_algebra(monkeypatch):
-    """The derived product tensors, the generic system and GMA.lifted read
-    one lift of the 729-cell product of M3(Q) (exact.clear_denominators)."""
+    """The derived product tensors and the generic system read one lift of
+    the 729-cell product of M3(Q) (exact.clear_denominators)."""
     from gmalg import exact
 
     lifted = []
@@ -353,8 +356,35 @@ def test_the_product_is_lifted_once_per_algebra(monkeypatch):
 
     monkeypatch.setattr(exact, "clear_denominators", counted)
     gma = assemble_gma(build_full_matrix(3, 1, RATIONAL))
-    gma.report, gma.generic_system, gma.lifted
+    gma.report, gma.generic_system, gma.lifted_mul
     assert sum(a is gma.mul for a in lifted) == 1
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 2)], ids=["m3-q", "m4-q-split2"])
+def test_each_context_tensor_is_lifted_once(n, k, monkeypatch):
+    """The Morita check, the hypothesis report and the constructive chain
+    read one lift (exact.clear_denominators) of each block tensor and
+    corner unit of the context, MoritaContext.lifted."""
+    from gmalg import exact
+
+    q = random_proper_trace(assemble_gma(build_full_matrix(n, k, RATIONAL)), seed=1)
+    ctx = build_full_matrix(n, k, RATIONAL)
+    lifted = []
+    clear = exact.clear_denominators
+
+    def counted(a):
+        lifted.append(a)
+        return clear(a)
+
+    monkeypatch.setattr(exact, "clear_denominators", counted)
+    gma = assemble_gma(ctx)
+    gma.report
+    assert decompose_trace_constructive(q, gma).status == "ok"
+    for name in ("A.mul", "A.unit", "B.mul", "B.unit", "M.left", "M.right", "N.left", "N.right"):
+        part, field = name.split(".")
+        assert sum(a is getattr(getattr(ctx, part), field) for a in lifted) == 1, name
+    for name in ("pairing_MN", "pairing_NM"):
+        assert sum(a is getattr(ctx, name) for a in lifted) == 1, name
 
 
 def test_a_warm_lie_triple_split_builds_no_product_tensor(monkeypatch):

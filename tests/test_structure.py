@@ -59,7 +59,7 @@ def test_validate_catches_broken_mul():
     alg = make_matrix_algebra(2, F5)
     bad = alg.mul.copy()
     bad[1, 2, 0] = 3  # E01*E10 now wrong
-    broken = type(alg)(alg.ring, alg.dim, bad, alg.unit, alg.labels)
+    broken = type(alg)(alg.ring, alg.dim, bad, alg.unit)
     with pytest.raises(AxiomError):
         broken.validate()
 
