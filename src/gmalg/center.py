@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .backend import rank_stack
 from .exact import (
     RingDescriptor,
     _contract,
@@ -228,6 +229,11 @@ def compute_center_gma(gma: GMA) -> CenterData:
 
 _CANDIDATE_BOUND = 5**8  # the most candidates an exhaustive scan over F_p tries
 
+# cells per intermediate array of the blocked scans: the loyalty and
+# zero-divisor candidates and the identity-42 monomials go through in
+# chunks of about this many cells, so no scan's arrays grow with its size
+_BLOCK_CELLS = 1 << 17
+
 
 @dataclass
 class LoyaltyResult:
@@ -245,14 +251,21 @@ def _first_singular(ring, T):
     nullspace; None if every such matrix is injective.  A vector and its
     nonzero multiples share one kernel, so only the multiple whose last
     nonzero digit is 1 is scanned: the numbers below p^k with leading digit
-    1, in increasing order, read as little-endian digits."""
+    1, in increasing order, read as little-endian digits.  The candidates
+    go through in chunks of about _BLOCK_CELLS cells; each chunk's matrices
+    are formed by one contraction and ranked together (backend.rank_stack),
+    and only the first one of rank below n is reduced for its kernel."""
     p, k = ring.p, T.shape[0]
     numbers = np.concatenate([np.arange(p**h, 2 * p**h, dtype=np.int64) for h in range(k)])
-    candidates = numbers[:, None] // p ** np.arange(k, dtype=np.int64) % p
-    for c in candidates:
-        ker = nullspace_array(ring, np.tensordot(c, T, axes=([0], [0])))
-        if ker.shape[0]:
-            return c.copy(), ker[0].copy()
+    powers = p ** np.arange(k, dtype=np.int64)
+    n = T.shape[2]
+    per = max(1, _BLOCK_CELLS // max(1, T.shape[1] * n))
+    for c0 in range(0, len(numbers), per):
+        chunk = numbers[c0 : c0 + per, None] // powers % p
+        singular = np.flatnonzero(rank_stack(p, np.tensordot(chunk, T, axes=([1], [0]))) < n)
+        if singular.size:
+            c = chunk[singular[0]]
+            return c.copy(), nullspace_array(ring, np.tensordot(c, T, axes=([0], [0])))[0].copy()
     return None
 
 
@@ -373,11 +386,6 @@ def _integer_mul_tensor(gma):
     return lifted, None
 
 
-# cells per intermediate array of the identity scan: whole
-# monomials go through at once, so the d**6 contraction stays bounded
-_IDENTITY_42_CELLS = 1 << 20
-
-
 def check_identity_42(gma):
     """Decide whether [[x^2, y], [x, y]] vanishes identically; witness if not.
 
@@ -401,7 +409,7 @@ def check_identity_42(gma):
     triples, uvw, _, starts = _arrangement_table(d)
     bounds = np.append(starts, len(uvw))
     upper = np.triu(np.ones((d, d), dtype=bool))
-    per = max(1, _IDENTITY_42_CELLS // (6 * d**3))  # a monomial has <= 6 arrangements
+    per = max(1, _BLOCK_CELLS // (6 * d**3))  # a monomial has <= 6 arrangements
     for t0 in range(0, len(triples), per):
         t1 = min(t0 + per, len(triples))
         u, v, w = uvw[bounds[t0] : bounds[t1]].T

@@ -6,6 +6,7 @@ Expected values here were worked out by hand for the small instances
 independent brute-force enumeration before being frozen.
 """
 
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -278,6 +279,23 @@ def test_loyal_bound_exhaustion_reports_unknown():
     assert res.status == "unknown"
     assert res.detail == "1048572 candidates exceed bound 390625"
     assert center_zero_divisor_free(assemble_gma(ctx)) is None
+
+
+def test_loyalty_scan_memory_stays_bounded():
+    """T6(F5) split 3 is loyal, so the scan ranks every one of its 3906
+    projective candidates, 81 x 6 matrices; ranked all at once they would
+    take about 42 MiB of intermediate arrays, in chunks of
+    center._BLOCK_CELLS cells a few MiB."""
+    ctx = build_upper_triangular(6, 3, F5)
+    check_loyal(build_upper_triangular(3, 1, F5))  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        res = check_loyal(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.status, res.detail) == ("true", "enumeration over 15624 candidates")
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------

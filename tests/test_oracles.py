@@ -11,11 +11,14 @@ one pair at a time, the proper generators one by one, and the independent
 pair against the basis loop and an exhaustive (m0, b0) enumeration. The
 elimination references are the three kernels the ring-generic one
 replaced: scalar loops mod p, a dense rank-1 update over every row mod p,
-and row-by-row Fraction elimination. The contraction over Q is checked
-against numpy's tensordot on the Fraction arrays themselves, and the trace
-predicates, the reconstruction check and the factored solve, which decide
-on lifted integers over Q, against the Fraction code they replaced, on
-contexts whose constants are not all integers. The constructive chain,
+and row-by-row Fraction elimination; the batched rank mod p is checked
+slice by slice against rank_array (the scalar loops at p = 2), and the
+scans that use it also with one candidate per chunk. The contraction
+over Q is checked against numpy's tensordot on the Fraction arrays
+themselves, and the trace predicates, the reconstruction check and the
+factored solve, which decide on lifted integers over Q, against the
+Fraction code they replaced, on contexts whose constants are not all
+integers. The constructive chain,
 which runs on lifted integers, is checked against its per-basis-vector
 loops (the witness extraction, the shape laws and the mu/nu assembly) and
 against the same chain as contractions on ring values, which over Q build
@@ -56,7 +59,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pickle
 
-from gmalg import backend, decompose, exact
+from gmalg import backend, center, decompose, exact
 from gmalg.center import (
     CenterError,
     ProperSpanReport,
@@ -1137,6 +1140,8 @@ LOYALTY_CONTEXTS = {
     "diagonal-f7": lambda: build_diagonal_pair(prime_field(7)),
     "t3-f5": INSTANCES["t3-f5"],
     "m4-f5": INSTANCES["m4-f5"],
+    "m5-split2-f5": lambda: build_full_matrix(5, 2, F5),
+    "t4-split2-f7": lambda: build_upper_triangular(4, 2, prime_field(7)),
 }
 
 
@@ -1148,6 +1153,29 @@ def test_loyalty_scan_matches_full_scan(name):
     assert_same_verdict((res.status, res.witness), (status, witness))
     if status == "true":
         assert res.detail == f"enumeration over {total} candidates"
+
+
+def one_candidate_per_chunk(monkeypatch):
+    """Set the scans' cell budget below one candidate, so that every chunk
+    holds exactly one; returns the batch size of every chunk ranked."""
+    batches = []
+    rank_stack = center.rank_stack
+    monkeypatch.setattr(center, "_BLOCK_CELLS", 1)
+    monkeypatch.setattr(center, "rank_stack", lambda p, s: batches.append(len(s)) or rank_stack(p, s))
+    return batches
+
+
+@pytest.mark.parametrize("name, chunks", [("late-annihilator-f5", 2), ("wide-annihilator-f7", 1)])
+def test_loyalty_scan_one_candidate_per_chunk(name, chunks, monkeypatch):
+    """The late pair's first witness is candidate p, in the second chunk;
+    the wide pair scans its one-dimensional corner B."""
+    batches = one_candidate_per_chunk(monkeypatch)
+    ctx = LOYALTY_CONTEXTS[name]()
+    res = check_loyal(ctx)
+    status, witness, _ = slow_check_loyal(ctx)
+    assert status == "false"
+    assert_same_verdict((res.status, res.witness), (status, witness))
+    assert batches == [1] * chunks
 
 
 def test_wide_annihilator_witness_is_read_from_the_smaller_corner():
@@ -1184,6 +1212,14 @@ def test_center_scans_match_their_loops(name):
     want = slow_center_multiplier_annihilator_ok(gma)
     if want is not None:
         assert center_multiplier_annihilator_ok(gma) is want
+
+
+@pytest.mark.parametrize("name", ["diagonal-k3-f5", "diagonal-f5", "m4-f5", "t3-split2-f7"])
+def test_zero_divisor_scan_one_candidate_per_chunk(name, monkeypatch):
+    batches = one_candidate_per_chunk(monkeypatch)
+    gma = assemble_gma(SCAN_CONTEXTS[name]())
+    assert center_zero_divisor_free(gma) is slow_center_zero_divisor_free(gma)
+    assert set(batches) == {1}
 
 
 def test_center_multiplier_decides_over_q():
@@ -2680,6 +2716,60 @@ def test_kernel_matches_object_kernel_over_q():
         assert_same_rref(backend.rref(RATIONAL, a), want)
         deficient.add(want[2] < min(rows, cols))
     assert deficient == {True, False}
+
+
+# (batch, rows, cols): batches of 0 and 1, square slices, m < n, m > n, and
+# slices without rows or without columns
+STACK_SHAPES = [(0, 3, 3), (1, 4, 4), (6, 4, 4), (6, 2, 6), (6, 7, 3), (2, 0, 3), (3, 4, 0)]
+
+
+def seeded_stack(stream, p, batch, rows, cols):
+    """Every third slice all zero, every third a product through
+    min(rows, cols) - 1 columns (rank deficient), the rest sparse; some
+    entries left unreduced, below 0 or at least p."""
+
+    def draw(r, c):
+        entries = random_sparse_matrix(stream, r, c, lambda: stream.below(p))
+        return np.array(entries, dtype=np.int64).reshape(r, c)
+
+    width = max(min(rows, cols) - 1, 0)
+    out = np.zeros((batch, rows, cols), dtype=np.int64)
+    for i in range(batch):
+        if i % 3 == 1:
+            out[i] = draw(rows, cols)
+        elif i % 3 == 2:
+            out[i] = draw(rows, width) @ draw(width, cols) % p
+        shift = [[stream.below(3) - 1 for _ in range(cols)] for _ in range(rows)]
+        out[i] += p * np.array(shift, dtype=np.int64).reshape(rows, cols)
+    return out
+
+
+def reference_rank(p, a):
+    """rank_array over F_p; over F_2, which prime_field does not accept,
+    the scalar loops."""
+    if a.size == 0:
+        return 0
+    if p == 2:
+        return rref_mod_p_loops(a % p, p)[1]
+    return rank_array(prime_field(p), a)
+
+
+@pytest.mark.parametrize("p", [2, 5, 1048573])
+def test_rank_stack_matches_rank_array_slice_by_slice(p):
+    """p = 1048573, the largest prime below the int64 guard, checks the
+    margin of the batched products."""
+    stream = XorShift64Star(p)
+    seen = set()
+    for shape in STACK_SHAPES:
+        stack = seeded_stack(stream, p, *shape)
+        before = stack.copy()
+        got = backend.rank_stack(p, stack)
+        assert_identical(stack, before)
+        assert got.dtype == np.int64 and got.shape == shape[:1]
+        want = [reference_rank(p, a) for a in stack]
+        assert got.tolist() == want
+        seen.update((r == 0, r == min(shape[1:])) for r in want)
+    assert {(True, False), (False, True), (False, False)} <= seen
 
 
 def slow_solve(ring, mat, rhs):
