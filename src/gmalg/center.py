@@ -563,7 +563,9 @@ class HypothesisReport:
     @property
     def alt_route_ok(self) -> bool:
         """Route 2: noncommutative central B over a field, proper commuting maps
-        on B, and a pair (m0, b0) with {m0*b0, m0} independent."""
+        on B, and a pair (m0, b0) with {m0*b0, m0} independent.  It reads
+        only B's side: G^op, whose B is A^op, can miss the route that G
+        takes, as M3 and T3 split 1 do."""
         return (
             self.morita_ok
             and self.zB_ne_B

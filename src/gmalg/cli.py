@@ -10,6 +10,7 @@ for ``suite``, whose traces and maps are drawn, the same seed too.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -442,13 +443,10 @@ def cmd_decompose_lti(args) -> int:
         out["central_part"] = linear_rep_to_json(L.n)
         mu_cols = ring.tensordot(dst.center.z_g.T, L.mu1, axes=([1], [0]))
         out["mu1_columns"] = dense_to_json(ring, mu_cols)
-        for name in sorted(L.checks):
-            lines.append(f"  {name}: {L.checks[name]}")
     else:
         lines.append(f"detail: {L.detail}")
         out["detail"] = L.detail
-        for name in sorted(L.checks):
-            lines.append(f"  {name}: {L.checks[name]}")
+    lines += [f"  {name}: {L.checks[name]}" for name in sorted(L.checks)]
     if args.output:
         save_json(args.output, out)
     _print(lines)
@@ -473,12 +471,9 @@ def _suite_properties(gma: GMA, ctx, args):
         return spaces[mode]
 
     def p_axioms():
-        rep = check_morita_axioms(ctx)
-        if not rep.ok:
-            return "FAIL", str(rep)
+        # cmd_suite runs no property on a context whose axioms fail, so only
+        # the canonical file round trip is left to check
         text = canonical_dumps(context_to_json(ctx))
-        import json
-
         back = context_from_json(json.loads(text))
         if canonical_dumps(context_to_json(back)) != text:
             return "FAIL", "serialization is not canonical"

@@ -102,52 +102,27 @@ class ComponentGrid:
     (0=A, 1=M, 2=N, 3=B); C_ij collects q(x_i, x_j) + q(x_j, x_i) for i < j
     and the plain diagonal restriction for i = j, so that
     T_q(x) = sum over i <= j of C_ij(x_i, x_j).  The components are kept
-    lifted (exact._lift) for the chain; ``tensors`` and ``component`` give
-    ring values."""
+    lifted (exact._lift) for the chain."""
 
     gma: GMA
     lifted: dict  # (i, j) -> (n, L): C_ij = n / L, n of shape (dim_i, dim_j, dim G)
-    centralizing: bool
     pattern_violation: tuple | None = None
 
-    @cached_property
-    def tensors(self) -> dict:
-        """(i, j) -> C_ij as a (dim_i, dim_j, dim G) array of ring values."""
-        return {ij: _unlift(self.gma.ring, *t) for ij, t in self.lifted.items()}
-
     def part(self, kind: str, i: int, j: int):
-        """component(kind, i, j), lifted."""
+        """The kind-valued part of C_ij, lifted: kind in 'f' (A), 'g' (M),
+        'h' (N), 'k' (B); blocks i <= j 0-based."""
         n, L = self.lifted[(i, j)]
         return n[:, :, self.gma.block_slice("fghk".index(kind))], L
 
-    def component(self, kind: str, i: int, j: int) -> np.ndarray:
-        """kind in 'f'(A-part), 'g'(M), 'h'(N), 'k'(B); blocks i <= j 0-based."""
-        return _unlift(self.gma.ring, *self.part(kind, i, j))
-
-    def evaluate(self, kind: str, i: int, j: int, x, y):
-        ring = self.gma.ring
-        t = self.component(kind, i, j)
-        v = ring.tensordot(np.asarray(x), t, axes=([0], [0]))
-        return ring.tensordot(np.asarray(y), v, axes=([0], [0]))
-
-
-def extract_components(q: BilinearMapRep, gma: GMA, centralizing: bool | None = None) -> ComponentGrid:
-    """Split the trace of q into its block components.
-
-    When the trace is centralizing the forced vanishing patterns are
-    asserted; a violation is an implementation (or theorem) problem and is
-    raised with the offending component named.
-    """
-    if q.tensor.shape != (gma.dim, gma.dim, gma.dim):
-        raise MapError("bilinear map shape does not match the algebra")
-    if centralizing is None:
-        centralizing = is_centralizing_trace(gma, q)[0]
-    return _component_grid(gma, q.lifted, centralizing)
-
 
 def _component_grid(gma: GMA, q, centralizing: bool) -> ComponentGrid:
-    """extract_components on the lifted tensor q = (n, L): q + q^T once,
-    its diagonal blocks halved through the scale over Q."""
+    """The block components of the trace of the lifted tensor q = (n, L):
+    q + q^T once, its diagonal blocks halved through the scale over Q.
+
+    A centralizing trace forces the g and h parts to vanish outside
+    _G_ALLOWED and _H_ALLOWED.  The first component that breaks this is
+    recorded in the grid, and raised as ComponentPatternError when
+    centralizing is set."""
     ring = gma.ring
     n, L = q
     P = ring.normalize(n + np.transpose(n, (1, 0, 2)))
@@ -173,7 +148,7 @@ def _component_grid(gma: GMA, q, centralizing: bool) -> ComponentGrid:
                 break
         if violation:
             break
-    grid = ComponentGrid(gma, lifted, centralizing, violation)
+    grid = ComponentGrid(gma, lifted, violation)
     if centralizing and violation is not None:
         raise ComponentPatternError(*violation)
     return grid
@@ -463,13 +438,11 @@ _OFF_PHI = "phi argument outside pi_A(Z)"
 _OFF_PHI_INV = "phi^-1 argument outside pi_B(Z)"
 
 
-def extract_constructive_witness(
-    q: BilinearMapRep,
-    gma: GMA,
-    grid: ComponentGrid | None = None,
-) -> ConstructiveWitness:
-    """Run the component chain and return its data, verifying every
-    centrality membership on the way.
+def _witness_chain(gma: GMA, grid: ComponentGrid, report):
+    """Run the component chain on the grid, verifying every centrality
+    membership on the way: (the ConstructiveWitness fields but side,
+    lifted (exact._lift), by name; side).  Every span test decides on
+    integers.
 
     The gamma / gamma' solves are keyed on which corner is noncommutative:
     a noncommutative A pins gamma uniquely on the A side; otherwise a
@@ -481,15 +454,6 @@ def extract_constructive_witness(
     Each link runs on all basis vectors at once; where several fail, the
     error names the first in the order of a loop over the basis.
     """
-    if grid is None:
-        grid = extract_components(q, gma)
-    return _witness(gma.ring, *_witness_chain(gma, grid, gma.report))
-
-
-def _witness_chain(gma: GMA, grid: ComponentGrid, report):
-    """The chain of extract_constructive_witness on lifted values
-    (exact._lift): (its fields but side, lifted, by name; side).
-    Every span test decides on integers."""
     ring, C = gma.ring, gma.center
     T = gma.ctx.lifted
     dA, dM, dN, dB = gma.dims
@@ -597,18 +561,11 @@ def _witness(ring, lifted: dict, side: str) -> ConstructiveWitness:
     return ConstructiveWitness(side=side, **f)
 
 
-def witness_shape_report(grid: ComponentGrid, w: ConstructiveWitness) -> dict:
-    """The component shape laws, each checked exactly on all basis pairs:
-    the left sides are the grid's components, the right sides one
-    contraction each."""
-    ring = grid.gma.ring
-    names = ("gamma", "gamma_prime", "epsilon", "epsilon_prime")
-    return _shape_laws(grid, {name: _lift(ring, getattr(w, name)) for name in names})
-
-
 def _shape_laws(grid: ComponentGrid, w: dict) -> dict:
-    """witness_shape_report on the lifted witness fields w, by name; each
-    law decides on integers."""
+    """The component shape laws for the lifted witness fields w, by name,
+    each checked exactly on all basis pairs: the left sides are the grid's
+    components, the right sides one contraction each; each law decides on
+    integers."""
     gma = grid.gma
     ring, C = gma.ring, gma.center
     T = gma.ctx.lifted
@@ -691,6 +648,10 @@ def decompose_trace_constructive(
     q: BilinearMapRep, gma: GMA, report=None
 ) -> ConstructiveDecomposition:
     """Assemble (z, mu, nu) from the constructive witness.
+
+    This is the one way into the component chain, and it decides the
+    centralizing predicate first: the chain's claims hold only for a
+    centralizing trace.
 
     nu is defined as the remainder T_q - z x^2 - mu(x) x and must come out
     central-valued coefficientwise; if it does not, the instance (which
@@ -830,20 +791,15 @@ def decompose_lie_triple_iso(l: LinearMapRep, src: GMA, dst: GMA) -> LieTripleDe
             "pulled-back square map is not centralizing",
         )
 
+    # lam = +-1 stands in for z: the z columns of the generic system times
+    # the unit's center coordinates are the pair tensor of dst, so the two
+    # right-hand sides pairs(q) -+ pairs(dst) are solved in one stack
     system = dst.generic_system
-    z_cols = system.matrix[:, : C.zdim]
-    vals = pair_coefficients(dst.ring, q.tensor).reshape(system.matrix.shape[0])
-    unit_coords = C.center_coords(dst.unit)
-    solutions = {}
-    for lam in (1, -1):
-        if unit_coords is None:
-            break
-        rhs = ring.normalize(
-            vals - ring.tensordot(z_cols, unit_coords * ring.coerce(lam), axes=([1], [0]))
-        )
-        sol = system.mu_nu_factor.solve(rhs)
-        if sol is not None:
-            solutions[lam] = sol
+    qn, lq = q.lifted
+    pairs, lp = _product_tensors(dst)["pairs"]
+    (v, u), L = _common((pair_coefficients(ring, qn).reshape(-1), lq), (pairs.reshape(-1), lp))
+    sols, L, found = system.mu_nu_factor.solve_lifted(ring.normalize(np.stack([v - u, v + u])), L)
+    solutions = {lam: _unlift(ring, x, L) for lam, x, f in zip((1, -1), sols, found) if f}
     checks["plus-consistent"] = 1 in solutions
     checks["minus-consistent"] = -1 in solutions
     if not solutions:

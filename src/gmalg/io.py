@@ -63,11 +63,10 @@ def dense_from_json(ring: RingDescriptor, shape, data) -> np.ndarray:
 
 def sparse_to_json(ring: RingDescriptor, arr) -> list:
     arr = np.asarray(arr)
-    records = []
-    for idx in np.ndindex(arr.shape):
-        if arr[idx] != ring.zero:
-            records.append([*map(int, idx), ring.scalar_to_json(arr[idx])])
-    return records
+    return [
+        [*idx, ring.scalar_to_json(arr[tuple(idx)])]
+        for idx in np.argwhere(arr != ring.zero).tolist()
+    ]
 
 
 def sparse_from_json(ring: RingDescriptor, shape, records) -> np.ndarray:

@@ -679,7 +679,7 @@ def build_diagonal_pair(ring: RingDescriptor, k: int = 2) -> MoritaContext:
     return MoritaContext(alg, alg, M, N, pair, pair.copy(), meta)
 
 
-def build_peirce(alg: AlgebraSpec, e, assume_prime: bool = False):
+def build_peirce(alg: AlgebraSpec, e):
     """Peirce split of an algebra along an idempotent e (e != 0, 1).
 
     Returns (context, certificate) where certificate is the invertible
@@ -732,7 +732,7 @@ def build_peirce(alg: AlgebraSpec, e, assume_prime: bool = False):
     )
     pair_mn = block_mul(UM, UN, UA, "M*N")
     pair_nm = block_mul(UN, UM, UB, "N*M")
-    meta = {"builder": "peirce", "prime_certified": bool(assume_prime)}
+    meta = {"builder": "peirce", "prime_certified": False}
     ctx = MoritaContext(A, B, M, N, pair_mn, pair_nm, meta)
 
     cert = ring.zeros((alg.dim, alg.dim))

@@ -12,9 +12,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gmalg import backend
-from gmalg.exact import RATIONAL, prime_field
-from gmalg.maps import BilinearMapRep, MapError, is_commuting_trace, trace_space
+import gmalg
+from gmalg import backend, decompose
+from gmalg.exact import RATIONAL, _unlift, prime_field
+from gmalg.maps import (
+    BilinearMapRep,
+    MapError,
+    is_centralizing_trace,
+    is_commuting_trace,
+    trace_space,
+)
 from gmalg.structure import assemble_gma, build_full_matrix, build_upper_triangular
 from gmalg.decompose import (
     ComponentPatternError,
@@ -23,12 +30,10 @@ from gmalg.decompose import (
     decompose_trace_constructive,
     decompose_lie_triple_iso,
     decompose_trace_generic,
-    extract_components,
-    extract_constructive_witness,
     random_lie_triple_iso,
     random_proper_trace,
-    witness_shape_report,
 )
+from test_oracles import grid_evaluate
 
 F5 = prime_field(5)
 
@@ -68,28 +73,27 @@ def sandwich_map(gma, i):
 
 def test_components_reassemble_the_trace(m4):
     q = mul_map(m4)
-    grid = extract_components(q, m4)
-    assert grid.centralizing
+    grid = decompose._component_grid(m4, q.lifted, True)
     assert grid.pattern_violation is None
     x = F5.array(list(range(1, m4.dim + 1)))
     parts = m4.blocks(x)
     total = F5.zeros(m4.dim)
-    for (i, j), t in grid.tensors.items():
-        v = F5.tensordot(parts[i], t, axes=([0], [0]))
+    for (i, j), t in grid.lifted.items():
+        v = F5.tensordot(parts[i], _unlift(F5, *t), axes=([0], [0]))
         total = total + F5.tensordot(parts[j], v, axes=([0], [0]))
     assert F5.equal(total, q.trace_eval(x))
 
 
 def test_component_blocks_of_multiplication(m4):
-    grid = extract_components(mul_map(m4), m4)
+    grid = decompose._component_grid(m4, mul_map(m4).lifted, True)
     # the polarized (A, M) cell carries a*m' once: m*a' vanishes in G
     a = m4.ctx.A.unit
     m = F5.zeros(m4.ctx.M.dim)
     m[0] = F5.one
-    val = grid.evaluate("g", 0, 1, a, m)
+    val = grid_evaluate(grid, "g", 0, 1, a, m)
     assert F5.equal(val, m4.ctx.M.act_left(a, m))
     # the diagonal (A, A) cell carries a*a' once (the i = j cell is halved)
-    assert F5.equal(grid.evaluate("f", 0, 0, a, a), m4.ctx.A.multiply(a, a))
+    assert F5.equal(grid_evaluate(grid, "f", 0, 0, a, a), m4.ctx.A.multiply(a, a))
 
 
 def test_pattern_violation_detected(m4):
@@ -99,11 +103,14 @@ def test_pattern_violation_detected(m4):
     msl = m4.block_slice(1)
     t[0, 0, msl.start] = ring.one
     q = BilinearMapRep(ring, t)
-    grid = extract_components(q, m4)  # not centralizing: records, no raise
-    assert not grid.centralizing
+    grid = decompose._component_grid(m4, q.lifted, False)  # records, no raise
     assert grid.pattern_violation == ("g", 0, 0)
     with pytest.raises(ComponentPatternError):
-        extract_components(q, m4, centralizing=True)
+        decompose._component_grid(m4, q.lifted, True)
+    # the route decides the predicate first and never forms this grid
+    assert not is_centralizing_trace(m4, q)[0]
+    with pytest.raises(PredicateNotSatisfied):
+        decompose_trace_constructive(q, m4)
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +489,34 @@ def test_non_centralizing_trace_is_rejected_with_witness(m3):
 
 
 def test_witness_extraction_needs_a_centralizing_grid(m3):
-    q = mul_map(m3)
-    grid = extract_components(q, m3)
-    w = extract_constructive_witness(q, m3, grid=grid)
-    rep = witness_shape_report(grid, w)
+    """The chain is reached only through the route, after the predicate."""
+    rep = decompose_trace_constructive(mul_map(m3), m3).shape_report
     assert set(rep) == SHAPE_KEYS
     assert all(rep.values())
+    stepwise = {"extract_components", "extract_constructive_witness", "witness_shape_report"}
+    assert not stepwise & set(vars(decompose))
+    assert not (stepwise | {"ComponentGrid"}) & set(gmalg.__all__)
+
+
+def test_every_perturbed_cell_is_refused_before_the_chain(m3, monkeypatch):
+    """Each of the 729 one-cell perturbations (+1) of a proper trace on
+    M3(F5) split 1 fails the centralizing predicate, so the route raises
+    PredicateNotSatisfied and never forms a component grid."""
+    base = random_proper_trace(m3, 1).tensor
+    assert decompose_trace_constructive(BilinearMapRep(F5, base), m3).status == "ok"
+
+    def no_grid(*args):
+        raise AssertionError("the chain ran on a non-centralizing trace")
+
+    monkeypatch.setattr(decompose, "_component_grid", no_grid)
+    refused = 0
+    for cell in np.ndindex(base.shape):
+        t = base.copy()
+        t[cell] = F5.normalize(t[cell] + F5.one)
+        with pytest.raises(PredicateNotSatisfied):
+            decompose_trace_constructive(BilinearMapRep(F5, t), m3)
+        refused += 1
+    assert refused == 729
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Serialization: canonical JSON bytes, context/algebra/map documents,
 and the proper-form document with its centrality re-validation."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +81,39 @@ def test_sparse_roundtrip_skips_zeros():
     records = sparse_to_json(F5, t)
     assert records == [[0, 1, 1, 3]]
     assert F5.equal(sparse_from_json(F5, (2, 2, 2), records), t)
+
+
+def slow_sparse_to_json(ring, arr):
+    """Every cell visited in row-major order, the nonzero ones recorded."""
+    arr = np.asarray(arr)
+    records = []
+    for idx in np.ndindex(arr.shape):
+        if arr[idx] != ring.zero:
+            records.append([*map(int, idx), ring.scalar_to_json(arr[idx])])
+    return records
+
+
+@pytest.mark.parametrize("ring", [F5, RATIONAL], ids=["f5", "q"])
+def test_sparse_records_match_the_cell_loop(ring):
+    gma = assemble_gma(build_full_matrix(3, 1, ring))
+    q = random_proper_trace(gma, 3).tensor
+    tensors = [
+        gma.mul,
+        q,
+        q[:, :, :1],
+        ring.zeros((3, 4, 2)),
+        ring.zeros((0, 3, 3)),
+        ring.zeros((3, 0)),
+        ring.array([ring.one, ring.zero, ring.neg(ring.one)]),
+    ]
+    if ring is RATIONAL:
+        tensors.append(RATIONAL.array([[Fraction(1, 3), 0], [0, Fraction(-5, 7)]]))
+    for t in tensors:
+        records = sparse_to_json(ring, t)
+        assert records == slow_sparse_to_json(ring, t)
+        assert json.dumps(records) == json.dumps(slow_sparse_to_json(ring, t))
+    assert sparse_to_json(ring, ring.zeros((2, 2))) == []
+    assert sparse_to_json(ring, ring.zeros((0, 3, 3))) == []
 
 
 def test_sparse_validates_records():

@@ -87,11 +87,8 @@ from gmalg.decompose import (
     decompose_lie_triple_iso,
     decompose_trace_constructive,
     decompose_trace_generic,
-    extract_components,
-    extract_constructive_witness,
     random_lie_triple_iso,
     random_proper_trace,
-    witness_shape_report,
 )
 from gmalg.exact import (
     RATIONAL,
@@ -1269,6 +1266,18 @@ def slow_center_coords(C, v):
     return None if not C.ring.is_zero(c[C.zdim :]) else c[: C.zdim].copy()
 
 
+def grid_component(grid, kind, i, j):
+    """The kind-valued part of the grid's C_ij as ring values."""
+    return _unlift(grid.gma.ring, *grid.part(kind, i, j))
+
+
+def grid_evaluate(grid, kind, i, j, x, y):
+    """The kind-valued part of C_ij(x, y)."""
+    ring = grid.gma.ring
+    v = ring.tensordot(np.asarray(x), grid_component(grid, kind, i, j), axes=([0], [0]))
+    return ring.tensordot(np.asarray(y), v, axes=([0], [0]))
+
+
 def slow_extract_constructive_witness(gma, grid, report):
     ring, C, ctx = gma.ring, gma.center, gma.ctx
     dA, dM, dN, dB = gma.dims
@@ -1292,19 +1301,19 @@ def slow_extract_constructive_witness(gma, grid, report):
             raise WitnessExtractionError(stage, "phi^-1 argument outside pi_B(Z)", report)
         return out
 
-    f11_11 = grid.evaluate("f", 0, 0, unitA, unitA)
-    k11_11 = grid.evaluate("k", 0, 0, unitA, unitA)
+    f11_11 = grid_evaluate(grid, "f", 0, 0, unitA, unitA)
+    k11_11 = grid_evaluate(grid, "k", 0, 0, unitA, unitA)
     kappa = ring.normalize(phi(f11_11, "kappa") - k11_11)
-    k44_11 = grid.evaluate("k", 3, 3, unitB, unitB)
-    f44_11 = grid.evaluate("f", 3, 3, unitB, unitB)
+    k44_11 = grid_evaluate(grid, "k", 3, 3, unitB, unitB)
+    f44_11 = grid_evaluate(grid, "f", 3, 3, unitB, unitB)
     theta = ring.normalize(phi_inv(k44_11, "theta") - f44_11)
 
     alpha = ring.zeros((dA, dM))
     for j in range(dM):
         em = ring.zeros(dM)
         em[j] = ring.one
-        val = grid.evaluate("f", 0, 1, unitA, em) - phi_inv(
-            grid.evaluate("k", 0, 1, unitA, em), "alpha"
+        val = grid_evaluate(grid, "f", 0, 1, unitA, em) - phi_inv(
+            grid_evaluate(grid, "k", 0, 1, unitA, em), "alpha"
         )
         alpha[:, j] = ring.normalize(val)
         need(alpha[:, j], C.z_a, "alpha-centrality")
@@ -1312,16 +1321,16 @@ def slow_extract_constructive_witness(gma, grid, report):
     for j in range(dN):
         en = ring.zeros(dN)
         en[j] = ring.one
-        val = grid.evaluate("f", 0, 2, unitA, en) - phi_inv(
-            grid.evaluate("k", 0, 2, unitA, en), "tau"
+        val = grid_evaluate(grid, "f", 0, 2, unitA, en) - phi_inv(
+            grid_evaluate(grid, "k", 0, 2, unitA, en), "tau"
         )
         tau[:, j] = ring.normalize(val)
         need(tau[:, j], C.z_a, "tau-centrality")
 
     a_noncomm = C.z_a.shape[0] < dA
     b_noncomm = C.z_b.shape[0] < dB
-    f14 = grid.component("f", 0, 3)
-    k14 = grid.component("k", 0, 3)
+    f14 = grid_component(grid, "f", 0, 3)
+    k14 = grid_component(grid, "k", 0, 3)
     gamma = ring.zeros((dA, dB))
     gamma_prime = ring.zeros((dB, dA))
     delta = ring.zeros((dA, dB, dA))
@@ -1401,7 +1410,7 @@ def slow_extract_constructive_witness(gma, grid, report):
         )
 
     eta = ring.zeros((dA, dM, dA))
-    f12 = grid.component("f", 0, 1)
+    f12 = grid_component(grid, "f", 0, 1)
     for i in range(dA):
         for j in range(dM):
             eta[i, j] = ring.normalize(
@@ -1436,7 +1445,7 @@ def slow_witness_shape_report(grid, w):
                 ok = False
                 continue
             a1 = basis(dA, i)
-            lhs = grid.evaluate("g", 0, 1, a1, basis(dM, j))
+            lhs = grid_evaluate(grid, "g", 0, 1, a1, basis(dM, j))
             coef = ring.normalize(ctx.A.multiply(w.epsilon, a1) + gp_back[i])
             ok = ok and ring.equal(lhs, ctx.M.act_left(coef, basis(dM, j)))
     out["g12-shape"] = ok
@@ -1447,7 +1456,7 @@ def slow_witness_shape_report(grid, w):
                 ok = False
                 continue
             a4 = basis(dB, t)
-            lhs = grid.evaluate("g", 1, 3, basis(dM, j), a4)
+            lhs = grid_evaluate(grid, "g", 1, 3, basis(dM, j), a4)
             coef = ring.normalize(ctx.B.multiply(w.epsilon_prime, a4) + g_fwd[t])
             ok = ok and ring.equal(lhs, ctx.M.act_right(basis(dM, j), coef))
     out["g24-shape"] = ok
@@ -1457,7 +1466,7 @@ def slow_witness_shape_report(grid, w):
             a1 = basis(dA, i)
             for j in range(dN):
                 a3 = basis(dN, j)
-                lhs = grid.evaluate("h", 0, 2, a1, a3)
+                lhs = grid_evaluate(grid, "h", 0, 2, a1, a3)
                 rhs = ring.normalize(
                     ctx.N.act_right(a3, ctx.A.multiply(w.epsilon, a1))
                     + ctx.N.act_left(w.gamma_prime[:, i], a3)
@@ -1473,7 +1482,7 @@ def slow_witness_shape_report(grid, w):
                     continue
                 a4 = basis(dB, t)
                 coef = ring.normalize(ctx.B.multiply(w.epsilon_prime, a4) + g_fwd[t])
-                lhs = grid.evaluate("h", 2, 3, a3, a4)
+                lhs = grid_evaluate(grid, "h", 2, 3, a3, a4)
                 ok = ok and ring.equal(lhs, ctx.N.act_left(coef, a3))
         out["h34-shape"] = ok
         ok = True
@@ -1481,7 +1490,7 @@ def slow_witness_shape_report(grid, w):
             a2 = basis(dM, j)
             for t in range(dN):
                 a3 = basis(dN, t)
-                val = grid.evaluate("k", 1, 2, a2, a3)
+                val = grid_evaluate(grid, "k", 1, 2, a2, a3)
                 resid = ring.normalize(val - ctx.B.multiply(w.epsilon_prime, ctx.pair_nm(a3, a2)))
                 ok = ok and row_span_coords(ring, C.z_b, resid) is not None
         out["k23-centrality"] = ok
@@ -1490,7 +1499,7 @@ def slow_witness_shape_report(grid, w):
             a2 = basis(dM, j)
             for t in range(dN):
                 a3 = basis(dN, t)
-                val = grid.evaluate("f", 1, 2, a2, a3)
+                val = grid_evaluate(grid, "f", 1, 2, a2, a3)
                 resid = ring.normalize(val - ctx.A.multiply(w.epsilon, ctx.pair_mn(a2, a3)))
                 ok = ok and row_span_coords(ring, C.z_a, resid) is not None
         out["f23-centrality"] = ok
@@ -1499,10 +1508,10 @@ def slow_witness_shape_report(grid, w):
         for i in range(n):
             for j in range(i, n):
                 ea, eb = basis(n, i), basis(n, j)
-                fa = grid.evaluate("f", kind_pair, kind_pair, ea, eb)
-                fb = grid.evaluate("f", kind_pair, kind_pair, eb, ea)
-                ka = grid.evaluate("k", kind_pair, kind_pair, ea, eb)
-                kb = grid.evaluate("k", kind_pair, kind_pair, eb, ea)
+                fa = grid_evaluate(grid, "f", kind_pair, kind_pair, ea, eb)
+                fb = grid_evaluate(grid, "f", kind_pair, kind_pair, eb, ea)
+                ka = grid_evaluate(grid, "k", kind_pair, kind_pair, ea, eb)
+                kb = grid_evaluate(grid, "k", kind_pair, kind_pair, eb, ea)
                 pair = gma.embed_diag(ring.normalize(fa + fb), ring.normalize(ka + kb))
                 ok = ok and slow_center_coords(C, pair) is not None
         out[name] = ok
@@ -1515,7 +1524,7 @@ def slow_decompose_trace_constructive(q, gma):
     """The chain with one product per basis vector or pair; the entry
     predicate is left to the caller."""
     ring, C, report = gma.ring, gma.center, gma.report
-    grid = extract_components(q, gma, centralizing=True)
+    grid = decompose._component_grid(gma, q.lifted, True)
     w = slow_extract_constructive_witness(gma, grid, report)
     dA, dM, dN, dB = gma.dims
     d = gma.dim
@@ -1790,7 +1799,7 @@ def fraction_decompose_trace_constructive(q, gma):
     """decompose_trace_constructive on ring values; the entry predicate is
     left to the caller."""
     ring, C, report = gma.ring, gma.center, gma.report
-    grid = extract_components(q, gma, centralizing=True)
+    grid = decompose._component_grid(gma, q.lifted, True)
     tensors = fraction_components(q, gma)
     w = fraction_extract_constructive_witness(gma, tensors, report)
     dA, dM, dN, dB = gma.dims
@@ -2052,9 +2061,12 @@ def test_constructive_chain_matches_loops_off_the_predicate(chain_instance, monk
         assert_same_chain_result(got, run_chain(fraction_decompose_trace_constructive, q, gma))
         outcomes.add(outcome(got))
         if isinstance(got, ComponentPatternError):
-            grid = extract_components(q, gma, centralizing=False)
+            # the route's private steps, past the pattern check it raised at
+            grid = decompose._component_grid(gma, q.lifted, False)
+            assert grid.pattern_violation == got.component
             tensors = fraction_components(q, gma)
-            fast = run_chain(lambda q, g: extract_constructive_witness(q, g, grid=grid), q, gma)
+            chain = run_chain(lambda q, g: decompose._witness_chain(g, grid, g.report), q, gma)
+            fast = chain if isinstance(chain, Exception) else decompose._witness(gma.ring, *chain)
             for oracle in (
                 lambda q, g: slow_extract_constructive_witness(g, grid, g.report),
                 lambda q, g: fraction_extract_constructive_witness(g, tensors, g.report),
@@ -2067,7 +2079,7 @@ def test_constructive_chain_matches_loops_off_the_predicate(chain_instance, monk
                 assert pickle.dumps(fast) == pickle.dumps(slow)
             if isinstance(fast, Exception):
                 continue
-            laws = list(witness_shape_report(grid, fast).items())
+            laws = list(decompose._shape_laws(grid, chain[0]).items())
             assert laws == list(slow_witness_shape_report(grid, fast).items())
             want = fraction_witness_shape_report(gma, tensors, grid.pattern_violation, fast)
             assert laws == list(want.items())

@@ -393,3 +393,21 @@ def test_opposite_algebra_keeps_center_and_trace_spaces(build):
     assert g_op.center.zdim == g.center.zdim
     for mode in ("centralizing", "commuting"):
         assert trace_space(g_op, mode).dim == trace_space(g, mode).dim
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_full_matrix(3, 1, F5),
+        lambda: build_upper_triangular(3, 1, F5),
+        lambda: build_full_matrix(3, 1, RATIONAL),
+    ],
+    ids=["m3-f5", "t3-f5", "m3-q"],
+)
+def test_known_gap_the_corner_route_reads_only_b(build):
+    """The corner route's predicates read B alone, so G takes it where G^op,
+    whose B is A^op, does not, though both have the same traces.  A
+    mirrored route that reads A as well must flip the second assertion."""
+    ctx = build()
+    assert assemble_gma(ctx).report.route == "corner"
+    assert assemble_gma(opposite(ctx)).report.route == "none"
