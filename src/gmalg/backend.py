@@ -10,22 +10,24 @@ every other cell would be left as it is anyway.  That is what keeps the
 sparse constraint systems of this package cheap, over Q above all, where
 each skipped cell is a skipped ``Fraction`` operation.
 
-``rank_stack`` is the one batched companion, for F_p only: the ranks of a
-whole (batch, m, n) stack of residues from one column-by-column
-Gauss-Jordan over every slice at once.  The loyalty and central
-zero-divisor scans reduce all candidates of a chunk with it, so they pay
-the per-pivot Python overhead once per column of a chunk, not once per
-candidate matrix; the witness of the first singular candidate still
-comes from ``nullspace_array`` on that one matrix.  With p < 2^20 every
-product of two residues stays below 2^40, so the int64 arithmetic keeps
-its margin.
+Two batched companions run over F_p only.  Both read one column-by-column
+Gauss-Jordan over every slice of a (batch, m, n) stack of residues at
+once, so they pay the per-pivot Python overhead once per column of a
+stack, not once per matrix.  ``rank_stack`` returns the ranks: the
+loyalty and central zero-divisor scans reduce all candidates of a chunk
+with it, and the witness of the first singular candidate still comes
+from ``nullspace_array`` on that one matrix.  ``rref_stack`` returns each
+slice's canonical reduced rows, pivot columns and rank: the blocked
+nullspace reduces its same-shape components with it.  With p < 2^20
+every product of two residues stays below 2^40, so the int64 arithmetic
+keeps its margin.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ACTIVE_BACKEND", "rank_stack", "rref"]
+__all__ = ["ACTIVE_BACKEND", "rank_stack", "rref", "rref_stack"]
 
 # the name of the kernel that runs; there is exactly one
 ACTIVE_BACKEND = "numpy"
@@ -77,41 +79,75 @@ def _inverse_mod(p: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def rank_stack(p: int, stack: np.ndarray) -> np.ndarray:
-    """Rank mod p of every (m, n) slice of a (batch, m, n) integer stack.
+def _sweep(p: int, stack: np.ndarray):
+    """The Gauss-Jordan mod p of every (m, n) slice of a (batch, m, n)
+    integer stack at once: (a, pivot_row), with a the reduced stack held
+    column first, (n, batch, m), and pivot_row[c, b] the pivot row of
+    column c in slice b, -1 where it has none.
 
-    One Gauss-Jordan over all slices at once: for each column c, each
-    slice takes as pivot its first nonzero row not yet used, scales it by
-    the pivot's inverse and clears column c from the other rows; only the
-    columns right of c are kept, the only ones read again.  A slice with no
-    such row has no pivot in column c.  The rank is the number of pivots.
+    For each column c, each slice takes as pivot its first nonzero row not
+    yet used, scales it to 1 and clears column c from the other rows; a
+    slice with no such row gets scale 0 and is left as it is.  Only the
+    columns right of c are updated, and of them only those where some pivot
+    row is nonzero; the pivot row takes its update with col[piv] - 1 in
+    place of col[piv], which leaves it scaled.  Pivot columns themselves
+    are not written: each is the unit vector of its pivot row.
 
     A column is reduced mod p only when it becomes the pivot column; the
     columns to its right take each update unreduced.  An update subtracts
     less than p^2 < 2^40 from a cell, so n updates stay within int64 for
-    any n below 2^22.  The stack is held column first, (n, batch, m), so
-    that each column of every slice is one contiguous block."""
+    any n below 2^22.  Column first, each column of every slice is one
+    contiguous block."""
     a = np.remainder(np.moveaxis(np.asarray(stack, dtype=np.int64), 2, 0), p, order="C")
     n, batch, m = a.shape
-    rank = np.zeros(batch, dtype=np.int64)
-    if a.size == 0:
-        return rank
     slices = np.arange(batch)
     free = np.ones((batch, m), dtype=bool)  # rows not yet a pivot
-    for c in range(n):
+    pivot_row = np.full((n, batch), -1, dtype=np.int64)
+    for c in range(n if m else 0):
         col = a[c] % p
         cand = (col != 0) & free
         piv = cand.argmax(axis=1)
         has = cand[slices, piv]
         if not has.any():
             continue
-        rank += has
-        free[slices[has], piv[has]] = False
+        pivot_row[c] = np.where(has, piv, -1)
+        free[slices, piv] &= ~has
         if c + 1 == n:
             break
-        # in a slice without a pivot only used rows are nonzero in column c;
-        # they change, but they are never read again
-        scale = _inverse_mod(p, col[slices, piv])
+        scale = _inverse_mod(p, col[slices, piv]) * has
+        col[slices, piv] -= has
         prow = a[c + 1 :, slices, piv] % p * scale % p  # (n - c - 1, batch)
-        a[c + 1 :] -= prow[:, :, None] * col
-    return rank
+        hit = np.flatnonzero(prow.any(axis=1))
+        a[c + 1 + hit] -= prow[hit, :, None] * col
+    return a, pivot_row
+
+
+def rank_stack(p: int, stack: np.ndarray) -> np.ndarray:
+    """Rank mod p of every (m, n) slice of a (batch, m, n) integer stack:
+    the number of pivots of one ``_sweep`` over all slices at once."""
+    return np.count_nonzero(_sweep(p, stack)[1] >= 0, axis=0)
+
+
+def rref_stack(p: int, stack: np.ndarray):
+    """Reduced row echelon form mod p of every (m, n) slice of a
+    (batch, m, n) integer stack: (reduced, pivots, rank).
+
+    reduced[b] is the canonical RREF of slice b, rank[b] rows followed by
+    zero rows, and pivots[b, :rank[b]] its pivot columns, ascending; pivots
+    is (batch, min(m, n)) and -1 past each rank.  The RREF is unique, so
+    each slice comes out as ``rref`` reduces it on its own, bit for bit:
+    the rows of one ``_sweep`` over all slices at once, each pivot column
+    made the unit vector of its pivot row and each slice's pivot rows
+    gathered in the order of their pivot columns."""
+    a, pivot_row = _sweep(p, stack)
+    n, batch, m = a.shape
+    at, c = np.nonzero(pivot_row.T >= 0)  # by slice, pivot columns ascending
+    rank = np.bincount(at, minlength=batch)
+    k = np.arange(at.size) - np.repeat(np.cumsum(rank) - rank, rank)  # of each pivot in its slice
+    reduced = np.zeros((batch, m, n), dtype=np.int64)
+    reduced[at, k] = a[:, at, pivot_row[c, at]].T % p
+    reduced[at, :, c] = 0
+    reduced[at, k, c] = 1
+    pivots = np.full((batch, min(m, n)), -1, dtype=np.int64)
+    pivots[at, k] = c
+    return reduced, pivots, rank

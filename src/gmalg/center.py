@@ -651,9 +651,6 @@ def hypothesis_report(gma: GMA) -> HypothesisReport:
             return False
         return bool(np.all(rows_a == rows_b)) if rows_a.size else True
 
-    unit_central = C.center_coords(gma.unit) is not None
-    central = C.zdim == 1 and unit_central
-    b_unit_central = zB.shape[0] == 1 and bool(C.span_lifted("z_b", ctx.lifted["B"])[1])
     return HypothesisReport(
         morita_ok=True,  # a GMA comes only from assemble_gma, which checks the laws
         M_faithful_left=C.faithful_left,
@@ -665,8 +662,9 @@ def hypothesis_report(gma: GMA) -> HypothesisReport:
         zB_ne_B=zB.shape[0] < ctx.B.dim,
         commuting_proper_on_A=check_all_commuting_proper(ctx.A, zA),
         commuting_proper_on_B=check_all_commuting_proper(ctx.B, zB),
-        central_over_R=central,
-        b_central_over_R=b_unit_central,
+        # a unit is central, so the center is R exactly when it is one-dimensional
+        central_over_R=C.zdim == 1,
+        b_central_over_R=zB.shape[0] == 1,
         prop322_m0b0=_independent_pair(gma),
         two_torsionfree=(not ring.is_prime_field) or ring.p % 2 == 1,
     )

@@ -181,11 +181,6 @@ class ProperTraceForm:
         coords = ring.tensordot(np.asarray(y), t, axes=([0], [0]))
         return gma.center.expand(coords)
 
-    def evaluate(self, gma: GMA, x):
-        zx2 = gma.multiply(self.z_vec(gma), gma.square(x))
-        mux = gma.multiply(self.mu_vec(gma, x), x)
-        return gma.ring.normalize(zx2 + mux + self.nu_vec(gma, x, x))
-
     def sym_tensor(self, gma: GMA) -> np.ndarray:
         """Symmetric coefficient tensor of the reconstructed trace."""
         doubled, L = self._doubled_tensor(gma)

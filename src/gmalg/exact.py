@@ -328,21 +328,40 @@ def blocked_nullspace(ring: RingDescriptor, entries, n_cols: int) -> np.ndarray:
     once and in canonical scalars, as ``_sparse_times`` takes them, solved
     one block at a time.
 
-    The connected components of the graph in which an entry joins its row
-    to its column are packed, in order, into groups of about _GROUP_COLUMNS
-    columns (a larger component is a group of its own), and each group is
-    scattered into a dense block of its own rows and columns; the whole
-    matrix is dense only when it is that small.  A block-diagonal matrix has
-    the pivots of its blocks, and each canonical null vector
-    e_f - sum_k red[k, f] e_{piv_k} lies in the columns of f's block, so each
-    block's ``nullspace_array`` put back into its columns and sorted by free
-    column is the dense one, bit for bit.  The free column of a null vector
-    is its last nonzero entry: red[k, f] != 0 only for piv_k < f."""
+    The blocks come from the connected components of the graph in which an
+    entry joins its row to its column.  Over F_p, when the matrix is wider
+    than one group, the components of a (rows, columns) shape that at least
+    two of them share are blocks of their own, reduced together by
+    ``_stacked_nullspace``.  The other components are packed, in order,
+    into groups of about _GROUP_COLUMNS columns (a larger component is a
+    group of its own), and each group is scattered into a dense block of
+    its own rows and columns and solved by ``nullspace_array``; the whole
+    matrix is dense only when it is that small.  A block-diagonal matrix
+    has the pivots of its blocks, and each canonical null vector
+    e_f - sum_k red[k, f] e_{piv_k} lies in the columns of f's block, so
+    the null vectors of the blocks put back into their columns and sorted
+    by free column are the dense ones, bit for bit.  The free column of a
+    null vector is its last nonzero entry: red[k, f] != 0 only for
+    piv_k < f."""
     n_rows, r, c, values = entries
     _, component, size = np.unique(
         _column_components(n_rows, r, c, n_cols), return_inverse=True, return_counts=True
     )
-    group = ((np.cumsum(size) - size) // _GROUP_COLUMNS)[component]
+    stacked = np.zeros(size.size, dtype=bool)
+    if ring.is_prime_field and n_cols > _GROUP_COLUMNS:
+        # the rows of each component; a row's entries lie in one component
+        row_component = np.full(n_rows, size.size)
+        row_component[r] = component[c]
+        height = np.bincount(row_component, minlength=size.size + 1)[:-1]
+        _, shape, count = np.unique(
+            height * (n_cols + 1) + size, return_inverse=True, return_counts=True
+        )
+        stacked = count[shape] > 1
+    # the other components are packed; each stacked one is a group of its
+    # own, numbered past them
+    packed = np.where(stacked, 0, size)
+    packed_group = (np.cumsum(packed) - packed) // _GROUP_COLUMNS
+    group = np.where(stacked, n_cols + np.arange(size.size), packed_group)[component]
     by_group = np.argsort(group, kind="stable")  # ascending within each group
     keys, starts, widths = np.unique(group[by_group], return_index=True, return_counts=True)
     position = np.empty(n_cols, dtype=np.intp)  # of each column within its block
@@ -354,24 +373,62 @@ def blocked_nullspace(ring: RingDescriptor, entries, n_cols: int) -> np.ndarray:
     new_row = np.ones(len(g), dtype=bool)
     new_row[1:] = (g[1:] != g[:-1]) | (rows[1:] != rows[:-1])
     seen = np.concatenate(([0], np.cumsum(new_row)))  # block rows up to each entry
-    at_col, at_value = position[c[by_entry]], values[by_entry]
     firsts = np.searchsorted(g, keys)
     lasts = np.append(firsts[1:], len(g))
-    pieces = []
-    is_free = np.zeros(n_cols, dtype=bool)
-    for start, width, first, last in zip(*(a.tolist() for a in (starts, widths, firsts, lasts))):
-        cols = by_group[start : start + width]
-        block = ring.zeros((seen[last] - seen[first], width))
-        block[seen[first + 1 : last + 1] - seen[first] - 1, at_col[first:last]] = at_value[first:last]
+    heights = seen[lasts] - seen[firsts]
+    at_row = seen[1:] - 1 - np.repeat(seen[firsts], lasts - firsts)
+    at_col, at_value = position[c[by_entry]], values[by_entry]
+    pieces = []  # (free columns, the columns of their null vectors, null vectors)
+    lone = keys < n_cols
+    for k in np.flatnonzero(lone).tolist():
+        cols, at = by_group[starts[k] : starts[k] + widths[k]], slice(firsts[k], lasts[k])
+        block = ring.zeros((heights[k], widths[k]))
+        block[at_row[at], at_col[at]] = at_value[at]
         null = nullspace_array(ring, block)
-        free = cols[width - 1 - np.argmax(null[:, ::-1] != 0, axis=1)]
+        free = cols[widths[k] - 1 - np.argmax(null[:, ::-1] != 0, axis=1)]
+        pieces.append((free, cols[None], null))
+    if not lone.all():
+        # the stacked groups, one stack per shape
+        groups = np.flatnonzero(~lone)
+        _, shape = np.unique(heights[groups] * (n_cols + 1) + widths[groups], return_inverse=True)
+        group_of_entry = np.repeat(np.arange(keys.size), lasts - firsts)
+        for s in range(shape.max() + 1):
+            members = groups[shape == s]
+            m, n = heights[members[0]], widths[members[0]]
+            index = np.full(keys.size, -1)  # of each member in the stack
+            index[members] = np.arange(members.size)
+            at = np.flatnonzero(index[group_of_entry] >= 0)
+            stack = np.zeros((members.size, m, n), dtype=np.int64)
+            stack[index[group_of_entry[at]], at_row[at], at_col[at]] = at_value[at]
+            cols = by_group[starts[members, None] + np.arange(n)]
+            pieces.append(_stacked_nullspace(ring.p, stack, cols))
+    is_free = np.zeros(n_cols, dtype=bool)
+    for free, _, _ in pieces:
         is_free[free] = True
-        pieces.append((cols, free, null))
     slot = np.cumsum(is_free) - 1  # the basis row of each free column
     basis = ring.zeros((int(is_free.sum()), n_cols))
-    for cols, free, null in pieces:
+    for free, cols, null in pieces:
         basis[slot[free, None], cols] = null
     return basis
+
+
+def _stacked_nullspace(p: int, stack: np.ndarray, cols: np.ndarray):
+    """The canonical null vectors mod p of every slice of a (batch, m, n)
+    stack whose slice b sits in the columns cols[b]: (free columns, their
+    vectors' columns, null vectors), a vector per free column, from one
+    ``backend.rref_stack``.  With each reduced row put at its pivot column
+    in an (n, n) matrix E, row f of I - E^T is e_f - sum_k red[k, f]
+    e_{piv_k}: the null vector of f when f is free, zero when f is a pivot."""
+    batch, _, n = stack.shape
+    red, piv, rank = backend.rref_stack(p, stack)
+    b, k = np.nonzero(np.arange(piv.shape[1]) < rank[:, None])
+    E = np.zeros((batch, n, n), dtype=np.int64)
+    E[b, piv[b, k]] = red[b, k]
+    free = np.ones((batch, n), dtype=bool)
+    free[b, piv[b, k]] = False
+    b, f = np.nonzero(free)
+    null = (np.eye(n, dtype=np.int64)[f] - E[b, :, f]) % p
+    return cols[b, f], cols[b], null
 
 
 def _column_components(n_rows: int, r: np.ndarray, c: np.ndarray, n_cols: int) -> np.ndarray:

@@ -3,10 +3,12 @@ homomorphism predicates (with verified witnesses), and the exhaustive
 trace-space enumeration."""
 
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
 
+from gmalg import backend, exact
 from gmalg.decompose import (
     decompose_trace_constructive,
     decompose_trace_generic,
@@ -303,6 +305,21 @@ def test_trace_space_modes_coincide_on_m3(m3):
     com = trace_space(m3, mode="commuting")
     assert cen.dim == com.dim == 55
     assert np.array_equal(cen.raw_rows, com.raw_rows)
+
+
+@pytest.mark.parametrize("mode", ["centralizing", "commuting"])
+def test_trace_space_batches_its_same_shape_blocks(m3, mode):
+    """Over F_p the blocks of one shape share one batched reduction: on
+    M3(F_5) split 1 the 36 blocks of five shapes take one rref_stack each,
+    and only the lone 51-column block takes a 2-D reduction."""
+    m3.center
+    with (
+        unittest.mock.patch.object(exact, "rref_array", wraps=exact.rref_array) as rref,
+        unittest.mock.patch.object(backend, "rref_stack", wraps=backend.rref_stack) as stack,
+    ):
+        trace_space(m3, mode=mode)
+    assert [call.args[1].shape[1] for call in rref.call_args_list] == [51]
+    assert sorted(call.args[1].shape[0] for call in stack.call_args_list) == [6, 6, 6, 6, 12]
 
 
 def test_trace_space_contains_multiplication_on_t2(t2):

@@ -951,7 +951,9 @@ def _action(ring, shape, nonzero):
 @example((F5, 3, _action(F5, (2, 3, 2), [(0, 0, 1), (1, 2, 0)])))  # column t = 1 never hit
 @example((RATIONAL, 3, _action(RATIONAL, (3, 2, 1), [(2, 1, 0)])))
 def test_blocked_nullspace_matches_dense_nullspace(case):
-    """With one component per block and with components packed together."""
+    """With one component per block, with components packed together, and,
+    over F_p once the system is wider than one group, with the components
+    of a shared shape reduced in one stack."""
     ring, degree, act = case
     K = constraint_operator(ring, degree, act)
     dense = dense_constraint_matrix(ring, degree, act)
@@ -2782,6 +2784,68 @@ def test_rank_stack_matches_rank_array_slice_by_slice(p):
         assert got.tolist() == want
         seen.update((r == 0, r == min(shape[1:])) for r in want)
     assert {(True, False), (False, True), (False, False)} <= seen
+
+
+def loops_rref(p, a):
+    """(reduced, pivot list, rank) of a mod p from the scalar loops."""
+    red = a % p
+    piv, rank = rref_mod_p_loops(red, p)
+    return red, piv.tolist(), rank
+
+
+def reference_rref(p, a):
+    """(reduced, pivot list, rank) of rref_array over F_p; over F_2, which
+    prime_field does not accept, the scalar loops."""
+    if p == 2:
+        return loops_rref(p, a)
+    red, piv, rank = rref_array(prime_field(p), a)
+    return red, list(piv), rank
+
+
+def assert_stack_matches(stack, got, reference):
+    """Each slice's reduced rows, pivots (-1 past the rank) and rank from
+    rref_stack equal reference(slice)."""
+    red, piv, rank = got
+    assert red.dtype == piv.dtype == rank.dtype == np.int64
+    batch, rows, cols = stack.shape
+    assert red.shape == stack.shape
+    assert piv.shape == (batch, min(rows, cols)) and rank.shape == (batch,)
+    for b, a in enumerate(stack):
+        want_red, want_piv, want_rank = reference(a)
+        assert_identical(red[b], want_red)
+        assert rank[b] == want_rank
+        assert piv[b].tolist() == want_piv + [-1] * (min(rows, cols) - want_rank)
+
+
+@pytest.mark.parametrize("p", [2, 5, 1048573])
+def test_rref_stack_matches_rref_array_slice_by_slice(p):
+    """The stacks of the rank_stack oracle, reduced: p = 1048573 checks the
+    margin of the lazily reduced products."""
+    stream = XorShift64Star(p)
+    seen = set()
+    for shape in STACK_SHAPES:
+        stack = seeded_stack(stream, p, *shape)
+        before = stack.copy()
+        got = backend.rref_stack(p, stack)
+        assert_identical(stack, before)
+        assert_stack_matches(stack, got, lambda a: reference_rref(p, a))
+        seen.update((r == 0, r == min(shape[1:])) for r in got[2].tolist())
+    assert {(True, False), (False, True), (False, False)} <= seen
+
+
+@pytest.mark.parametrize("mode", ["centralizing", "commuting"])
+def test_rref_stack_matches_loops_on_trace_space_stacks(mode):
+    """The stacks that the M3(F5) trace space reduces, slice by slice
+    against the scalar loops: the blocks of the benchmarked solve meet a
+    kernel they do not share."""
+    g = assemble_gma(build_full_matrix(3, 1, F5))
+    g.center
+    with unittest.mock.patch.object(backend, "rref_stack", wraps=backend.rref_stack) as spy:
+        trace_space(g, mode)
+    stacks = [call.args for call in spy.call_args_list]
+    assert stacks
+    for p, stack in stacks:
+        assert_stack_matches(stack, backend.rref_stack(p, stack), lambda a: loops_rref(p, a))
 
 
 def slow_solve(ring, mat, rhs):
