@@ -70,7 +70,6 @@ class CenterData:
     """Everything downstream code needs about Z(G) and its corner projections."""
 
     ring: RingDescriptor
-    dim: int
     z_g: np.ndarray  # (zdim, dim) canonical rows
     z_a: np.ndarray  # center of the A corner, in A coordinates
     z_b: np.ndarray
@@ -136,14 +135,6 @@ class CenterData:
         v = self.ring.normalize(np.asarray(v))
         return v[..., self.lifted["z_g"][2]], self.span_lifted("z_g", _lift(self.ring, v))[1]
 
-    def center_coords(self, v):
-        """Coefficients of v over the z_g basis, or None if v is not central."""
-        coords, central = self.center_rows(v)
-        return coords.copy() if central else None
-
-    def in_center(self, v) -> bool:
-        return self.center_coords(v) is not None
-
     def expand(self, zc):
         """Center coefficients -> G coordinates."""
         return self.ring.tensordot(np.asarray(zc), self.z_g, axes=([0], [0]))
@@ -151,17 +142,6 @@ class CenterData:
     def quotient(self, v):
         """The annihilator applied to v: zero iff v is central."""
         return self.ring.tensordot(self.annihilator, np.asarray(v), axes=([1], [0]))
-
-    def phi_apply(self, a_vec):
-        """Apply the corner isomorphism to an A-corner vector; None off the span."""
-        v = _lift(self.ring, self.ring.normalize(a_vec))
-        image, inside = self.corner_rows_lifted(True, v)
-        return _unlift(self.ring, *image) if inside else None
-
-    def phi_inv_apply(self, b_vec):
-        v = _lift(self.ring, self.ring.normalize(b_vec))
-        image, inside = self.corner_rows_lifted(False, v)
-        return _unlift(self.ring, *image) if inside else None
 
 
 def check_faithful(ctx: MoritaContext):
@@ -218,7 +198,7 @@ def compute_center_gma(gma: GMA) -> CenterData:
         )
 
     return CenterData(
-        ring, gma.dim, z_g, z_a, z_b, pia, pib, phi, phi_inv, nullspace_array(ring, z_g),
+        ring, z_g, z_a, z_b, pia, pib, phi, phi_inv, nullspace_array(ring, z_g),
         left_ok, right_ok,
     )
 
@@ -531,7 +511,6 @@ def cube_annihilating_forms_contained(gma) -> bool:
 
 @dataclass
 class HypothesisReport:
-    morita_ok: bool
     M_faithful_left: bool
     M_faithful_right: bool
     M_loyal: LoyaltyResult
@@ -544,15 +523,13 @@ class HypothesisReport:
     central_over_R: bool
     b_central_over_R: bool
     prop322_m0b0: tuple | None
-    two_torsionfree: bool
 
     @property
     def main_route_ok(self) -> bool:
         """Route 1: proper commuting maps on a corner, both corner centers match
         the projected center properly, loyal bimodule."""
         return (
-            self.morita_ok
-            and (self.commuting_proper_on_A.ok or self.commuting_proper_on_B.ok)
+            (self.commuting_proper_on_A.ok or self.commuting_proper_on_B.ok)
             and self.zA_eq_piA
             and self.zA_ne_A
             and self.zB_eq_piB
@@ -567,8 +544,7 @@ class HypothesisReport:
         only B's side: G^op, whose B is A^op, can miss the route that G
         takes, as M3 and T3 split 1 do."""
         return (
-            self.morita_ok
-            and self.zB_ne_B
+            self.zB_ne_B
             and self.central_over_R
             and self.b_central_over_R
             and self.commuting_proper_on_B.ok
@@ -587,7 +563,8 @@ class HypothesisReport:
         ci = self.commuting_proper_on_A
         cb = self.commuting_proper_on_B
         out = [
-            f"morita-axioms: {'ok' if self.morita_ok else 'FAIL'}",
+            # a GMA comes only from assemble_gma, which rejects a lawless context
+            "morita-axioms: ok",
             f"bimodule-faithful: left={self.M_faithful_left} right={self.M_faithful_right}",
             f"bimodule-loyal: {self.M_loyal.status} ({self.M_loyal.detail})",
             f"corner-A-center-matches-projection: {self.zA_eq_piA}; A-noncommutative: {self.zA_ne_A}",
@@ -596,7 +573,8 @@ class HypothesisReport:
             f"commuting-maps-proper-on-B: {cb.ok} (commuting dim {cb.dim_commuting}, proper dim {cb.dim_proper})",
             f"central-over-scalars: G={self.central_over_R} B={self.b_central_over_R}",
             f"independent-pair-m0b0: {'found' if self.prop322_m0b0 is not None else 'none'}",
-            f"two-torsion-free: {self.two_torsionfree}",
+            # prime_field rejects p < 5, so no supported ring has 2 = 0
+            "two-torsion-free: True",
             f"decomposition-route: {self.route}",
         ]
         if self.M_loyal.status == "false" and self.M_loyal.witness is not None:
@@ -641,7 +619,6 @@ def hypothesis_report(gma: GMA) -> HypothesisReport:
     """The hypotheses of both routes, read once per algebra as ``gma.report``.
     Loyalty over F_p scans within _CANDIDATE_BOUND = 5^8 candidates: M6(F5)
     split 3 (1953124) and M2 over p = 1048573 (1048572) read "unknown"."""
-    ring = gma.ring
     ctx = gma.ctx
     C = gma.center
     zA, zB = C.z_a, C.z_b
@@ -652,7 +629,6 @@ def hypothesis_report(gma: GMA) -> HypothesisReport:
         return bool(np.all(rows_a == rows_b)) if rows_a.size else True
 
     return HypothesisReport(
-        morita_ok=True,  # a GMA comes only from assemble_gma, which checks the laws
         M_faithful_left=C.faithful_left,
         M_faithful_right=C.faithful_right,
         M_loyal=gma_loyalty(gma),
@@ -666,5 +642,4 @@ def hypothesis_report(gma: GMA) -> HypothesisReport:
         central_over_R=C.zdim == 1,
         b_central_over_R=zB.shape[0] == 1,
         prop322_m0b0=_independent_pair(gma),
-        two_torsionfree=(not ring.is_prime_field) or ring.p % 2 == 1,
     )

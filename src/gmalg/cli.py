@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -91,8 +92,6 @@ def parse_ring(text: str) -> RingDescriptor:
 
 
 def _fmt_vec(ring, v) -> str:
-    import json
-
     return json.dumps(dense_to_json(ring, np.asarray(v)))
 
 
@@ -114,8 +113,6 @@ def _print(lines, out=None):
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if out:
-        from pathlib import Path
-
         Path(out).write_text(text)
 
 

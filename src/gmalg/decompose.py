@@ -106,7 +106,6 @@ class ComponentGrid:
 
     gma: GMA
     lifted: dict  # (i, j) -> (n, L): C_ij = n / L, n of shape (dim_i, dim_j, dim G)
-    pattern_violation: tuple | None = None
 
     def part(self, kind: str, i: int, j: int):
         """The kind-valued part of C_ij, lifted: kind in 'f' (A), 'g' (M),
@@ -115,14 +114,13 @@ class ComponentGrid:
         return n[:, :, self.gma.block_slice("fghk".index(kind))], L
 
 
-def _component_grid(gma: GMA, q, centralizing: bool) -> ComponentGrid:
+def _component_grid(gma: GMA, q) -> ComponentGrid:
     """The block components of the trace of the lifted tensor q = (n, L):
     q + q^T once, its diagonal blocks halved through the scale over Q.
 
     A centralizing trace forces the g and h parts to vanish outside
-    _G_ALLOWED and _H_ALLOWED.  The first component that breaks this is
-    recorded in the grid, and raised as ComponentPatternError when
-    centralizing is set."""
+    _G_ALLOWED and _H_ALLOWED; the first component that breaks this is
+    raised as ComponentPatternError."""
     ring = gma.ring
     n, L = q
     P = ring.normalize(n + np.transpose(n, (1, 0, 2)))
@@ -137,21 +135,12 @@ def _component_grid(gma: GMA, q, centralizing: bool) -> ComponentGrid:
                 lifted[(i, j)] = (ring.normalize(block * ring.half), L)
             else:
                 lifted[(i, j)] = (block, 2 * L)
-    violation = None
     for (i, j), (t, _) in lifted.items():
         for kind, allowed in (("g", _G_ALLOWED), ("h", _H_ALLOWED)):
             sl = gma.block_slice("fghk".index(kind))
-            if sl.stop == sl.start:
-                continue
             if (i, j) not in allowed and np.any(t[:, :, sl] != 0):
-                violation = (kind, i, j)
-                break
-        if violation:
-            break
-    grid = ComponentGrid(gma, lifted, violation)
-    if centralizing and violation is not None:
-        raise ComponentPatternError(*violation)
-    return grid
+                raise ComponentPatternError(kind, i, j)
+    return ComponentGrid(gma, lifted)
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +159,6 @@ class ProperTraceForm:
 
     def z_vec(self, gma: GMA):
         return gma.center.expand(self.z)
-
-    def mu_vec(self, gma: GMA, x):
-        coords = gma.ring.tensordot(self.mu, np.asarray(x), axes=([1], [0]))
-        return gma.center.expand(coords)
-
-    def nu_vec(self, gma: GMA, x, y):
-        ring = gma.ring
-        t = ring.tensordot(np.asarray(x), self.nu, axes=([0], [0]))
-        coords = ring.tensordot(np.asarray(y), t, axes=([0], [0]))
-        return gma.center.expand(coords)
 
     def sym_tensor(self, gma: GMA) -> np.ndarray:
         """Symmetric coefficient tensor of the reconstructed trace."""
@@ -373,7 +352,8 @@ def _values(ring, v):
 
 
 def _diag_rows(gma: GMA, a, b):
-    """embed_diag on lifted stacks of A- and B-corner vectors, lifted."""
+    """The elements with A-corner a and B-corner b, zero elsewhere, for
+    lifted stacks of corner vectors, lifted."""
     (na, nb), L = _common(a, b)
     out = np.zeros(na.shape[:-1] + (gma.dim,), dtype=gma.ring.dtype)
     out[..., gma.block_slice(0)] = na
@@ -623,8 +603,8 @@ def _shape_laws(grid: ComponentGrid, w: dict) -> dict:
             _add(ring, k, _moved(k, (1, 0, 2))),
         )
         out[name] = bool(C.span_lifted("z_g", pairs)[1].all())
-    out["g-pattern"] = grid.pattern_violation is None or grid.pattern_violation[0] != "g"
-    out["h-pattern"] = grid.pattern_violation is None or grid.pattern_violation[0] != "h"
+    # _component_grid raised on any grid that breaks the forced pattern
+    out["g-pattern"] = out["h-pattern"] = True
     return out
 
 
@@ -662,7 +642,7 @@ def decompose_trace_constructive(
     # q is lifted once; the chain, mu and nu run on integers over Q, and
     # only the returned witness, form and violation are built as ring values
     qt = q.lifted
-    grid = _component_grid(gma, qt, True)
+    grid = _component_grid(gma, qt)
     w, side = _witness_chain(gma, grid, report)
     td = partial(_td, ring)
     dA, dM, dN, dB = gma.dims

@@ -64,10 +64,11 @@ class RingDescriptor:
             if self.p is not None:
                 raise ExactError("rational ring takes no modulus")
         elif self.kind == "prime_field":
+            # the size comes first: trial division of a huge p would not end
+            if self.p is not None and self.p >= 1 << 20:
+                raise ExactError("p too large for the int64 kernels")
             if self.p is None or not _is_prime(self.p) or self.p < 5:
                 raise ExactError(f"prime_field needs a prime p >= 5, got {self.p!r}")
-            if self.p >= 1 << 20:
-                raise ExactError("p too large for the int64 kernels")
         else:
             raise ExactError(f"unknown ring kind {self.kind!r}")
 
@@ -488,15 +489,6 @@ class FactoredMatrix:
         )
         self.pivots = list(piv)
         self._transform, self._transform_scale = _nonzero_entries(ring, red[:, cols:])
-
-    def solve(self, rhs: np.ndarray):
-        """The canonical solution of mat @ x = rhs (free variables zeroed), or None."""
-        ring = self.ring
-        rhs = ring.normalize(np.asarray(rhs))
-        if rhs.shape != self.shape[:1]:
-            raise ExactError("rhs shape mismatch")
-        x, L, ok = self.solve_lifted(*_lift(ring, rhs))
-        return _unlift(ring, x, L) if ok else None
 
     def solve_lifted(self, b: np.ndarray, lb: int):
         """Solves of mat @ x = b / lb on lifted values (``_lift``), for one

@@ -22,6 +22,7 @@ from .maps import BilinearMapRep, LinearMapRep
 from .structure import (
     GMA,
     AlgebraSpec,
+    AxiomError,
     BimoduleSpec,
     MoritaContext,
     _context_tensors,
@@ -245,22 +246,9 @@ def load_context(path) -> MoritaContext:
 # ---------------------------------------------------------------------------
 
 
-def algebra_to_json(alg: AlgebraSpec, idempotent=None) -> dict:
-    ring = alg.ring
-    out = {
-        "format": "gma-algebra",
-        "ring": ring_to_json(ring),
-        "dim": alg.dim,
-        "unit": dense_to_json(ring, alg.unit),
-        "mul": sparse_to_json(ring, alg.mul),
-    }
-    if idempotent is not None:
-        out["idempotent"] = dense_to_json(ring, np.asarray(idempotent))
-    return out
-
-
 def algebra_from_json(doc: dict):
-    """Returns (AlgebraSpec, idempotent-or-None)."""
+    """Returns (AlgebraSpec, idempotent-or-None); the algebra must be
+    associative and unital (``AlgebraSpec.validate``)."""
     _require(isinstance(doc, dict), "algebra file must be a JSON object")
     _require(doc.get("format") == "gma-algebra", "not a gma-algebra file")
     try:
@@ -273,18 +261,15 @@ def algebra_from_json(doc: dict):
             sparse_from_json(ring, (dim, dim, dim), doc["mul"]),
             dense_from_json(ring, (dim,), doc["unit"]),
         )
+        alg.validate()
     except KeyError as e:
         raise IOFormatError(f"algebra file is missing field {e}") from None
-    except ExactError as e:
+    except (ExactError, AxiomError) as e:
         raise IOFormatError(f"algebra does not assemble: {e}") from None
     idem = None
     if "idempotent" in doc:
         idem = dense_from_json(ring, (dim,), doc["idempotent"])
     return alg, idem
-
-
-def save_algebra(path, alg: AlgebraSpec, idempotent=None):
-    Path(path).write_text(canonical_dumps(algebra_to_json(alg, idempotent)))
 
 
 def load_algebra(path):
@@ -302,18 +287,6 @@ class MapDocument:
     rep: object  # LinearMapRep | BilinearMapRep
     seed: int | None = None
     provenance: str | None = None
-
-    def equal(self, other) -> bool:
-        return (
-            self.kind == other.kind
-            and self.seed == other.seed
-            and self.provenance == other.provenance
-            and self.rep.ring.equal(_map_tensor(self.rep), _map_tensor(other.rep))
-        )
-
-
-def _map_tensor(rep):
-    return rep.matrix if isinstance(rep, LinearMapRep) else rep.tensor
 
 
 def map_to_json(doc: MapDocument) -> dict:
@@ -393,22 +366,6 @@ def proper_form_to_json(gma: GMA, form) -> dict:
     }
 
 
-def proper_form_from_json(gma: GMA, doc: dict):
-    """Rebuild a proper form from its stored coordinates, re-deriving the
-    center coordinates (and thereby re-validating centrality)."""
-    from .decompose import ProperTraceForm
-
-    ring, d = gma.ring, gma.dim
-    C = gma.center
-    z, central = C.center_rows(dense_from_json(ring, (d,), doc["z"]))
-    _require(central, "stored z is not central")
-    mu, central = C.center_rows(dense_from_json(ring, (d, d), doc["mu_columns"]).T)
-    _require(central.all(), "stored mu column is not central")
-    nu, central = C.center_rows(sparse_from_json(ring, (d, d, d), doc["nu"]))
-    _require(central.all(), "stored nu entry is not central")
-    return ProperTraceForm(z.copy(), mu.T.copy(), nu)
-
-
 def linear_rep_to_json(rep: LinearMapRep) -> dict:
     return {
         "shape": list(rep.matrix.shape),
@@ -429,7 +386,3 @@ def _load_json(path):
 
 def save_json(path, obj):
     Path(path).write_text(canonical_dumps(obj))
-
-
-def load_json(path):
-    return _load_json(path)

@@ -26,7 +26,6 @@ from .exact import (
     _td,
     _unlift,
     blocked_nullspace,
-    rank_array,
 )
 from .structure import _freeze, _read_only
 
@@ -48,29 +47,19 @@ class LinearMapRep:
             raise MapError("linear map wants a 2-D matrix")
 
     @property
-    def dim_in(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
     def dim_out(self) -> int:
         return self.matrix.shape[0]
 
     def apply(self, x):
         return self.ring.tensordot(self.matrix, np.asarray(x), axes=([1], [0]))
 
-    def compose(self, other: "LinearMapRep") -> "LinearMapRep":
-        if self.ring != other.ring or self.dim_in != other.dim_out:
-            raise MapError("composition needs one ring and matching shapes")
-        return LinearMapRep(
-            self.ring, self.ring.tensordot(self.matrix, other.matrix, axes=([1], [0]))
-        )
-
-    def __add__(self, other):
-        _check_operands(self.ring, other.ring, self.matrix, other.matrix)
-        return LinearMapRep(self.ring, self.ring.normalize(self.matrix + other.matrix))
-
     def __sub__(self, other):
-        _check_operands(self.ring, other.ring, self.matrix, other.matrix)
+        # numpy would broadcast across shapes, so the shapes must agree
+        if self.ring != other.ring or self.matrix.shape != other.matrix.shape:
+            raise MapError(
+                f"maps over {self.ring} and {other.ring} of shapes "
+                f"{self.matrix.shape} and {other.matrix.shape}"
+            )
         return LinearMapRep(self.ring, self.ring.normalize(self.matrix - other.matrix))
 
     def scale(self, c) -> "LinearMapRep":
@@ -80,19 +69,9 @@ class LinearMapRep:
     def equal(self, other) -> bool:
         return self.ring == other.ring and self.ring.equal(self.matrix, other.matrix)
 
-    def is_injective(self) -> bool:
-        return rank_array(self.ring, self.matrix) == self.dim_in
-
-    def is_surjective(self) -> bool:
-        return rank_array(self.ring, self.matrix) == self.dim_out
-
     @classmethod
     def identity(cls, ring, dim):
         return cls(ring, ring.eye(dim))
-
-    @classmethod
-    def zero(cls, ring, dim_out, dim_in):
-        return cls(ring, ring.zeros((dim_out, dim_in)))
 
 
 @dataclass(eq=False)
@@ -115,10 +94,6 @@ class BilinearMapRep:
         the one lift every predicate, grid and reconstruction check reads."""
         return _read_only(_lift(self.ring, self.tensor))
 
-    @property
-    def shape(self):
-        return self.tensor.shape
-
     def apply(self, x, y):
         t = self.ring.tensordot(np.asarray(x), self.tensor, axes=([0], [0]))
         return self.ring.tensordot(np.asarray(y), t, axes=([0], [0]))
@@ -126,33 +101,6 @@ class BilinearMapRep:
     def trace_eval(self, x):
         """The associated quadratic (trace) map x -> B(x, x)."""
         return self.apply(x, x)
-
-    def symmetrize(self) -> "BilinearMapRep":
-        sym = self.ring.normalize(
-            (self.tensor + np.transpose(self.tensor, (1, 0, 2))) * self.ring.half
-        )
-        return BilinearMapRep(self.ring, sym)
-
-    def equal(self, other) -> bool:
-        return self.ring == other.ring and self.ring.equal(self.tensor, other.tensor)
-
-    def __add__(self, other):
-        _check_operands(self.ring, other.ring, self.tensor, other.tensor)
-        return BilinearMapRep(self.ring, self.ring.normalize(self.tensor + other.tensor))
-
-    def __sub__(self, other):
-        _check_operands(self.ring, other.ring, self.tensor, other.tensor)
-        return BilinearMapRep(self.ring, self.ring.normalize(self.tensor - other.tensor))
-
-    @classmethod
-    def zero(cls, ring, d1, d2, dout):
-        return cls(ring, ring.zeros((d1, d2, dout)))
-
-
-def _check_operands(ring, other_ring, a, b):
-    """Map arithmetic needs one ring and one shape: numpy would broadcast."""
-    if ring != other_ring or a.shape != b.shape:
-        raise MapError(f"maps over {ring} and {other_ring} of shapes {a.shape} and {b.shape}")
 
 
 def _grid_values(ring):

@@ -145,10 +145,6 @@ class _MulCarrier:
     def commutator(self, x, y):
         return self.ring.normalize(self.multiply(x, y) - self.multiply(y, x))
 
-    def jordan(self, x, y):
-        """x o y = xy + yx (no 1/2; characteristic-free convention)."""
-        return self.ring.normalize(self.multiply(x, y) + self.multiply(y, x))
-
     def left_mult_matrix(self, x):
         """Matrix L with L @ y = x*y."""
         return _unlift(self.ring, *self._products(self._check_vec(x), 0)).T.copy()
@@ -434,22 +430,6 @@ class GMA(_MulCarrier):
         start = self.offsets[which]
         end = self.offsets[which + 1] if which < 3 else self.dim
         return slice(start, end)
-
-    def blocks(self, x):
-        x = self._check_vec(x)
-        return tuple(x[self.block_slice(i)].copy() for i in range(4))
-
-    def embed(self, which: int, v):
-        v = np.asarray(v)
-        out = self.ring.zeros(self.dim)
-        sl = self.block_slice(which)
-        if v.shape != (sl.stop - sl.start,):
-            raise ExactError("block coordinate length mismatch")
-        out[sl] = self.ring.normalize(v)
-        return out
-
-    def embed_diag(self, a, b):
-        return self.ring.normalize(self.embed(0, a) + self.embed(3, b))
 
     def basis_vector(self, i: int):
         v = self.ring.zeros(self.dim)

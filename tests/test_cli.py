@@ -18,8 +18,6 @@ from gmalg.exact import RATIONAL, prime_field
 from gmalg.io import (
     MapDocument,
     load_context,
-    load_json,
-    save_algebra,
     save_context,
     save_map,
 )
@@ -35,6 +33,7 @@ from gmalg.structure import (
     make_triangular_algebra,
 )
 from gmalg.decompose import random_lie_triple_iso, random_proper_trace
+from support import algebra_to_json, read_json, save_algebra
 from test_oracles import build_late_annihilator_pair
 
 F5 = prime_field(5)
@@ -99,6 +98,39 @@ def test_gen_peirce_needs_algebra_file(tmp_path, capsys):
     assert load_context(out).meta["builder"] == "peirce"
 
 
+def _lawless_product(doc):
+    # e12 e21 = 2 e11 instead of e11, so (e12 e21) e12 = 2 e12 != e12 (e21 e12)
+    doc["mul"] = [[1, 2, 0, 2] if rec == [1, 2, 0, 1] else rec for rec in doc["mul"]]
+
+
+def _unit_that_is_not_one(doc):
+    doc["unit"] = [1, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "break_algebra, message",
+    [
+        (_lawless_product, "algebra.associativity at indices (1, 2, 1)"),
+        (_unit_that_is_not_one, "algebra.left-unit"),
+    ],
+)
+def test_gen_peirce_rejects_an_algebra_file_that_breaks_a_law(
+    tmp_path, capsys, break_algebra, message
+):
+    """The algebra file is checked for its own laws when it is read: a
+    lawless algebra would split into a context whose Morita laws fail."""
+    doc = algebra_to_json(make_matrix_algebra(2, F5), idempotent=F5.array([1, 0, 0, 0]))
+    break_algebra(doc)
+    alg_path, out = tmp_path / "alg.json", tmp_path / "peirce.json"
+    alg_path.write_text(json.dumps(doc))
+    rc = main(["gen", "--kind", "peirce", "--algebra-file", str(alg_path), "-o", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: algebra does not assemble: axiom failed: {message}\n"
+    assert not out.exists()
+
+
 def test_gen_rejects_bad_ring(capsys):
     assert main(["gen", "--kind", "full-matrix", "--n", "2", "--split", "1", "--ring", "fp:4"]) == 2
     assert main(["gen", "--kind", "full-matrix", "--n", "2", "--split", "1", "--ring", "zz"]) == 2
@@ -158,7 +190,7 @@ def test_broken_context_output_is_pinned(command, rc, out, err, tmp_path, capsys
     paths["broken"].write_text(json.dumps(doc))
     save_context(paths["good"], build_full_matrix(2, 1, F5))
     save_map(paths["linear"], MapDocument("linear", LinearMapRep.identity(F5, 4)))
-    save_map(paths["bilinear"], MapDocument("bilinear", BilinearMapRep.zero(F5, 4, 4, 4)))
+    save_map(paths["bilinear"], MapDocument("bilinear", BilinearMapRep(F5, F5.zeros((4, 4, 4)))))
     argv = [a.format(**{k: str(v) for k, v in paths.items()}) for a in command]
     assert main(argv) == rc
     captured = capsys.readouterr()
@@ -202,7 +234,7 @@ def test_check_rejects_malformed_fields_with_a_message(
 def test_center_document(m3_file, tmp_path, capsys):
     out = tmp_path / "center.json"
     assert main(["center", m3_file, "-o", str(out)]) == 0
-    doc = load_json(out)
+    doc = read_json(out)
     assert doc["center_dim"] == 1
     assert len(doc["center_basis"]) == 1
     assert doc["faithful_left"] and doc["faithful_right"]
@@ -262,7 +294,7 @@ def test_decompose_trace_both_paths(t3_file, tmp_path, capsys):
     out = tmp_path / "dec.json"
     rc = main(["decompose-trace", t3_file, str(qpath), "--path", "both", "-o", str(out)])
     assert rc == 0
-    doc = load_json(out)
+    doc = read_json(out)
     assert doc["format"] == "gma-trace-decomposition"
     assert doc["status"] == "ok"
     assert doc["agreement"] is True
@@ -313,7 +345,7 @@ def test_decompose_trace_saves_a_rational_violation_candidate(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "THEOREM-VIOLATION CANDIDATE at nu-centrality, pair (0, 6)" in stdout
     assert "Fraction" not in stdout
-    violation = load_json(out)["constructive"]["violation"]
+    violation = read_json(out)["constructive"]["violation"]
     assert violation["pair"] == [0, 6]
     assert all(isinstance(v, str) for v in violation["residual"])
     assert np.array(violation["q"]).shape == (8, 8, 8)
@@ -344,7 +376,7 @@ def test_decompose_lti_conjugation(m3_file, tmp_path, capsys):
     out = tmp_path / "lti.json"
     rc = main(["decompose-lti", m3_file, m3_file, str(lpath), "-o", str(out)])
     assert rc == 0
-    doc = load_json(out)
+    doc = read_json(out)
     assert doc["format"] == "gma-lti-decomposition"
     assert doc["sign"] == 1
     assert doc["status"] == "ok"
@@ -362,7 +394,7 @@ def test_decompose_lti_ambiguous_is_exit_one(tmp_path, capsys):
 
 def test_decompose_lti_singular_is_exit_two(m3_file, tmp_path, capsys):
     lpath = tmp_path / "zero.json"
-    save_map(lpath, MapDocument("linear", LinearMapRep.zero(F5, 9, 9)))
+    save_map(lpath, MapDocument("linear", LinearMapRep(F5, F5.zeros((9, 9)))))
     assert main(["decompose-lti", m3_file, m3_file, str(lpath)]) == 2
 
 
@@ -393,7 +425,7 @@ def unfaithful_files(tmp_path):
     d = assemble_gma(ctx).dim
     files = {name: tmp_path / f"{name}.json" for name in ("ctx", "trace", "ident")}
     save_context(files["ctx"], ctx)
-    save_map(files["trace"], MapDocument("bilinear", BilinearMapRep.zero(F5, d, d, d)))
+    save_map(files["trace"], MapDocument("bilinear", BilinearMapRep(F5, F5.zeros((d, d, d)))))
     save_map(files["ident"], MapDocument("linear", LinearMapRep.identity(F5, d)))
     return {name: str(path) for name, path in files.items()}
 

@@ -25,6 +25,7 @@ from gmalg.exact import (
     row_span_coords,
     rref_array,
 )
+from support import factored_solve
 from test_oracles import row_space_contains, row_space_equal, solve_array
 
 F5 = prime_field(5)
@@ -96,14 +97,14 @@ def test_rref_mod5_example():
 
 def test_solve_underdetermined_zeroes_free_variables():
     A, b = RATIONAL.array([[1, 1]]), RATIONAL.array([2])
-    for sol in (solve_array(RATIONAL, A, b), FactoredMatrix(RATIONAL, A).solve(b)):
+    for sol in (solve_array(RATIONAL, A, b), factored_solve(FactoredMatrix(RATIONAL, A), b)):
         assert RATIONAL.equal(sol, RATIONAL.array([2, 0]))
 
 
 def test_solve_inconsistent_returns_none():
     A, b = RATIONAL.array([[1], [1]]), RATIONAL.array([1, 2])
     assert solve_array(RATIONAL, A, b) is None
-    assert FactoredMatrix(RATIONAL, A).solve(b) is None
+    assert factored_solve(FactoredMatrix(RATIONAL, A), b) is None
 
 
 def test_nullspace_rational_example():
@@ -193,7 +194,7 @@ def test_nullspace_really_annihilates(A):
 def test_solve_solutions_verify(A, rhs_list):
     rhs = F5.array(rhs_list[: A.shape[0]] + [0] * max(0, A.shape[0] - len(rhs_list)))
     sol = solve_array(F5, A, rhs)
-    factored = FactoredMatrix(F5, A).solve(rhs)
+    factored = factored_solve(FactoredMatrix(F5, A), rhs)
     assert (sol is None) == (factored is None)
     if sol is not None:
         assert F5.equal(F5.tensordot(A, sol, axes=([1], [0])), rhs)

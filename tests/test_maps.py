@@ -32,6 +32,7 @@ from gmalg.maps import (
 )
 from gmalg.rng import XorShift64Star
 from gmalg.structure import assemble_gma, build_full_matrix, full_matrix_positions
+from support import jordan, symmetrized
 from test_oracles import row_space_contains
 
 F5 = prime_field(5)
@@ -63,14 +64,11 @@ def trace_functional_times_unit(gma, n, k):
 
 def test_linear_rep_algebra(m3):
     ident = LinearMapRep.identity(F5, m3.dim)
-    z = LinearMapRep.zero(F5, m3.dim, m3.dim)
-    assert ident.equal(ident.compose(ident))
+    z = LinearMapRep(F5, F5.zeros((m3.dim, m3.dim)))
     assert z.equal(ident.scale(F5.zero))
-    two = ident + ident
+    two = ident.scale(2)
     assert F5.equal(two.apply(m3.unit), F5.normalize(m3.unit * F5.coerce(2)))
     assert (two - ident).equal(ident)
-    assert ident.is_injective() and ident.is_surjective()
-    assert not z.is_injective()
 
 
 def test_bilinear_rep_trace_eval(t2):
@@ -79,7 +77,7 @@ def test_bilinear_rep_trace_eval(t2):
     assert F5.equal(q.apply(x, x), t2.square(x))
     assert F5.equal(q.trace_eval(x), t2.square(x))
     # symmetrization never changes the trace
-    s = q.symmetrize()
+    s = BilinearMapRep(F5, symmetrized(q))
     assert F5.equal(s.trace_eval(x), q.trace_eval(x))
 
 
@@ -101,22 +99,18 @@ MISMATCHED_OPERANDS = {
 @pytest.mark.parametrize("op", ["add", "sub"])
 @pytest.mark.parametrize("case", sorted(MISMATCHED_OPERANDS))
 def test_map_arithmetic_rejects_mismatched_operands(case, op):
-    """numpy would broadcast a (1, 3) matrix onto a (3, 3) one silently."""
+    """numpy would broadcast a (1, 3) matrix onto a (3, 3) one silently.
+    Linear maps subtract (the Lie triple split checks n = l - lam*m) and
+    refuse mismatched operands; no other map arithmetic exists."""
     a, b = MISMATCHED_OPERANDS[case]()
-    with pytest.raises(MapError):
+    refusal = MapError if case.startswith("linear") and op == "sub" else TypeError
+    with pytest.raises(refusal):
         a + b if op == "add" else a - b
-
-
-def test_composition_rejects_another_ring():
-    with pytest.raises(MapError, match="one ring"):
-        LinearMapRep.identity(F5, 3).compose(LinearMapRep.identity(F7, 3))
 
 
 def test_maps_over_different_rings_are_not_equal():
     assert not LinearMapRep.identity(F5, 3).equal(LinearMapRep.identity(F7, 3))
     assert LinearMapRep.identity(F5, 3).equal(LinearMapRep.identity(F5, 3))
-    a, b = MISMATCHED_OPERANDS["bilinear-ring"]()
-    assert not a.equal(b) and a.equal(BilinearMapRep(F5, F5.zeros((2, 2, 2))))
 
 
 def test_pair_index_order():
@@ -149,7 +143,7 @@ def test_transpose_is_not_centralizing(m3):
     tau = transpose_map(m3, 3, 1)
     ok, wit = is_centralizing_linear(m3, tau)
     assert not ok
-    assert m3.center.center_coords(m3.commutator(tau.apply(wit), wit)) is None
+    assert not m3.center.center_rows(m3.commutator(tau.apply(wit), wit))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +175,7 @@ def test_sandwich_trace_is_not_centralizing(m3):
     # single-vector witness: its trace value fails centrality at wit itself
     assert isinstance(wit, np.ndarray) and wit.shape == (m3.dim,)
     val = q.trace_eval(wit)
-    assert m3.center.center_coords(m3.commutator(val, wit)) is None
+    assert not m3.center.center_rows(m3.commutator(val, wit))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +192,8 @@ def test_transpose_is_jordan_but_negative_transpose_is_not(m3):
     assert not ok
     # witness pair violates m(x o y) = m(x) o m(y)
     x, y = wit
-    lhs = neg.apply(m3.jordan(x, y))
-    rhs = m3.jordan(neg.apply(x), neg.apply(y))
+    lhs = neg.apply(jordan(m3, x, y))
+    rhs = jordan(m3, neg.apply(x), neg.apply(y))
     assert not F5.equal(lhs, rhs)
 
 
@@ -218,7 +212,7 @@ def test_negative_transpose_is_a_lie_triple_hom(m3):
 
 
 def test_second_commutator_killers(m3):
-    zero = LinearMapRep.zero(F5, m3.dim, m3.dim)
+    zero = LinearMapRep(F5, F5.zeros((m3.dim, m3.dim)))
     assert vanishes_on_second_commutators(m3, zero)[0]
     tr_map = trace_functional_times_unit(m3, 3, 1)
     assert vanishes_on_second_commutators(m3, tr_map)[0]
@@ -325,7 +319,7 @@ def test_trace_space_batches_its_same_shape_blocks(m3, mode):
 def test_trace_space_contains_multiplication_on_t2(t2):
     ts = trace_space(t2, mode="centralizing")
     d = t2.dim
-    q = BilinearMapRep(F5, t2.mul).symmetrize()
+    q = BilinearMapRep(F5, symmetrized(BilinearMapRep(F5, t2.mul)))
     row = F5.zeros(len(pair_index_order(d)) * d)
     for n, (i, j) in enumerate(pair_index_order(d)):
         ei, ej = t2.basis_vector(i), t2.basis_vector(j)

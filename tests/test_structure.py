@@ -25,6 +25,7 @@ from gmalg.structure import (
     make_matrix_algebra,
     make_triangular_algebra,
 )
+from support import blocks, embed_diag
 
 F5 = prime_field(5)
 
@@ -239,9 +240,9 @@ def test_block_product_formula(m4):
     for _ in range(10):
         x = random_vec(F5, g.dim, stream)
         y = random_vec(F5, g.dim, stream)
-        a, m, n, b = g.blocks(x)
-        a2, m2, n2, b2 = g.blocks(y)
-        pa, pm, pn, pb = g.blocks(g.multiply(x, y))
+        a, m, n, b = blocks(g, x)
+        a2, m2, n2, b2 = blocks(g, y)
+        pa, pm, pn, pb = blocks(g, g.multiply(x, y))
         assert F5.equal(pa, c.A.multiply(a, a2) + c.pair_mn(m, n2))
         assert F5.equal(pm, c.M.act_left(a, m2) + c.M.act_right(m, b2))
         assert F5.equal(pn, c.N.act_right(n, a2) + c.N.act_left(b, n2))
@@ -249,22 +250,22 @@ def test_block_product_formula(m4):
 
 
 def test_embed_blocks_roundtrip(gma_t3):
+    """The block slices cut the coordinates, in the order A, M, N, B, into
+    pieces of the block dimensions."""
     g = gma_t3
-    stream = XorShift64Star(23)
-    x = random_vec(F5, g.dim, stream)
-    a, m, n, b = g.blocks(x)
-    rebuilt = g.embed(0, a) + g.embed(1, m) + g.embed(2, n) + g.embed(3, b)
-    assert F5.equal(F5.normalize(rebuilt), x)
-    duo = g.embed_diag(a, b)
-    assert F5.equal(g.blocks(duo)[0], a)
-    assert F5.equal(g.blocks(duo)[3], b)
+    slices = [g.block_slice(i) for i in range(4)]
+    assert [sl.stop - sl.start for sl in slices] == list(g.dims)
+    assert [sl.start for sl in slices] == [0, *(sl.stop for sl in slices[:3])]
+    assert slices[3].stop == g.dim
+    x = random_vec(F5, g.dim, XorShift64Star(23))
+    assert F5.equal(np.concatenate(blocks(g, x)), x)
 
 
 def test_cross_diagonal_products_vanish(m4):
     # a*b = 0 inside G for pure corner elements
     g = m4
-    a = g.embed(0, g.ctx.A.unit)
-    b = g.embed(3, g.ctx.B.unit)
+    a = embed_diag(g, g.ctx.A.unit, F5.zeros(g.ctx.B.dim))
+    b = embed_diag(g, F5.zeros(g.ctx.A.dim), g.ctx.B.unit)
     assert F5.is_zero(g.multiply(a, b))
     assert F5.is_zero(g.multiply(b, a))
 
@@ -275,7 +276,6 @@ def test_commutator_and_jordan_helpers(m3):
     x = random_vec(F5, g.dim, stream)
     y = random_vec(F5, g.dim, stream)
     assert F5.equal(g.commutator(x, y), g.multiply(x, y) - g.multiply(y, x))
-    assert F5.equal(g.jordan(x, y), g.multiply(x, y) + g.multiply(y, x))
     assert F5.equal(g.square(x), g.multiply(x, x))
 
 
