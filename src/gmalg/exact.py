@@ -318,9 +318,8 @@ def nullspace_array(ring: RingDescriptor, mat: np.ndarray) -> np.ndarray:
     return ring.normalize(basis)
 
 
-# small components are packed into groups of about this many columns, so
-# that they share one reduction instead of paying for one call each
-_GROUP_COLUMNS = 32
+# a system at most this wide is reduced whole, as one dense matrix
+_WHOLE_COLUMNS = 32
 
 
 def blocked_nullspace(ring: RingDescriptor, entries, n_cols: int) -> np.ndarray:
@@ -329,80 +328,49 @@ def blocked_nullspace(ring: RingDescriptor, entries, n_cols: int) -> np.ndarray:
     once and in canonical scalars, as ``_sparse_times`` takes them, solved
     one block at a time.
 
-    The blocks come from the connected components of the graph in which an
-    entry joins its row to its column.  Over F_p, when the matrix is wider
-    than one group, the components of a (rows, columns) shape that at least
-    two of them share are blocks of their own, reduced together by
-    ``_stacked_nullspace``.  The other components are packed, in order,
-    into groups of about _GROUP_COLUMNS columns (a larger component is a
-    group of its own), and each group is scattered into a dense block of
-    its own rows and columns and solved by ``nullspace_array``; the whole
-    matrix is dense only when it is that small.  A block-diagonal matrix
-    has the pivots of its blocks, and each canonical null vector
-    e_f - sum_k red[k, f] e_{piv_k} lies in the columns of f's block, so
-    the null vectors of the blocks put back into their columns and sorted
-    by free column are the dense ones, bit for bit.  The free column of a
-    null vector is its last nonzero entry: red[k, f] != 0 only for
-    piv_k < f."""
+    A matrix of at most _WHOLE_COLUMNS columns is scattered dense and
+    reduced whole.  A wider one is cut into the connected components of the
+    graph in which an entry joins its row to its column, each a dense block
+    of its own rows and columns, both in ascending order.  Over F_p the
+    components of a (rows, columns) shape that at least two of them share
+    are reduced together by ``_stacked_nullspace``; every other component,
+    and every component over Q, is reduced alone by ``nullspace_array``.
+    A block-diagonal matrix has the pivots of its blocks, and each canonical
+    null vector e_f - sum_k red[k, f] e_{piv_k} lies in the columns of f's
+    block, so the null vectors of the blocks put back into their columns
+    and sorted by free column are the dense ones, bit for bit.  The free
+    column of a null vector is its last nonzero entry: red[k, f] != 0 only
+    for piv_k < f."""
     n_rows, r, c, values = entries
-    _, component, size = np.unique(
-        _column_components(n_rows, r, c, n_cols), return_inverse=True, return_counts=True
-    )
-    stacked = np.zeros(size.size, dtype=bool)
-    if ring.is_prime_field and n_cols > _GROUP_COLUMNS:
-        # the rows of each component; a row's entries lie in one component
-        row_component = np.full(n_rows, size.size)
-        row_component[r] = component[c]
-        height = np.bincount(row_component, minlength=size.size + 1)[:-1]
-        _, shape, count = np.unique(
-            height * (n_cols + 1) + size, return_inverse=True, return_counts=True
-        )
-        stacked = count[shape] > 1
-    # the other components are packed; each stacked one is a group of its
-    # own, numbered past them
-    packed = np.where(stacked, 0, size)
-    packed_group = (np.cumsum(packed) - packed) // _GROUP_COLUMNS
-    group = np.where(stacked, n_cols + np.arange(size.size), packed_group)[component]
-    by_group = np.argsort(group, kind="stable")  # ascending within each group
-    keys, starts, widths = np.unique(group[by_group], return_index=True, return_counts=True)
-    position = np.empty(n_cols, dtype=np.intp)  # of each column within its block
-    position[by_group] = np.arange(n_cols) - np.repeat(starts, widths)
-    # the entries by group, then by row: each distinct (group, row) is a block row
-    entry_group = group[c]
-    by_entry = np.lexsort((r, entry_group))
-    g, rows = entry_group[by_entry], r[by_entry]
-    new_row = np.ones(len(g), dtype=bool)
-    new_row[1:] = (g[1:] != g[:-1]) | (rows[1:] != rows[:-1])
-    seen = np.concatenate(([0], np.cumsum(new_row)))  # block rows up to each entry
-    firsts = np.searchsorted(g, keys)
-    lasts = np.append(firsts[1:], len(g))
-    heights = seen[lasts] - seen[firsts]
-    at_row = seen[1:] - 1 - np.repeat(seen[firsts], lasts - firsts)
-    at_col, at_value = position[c[by_entry]], values[by_entry]
+    if n_cols <= _WHOLE_COLUMNS:
+        dense = ring.zeros((n_rows, n_cols))
+        dense[r, c] = values
+        return nullspace_array(ring, dense)
+    component = np.unique(_column_components(n_rows, r, c, n_cols), return_inverse=True)[1]
+    n_blocks = int(component.max()) + 1
+    row_component = np.full(n_rows, n_blocks)  # past the last for a row without entries
+    row_component[r] = component[c]
+    at_col, by_col, width = _ordinals(component, n_blocks)
+    at_row, _, height = _ordinals(row_component, n_blocks + 1)
+    _, by_entry, count = _ordinals(component[c], n_blocks)
+    first_col, first_entry = np.cumsum(width) - width, np.cumsum(count) - count
+    shape = np.arange(n_blocks)  # over Q each component is reduced alone
+    if ring.is_prime_field:
+        shape = np.unique(height[:-1] * (n_cols + 1) + width, return_inverse=True)[1]
     pieces = []  # (free columns, the columns of their null vectors, null vectors)
-    lone = keys < n_cols
-    for k in np.flatnonzero(lone).tolist():
-        cols, at = by_group[starts[k] : starts[k] + widths[k]], slice(firsts[k], lasts[k])
-        block = ring.zeros((heights[k], widths[k]))
-        block[at_row[at], at_col[at]] = at_value[at]
-        null = nullspace_array(ring, block)
-        free = cols[widths[k] - 1 - np.argmax(null[:, ::-1] != 0, axis=1)]
-        pieces.append((free, cols[None], null))
-    if not lone.all():
-        # the stacked groups, one stack per shape
-        groups = np.flatnonzero(~lone)
-        _, shape = np.unique(heights[groups] * (n_cols + 1) + widths[groups], return_inverse=True)
-        group_of_entry = np.repeat(np.arange(keys.size), lasts - firsts)
-        for s in range(shape.max() + 1):
-            members = groups[shape == s]
-            m, n = heights[members[0]], widths[members[0]]
-            index = np.full(keys.size, -1)  # of each member in the stack
-            index[members] = np.arange(members.size)
-            at = np.flatnonzero(index[group_of_entry] >= 0)
-            stack = np.zeros((members.size, m, n), dtype=np.int64)
-            stack[index[group_of_entry[at]], at_row[at], at_col[at]] = at_value[at]
-            cols = by_group[starts[members, None] + np.arange(n)]
+    for s in range(int(shape.max()) + 1):
+        members = np.flatnonzero(shape == s)
+        m, n = height[members[0]], width[members[0]]
+        at = np.concatenate([by_entry[first_entry[k] : first_entry[k] + count[k]] for k in members])
+        stack = ring.zeros((members.size, m, n))
+        slot = np.repeat(np.arange(members.size), count[members])
+        stack[slot, at_row[r[at]], at_col[c[at]]] = values[at]
+        cols = by_col[first_col[members, None] + np.arange(n)]
+        if members.size > 1:
             pieces.append(_stacked_nullspace(ring.p, stack, cols))
+        else:
+            null = nullspace_array(ring, stack[0])
+            pieces.append((cols[0, n - 1 - np.argmax(null[:, ::-1] != 0, axis=1)], cols, null))
     is_free = np.zeros(n_cols, dtype=bool)
     for free, _, _ in pieces:
         is_free[free] = True
@@ -411,6 +379,17 @@ def blocked_nullspace(ring: RingDescriptor, entries, n_cols: int) -> np.ndarray:
     for free, cols, null in pieces:
         basis[slot[free, None], cols] = null
     return basis
+
+
+def _ordinals(label: np.ndarray, n_labels: int):
+    """(ordinal, order, count): the place of each item among the items of
+    its label, in index order; the items sorted by label, stably; and the
+    number of items of each label."""
+    order = np.argsort(label, kind="stable")
+    count = np.bincount(label, minlength=n_labels)
+    ordinal = np.empty(label.size, dtype=np.intp)
+    ordinal[order] = np.arange(label.size) - np.repeat(np.cumsum(count) - count, count)
+    return ordinal, order, count
 
 
 def _stacked_nullspace(p: int, stack: np.ndarray, cols: np.ndarray):

@@ -269,14 +269,6 @@ class MoritaContext:
             for key, t in _context_tensors(self).items()
         }
 
-    def pair_mn(self, m, n):
-        t = self.ring.tensordot(m, self.pairing_MN, axes=([0], [0]))
-        return self.ring.tensordot(n, t, axes=([0], [0]))
-
-    def pair_nm(self, n, m):
-        t = self.ring.tensordot(n, self.pairing_NM, axes=([0], [0]))
-        return self.ring.tensordot(m, t, axes=([0], [0]))
-
 
 @dataclass
 class MoritaReport:
@@ -665,8 +657,10 @@ def build_peirce(alg: AlgebraSpec, e):
     Returns (context, certificate) where certificate is the invertible
     change-of-basis matrix whose column j is the j-th GMA coordinate vector
     expressed in the source algebra's coordinates; conjugating the source
-    product by it reproduces the assembled GMA product exactly.
+    product by it reproduces the assembled GMA product exactly.  The algebra
+    is checked for its own laws first (``AlgebraSpec.validate``).
     """
+    alg.validate()
     ring = alg.ring
     e = ring.normalize(np.asarray(e))
     if e.shape != (alg.dim,):

@@ -51,6 +51,18 @@ def corner_map(C, forward: bool, v):
     return _unlift(C.ring, *image) if inside else None
 
 
+def pair_mn(ctx, m, n):
+    """The pairing of m in M and n in N, an element of A."""
+    t = ctx.ring.tensordot(m, ctx.pairing_MN, axes=([0], [0]))
+    return ctx.ring.tensordot(n, t, axes=([0], [0]))
+
+
+def pair_nm(ctx, n, m):
+    """The pairing of n in N and m in M, an element of B."""
+    t = ctx.ring.tensordot(n, ctx.pairing_NM, axes=([0], [0]))
+    return ctx.ring.tensordot(m, t, axes=([0], [0]))
+
+
 def blocks(gma, x):
     """The A, M, N and B coordinates of x."""
     x = gma.ring.normalize(np.asarray(x))

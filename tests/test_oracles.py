@@ -51,6 +51,7 @@ import math
 import re
 import types
 import unittest.mock
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -155,6 +156,8 @@ from support import (
     jordan,
     mu_vec,
     nu_vec,
+    pair_mn,
+    pair_nm,
     symmetrized,
 )
 from test_change_of_basis import block_diagonal, rescaled, transported
@@ -960,16 +963,22 @@ def _action(ring, shape, nonzero):
 @example((BIG_P, 2, BIG_P.zeros((3, 2, 0))))  # n = 0: no rows
 @example((F5, 3, _action(F5, (2, 3, 2), [(0, 0, 1), (1, 2, 0)])))  # column t = 1 never hit
 @example((RATIONAL, 3, _action(RATIONAL, (3, 2, 1), [(2, 1, 0)])))
+# two 2 x 2 components, a 1 x 1 and a 2 x 1: the 2 x 2 pair is reduced
+# one by one over Q and stacked over F_p, beside the lone shapes
+@example((RATIONAL, 3, _action(RATIONAL, (2, 2, 2), [(0, 0, 0), (0, 1, 1), (1, 0, 1)])))
+@example((F5, 3, _action(F5, (2, 2, 2), [(0, 0, 0), (0, 1, 1), (1, 0, 1)])))
+@example((F5, 3, F5.zeros((4, 4, 2))))  # 40 columns, no entries: 40 empty components
 def test_blocked_nullspace_matches_dense_nullspace(case):
-    """With one component per block, with components packed together, and,
-    over F_p once the system is wider than one group, with the components
-    of a shared shape reduced in one stack."""
+    """Reduced whole, and cut into one block per component with the
+    components of a shared shape stacked over F_p: with the threshold set
+    to 0 and 4, every drawn operator wider than it goes through the
+    components."""
     ring, degree, act = case
     K = constraint_operator(ring, degree, act)
     dense = dense_constraint_matrix(ring, degree, act)
     want = nullspace_array(ring, dense)
-    for group_columns in (1, 4, exact._GROUP_COLUMNS):
-        with unittest.mock.patch.object(exact, "_GROUP_COLUMNS", group_columns):
+    for whole_columns in (0, 4, exact._WHOLE_COLUMNS):
+        with unittest.mock.patch.object(exact, "_WHOLE_COLUMNS", whole_columns):
             assert_identical(blocked_nullspace(ring, K, dense.shape[1]), want)
 
 
@@ -1272,9 +1281,14 @@ def slow_corner_map(ring, image, iso, v):
     return None if coeff is None else ring.tensordot(iso, coeff, axes=([1], [0]))
 
 
+# the inverse of [Z(G) rows; greedy complement]^T, built once per center
+_GREEDY_TO_COORDS = weakref.WeakKeyDictionary()
+
+
 def slow_center_coords(C, v):
-    to_coords = slow_coordinate_complement(C.ring, C.z_g)[1]
-    c = C.ring.tensordot(to_coords, np.asarray(v), axes=([1], [0]))
+    if C not in _GREEDY_TO_COORDS:
+        _GREEDY_TO_COORDS[C] = slow_coordinate_complement(C.ring, C.z_g)[1]
+    c = C.ring.tensordot(_GREEDY_TO_COORDS[C], np.asarray(v), axes=([1], [0]))
     return None if not C.ring.is_zero(c[C.zdim :]) else c[: C.zdim].copy()
 
 
@@ -1503,7 +1517,7 @@ def slow_witness_shape_report(grid, w):
             for t in range(dN):
                 a3 = basis(dN, t)
                 val = grid_evaluate(grid, "k", 1, 2, a2, a3)
-                resid = ring.normalize(val - ctx.B.multiply(w.epsilon_prime, ctx.pair_nm(a3, a2)))
+                resid = ring.normalize(val - ctx.B.multiply(w.epsilon_prime, pair_nm(ctx, a3, a2)))
                 ok = ok and row_span_coords(ring, C.z_b, resid) is not None
         out["k23-centrality"] = ok
         ok = True
@@ -1512,7 +1526,7 @@ def slow_witness_shape_report(grid, w):
             for t in range(dN):
                 a3 = basis(dN, t)
                 val = grid_evaluate(grid, "f", 1, 2, a2, a3)
-                resid = ring.normalize(val - ctx.A.multiply(w.epsilon, ctx.pair_mn(a2, a3)))
+                resid = ring.normalize(val - ctx.A.multiply(w.epsilon, pair_mn(ctx, a2, a3)))
                 ok = ok and row_span_coords(ring, C.z_a, resid) is not None
         out["f23-centrality"] = ok
     for (kind_pair, name, n) in ((1, "f22k22-central", dM), (2, "f33k33-central", dN)):

@@ -25,7 +25,7 @@ from gmalg.structure import (
     make_matrix_algebra,
     make_triangular_algebra,
 )
-from support import blocks, embed_diag
+from support import blocks, embed_diag, pair_mn, pair_nm
 
 F5 = prime_field(5)
 
@@ -110,8 +110,8 @@ def test_diagonal_pair_componentwise_structure():
     ctx = build_diagonal_pair(F5)
     assert (ctx.A.dim, ctx.B.dim) == (2, 2)
     # everything is coordinatewise: pair(e_i, e_j) = delta_ij e_i
-    assert F5.equal(ctx.pair_mn(F5.array([1, 0]), F5.array([1, 0])), F5.array([1, 0]))
-    assert F5.is_zero(ctx.pair_mn(F5.array([1, 0]), F5.array([0, 1])))
+    assert F5.equal(pair_mn(ctx, F5.array([1, 0]), F5.array([1, 0])), F5.array([1, 0]))
+    assert F5.is_zero(pair_mn(ctx, F5.array([1, 0]), F5.array([0, 1])))
     assert check_morita_axioms(ctx).ok
     # the canonical annihilating sandwich: (1,0) * m * (0,1) = 0 for every m
     a, b = F5.array([1, 0]), F5.array([0, 1])
@@ -206,6 +206,16 @@ def test_peirce_rejects_non_idempotent():
         build_peirce(alg, F5.array([1, 1, 1, 1]))
 
 
+def test_peirce_rejects_an_algebra_that_breaks_a_law():
+    """A lawless algebra fails on its own law, not on a Morita law of a
+    split it should never have produced."""
+    alg = make_matrix_algebra(2, F5)
+    mul = alg.mul.copy()
+    mul[1, 2, 0] = 2  # e12 e21 = 2 e11, so (e12 e21) e12 != e12 (e21 e12)
+    with pytest.raises(AxiomError, match=r"algebra\.associativity at indices \(1, 2, 1\)$"):
+        build_peirce(AlgebraSpec(F5, 4, mul, alg.unit), F5.array([1, 0, 0, 0]))
+
+
 # ---------------------------------------------------------------------------
 # the assembled algebra
 # ---------------------------------------------------------------------------
@@ -243,10 +253,10 @@ def test_block_product_formula(m4):
         a, m, n, b = blocks(g, x)
         a2, m2, n2, b2 = blocks(g, y)
         pa, pm, pn, pb = blocks(g, g.multiply(x, y))
-        assert F5.equal(pa, c.A.multiply(a, a2) + c.pair_mn(m, n2))
+        assert F5.equal(pa, c.A.multiply(a, a2) + pair_mn(c, m, n2))
         assert F5.equal(pm, c.M.act_left(a, m2) + c.M.act_right(m, b2))
         assert F5.equal(pn, c.N.act_right(n, a2) + c.N.act_left(b, n2))
-        assert F5.equal(pb, c.B.multiply(b, b2) + c.pair_nm(n, m2))
+        assert F5.equal(pb, c.B.multiply(b, b2) + pair_nm(c, n, m2))
 
 
 def test_embed_blocks_roundtrip(gma_t3):
