@@ -10,24 +10,20 @@ every other cell would be left as it is anyway.  That is what keeps the
 sparse constraint systems of this package cheap, over Q above all, where
 each skipped cell is a skipped ``Fraction`` operation.
 
-Two batched companions run over F_p only.  Both read one column-by-column
-Gauss-Jordan over every slice of a (batch, m, n) stack of residues at
-once, so they pay the per-pivot Python overhead once per column of a
-stack, not once per matrix.  ``rank_stack`` returns the ranks: the
-loyalty and central zero-divisor scans reduce all candidates of a chunk
-with it, and the witness of the first singular candidate still comes
-from ``nullspace_array`` on that one matrix.  ``rref_stack`` returns each
-slice's canonical reduced rows, pivot columns and rank: the blocked
-nullspace reduces its same-shape components with it.  With p < 2^20
-every product of two residues stays below 2^40, so the int64 arithmetic
-keeps its margin.
+One batched companion runs over F_p only.  ``nullspace_stack`` makes one
+column-by-column Gauss-Jordan over every slice of a (batch, m, n) stack of
+residues at once, so it pays the per-pivot Python overhead once per column
+of a stack, not once per matrix, and reads each slice's canonical null
+vectors straight off the reduced columns.  The blocked nullspace reduces
+its same-shape components with it, and the loyalty and central
+zero-divisor scans reduce every candidate of a chunk with it and take the
+first null vector as the witness.  With p < 2^20 every product of two
+residues stays below 2^40, so the int64 arithmetic keeps its margin.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-__all__ = ["ACTIVE_BACKEND", "rank_stack", "rref", "rref_stack"]
 
 # the name of the kernel that runs; there is exactly one
 ACTIVE_BACKEND = "numpy"
@@ -81,9 +77,9 @@ def _inverse_mod(p: int, x: np.ndarray) -> np.ndarray:
 
 def _sweep(p: int, stack: np.ndarray):
     """The Gauss-Jordan mod p of every (m, n) slice of a (batch, m, n)
-    integer stack at once: (a, pivot_row), with a the reduced stack held
-    column first, (n, batch, m), and pivot_row[c, b] the pivot row of
-    column c in slice b, -1 where it has none.
+    stack of residues in [0, p) at once: (a, pivot_row), with a the reduced
+    stack held column first, (n, batch, m), and pivot_row[c, b] the pivot
+    row of column c in slice b, -1 where it has none.
 
     For each column c, each slice takes as pivot its first nonzero row not
     yet used, scales it to 1 and clears column c from the other rows; a
@@ -95,10 +91,11 @@ def _sweep(p: int, stack: np.ndarray):
 
     A column is reduced mod p only when it becomes the pivot column; the
     columns to its right take each update unreduced.  An update subtracts
-    less than p^2 < 2^40 from a cell, so n updates stay within int64 for
-    any n below 2^22.  Column first, each column of every slice is one
-    contiguous block."""
-    a = np.remainder(np.moveaxis(np.asarray(stack, dtype=np.int64), 2, 0), p, order="C")
+    less than p^2 < 2^40 from a cell, so n updates to a cell that starts in
+    [0, p) stay within int64 for any n below 2^22; the input is not reduced
+    again.  Column first, each column of every slice is one contiguous
+    block."""
+    a = np.moveaxis(np.asarray(stack, dtype=np.int64), 2, 0).copy()
     n, batch, m = a.shape
     slices = np.arange(batch)
     free = np.ones((batch, m), dtype=bool)  # rows not yet a pivot
@@ -122,32 +119,23 @@ def _sweep(p: int, stack: np.ndarray):
     return a, pivot_row
 
 
-def rank_stack(p: int, stack: np.ndarray) -> np.ndarray:
-    """Rank mod p of every (m, n) slice of a (batch, m, n) integer stack:
-    the number of pivots of one ``_sweep`` over all slices at once."""
-    return np.count_nonzero(_sweep(p, stack)[1] >= 0, axis=0)
+def nullspace_stack(p: int, stack: np.ndarray):
+    """The canonical null vectors mod p of every (m, n) slice of a
+    (batch, m, n) stack of residues in [0, p): (slices, free columns,
+    vectors), one vector per free column, by slice and then free column.
 
-
-def rref_stack(p: int, stack: np.ndarray):
-    """Reduced row echelon form mod p of every (m, n) slice of a
-    (batch, m, n) integer stack: (reduced, pivots, rank).
-
-    reduced[b] is the canonical RREF of slice b, rank[b] rows followed by
-    zero rows, and pivots[b, :rank[b]] its pivot columns, ascending; pivots
-    is (batch, min(m, n)) and -1 past each rank.  The RREF is unique, so
-    each slice comes out as ``rref`` reduces it on its own, bit for bit:
-    the rows of one ``_sweep`` over all slices at once, each pivot column
-    made the unit vector of its pivot row and each slice's pivot rows
-    gathered in the order of their pivot columns."""
+    The vector of free column f in slice b is the one ``nullspace_array``
+    gives it, read off one ``_sweep`` over all slices at once: 1 at f,
+    -a[f, b, pivot_row[c, b]] at each pivot column c, 0 elsewhere.  A free
+    column is zero mod p in every row that is not yet a pivot row when the
+    sweep reaches it, and is left alone after, so the pivot columns right
+    of f read 0."""
     a, pivot_row = _sweep(p, stack)
-    n, batch, m = a.shape
-    at, c = np.nonzero(pivot_row.T >= 0)  # by slice, pivot columns ascending
-    rank = np.bincount(at, minlength=batch)
-    k = np.arange(at.size) - np.repeat(np.cumsum(rank) - rank, rank)  # of each pivot in its slice
-    reduced = np.zeros((batch, m, n), dtype=np.int64)
-    reduced[at, k] = a[:, at, pivot_row[c, at]].T % p
-    reduced[at, :, c] = 0
-    reduced[at, k, c] = 1
-    pivots = np.full((batch, min(m, n)), -1, dtype=np.int64)
-    pivots[at, k] = c
-    return reduced, pivots, rank
+    n = a.shape[0]
+    b, f = np.nonzero(pivot_row.T < 0)
+    rows = pivot_row[:, b]  # (n, vectors): the pivot row of each column
+    c, k = np.nonzero(rows >= 0)
+    null = np.zeros((b.size, n), dtype=np.int64)
+    null[k, c] = -a[f[k], b[k], rows[c, k]] % p
+    null[np.arange(b.size), f] = 1
+    return b, f, null

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .backend import rank_stack
+from .backend import nullspace_stack
 from .exact import (
     RingDescriptor,
     _contract,
@@ -31,6 +31,7 @@ from .exact import (
     blocked_nullspace,
     nullspace_array,
     rank_array,
+    row_basis,
     rref_array,
 )
 from .maps import (
@@ -47,13 +48,6 @@ class CenterError(ValueError):
     pass
 
 
-def _rref_rows(ring, rows):
-    if rows.shape[0] == 0:
-        return rows
-    red, piv, rank = rref_array(ring, rows)
-    return red[:rank].copy()
-
-
 def compute_center_algebra(alg) -> np.ndarray:
     """Canonical basis (rows) of the center of an algebra-like carrier."""
     ring, d, mul = alg.ring, alg.dim, alg.mul
@@ -62,7 +56,7 @@ def compute_center_algebra(alg) -> np.ndarray:
     lhs = np.transpose(mul, (1, 2, 0))  # [i, r, j] = (e_j e_i)_r
     rhs = np.transpose(mul, (0, 2, 1))  # [i, r, j] = (e_i e_j)_r
     K = ring.normalize(lhs - rhs).reshape(d * d, d)
-    return _rref_rows(ring, nullspace_array(ring, K))
+    return row_basis(ring, nullspace_array(ring, K))
 
 
 @dataclass(eq=False)
@@ -233,19 +227,18 @@ def _first_singular(ring, T):
     nonzero digit is 1 is scanned: the numbers below p^k with leading digit
     1, in increasing order, read as little-endian digits.  The candidates
     go through in chunks of about _BLOCK_CELLS cells; each chunk's matrices
-    are formed by one contraction and ranked together (backend.rank_stack),
-    and only the first one of rank below n is reduced for its kernel."""
+    are formed by one contraction and taken mod p, and one
+    backend.nullspace_stack gives their null vectors, the first of which
+    belongs to the chunk's first singular candidate."""
     p, k = ring.p, T.shape[0]
     numbers = np.concatenate([np.arange(p**h, 2 * p**h, dtype=np.int64) for h in range(k)])
     powers = p ** np.arange(k, dtype=np.int64)
-    n = T.shape[2]
-    per = max(1, _BLOCK_CELLS // max(1, T.shape[1] * n))
+    per = max(1, _BLOCK_CELLS // max(1, T.shape[1] * T.shape[2]))
     for c0 in range(0, len(numbers), per):
         chunk = numbers[c0 : c0 + per, None] // powers % p
-        singular = np.flatnonzero(rank_stack(p, np.tensordot(chunk, T, axes=([1], [0]))) < n)
+        singular, _, null = nullspace_stack(p, np.tensordot(chunk, T, axes=([1], [0])) % p)
         if singular.size:
-            c = chunk[singular[0]]
-            return c.copy(), nullspace_array(ring, np.tensordot(c, T, axes=([0], [0])))[0].copy()
+            return chunk[singular[0]].copy(), null[0].copy()
     return None
 
 
@@ -422,7 +415,7 @@ def _identity_42_witness(gma, xs, ys):
 
 
 def central_jordan_radical(gma) -> np.ndarray:
-    ring, d = gma.ring, gma.dim
+    ring = gma.ring
     S = gma.center.z_g.copy()
     sym = _unlift(ring, *_product_tensors(gma)["jordan"])
     while S.shape[0]:
@@ -430,7 +423,7 @@ def central_jordan_radical(gma) -> np.ndarray:
         # sum_s c_s S_s o e_i stays in S iff S's annihilator kills it
         K = ring.tensordot(T, nullspace_array(ring, S), axes=([2], [1]))  # [s, i, k]
         C = nullspace_array(ring, K.reshape(S.shape[0], -1).T)
-        newS = _rref_rows(ring, ring.tensordot(C, S, axes=([1], [0]))) if C.shape[0] else ring.zeros((0, d))
+        newS = row_basis(ring, ring.tensordot(C, S, axes=([1], [0])))
         if newS.shape[0] == S.shape[0]:
             return newS
         S = newS

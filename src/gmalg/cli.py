@@ -38,6 +38,7 @@ from .decompose import (
 from .exact import ExactError, RingDescriptor, RATIONAL, _lift, prime_field
 from .io import (
     IOFormatError,
+    _require_context_dim,
     canonical_dumps,
     context_from_json,
     context_to_json,
@@ -126,12 +127,15 @@ def cmd_gen(args) -> int:
     kind = args.kind
     if kind == "full-matrix":
         _need_params(args, "n", "split")
+        _require_context_dim(args.n**2)
         ctx = build_full_matrix(args.n, args.split, ring)
     elif kind == "triangular":
         _need_params(args, "n", "split")
+        _require_context_dim(args.n * (args.n + 1) // 2)
         ctx = build_upper_triangular(args.n, args.split, ring)
     elif kind == "inflated":
         _need_params(args, "dimv")
+        _require_context_dim(2 + 2 * args.dimv)
         if args.gamma_file:
             doc = load_map(args.gamma_file)
             if doc.kind != "linear" or doc.rep.matrix.shape != (args.dimv, args.dimv):
@@ -144,6 +148,7 @@ def cmd_gen(args) -> int:
             gamma = ring.eye(args.dimv)
         ctx = build_inflated(ring, args.dimv, gamma)
     elif kind == "diagonal":
+        _require_context_dim(4 * args.k)
         ctx = build_diagonal_pair(ring, args.k)
     elif kind == "peirce":
         if not args.algebra_file:

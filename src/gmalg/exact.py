@@ -296,6 +296,13 @@ def rref_array(ring: RingDescriptor, mat: np.ndarray):
     return red, tuple(int(c) for c in piv), rank
 
 
+def row_basis(ring: RingDescriptor, rows: np.ndarray) -> np.ndarray:
+    """The canonical basis of the row span of rows: the nonzero rows of
+    their RREF, as a (rank, columns) array."""
+    red, _, rank = rref_array(ring, rows)
+    return red[:rank].copy()
+
+
 def rank_array(ring: RingDescriptor, mat: np.ndarray) -> int:
     return rref_array(ring, mat)[2]
 
@@ -333,8 +340,9 @@ def blocked_nullspace(ring: RingDescriptor, entries, n_cols: int) -> np.ndarray:
     graph in which an entry joins its row to its column, each a dense block
     of its own rows and columns, both in ascending order.  Over F_p the
     components of a (rows, columns) shape that at least two of them share
-    are reduced together by ``_stacked_nullspace``; every other component,
-    and every component over Q, is reduced alone by ``nullspace_array``.
+    are reduced together by ``backend.nullspace_stack``; every other
+    component, and every component over Q, is reduced alone by
+    ``nullspace_array``.
     A block-diagonal matrix has the pivots of its blocks, and each canonical
     null vector e_f - sum_k red[k, f] e_{piv_k} lies in the columns of f's
     block, so the null vectors of the blocks put back into their columns
@@ -367,7 +375,8 @@ def blocked_nullspace(ring: RingDescriptor, entries, n_cols: int) -> np.ndarray:
         stack[slot, at_row[r[at]], at_col[c[at]]] = values[at]
         cols = by_col[first_col[members, None] + np.arange(n)]
         if members.size > 1:
-            pieces.append(_stacked_nullspace(ring.p, stack, cols))
+            b, f, null = backend.nullspace_stack(ring.p, stack)
+            pieces.append((cols[b, f], cols[b], null))
         else:
             null = nullspace_array(ring, stack[0])
             pieces.append((cols[0, n - 1 - np.argmax(null[:, ::-1] != 0, axis=1)], cols, null))
@@ -390,25 +399,6 @@ def _ordinals(label: np.ndarray, n_labels: int):
     ordinal = np.empty(label.size, dtype=np.intp)
     ordinal[order] = np.arange(label.size) - np.repeat(np.cumsum(count) - count, count)
     return ordinal, order, count
-
-
-def _stacked_nullspace(p: int, stack: np.ndarray, cols: np.ndarray):
-    """The canonical null vectors mod p of every slice of a (batch, m, n)
-    stack whose slice b sits in the columns cols[b]: (free columns, their
-    vectors' columns, null vectors), a vector per free column, from one
-    ``backend.rref_stack``.  With each reduced row put at its pivot column
-    in an (n, n) matrix E, row f of I - E^T is e_f - sum_k red[k, f]
-    e_{piv_k}: the null vector of f when f is free, zero when f is a pivot."""
-    batch, _, n = stack.shape
-    red, piv, rank = backend.rref_stack(p, stack)
-    b, k = np.nonzero(np.arange(piv.shape[1]) < rank[:, None])
-    E = np.zeros((batch, n, n), dtype=np.int64)
-    E[b, piv[b, k]] = red[b, k]
-    free = np.ones((batch, n), dtype=bool)
-    free[b, piv[b, k]] = False
-    b, f = np.nonzero(free)
-    null = (np.eye(n, dtype=np.int64)[f] - E[b, :, f]) % p
-    return cols[b, f], cols[b], null
 
 
 def _column_components(n_rows: int, r: np.ndarray, c: np.ndarray, n_cols: int) -> np.ndarray:

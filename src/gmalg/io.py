@@ -106,6 +106,12 @@ def _require_cells(cells: int, what: str):
     _require(cells <= _MAX_CELLS, f"{what} has {cells} cells, more than {_MAX_CELLS}")
 
 
+def _require_context_dim(d: int):
+    """A context of dimension d is read, or built, only if its product
+    tensor's d^3 cells fit the bound."""
+    _require_cells(d**3, f"the product tensor of a context of dimension {d}")
+
+
 def _is_size(v, least: int = 0) -> bool:
     """v is a JSON integer, not a boolean, and at least `least`."""
     return isinstance(v, int) and not isinstance(v, bool) and v >= least
@@ -203,8 +209,7 @@ def context_from_json(doc: dict) -> MoritaContext:
     for block in _DOC_BLOCKS.values():
         _require(isinstance(doc.get(block), dict), f"missing block {block}")
     dims = {x: _get_dim(doc[block], block) for x, block in _DOC_BLOCKS.items()}
-    d = sum(dims.values())
-    _require_cells(d**3, f"the product tensor of a context of dimension {d}")
+    _require_context_dim(sum(dims.values()))
     meta = doc.get("meta", {})
     _require(isinstance(meta, dict), "meta must be a JSON object")
     for key, (ok, what) in _META_FIELDS.items():

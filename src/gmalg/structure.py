@@ -31,8 +31,8 @@ from .exact import (
     _td,
     _unlift,
     inverse_array,
+    row_basis,
     row_span_coords,
-    rref_array,
 )
 
 
@@ -676,8 +676,7 @@ def build_peirce(alg: AlgebraSpec, e):
 
     def corner_basis(lmat, rmat):
         proj = ring.tensordot(rmat, lmat, axes=([1], [0]))  # x -> l * x * r
-        red, piv, rank = rref_array(ring, proj.T)
-        return red[:rank].copy()
+        return row_basis(ring, proj.T)
 
     UA = corner_basis(Le, Re)  # e x e
     UM = corner_basis(Le, Rf)  # e x f

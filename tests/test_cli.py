@@ -131,6 +131,30 @@ def test_gen_peirce_rejects_an_algebra_file_that_breaks_a_law(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, dim",
+    [
+        (["full-matrix", "--n", "23", "--split", "1"], 529),
+        (["triangular", "--n", "32", "--split", "1"], 528),
+        (["diagonal", "--k", "129"], 516),
+        (["diagonal", "--k", "3000000"], 12000000),
+        (["inflated", "--dimv", "256"], 514),
+    ],
+)
+def test_gen_refuses_a_context_the_reader_would_refuse(tmp_path, capsys, kind, dim):
+    """The context's dimension is worked out from the parameters before
+    anything is built; each case is the first past the reader's bound of
+    512^3 cells, but for the diagonal pair of 3000000."""
+    out = tmp_path / "ctx.json"
+    assert main(["gen", "--kind", *kind, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        f"error: the product tensor of a context of dimension {dim} has {dim**3} cells, "
+        "more than 134217728\n"
+    )
+
+
 def test_gen_rejects_bad_ring(capsys):
     assert main(["gen", "--kind", "full-matrix", "--n", "2", "--split", "1", "--ring", "fp:4"]) == 2
     assert main(["gen", "--kind", "full-matrix", "--n", "2", "--split", "1", "--ring", "zz"]) == 2

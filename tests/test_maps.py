@@ -305,8 +305,8 @@ def test_trace_space_modes_coincide_on_m3(m3):
 def test_trace_space_batches_its_same_shape_blocks(m3, t3, t2, mode):
     """Over F_p the blocks of one shape share one batched reduction, and a
     block of a shape no other block has is a 2-D reduction of its own: on
-    M3(F_5) split 1 the 36 blocks of five shapes take one rref_stack each,
-    and only the lone 51-column block takes a 2-D reduction; on T3(F_5)
+    M3(F_5) split 1 the 36 blocks of five shapes take one nullspace_stack
+    each, and only the lone 51-column block takes a 2-D reduction; on T3(F_5)
     twelve blocks of five shapes are stacked and six lone blocks are
     reduced one by one.  The 18 columns of T2(F_5) are reduced whole."""
     for gma, widths, batches in [
@@ -317,7 +317,7 @@ def test_trace_space_batches_its_same_shape_blocks(m3, t3, t2, mode):
         gma.center
         with (
             unittest.mock.patch.object(exact, "rref_array", wraps=exact.rref_array) as rref,
-            unittest.mock.patch.object(backend, "rref_stack", wraps=backend.rref_stack) as stack,
+            unittest.mock.patch.object(backend, "nullspace_stack", wraps=backend.nullspace_stack) as stack,
         ):
             trace_space(gma, mode=mode)
         assert sorted(call.args[1].shape[1] for call in rref.call_args_list) == widths

@@ -11,14 +11,14 @@ one pair at a time, the proper generators one by one, and the independent
 pair against the basis loop and an exhaustive (m0, b0) enumeration. The
 elimination references are the three kernels the ring-generic one
 replaced: scalar loops mod p, a dense rank-1 update over every row mod p,
-and row-by-row Fraction elimination; the batched rank mod p is checked
-slice by slice against rank_array (the scalar loops at p = 2), and the
-scans that use it also with one candidate per chunk. The contraction
-over Q is checked against numpy's tensordot on the Fraction arrays
-themselves, and the trace predicates, the reconstruction check and the
-factored solve, which decide on lifted integers over Q, against the
-Fraction code they replaced, on contexts whose constants are not all
-integers. The constructive chain,
+and row-by-row Fraction elimination; the batched null vectors mod p are
+checked slice by slice against nullspace_array (the scalar loops at
+p = 2), and the scans that use them also with one candidate per chunk.
+The contraction over Q is checked against numpy's tensordot on the
+Fraction arrays themselves, and the trace predicates, the reconstruction
+check and the factored solve, which decide on lifted integers over Q,
+against the Fraction code they replaced, on contexts whose constants are
+not all integers. The constructive chain,
 which runs on lifted integers, is checked against its per-basis-vector
 loops (the witness extraction, the shape laws and the mu/nu assembly) and
 against the same chain as contractions on ring values, which over Q build
@@ -1175,11 +1175,13 @@ def test_loyalty_scan_matches_full_scan(name):
 
 def one_candidate_per_chunk(monkeypatch):
     """Set the scans' cell budget below one candidate, so that every chunk
-    holds exactly one; returns the batch size of every chunk ranked."""
+    holds exactly one; returns the batch size of every chunk reduced."""
     batches = []
-    rank_stack = center.rank_stack
+    nullspace_stack = center.nullspace_stack
     monkeypatch.setattr(center, "_BLOCK_CELLS", 1)
-    monkeypatch.setattr(center, "rank_stack", lambda p, s: batches.append(len(s)) or rank_stack(p, s))
+    monkeypatch.setattr(
+        center, "nullspace_stack", lambda p, s: batches.append(len(s)) or nullspace_stack(p, s)
+    )
     return batches
 
 
@@ -2776,9 +2778,8 @@ STACK_SHAPES = [(0, 3, 3), (1, 4, 4), (6, 4, 4), (6, 2, 6), (6, 7, 3), (2, 0, 3)
 
 
 def seeded_stack(stream, p, batch, rows, cols):
-    """Every third slice all zero, every third a product through
-    min(rows, cols) - 1 columns (rank deficient), the rest sparse; some
-    entries left unreduced, below 0 or at least p."""
+    """Residues mod p: every third slice all zero, every third a product
+    through min(rows, cols) - 1 columns (rank deficient), the rest sparse."""
 
     def draw(r, c):
         entries = random_sparse_matrix(stream, r, c, lambda: stream.below(p))
@@ -2791,9 +2792,38 @@ def seeded_stack(stream, p, batch, rows, cols):
             out[i] = draw(rows, cols)
         elif i % 3 == 2:
             out[i] = draw(rows, width) @ draw(width, cols) % p
-        shift = [[stream.below(3) - 1 for _ in range(cols)] for _ in range(rows)]
-        out[i] += p * np.array(shift, dtype=np.int64).reshape(rows, cols)
     return out
+
+
+def loops_nullspace(p, a):
+    """The canonical nullspace of a mod p, one vector per row, from the
+    scalar loops: e_f - sum_k red[k, f] e_{piv_k} for each free column f."""
+    red = a % p
+    piv, rank = rref_mod_p_loops(red, p)
+    free = sorted(set(range(a.shape[1])) - set(piv.tolist()))
+    null = np.zeros((len(free), a.shape[1]), dtype=np.int64)
+    null[range(len(free)), free] = 1
+    null[:, piv] = -red[:rank, free].T % p
+    return null
+
+
+def reference_nullspace(p, a):
+    """nullspace_array over F_p; over F_2, which prime_field does not
+    accept, the scalar loops."""
+    return loops_nullspace(p, a) if p == 2 else nullspace_array(prime_field(p), a)
+
+
+def assert_stack_matches(stack, got, reference):
+    """The vectors nullspace_stack gives each slice, by slice and then
+    free column, are reference(slice), and each free column is where its
+    vector's last nonzero entry, the 1, sits."""
+    b, f, null = got
+    assert b.dtype == f.dtype == np.intp and null.dtype == np.int64
+    assert np.all(np.diff(b) >= 0)
+    for k, a in enumerate(stack):
+        want = reference(a)
+        assert_identical(null[b == k], want)
+        assert f[b == k].tolist() == [row.nonzero()[0][-1] for row in want]
 
 
 def reference_rank(p, a):
@@ -2808,82 +2838,49 @@ def reference_rank(p, a):
 
 @pytest.mark.parametrize("p", [2, 5, 1048573])
 def test_rank_stack_matches_rank_array_slice_by_slice(p):
-    """p = 1048573, the largest prime below the int64 guard, checks the
-    margin of the batched products."""
+    """The rank of each slice read off the batched kernel, its columns less
+    the null vectors nullspace_stack gives it, is rank_array's: p = 1048573,
+    the largest prime below the int64 guard, checks the margin of the
+    batched products."""
     stream = XorShift64Star(p)
     seen = set()
     for shape in STACK_SHAPES:
         stack = seeded_stack(stream, p, *shape)
-        before = stack.copy()
-        got = backend.rank_stack(p, stack)
-        assert_identical(stack, before)
-        assert got.dtype == np.int64 and got.shape == shape[:1]
+        nullity = np.bincount(backend.nullspace_stack(p, stack)[0], minlength=shape[0])
         want = [reference_rank(p, a) for a in stack]
-        assert got.tolist() == want
+        assert (shape[2] - nullity).tolist() == want
         seen.update((r == 0, r == min(shape[1:])) for r in want)
     assert {(True, False), (False, True), (False, False)} <= seen
 
 
-def loops_rref(p, a):
-    """(reduced, pivot list, rank) of a mod p from the scalar loops."""
-    red = a % p
-    piv, rank = rref_mod_p_loops(red, p)
-    return red, piv.tolist(), rank
-
-
-def reference_rref(p, a):
-    """(reduced, pivot list, rank) of rref_array over F_p; over F_2, which
-    prime_field does not accept, the scalar loops."""
-    if p == 2:
-        return loops_rref(p, a)
-    red, piv, rank = rref_array(prime_field(p), a)
-    return red, list(piv), rank
-
-
-def assert_stack_matches(stack, got, reference):
-    """Each slice's reduced rows, pivots (-1 past the rank) and rank from
-    rref_stack equal reference(slice)."""
-    red, piv, rank = got
-    assert red.dtype == piv.dtype == rank.dtype == np.int64
-    batch, rows, cols = stack.shape
-    assert red.shape == stack.shape
-    assert piv.shape == (batch, min(rows, cols)) and rank.shape == (batch,)
-    for b, a in enumerate(stack):
-        want_red, want_piv, want_rank = reference(a)
-        assert_identical(red[b], want_red)
-        assert rank[b] == want_rank
-        assert piv[b].tolist() == want_piv + [-1] * (min(rows, cols) - want_rank)
-
-
 @pytest.mark.parametrize("p", [2, 5, 1048573])
 def test_rref_stack_matches_rref_array_slice_by_slice(p):
-    """The stacks of the rank_stack oracle, reduced: p = 1048573 checks the
-    margin of the lazily reduced products."""
+    """The stacks of the rank oracle, reduced: each slice's null vectors
+    from nullspace_stack are the ones nullspace_array reads off rref_array,
+    input untouched; p = 1048573 checks the margin of the lazily reduced
+    products."""
     stream = XorShift64Star(p)
-    seen = set()
     for shape in STACK_SHAPES:
         stack = seeded_stack(stream, p, *shape)
         before = stack.copy()
-        got = backend.rref_stack(p, stack)
+        got = backend.nullspace_stack(p, stack)
         assert_identical(stack, before)
-        assert_stack_matches(stack, got, lambda a: reference_rref(p, a))
-        seen.update((r == 0, r == min(shape[1:])) for r in got[2].tolist())
-    assert {(True, False), (False, True), (False, False)} <= seen
+        assert_stack_matches(stack, got, lambda a: reference_nullspace(p, a))
 
 
 @pytest.mark.parametrize("mode", ["centralizing", "commuting"])
-def test_rref_stack_matches_loops_on_trace_space_stacks(mode):
+def test_nullspace_stack_matches_loops_on_trace_space_stacks(mode):
     """The stacks that the M3(F5) trace space reduces, slice by slice
     against the scalar loops: the blocks of the benchmarked solve meet a
     kernel they do not share."""
     g = assemble_gma(build_full_matrix(3, 1, F5))
     g.center
-    with unittest.mock.patch.object(backend, "rref_stack", wraps=backend.rref_stack) as spy:
+    with unittest.mock.patch.object(backend, "nullspace_stack", wraps=backend.nullspace_stack) as spy:
         trace_space(g, mode)
     stacks = [call.args for call in spy.call_args_list]
     assert stacks
     for p, stack in stacks:
-        assert_stack_matches(stack, backend.rref_stack(p, stack), lambda a: loops_rref(p, a))
+        assert_stack_matches(stack, backend.nullspace_stack(p, stack), lambda a: loops_nullspace(p, a))
 
 
 def slow_solve(ring, mat, rhs):

@@ -6,9 +6,10 @@ own definition.  A function is referenced by a name, an attribute, an
 imported name or a string naming it (``perfbench/tracing.py`` names what it
 wraps in strings); a method only by an attribute or a string, since a bare
 name never reaches a method and a local variable of the same name would
-hide an unused one.  Dunders and the names of ``gmalg.__all__``, the
-documented library API, are exempt.  A helper that only tests reach belongs
-in the tests.
+hide an unused one.  The strings of an ``__all__`` assignment export names
+and do not use them, so they reference nothing.  Dunders and the names of
+``gmalg.__all__``, the documented library API, are exempt.  A helper that
+only tests reach belongs in the tests.
 """
 
 import ast
@@ -35,6 +36,16 @@ def _is_dotted_name(value):
     return isinstance(value, str) and all(part.isidentifier() for part in value.split("."))
 
 
+def _is_all_assignment(node):
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
 def _referenced_names(tree):
     """(bare, reached): the names the tree refers to as a name or an
     imported name, and those it refers to as an attribute or in a string,
@@ -42,6 +53,8 @@ def _referenced_names(tree):
     bare, reached = set(), set()
 
     def visit(node, enclosing):
+        if _is_all_assignment(node):
+            return
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             enclosing = enclosing | {node.name}
         name, found = None, reached
@@ -84,8 +97,9 @@ def test_every_public_definition_has_a_caller():
 
 
 def test_the_scan_sees_a_definition_nobody_calls():
-    """A method whose name only a local variable bears is unused; a
-    function called by its bare name is used."""
+    """A method whose name only a local variable bears is unused, and so
+    is a function that only ``__all__`` names; a function called by its
+    bare name is used."""
     tree = ast.parse(
         "class C:\n"
         "    def used(self):\n"
@@ -99,5 +113,9 @@ def test_the_scan_sees_a_definition_nobody_calls():
         "def helper():\n"
         "    shadowed = 1\n"
         "    return shadowed\n"
+        "__all__ = ['exported']\n"
+        "__all__ += ['exported']\n"
+        "def exported():\n"
+        "    return 1\n"
     )
-    assert _unused(tree, *_referenced_names(tree)) == ["lonely", "shadowed", "used"]
+    assert _unused(tree, *_referenced_names(tree)) == ["exported", "lonely", "shadowed", "used"]
